@@ -1,19 +1,20 @@
 """Quantum super-resolution imaging by N-photon centroid measurement.
 
 End-to-end simulation toolkit: scalar Fourier optics with a single-lens
-system, N-photon centroid-PSF theory (Heisenberg 1/N narrowing versus the
-1/sqrt(N) standard quantum limit), a quasi-phase-matched pair source, a
-Monte Carlo model of a 32x32 time-stamping single-photon sensor, coincidence
-reconstruction on the half-pixel centroid grid, and quantitative resolution
+system and one imaging function, ``image``, whose order-N case is the
+N-photon centroid image and whose order-1 case is classical coherent or
+incoherent imaging; centroid-PSF theory (Heisenberg 1/N narrowing versus the
+1/sqrt(N) standard quantum limit); a quasi-phase-matched pair source; a Monte
+Carlo model of a 32x32 time-stamping single-photon sensor; coincidence
+reconstruction on the half-pixel centroid grid; and quantitative resolution
 analysis.
 """
 
 from .analysis import (FitModel, Profile1D, ScalingFit, WidthReport,
                        cross_section, scaling_fit, slit_contrast, width_metrics)
-from .centroid import CentroidTuple, from_centroid_coords, jacobian, to_centroid_coords
 from .detector import (DEFAULT_PDE, ClassicalSource, DetectorConfig,
-                       FarFieldPairSource, OcmPairSource, PhotonEvent,
-                       PointSource, apply_detector_model, run_acquisition,
+                       FarFieldPairSource, OcmPairSource, PointSource,
+                       apply_detector_model, run_acquisition,
                        sample_event_positions)
 from .events_io import EventStream, read_events, read_manifest, write_events
 from .grid import FieldGrid, GridSpec
@@ -22,8 +23,8 @@ from .ocm import (analytic_centroid_psf_circular, centroid_psf,
                   far_field_pattern, incoherent_ocm_image, ocm_image)
 from .optics import (Aperture, FtDirection, ImagingSystem, J1_FIRST_ZERO,
                      PupilProfile, coherent_image, convolve2d, convolve_on,
-                     fourier_transform_2d, incoherent_image, single_lens_psf,
-                     somb)
+                     fourier_transform_2d, image, incoherent_image,
+                     single_lens_psf, somb)
 from .phasematch import (PhaseMatchingParams, SellmeierModel, biphoton_amplitude,
                          deviation_envelope, deviation_envelope_fwhm,
                          solve_poling_period, wavevector_mismatch)
@@ -35,22 +36,21 @@ from .reconstruction import (CentroidImage, CoincidencePair, CoincidenceSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aperture", "CentroidImage", "CentroidTuple", "ClassicalSource",
-    "CoincidencePair", "CoincidenceSet", "DEFAULT_PDE", "DetectorConfig",
-    "EventStream", "FarFieldPairSource", "FieldGrid", "FitModel",
-    "FtDirection", "GridSpec", "ImagingSystem", "J1_FIRST_ZERO",
-    "OcmPairSource", "PhaseMatchingParams", "PhotonEvent", "PointSource",
-    "Profile1D", "PupilProfile", "ScalingFit", "SellmeierModel", "WidthReport",
-    "XiMode", "analytic_centroid_psf_circular", "apply_detector_model",
-    "biphoton_amplitude", "centroid_image", "centroid_psf",
-    "centroid_psf_fourier", "classical_centroid_psf", "coherent_image",
-    "convolve2d", "convolve_on", "coverage_table", "cross_section",
-    "deviation_envelope", "deviation_envelope_fwhm", "estimate_accidentals",
-    "extract_coincidences", "far_field_pattern", "fourier_transform_2d",
-    "from_centroid_coords", "incoherent_image", "incoherent_ocm_image",
-    "jacobian", "joint_correlation_histogram", "ocm_image", "read_events",
-    "read_manifest", "run_acquisition", "sample_event_positions",
-    "scaling_fit", "single_lens_psf", "singles_image", "slit_contrast",
-    "solve_poling_period", "somb", "to_centroid_coords", "wavevector_mismatch",
-    "width_metrics", "write_events",
+    "Aperture", "CentroidImage", "ClassicalSource", "CoincidencePair",
+    "CoincidenceSet", "DEFAULT_PDE", "DetectorConfig", "EventStream",
+    "FarFieldPairSource", "FieldGrid", "FitModel", "FtDirection", "GridSpec",
+    "ImagingSystem", "J1_FIRST_ZERO", "OcmPairSource", "PhaseMatchingParams",
+    "PointSource", "Profile1D", "PupilProfile", "ScalingFit", "SellmeierModel",
+    "WidthReport", "XiMode", "analytic_centroid_psf_circular",
+    "apply_detector_model", "biphoton_amplitude", "centroid_image",
+    "centroid_psf", "centroid_psf_fourier", "classical_centroid_psf",
+    "coherent_image", "convolve2d", "convolve_on", "coverage_table",
+    "cross_section", "deviation_envelope", "deviation_envelope_fwhm",
+    "estimate_accidentals", "extract_coincidences", "far_field_pattern",
+    "fourier_transform_2d", "image", "incoherent_image",
+    "incoherent_ocm_image", "joint_correlation_histogram", "ocm_image",
+    "read_events", "read_manifest", "run_acquisition",
+    "sample_event_positions", "scaling_fit", "single_lens_psf",
+    "singles_image", "slit_contrast", "solve_poling_period", "somb",
+    "wavevector_mismatch", "width_metrics", "write_events",
 ]

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy.special import stdtrit
 
 from .errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
                      PeaksNotFound)
@@ -173,8 +173,10 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
             return amp * np.exp(-(xv - x0) ** 2 / (2.0 * sigma ** 2))
         p0 = (amp0, x0_0, width0)
 
+    from scipy.optimize import curve_fit
+
     try:
-        popt, _ = optimize.curve_fit(f, x, y, p0=p0, maxfev=20000)
+        popt, _ = curve_fit(f, x, y, p0=p0, maxfev=20000)
     except RuntimeError as exc:
         raise NoPeak(f"model fit failed: {exc}") from exc
     residual = float(np.sqrt(np.mean((f(x, *popt) - y) ** 2)) / y.max())
@@ -211,12 +213,17 @@ def scaling_fit(widths) -> ScalingFit:
     n, w = arr[:, 0], arr[:, 1]
     if np.unique(n).size < 3 or np.any(w <= 0) or np.any(n <= 0):
         raise DegenerateInput("need 3 distinct positive N with positive widths")
-    res = stats.linregress(np.log(n), np.log(w))
-    dof = arr.shape[0] - 2
-    tval = stats.t.ppf(0.975, dof) if dof > 0 else np.inf
-    pred = res.intercept + res.slope * np.log(n)
-    return ScalingFit(alpha=-res.slope, ci95=tval * res.stderr,
-                      residual=float(np.sqrt(np.mean((pred - np.log(w)) ** 2))))
+    x, y = np.log(n), np.log(w)
+    # least-squares line from the centred second moments; r is clipped to
+    # [-1, 1], so an exact power law reports a zero-width interval
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    slope = sxy / sxx
+    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    dof = x.size - 2
+    stderr = np.sqrt((1 - r ** 2) * syy / sxx / dof)
+    pred = np.mean(y) - slope * np.mean(x) + slope * x
+    return ScalingFit(alpha=-slope, ci95=stdtrit(dof, 0.975) * stderr,
+                      residual=float(np.sqrt(np.mean((pred - y) ** 2))))
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:

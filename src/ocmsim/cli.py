@@ -8,7 +8,6 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -17,26 +16,17 @@ import numpy as np
 from .analysis import (FitModel, cross_section, export_profile_csv,
                        scaling_fit, slit_contrast, width_metrics)
 from .config import RunConfig, load_config, schema_help
-from .detector import ClassicalSource, run_acquisition
+from .detector import ClassicalSource, child_seed, run_acquisition
 from .errors import ConfigError, OcmsimError
-from .events_io import read_events, stable_hash, write_manifest
-from .grid import FieldGrid
+from .events_io import EventStream, read_events, write_manifest
+from .grid import FieldGrid, GridSpec
 from .ocm import classical_centroid_psf
 from .optics import PupilProfile, single_lens_psf
-from .reconstruction import (XiMode, centroid_image, estimate_accidentals,
-                             extract_coincidences, singles_image)
+from .reconstruction import (XiMode, _stream_detector, centroid_image,
+                             estimate_accidentals, extract_coincidences,
+                             singles_image)
 
 _SCALING_N = (1, 2, 4, 8)
-
-
-def derive_seed(master: int, label: str) -> int:
-    digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def _fit_model(cfg: RunConfig) -> FitModel:
-    return {"none": FitModel.NONE, "somb2": FitModel.SOMB_SQUARED,
-            "gaussian": FitModel.GAUSSIAN}[cfg["analysis.model"]]
 
 
 def _band(cfg: RunConfig):
@@ -46,10 +36,7 @@ def _band(cfg: RunConfig):
 
 def _intensity_psf_width(system, order):
     """Projected FWHM of the order-N centroid PSF intensity (self-sized grid)."""
-    from .grid import GridSpec
-    from .optics import PupilProfile as _PP
-
-    if system.pupil_profile is _PP.HARD_CIRCULAR:
+    if system.pupil_profile is PupilProfile.HARD_CIRCULAR:
         scale = system.first_zero_radius / order
     else:
         scale = system.psf_sigma / np.sqrt(order)
@@ -127,23 +114,27 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None = None,
             "n_frames": stream.n_frames}
 
 
+def _reconstruct(cfg: RunConfig, events: EventStream):
+    """Pairs, accidental estimate (None when disabled) and centroid image."""
+    window = cfg["reconstruction.window_s"]
+    min_xi = cfg["reconstruction.min_xi_pixels"]
+    pairs = extract_coincidences(
+        events, window, 2, min_xi,
+        one_pair_per_frame=cfg["reconstruction.one_pair_per_frame"])
+    offset = cfg["reconstruction.accidental_offset_frames"]
+    accidentals = (estimate_accidentals(events, window, offset, min_xi)
+                   if offset > 0 else None)
+    image = centroid_image(pairs, accidentals,
+                           XiMode(cfg["reconstruction.mode"]),
+                           _stream_detector(events),
+                           deviation_weight=cfg.deviation_weight())
+    return pairs, accidentals, image
+
+
 def cmd_reconstruct(cfg: RunConfig, events_path, out_dir: Path) -> dict:
     """Coincidence extraction, accidental subtraction, centroid image."""
     events = read_events(events_path)
-    pairs = extract_coincidences(
-        events, cfg["reconstruction.window_s"], 2,
-        cfg["reconstruction.min_xi_pixels"],
-        one_pair_per_frame=cfg["reconstruction.one_pair_per_frame"])
-    offset = cfg["reconstruction.accidental_offset_frames"]
-    accidentals = None
-    if offset > 0:
-        accidentals = estimate_accidentals(
-            events, cfg["reconstruction.window_s"], offset,
-            cfg["reconstruction.min_xi_pixels"])
-    detector = cfg.detector()
-    mode = XiMode.SUM if cfg["reconstruction.mode"] == "sum" else XiMode.AVERAGE
-    image = centroid_image(pairs, accidentals, mode, detector,
-                           deviation_weight=cfg.deviation_weight())
+    pairs, accidentals, image = _reconstruct(cfg, events)
     grid = image.to_field_grid()
     grid.save(out_dir / "centroid_image.ocmg")
     grid.export_csv(out_dir / "centroid_image.csv")
@@ -168,7 +159,7 @@ def cmd_reconstruct(cfg: RunConfig, events_path, out_dir: Path) -> dict:
 def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
     """Profiles, widths and slit contrast for stored images."""
     report: dict = {"command": "analyze"}
-    model = _fit_model(cfg)
+    model = FitModel(cfg["analysis.model"])
     pitch_img = cfg["aperture.pitch_m"] * cfg["system.magnification"]
     n_slits = cfg["analysis.n_slits"]
     for path in image_paths:
@@ -203,23 +194,10 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
     resolved_modes = []
 
     # quantum pairs at the base wavelength
-    source = cfg.source("ocm")
-    detector = cfg.detector(wavelength)
-    events = run_acquisition(source, detector, wall_time,
-                             derive_seed(seed, "ocm"),
+    events = run_acquisition(cfg.source("ocm"), cfg.detector(wavelength),
+                             wall_time, child_seed(seed, "ocm"),
                              out_path=out_dir / "ocm_events.ocme")
-    pairs = extract_coincidences(
-        events, cfg["reconstruction.window_s"], 2,
-        cfg["reconstruction.min_xi_pixels"],
-        one_pair_per_frame=cfg["reconstruction.one_pair_per_frame"])
-    offset = cfg["reconstruction.accidental_offset_frames"]
-    accidentals = (estimate_accidentals(events, cfg["reconstruction.window_s"],
-                                        offset,
-                                        cfg["reconstruction.min_xi_pixels"])
-                   if offset > 0 else None)
-    mode = XiMode.SUM if cfg["reconstruction.mode"] == "sum" else XiMode.AVERAGE
-    image = centroid_image(pairs, accidentals, mode, detector,
-                           deviation_weight=cfg.deviation_weight())
+    pairs, _, image = _reconstruct(cfg, events)
     grids = {"ocm": image.to_field_grid()}
     report["ocm_n_pairs"] = len(pairs)
 
@@ -237,7 +215,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
                                  coherent=(kind == "coherent"))
         det = cfg.detector(lam)
         stream = run_acquisition(source, det, wall_time,
-                                 derive_seed(seed, name),
+                                 child_seed(seed, name),
                                  out_path=out_dir / f"{name}_events.ocme")
         grids[name] = singles_image(stream, det)
         report[f"{name}_n_events"] = len(stream)

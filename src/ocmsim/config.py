@@ -185,9 +185,7 @@ class RunConfig:
 
     # -- object builders ------------------------------------------------------
     def system(self, wavelength: float | None = None) -> ImagingSystem:
-        profile = (PupilProfile.HARD_CIRCULAR
-                   if self["system.pupil_profile"] == "hard"
-                   else PupilProfile.GAUSSIAN)
+        profile = PupilProfile(self["system.pupil_profile"])
         if profile is PupilProfile.GAUSSIAN and \
                 self["system.pupil_sigma_m"] is None:
             raise ConfigError(
@@ -378,9 +376,3 @@ def schema_help() -> str:
         lines.append(f"  {path.ljust(width)}  {help_} "
                      f"(type {kind}, default {default!r})")
     return "\n".join(lines)
-
-
-def dump_default_config(path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# ocmsim run configuration (SI units)\n")
-        yaml.safe_dump(default_tree(), fh, sort_keys=False)

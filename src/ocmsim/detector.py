@@ -17,15 +17,15 @@ worker parallelism and reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnnormalizableDensity
 from .events_io import EventStream, stable_hash, write_events, write_manifest
 from .grid import FieldGrid, GridSpec
-from .ocm import far_field_pattern, incoherent_ocm_image, ocm_image
-from .optics import Aperture, ImagingSystem
+from .ocm import far_field_pattern
+from .optics import Aperture, ImagingSystem, image
 from .phasematch import PhaseMatchingParams, deviation_envelope
 
 #: detection efficiency of the reference sensor by wavelength
@@ -74,11 +74,6 @@ class DetectorConfig:
     def duty_cycle(self) -> float:
         return self.frame_duration * self.frame_rate
 
-    @property
-    def n_time_bins(self) -> int:
-        """Number of representable time bins in a frame (last may be partial)."""
-        return int(np.floor(self.frame_duration / self.time_bin)) + 1
-
     def pixel_index(self, positions: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Map (..., 2) positions (region centered at 0) to pixel indices.
@@ -119,16 +114,6 @@ class DetectorConfig:
         if isinstance(dark, list):
             d["dark_count_rate"] = np.asarray(dark)
         return cls(**d)
-
-
-@dataclass(frozen=True)
-class PhotonEvent:
-    """One first-hit detection record."""
-
-    frame_id: int
-    ix: int
-    iy: int
-    t_bin: int
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +190,8 @@ class OcmPairSource:
     def centroid_density(self, detector: DetectorConfig) -> FieldGrid:
         spec = _sampling_spec(detector, self.system, self.aperture,
                               self.oversample)
-        image = ocm_image if self.coherent else incoherent_ocm_image
-        return image(self.aperture, self.system, self.n_photons, spec)
+        return image(self.aperture, self.system, spec, order=self.n_photons,
+                     coherent=self.coherent)
 
     def deviation_density(self, detector: DetectorConfig) -> FieldGrid:
         half = 1.6 * max(detector.active_extent)
@@ -257,9 +242,8 @@ class ClassicalSource:
     def sampler(self, detector: DetectorConfig):
         spec = _sampling_spec(detector, self.system, self.aperture,
                               self.oversample)
-        image = (ocm_image if self.coherent else incoherent_ocm_image)(
-            self.aperture, self.system, 1, spec)
-        sampler = _DensitySampler(image)
+        sampler = _DensitySampler(image(self.aperture, self.system, spec,
+                                        coherent=self.coherent))
 
         def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             return sampler.sample(rng, count)[:, None, :]
@@ -483,9 +467,9 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
 _BLOCK_FRAMES = 1 << 16
 
 
-def _child_seed(master_seed: int, block_index: int) -> int:
-    digest = hashlib.sha256(
-        f"{master_seed}:{block_index}".encode()).digest()
+def child_seed(master_seed: int, label) -> int:
+    """Seed derived by hashing (master seed, label): a block index or a name."""
+    digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -510,7 +494,7 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     def run_block(block: int) -> tuple[EventStream, int]:
         start = block * _BLOCK_FRAMES
         stop = min(start + _BLOCK_FRAMES, n_frames)
-        rng = np.random.default_rng(_child_seed(seed, block))
+        rng = np.random.default_rng(child_seed(seed, block))
         counts = rng.poisson(mean_pairs, stop - start)
         total = int(counts.sum())
         positions = (draw(rng, total) if total else

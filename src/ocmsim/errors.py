@@ -21,10 +21,6 @@ class WrongPupilProfile(OcmsimError):
     """Operation requires a different pupil profile."""
 
 
-class EmptyInput(OcmsimError):
-    """An input collection that must be non-empty is empty."""
-
-
 class EvanescentInput(OcmsimError):
     """Transverse wavevector outside the paraxial domain (radicand <= 0)."""
 
@@ -39,6 +35,10 @@ class SinkWriteError(OcmsimError):
 
 class UnsortedInput(OcmsimError):
     """Event stream not sorted by (frame_id, t_bin)."""
+
+
+class MissingGeometry(OcmsimError):
+    """Event stream or image call carries no detector geometry."""
 
 
 class TooFewFrames(OcmsimError):

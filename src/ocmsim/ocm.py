@@ -1,10 +1,14 @@
-"""N-photon centroid imaging: centroid PSFs, OCM images, baselines.
+"""N-photon centroid imaging: centroid PSFs and classical baselines.
 
 The centroid PSF is H(X) = N^2 h^{*N}(N X): the N-fold self-convolution of
 the system PSF with the argument compressed N-fold.  For a hard circular
 pupil this is again a sombrero with an N-times larger argument, i.e. the
 resolution scales as 1/N; a Gaussian pupil only narrows as 1/sqrt(N), as does
 the centroid density of classically correlated photons.
+
+Centroid images come from ``optics.image`` with ``order=N``: it samples the
+closed-form order-N PSF and is the classical image at N = 1.  ``ocm_image``
+and ``incoherent_ocm_image`` remain as aliases of it.
 
 Numerical note: self-convolutions here use the periodic spectral method
 (no zero padding).  For kernels with slowly decaying tails, the periodization
@@ -20,8 +24,7 @@ import numpy as np
 from .errors import GridTooCoarse, WrongPupilProfile
 from .grid import FieldGrid, GridSpec
 from .optics import (Aperture, FtDirection, ImagingSystem, PupilProfile,
-                     _image_from_convolution, _kernel_spec, convolve_on,
-                     fourier_transform_2d, single_lens_psf)
+                     fourier_transform_2d, image)
 
 
 def _first_zero_spacing_check(h: FieldGrid, min_samples: int = 4) -> None:
@@ -99,41 +102,16 @@ def analytic_centroid_psf_circular(system: ImagingSystem, n: int,
     return FieldGrid.sample(spec, lambda x, y: system.psf_amplitude(x, y, order=n))
 
 
-def _analytic_centroid_psf(system: ImagingSystem, n: int,
-                           spec: GridSpec) -> FieldGrid:
-    """Centroid PSF for either pupil profile (grid-sampled, h(0)=1)."""
-    # psf_amplitude(order=n) implements both closed forms: the sombrero gains
-    # a factor N in its argument, the Gaussian std shrinks by sqrt(N)
-    return single_lens_psf(system, spec, order=n)
-
-
 def ocm_image(aperture: Aperture, system: ImagingSystem, n: int,
               spec: GridSpec) -> FieldGrid:
-    """Coherent centroid image |(A * H)(X/m)|^2 of an N-photon source.
-
-    The full N-photon correlation function depends on the centroid alone, so
-    this is the complete image prediction.  ``spec`` is the object-plane
-    grid; axes of the result are image-plane (scaled by m).
-    """
-    a = aperture.rasterize(spec)
-    H = _analytic_centroid_psf(system, n, _kernel_spec(spec))
-    conv = convolve_on(a, H)
-    img = _image_from_convolution(conv, system.magnification)
-    img.values = np.abs(img.values) ** 2
-    return img
+    """Coherent N-photon centroid image: ``optics.image`` at order n."""
+    return image(aperture, system, spec, order=n)
 
 
 def incoherent_ocm_image(aperture: Aperture, system: ImagingSystem, n: int,
                          spec: GridSpec) -> FieldGrid:
-    """Incoherent centroid image (|A|^2 * |H|^2)(X/m)."""
-    a = aperture.rasterize(spec)
-    a.values = np.abs(a.values) ** 2
-    H = _analytic_centroid_psf(system, n, _kernel_spec(spec))
-    H.values = np.abs(H.values) ** 2
-    conv = convolve_on(a, H)
-    img = _image_from_convolution(conv, system.magnification)
-    img.values = img.values.real.clip(min=0.0)
-    return img
+    """Incoherent N-photon centroid image: ``optics.image`` at order n."""
+    return image(aperture, system, spec, order=n, coherent=False)
 
 
 def classical_centroid_psf(h: FieldGrid, n: int) -> FieldGrid:

@@ -1,4 +1,9 @@
-"""Sampled scalar Fourier optics: PSFs, convolution, classical imaging.
+"""Sampled scalar Fourier optics: PSFs, convolution, imaging.
+
+One function, ``image``, forms every image: the coherent |A * H_N|^2 or the
+incoherent |A|^2 * |H_N|^2 with the order-N PSF H_N.  Order 1 is classical
+imaging (``coherent_image``, ``incoherent_image``); order N > 1 is the
+N-photon centroid image (``ocm.ocm_image``).
 
 Conventions
 -----------
@@ -16,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 from scipy.special import j1
 
 from .errors import GridTooCoarse, SpacingMismatch, WrongPupilProfile
@@ -74,11 +79,6 @@ class ImagingSystem:
         """Object-plane radius of the first PSF zero (hard circular pupil)."""
         return J1_FIRST_ZERO * self.object_distance * self.wavelength / (
             2.0 * np.pi * self.pupil_radius)
-
-    @property
-    def rayleigh_radius(self) -> float:
-        """Rayleigh resolution radius 1.22 lambda s_o / (2R), object-plane."""
-        return 1.22 * self.wavelength * self.object_distance / (2.0 * self.pupil_radius)
 
     @property
     def psf_sigma(self) -> float:
@@ -245,9 +245,15 @@ def convolve2d(f: FieldGrid, g: FieldGrid) -> FieldGrid:
     if not f.same_spacing(g):
         raise SpacingMismatch(
             f"spacings differ: ({f.dx}, {f.dy}) vs ({g.dx}, {g.dy})")
-    values = fftconvolve(f.values, g.values) * f.dx * f.dy
-    if not (f.is_complex or g.is_complex):
-        values = values.real
+    # zero-padded spectral product at the next fast FFT length, cropped to
+    # the full linear support (the same calls scipy.signal.fftconvolve makes)
+    shape = [n + k - 1 for n, k in zip(f.values.shape, g.values.shape)]
+    real = not (f.is_complex or g.is_complex)
+    fft, ifft = ((sp_fft.rfftn, sp_fft.irfftn) if real
+                 else (sp_fft.fftn, sp_fft.ifftn))
+    fshape = [sp_fft.next_fast_len(n, real) for n in shape]
+    values = ifft(fft(f.values, fshape) * fft(g.values, fshape), fshape)
+    values = values[:shape[0], :shape[1]] * f.dx * f.dy
     origin = (f.origin[0] + g.origin[0], f.origin[1] + g.origin[1])
     return FieldGrid(values, f.dx, f.dy, origin)
 
@@ -269,48 +275,43 @@ def convolve_on(f: FieldGrid, kernel: FieldGrid) -> FieldGrid:
     return FieldGrid(values, f.dx, f.dy, f.origin)
 
 
-def _image_from_convolution(conv: FieldGrid, magnification: float) -> FieldGrid:
-    """Relabel object-plane axes by m to express the image plane."""
-    return FieldGrid(conv.values, conv.dx * magnification, conv.dy * magnification,
-                     (conv.origin[0] * magnification, conv.origin[1] * magnification))
+def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
+          order: int = 1, coherent: bool = True) -> FieldGrid:
+    """Image of an order-N source on the image-plane grid, N = 1 classical.
 
-
-def _kernel_spec(spec: GridSpec) -> GridSpec:
-    """Centered kernel grid covering every pairwise difference of ``spec``.
-
-    A kernel rasterized on the object grid itself would truncate the PSF at
-    half the needed support; doubling the sample count makes the cropped
-    convolution include all difference terms exactly.
+    Coherent light gives |(A * H_N)(rho/m)|^2, incoherent light
+    (|A|^2 * |H_N|^2)(rho/m), with H_N the order-N PSF sampled by
+    ``single_lens_psf``.  The N-photon correlation depends on the centroid
+    alone, so for N > 1 this is the complete centroid-image prediction.
+    ``spec`` is the object-plane grid; the returned axes are scaled by the
+    magnification.  Nonnegative everywhere.
     """
-    return GridSpec.centered(2 * spec.nx, spec.dx, 2 * spec.ny, spec.dy)
+    a = aperture.rasterize(spec)
+    # a kernel on the object grid itself would truncate the PSF at half the
+    # needed support; the doubled grid holds every pairwise difference
+    kernel = GridSpec.centered(2 * spec.nx, spec.dx, 2 * spec.ny, spec.dy)
+    h = single_lens_psf(system, kernel, order)
+    if not coherent:
+        a.values = np.abs(a.values) ** 2
+        h.values = np.abs(h.values) ** 2
+    conv = convolve_on(a, h)
+    m = system.magnification
+    values = (np.abs(conv.values) ** 2 if coherent
+              else conv.values.real.clip(min=0.0))
+    return FieldGrid(values, conv.dx * m, conv.dy * m,
+                     (conv.origin[0] * m, conv.origin[1] * m))
 
 
 def coherent_image(aperture: Aperture, system: ImagingSystem,
                    spec: GridSpec) -> FieldGrid:
-    """Coherent image intensity |(A * h)(rho/m)|^2 on the image-plane grid.
-
-    ``spec`` is the object-plane grid; the returned grid has its axes scaled
-    by the magnification.  Nonnegative everywhere.
-    """
-    a = aperture.rasterize(spec)
-    h = single_lens_psf(system, _kernel_spec(spec))
-    conv = convolve_on(a, h)
-    img = _image_from_convolution(conv, system.magnification)
-    img.values = np.abs(img.values) ** 2
-    return img
+    """Classical coherent image: ``image`` at order 1."""
+    return image(aperture, system, spec)
 
 
 def incoherent_image(aperture: Aperture, system: ImagingSystem,
                      spec: GridSpec) -> FieldGrid:
-    """Incoherent image (|A|^2 * |h|^2)(rho/m) on the image-plane grid."""
-    a = aperture.rasterize(spec)
-    a.values = np.abs(a.values) ** 2
-    h = single_lens_psf(system, _kernel_spec(spec))
-    h.values = np.abs(h.values) ** 2
-    conv = convolve_on(a, h)
-    img = _image_from_convolution(conv, system.magnification)
-    img.values = img.values.real.clip(min=0.0)
-    return img
+    """Classical incoherent image: ``image`` at order 1."""
+    return image(aperture, system, spec, coherent=False)
 
 
 class FtDirection(enum.Enum):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import GridMismatch, TooFewFrames, UnsortedInput
+from .errors import GridMismatch, MissingGeometry, TooFewFrames, UnsortedInput
 from .events_io import EventStream
 from .grid import FieldGrid
 
@@ -117,6 +117,18 @@ class CentroidImage:
                          (float(x[0]), float(y[0])))
 
 
+def _stream_detector(events: EventStream) -> DetectorConfig:
+    """The detector geometry recorded in a stream's header."""
+    if not events.detector:
+        raise MissingGeometry("event stream has no detector header")
+    return DetectorConfig.from_dict(events.detector)
+
+
+def _window_bins(window: float, cfg: DetectorConfig) -> int:
+    """Whole time bins inside the window; k * time_bin keeps k bins."""
+    return int(np.floor(window / cfg.time_bin + 1e-9))
+
+
 def _pair_masks(t_a, t_b, ixa, iya, ixb, iyb, window_bins, min_xi):
     dt_ok = np.abs(t_a.astype(np.int64) - t_b.astype(np.int64)) <= window_bins
     cheb = np.maximum(np.abs(ixa.astype(np.int64) - ixb),
@@ -137,9 +149,8 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         raise ValueError("coincidence extraction is specified for pairs")
     if not events.is_sorted():
         raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
-    cfg = DetectorConfig.from_dict(events.detector) if events.detector else \
-        DetectorConfig()
-    window_bins = int(window / cfg.time_bin)
+    cfg = _stream_detector(events)
+    window_bins = _window_bins(window, cfg)
 
     frames = events.frame
     n = frames.size
@@ -228,9 +239,8 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
         raise TooFewFrames("need at least offset+1 frames")
     if not events.is_sorted():
         raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
-    cfg = DetectorConfig.from_dict(events.detector) if events.detector else \
-        DetectorConfig()
-    window_bins = int(window / cfg.time_bin)
+    cfg = _stream_detector(events)
+    window_bins = _window_bins(window, cfg)
     shape = (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1)
 
     frames = events.frame
@@ -300,9 +310,11 @@ def centroid_image(pairs: CoincidenceSet,
     deviation-uniform source.  Passing ``deviation_weight`` (e.g. the squared
     phase-matching envelope) instead weights the coverage by the actual
     deviation density: the correct vignetting correction for a pair source
-    with a non-uniform separation profile.
+    with a non-uniform separation profile.  ``cfg`` is the detector the pairs
+    were recorded with; there is no default geometry.
     """
-    cfg = cfg or DetectorConfig()
+    if cfg is None:
+        raise MissingGeometry("centroid_image needs the detector geometry")
     if (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1) != \
             (2 * pairs.n_pixels[0] - 1, 2 * pairs.n_pixels[1] - 1):
         raise GridMismatch("pair set and detector pixel counts differ")
@@ -329,8 +341,7 @@ def centroid_image(pairs: CoincidenceSet,
 def singles_image(events: EventStream,
                   cfg: DetectorConfig | None = None) -> FieldGrid:
     """Plain singles histogram on the pixel grid (classical-light imaging)."""
-    cfg = cfg or (DetectorConfig.from_dict(events.detector)
-                  if events.detector else DetectorConfig())
+    cfg = cfg or _stream_detector(events)
     counts = _histogram(events.ix.astype(np.int64), events.iy.astype(np.int64),
                         (cfg.n_pixels_x, cfg.n_pixels_y)).astype(float)
     ex, ey = cfg.active_extent

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocmsim import FieldGrid
+import ocmsim
+from ocmsim import EventStream, FieldGrid, write_events
 from ocmsim.cli import main
 from ocmsim.config import SCHEMA, load_config
 from ocmsim.errors import ConfigError
@@ -21,6 +23,14 @@ FAST = [
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_python(*args):
+    """Fresh interpreter that imports this checkout's ocmsim."""
+    src = str(Path(ocmsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +88,27 @@ def test_exit_code_3_on_runtime_error(tmp_path):
     assert code == 3
 
 
+def test_exit_code_3_on_event_file_without_geometry(tmp_path):
+    events = tmp_path / "bare.ocme"
+    write_events(events, EventStream(
+        frame=np.array([0, 0], np.uint64), ix=np.array([3, 9], np.uint16),
+        iy=np.array([3, 9], np.uint16), t_bin=np.array([0, 0], np.uint16),
+        n_frames=2))
+    code = run_cli(["--config", CONFIG, "--out", tmp_path / "o",
+                    "reconstruct", events])
+    assert code == 3
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    heavy = ("scipy.signal", "scipy.stats", "scipy.optimize")
+    proc = run_python("-c", "import sys, ocmsim.cli; "
+                      f"print([m for m in {heavy!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_help_lists_every_config_key():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ocmsim.cli", "--help"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "ocmsim.cli", "--help")
     assert proc.returncode == 0
     for path, _, _, _ in SCHEMA:
         assert path in proc.stdout
@@ -105,6 +132,19 @@ def test_simulate_then_reconstruct(tmp_path):
     grid = FieldGrid.load(rec / "centroid_image.ocmg")
     assert grid.values.shape == (63, 63)
     assert (rec / "centroid_image.csv").exists()
+
+
+def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):
+    out = tmp_path / "sim"
+    assert run_cli(["--config", CONFIG, *FAST,
+                    "--set", "detector.n_pixels_x=16",
+                    "--set", "detector.n_pixels_y=16",
+                    "--out", out, "simulate"]) == 0
+    rec = tmp_path / "rec"
+    assert run_cli(["--config", CONFIG, "--out", rec,
+                    "reconstruct", out / "events.ocme"]) == 0
+    grid = FieldGrid.load(rec / "centroid_image.ocmg")
+    assert grid.values.shape == (31, 31)
 
 
 def test_simulate_determinism(tmp_path):

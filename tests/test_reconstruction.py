@@ -7,7 +7,7 @@ from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
                     centroid_image, coverage_table, estimate_accidentals,
                     extract_coincidences, joint_correlation_histogram,
                     sample_event_positions, singles_image)
-from ocmsim.errors import TooFewFrames, UnsortedInput
+from ocmsim.errors import MissingGeometry, TooFewFrames, UnsortedInput
 
 
 def make_stream(rows, n_frames, cfg=None) -> EventStream:
@@ -69,6 +69,21 @@ def test_three_events_give_three_pairs():
     assert pairs.n_multi_pair_frames == 1
     strict = extract_coincidences(ev, min_xi=1, one_pair_per_frame=True)
     assert len(strict) == 0
+
+
+@pytest.mark.parametrize("k", [99, 103, 167, 175, 198, 206, 229, 237, 295])
+def test_window_of_whole_bins_keeps_its_last_bin(k):
+    # window = k * time_bin is k bins wide, however the quotient rounds
+    window = k * DetectorConfig().time_bin
+    at_edge = make_stream([(0, 5, 5, 0), (0, 9, 9, k)], 1)
+    assert len(extract_coincidences(at_edge, window=window, min_xi=1)) == 1
+    beyond = make_stream([(0, 5, 5, 0), (0, 9, 9, k + 1)], 1)
+    assert len(extract_coincidences(beyond, window=window, min_xi=1)) == 0
+    # the cross-frame accidental join uses the same window
+    assert estimate_accidentals(make_stream([(0, 5, 5, 0), (1, 9, 9, k)], 2),
+                                window=window).values.sum() > 0
+    assert estimate_accidentals(make_stream([(0, 5, 5, 0), (1, 9, 9, k + 1)], 2),
+                                window=window).values.sum() == 0
 
 
 def test_unsorted_input_rejected():
@@ -273,6 +288,25 @@ def test_singles_image():
     assert img.values[3, 4] == 2
     assert img.values[30, 2] == 1
     assert img.values.sum() == 3
+
+
+# ---------------------------------------------------------------------------
+# detector geometry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("reader", [extract_coincidences, estimate_accidentals,
+                                    singles_image])
+def test_stream_without_geometry_is_rejected(reader):
+    ev = make_stream([(0, 5, 5, 0), (0, 9, 9, 0), (1, 3, 3, 0)], 2)
+    ev.detector = {}
+    with pytest.raises(MissingGeometry):
+        reader(ev)
+
+
+def test_centroid_image_needs_geometry():
+    pairs = extract_coincidences(pair_stream(4, 20, 9, 7, 3))
+    with pytest.raises(MissingGeometry):
+        centroid_image(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class UnsortedInput(OcmsimError):
     """Event stream not sorted by (frame_id, t_bin)."""
 
 
+class CorruptEventFile(OcmsimError):
+    """Event file is truncated, malformed or holds out-of-range records."""
+
+
 class MissingGeometry(OcmsimError):
     """Event stream or image call carries no detector geometry."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SinkWriteError
+from .errors import CorruptEventFile, SinkWriteError
 
 OCME_MAGIC = b"OCME"
 OCME_VERSION = 1
@@ -81,19 +81,55 @@ def write_events(path, stream: EventStream) -> None:
 
 
 def read_events(path) -> EventStream:
+    """Load an OCME file; any malformed part raises ``CorruptEventFile``.
+
+    Frame ids must lie below the header's ``n_frames`` and, when the header
+    carries a detector, pixel indices below its pixel counts.
+    """
     with open(path, "rb") as fh:
-        magic, version, blob_len = _PREFIX.unpack(fh.read(_PREFIX.size))
-        if magic != OCME_MAGIC:
-            raise ValueError(f"{path}: not an OCME event file")
-        if version != OCME_VERSION:
-            raise ValueError(f"{path}: unsupported OCME version {version}")
-        header = json.loads(fh.read(blob_len).decode())
-        records = np.frombuffer(fh.read(), dtype=_RECORD)
+        data = fh.read()
+    if len(data) < _PREFIX.size:
+        raise CorruptEventFile(f"{path}: {len(data)} bytes, shorter than "
+                               f"the {_PREFIX.size}-byte OCME prefix")
+    magic, version, blob_len = _PREFIX.unpack_from(data)
+    if magic != OCME_MAGIC:
+        raise CorruptEventFile(f"{path}: not an OCME event file")
+    if version != OCME_VERSION:
+        raise CorruptEventFile(f"{path}: unsupported OCME version {version}")
+    body = _PREFIX.size + blob_len
+    if len(data) < body:
+        raise CorruptEventFile(f"{path}: header runs past the end of the file")
+    try:
+        header = json.loads(data[_PREFIX.size:body].decode())
+    except ValueError as exc:       # also UnicodeDecodeError
+        raise CorruptEventFile(f"{path}: header is not JSON: {exc}") from None
+    detector = header.get("detector", {}) if isinstance(header, dict) else None
+    if not isinstance(detector, dict):
+        raise CorruptEventFile(f"{path}: header or detector is not an object")
+    if (len(data) - body) % _RECORD.itemsize:
+        raise CorruptEventFile(f"{path}: record area of {len(data) - body} "
+                               f"bytes is not whole {_RECORD.itemsize}-byte "
+                               "records")
+    records = np.frombuffer(data, dtype=_RECORD, offset=body)
+    bounds = [("frame", "n_frames", header)]
+    if detector:
+        bounds += [("ix", "n_pixels_x", detector),
+                   ("iy", "n_pixels_y", detector)]
+    for name, key, owner in bounds:
+        limit = owner.get(key)
+        if type(limit) is not int:
+            raise CorruptEventFile(f"{path}: header lacks an integer {key}")
+        bad = np.flatnonzero(records[name] >= limit)
+        if bad.size:
+            raise CorruptEventFile(
+                f"{path}: record {bad[0]} has {name} = "
+                f"{records[name][bad[0]]}, not below {key} = {limit}")
     return EventStream(
         frame=records["frame"].copy(), ix=records["ix"].copy(),
         iy=records["iy"].copy(), t_bin=records["t_bin"].copy(),
-        n_frames=header["n_frames"], detector=header["detector"],
-        source_hash=header["source_hash"], meta=header.get("meta", {}))
+        n_frames=header["n_frames"], detector=detector,
+        source_hash=header.get("source_hash", ""),
+        meta=header.get("meta", {}))
 
 
 def write_manifest(path, entries: dict) -> None:

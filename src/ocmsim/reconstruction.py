@@ -129,10 +129,20 @@ def _window_bins(window: float, cfg: DetectorConfig) -> int:
     return int(np.floor(window / cfg.time_bin + 1e-9))
 
 
-def _pair_masks(t_a, t_b, ixa, iya, ixb, iyb, window_bins, min_xi):
-    dt_ok = np.abs(t_a.astype(np.int64) - t_b.astype(np.int64)) <= window_bins
-    cheb = np.maximum(np.abs(ixa.astype(np.int64) - ixb),
-                      np.abs(iya.astype(np.int64) - iyb))
+def _segment_pairs(lo, hi):
+    """Index pairs (i, j): every i with every j in [lo[i], hi[i])."""
+    reps = hi - lo
+    i = np.repeat(np.arange(reps.size), reps)
+    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
+    return i, j
+
+
+def _pair_masks(events, i, j, window_bins, min_xi):
+    """(kept, cut): pairs inside the window, split by the min_xi cut."""
+    dt_ok = np.abs(events.t_bin[i].astype(np.int64) - events.t_bin[j]) \
+        <= window_bins
+    cheb = np.maximum(np.abs(events.ix[i].astype(np.int64) - events.ix[j]),
+                      np.abs(events.iy[i].astype(np.int64) - events.iy[j]))
     return dt_ok & (cheb > min_xi), dt_ok & (cheb <= min_xi)
 
 
@@ -144,6 +154,8 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     Pairs closer than ``min_xi`` pixels (Chebyshev) are rejected to suppress
     crosstalk and counted in ``n_cut``.  Frames with several admissible pairs
     keep them all (flagged), unless ``one_pair_per_frame`` drops such frames.
+    Pairs come out in stream order: frame ascending, then (i, j) with i < j
+    by stream index, event i in the ``*1`` arrays and event j in ``*2``.
     """
     if order != 2:
         raise ValueError("coincidence extraction is specified for pairs")
@@ -153,70 +165,26 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     window_bins = _window_bins(window, cfg)
 
     frames = events.frame
-    n = frames.size
-    out = {k: [] for k in ("frame", "ix1", "iy1", "ix2", "iy2", "t1", "t2")}
-    n_cut = 0
-    multi = 0
-
-    if n:
-        starts = np.flatnonzero(np.r_[True, frames[1:] != frames[:-1]])
-        counts = np.diff(np.r_[starts, n])
-
-        # two-event frames vectorized (the bulk of pair sources)
-        two = starts[counts == 2]
-        if two.size:
-            i, j = two, two + 1
-            ok, cut = _pair_masks(events.t_bin[i], events.t_bin[j],
-                                  events.ix[i], events.iy[i],
-                                  events.ix[j], events.iy[j],
-                                  window_bins, min_xi)
-            n_cut += int(cut.sum())
-            out["frame"].append(frames[i][ok])
-            out["ix1"].append(events.ix[i][ok])
-            out["iy1"].append(events.iy[i][ok])
-            out["ix2"].append(events.ix[j][ok])
-            out["iy2"].append(events.iy[j][ok])
-            out["t1"].append(events.t_bin[i][ok])
-            out["t2"].append(events.t_bin[j][ok])
-
-        # frames with more than two events: explicit combinations
-        big = np.flatnonzero(counts > 2)
-        for b in big:
-            lo, hi = starts[b], starts[b] + counts[b]
-            idx = np.arange(lo, hi)
-            ii, jj = np.triu_indices(idx.size, k=1)
-            ii, jj = idx[ii], idx[jj]
-            ok, cut = _pair_masks(events.t_bin[ii], events.t_bin[jj],
-                                  events.ix[ii], events.iy[ii],
-                                  events.ix[jj], events.iy[jj],
-                                  window_bins, min_xi)
-            n_cut += int(cut.sum())
-            kept = int(ok.sum())
-            if kept > 1:
-                multi += 1
-                if one_pair_per_frame:
-                    continue
-            out["frame"].append(frames[ii][ok])
-            out["ix1"].append(events.ix[ii][ok])
-            out["iy1"].append(events.iy[ii][ok])
-            out["ix2"].append(events.ix[jj][ok])
-            out["iy2"].append(events.iy[jj][ok])
-            out["t1"].append(events.t_bin[ii][ok])
-            out["t2"].append(events.t_bin[jj][ok])
-
-    def cat(key, dtype):
-        arrs = out[key]
-        return (np.concatenate(arrs).astype(dtype) if arrs
-                else np.empty(0, dtype=dtype))
+    i, j = _segment_pairs(np.arange(1, frames.size + 1),
+                          np.searchsorted(frames, frames, side="right"))
+    ok, cut = _pair_masks(events, i, j, window_bins, min_xi)
+    i, j = i[ok], j[ok]
+    _, inverse, counts = np.unique(frames[i], return_inverse=True,
+                                   return_counts=True)
+    if one_pair_per_frame:
+        single = counts[inverse] == 1
+        i, j = i[single], j[single]
 
     return CoincidenceSet(
-        frame=cat("frame", np.uint64),
-        ix1=cat("ix1", np.int64), iy1=cat("iy1", np.int64),
-        ix2=cat("ix2", np.int64), iy2=cat("iy2", np.int64),
-        t1=cat("t1", np.int64), t2=cat("t2", np.int64),
+        frame=frames[i].astype(np.uint64),
+        ix1=events.ix[i].astype(np.int64), iy1=events.iy[i].astype(np.int64),
+        ix2=events.ix[j].astype(np.int64), iy2=events.iy[j].astype(np.int64),
+        t1=events.t_bin[i].astype(np.int64),
+        t2=events.t_bin[j].astype(np.int64),
         window_bins=window_bins, min_xi=min_xi,
         n_pixels=(cfg.n_pixels_x, cfg.n_pixels_y),
-        n_frames=events.n_frames, n_cut=n_cut, n_multi_pair_frames=multi)
+        n_frames=events.n_frames, n_cut=int(cut.sum()),
+        n_multi_pair_frames=int((counts > 1).sum()))
 
 
 def _histogram(cx, cy, shape, weights=None) -> np.ndarray:
@@ -244,25 +212,14 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
     shape = (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1)
 
     frames = events.frame
-    n = frames.size
-    image = np.zeros(shape)
-    if n:
-        target = frames.astype(np.int64) + offset
-        lo = np.searchsorted(frames, target, side="left")
-        hi = np.searchsorted(frames, target, side="right")
-        reps = hi - lo
-        total = int(reps.sum())
-        if total:
-            i_idx = np.repeat(np.arange(n), reps)
-            bounds = np.repeat(np.cumsum(reps) - reps, reps)
-            j_idx = np.arange(total) - bounds + np.repeat(lo, reps)
-            ok, _ = _pair_masks(events.t_bin[i_idx], events.t_bin[j_idx],
-                                events.ix[i_idx], events.iy[i_idx],
-                                events.ix[j_idx], events.iy[j_idx],
-                                window_bins, min_xi)
-            cx = events.ix[i_idx][ok].astype(np.int64) + events.ix[j_idx][ok]
-            cy = events.iy[i_idx][ok].astype(np.int64) + events.iy[j_idx][ok]
-            image = _histogram(cx, cy, shape).astype(float)
+    target = frames + np.uint64(offset)
+    i, j = _segment_pairs(np.searchsorted(frames, target, side="left"),
+                          np.searchsorted(frames, target, side="right"))
+    ok, _ = _pair_masks(events, i, j, window_bins, min_xi)
+    i, j = i[ok], j[ok]
+    image = _histogram(events.ix[i].astype(np.int64) + events.ix[j],
+                       events.iy[i].astype(np.int64) + events.iy[j],
+                       shape).astype(float)
     norm = events.n_frames / (2.0 * (events.n_frames - offset))
     return CentroidImage(image * norm, XiMode.SUM, cfg,
                          accidental_corrected=False)

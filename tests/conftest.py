@@ -3,10 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ocmsim import Aperture, GridSpec, ImagingSystem
+
+# Property tests draw the same examples on every run, never fail on the time
+# one example takes, and keep no example database on disk.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's computational paths:
 Bessel values come from an arbitrary-precision power series, convolutions
-from nested direct summation, and the N-photon correlation from explicit
-2N-dimensional quadrature.
+from nested direct summation, the N-photon correlation from explicit
+2N-dimensional quadrature, and coincidence and accidental pairs from plain
+loops over every event pair.
 """
 
 from __future__ import annotations
@@ -181,3 +182,58 @@ def wavevector_mismatch_mp(q_s, q_i, params, dps: int = 50) -> float:
         dk = (kz(w_s, q_s) + kz(w_i, q_i) - kz(w_s + w_i, q_sum)
               + 2 * mp.pi / mp.mpf(repr(float(params.poling_period))))
         return float(dk)
+
+
+def _admissible(t_a, t_b, ix_a, iy_a, ix_b, iy_b, window_bins, min_xi):
+    """(in window, passes the Chebyshev cut) for one event pair."""
+    in_window = abs(int(t_a) - int(t_b)) <= window_bins
+    cheb = max(abs(int(ix_a) - int(ix_b)), abs(int(iy_a) - int(iy_b)))
+    return in_window, cheb > min_xi
+
+
+def coincidence_pairs_loop(frame, ix, iy, t_bin, window_bins: int,
+                           min_xi: int, one_pair_per_frame: bool):
+    """Same-frame pairs by a double loop over i < j within each frame.
+
+    Returns ``(pairs, n_cut, n_multi_pair_frames)``; ``pairs`` lists the
+    stream indices ``(i, j)`` by frame, then i, then j.
+    """
+    by_frame: dict[int, list[int]] = {}
+    for k, f in enumerate(frame):
+        by_frame.setdefault(int(f), []).append(k)
+    pairs, n_cut, n_multi = [], 0, 0
+    for f in sorted(by_frame):
+        members = by_frame[f]
+        kept = []
+        for a, i in enumerate(members):
+            for j in members[a + 1:]:
+                in_window, apart = _admissible(
+                    t_bin[i], t_bin[j], ix[i], iy[i], ix[j], iy[j],
+                    window_bins, min_xi)
+                if in_window and apart:
+                    kept.append((i, j))
+                elif in_window:
+                    n_cut += 1
+        if len(kept) > 1:
+            n_multi += 1
+            if one_pair_per_frame:
+                continue
+        pairs.extend(kept)
+    return pairs, n_cut, n_multi
+
+
+def accidental_histogram_loop(frame, ix, iy, t_bin, n_pixels, window_bins: int,
+                              min_xi: int, offset: int) -> np.ndarray:
+    """Unnormalised centroid histogram of every event of frame f paired with
+    every event of frame f + offset."""
+    nx, ny = n_pixels
+    hist = np.zeros((2 * nx - 1, 2 * ny - 1))
+    for i in range(len(frame)):
+        for j in range(len(frame)):
+            if int(frame[j]) != int(frame[i]) + offset:
+                continue
+            in_window, apart = _admissible(t_bin[i], t_bin[j], ix[i], iy[i],
+                                           ix[j], iy[j], window_bins, min_xi)
+            if in_window and apart:
+                hist[int(ix[i]) + int(ix[j]), int(iy[i]) + int(iy[j])] += 1
+    return hist

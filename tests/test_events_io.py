@@ -1,0 +1,65 @@
+import json
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ocmsim import DetectorConfig, EventStream, read_events, write_events
+from ocmsim.cli import main
+from ocmsim.errors import CorruptEventFile
+
+CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
+
+
+def stream(frame=(0, 0, 1), ix=(3, 9, 4), iy=(3, 9, 5)) -> EventStream:
+    """Three events in two frames on the default 32 x 32 sensor."""
+    return EventStream(frame=np.array(frame, np.uint64),
+                       ix=np.array(ix, np.uint16), iy=np.array(iy, np.uint16),
+                       t_bin=np.zeros(3, np.uint16), n_frames=2,
+                       detector=DetectorConfig().to_dict())
+
+
+def file_bytes(tmp_path) -> bytes:
+    path = tmp_path / "good.ocme"
+    write_events(path, stream())
+    return path.read_bytes()
+
+
+def with_header(blob: bytes) -> bytes:
+    return struct.pack("<4sHI", b"OCME", 1, len(blob)) + blob
+
+
+def reconstruct_exit_code(tmp_path, path) -> int:
+    return main(["--config", str(CONFIG), "--out", str(tmp_path / "o"),
+                 "reconstruct", str(path)])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good: good[:3],                                   # short prefix
+    lambda good: b"XXXX" + good[4:],                         # wrong magic
+    lambda good: good[:4] + struct.pack("<H", 9) + good[6:],  # wrong version
+    lambda good: with_header(b"{not json"),                  # header not JSON
+    lambda good: with_header(json.dumps({"detector": {}}).encode()),
+    lambda good: good + b"\0" * 5,                           # partial record
+], ids=["short", "magic", "version", "not_json", "no_n_frames", "partial"])
+def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
+    path = tmp_path / "bad.ocme"
+    path.write_bytes(corrupt(file_bytes(tmp_path)))
+    with pytest.raises(CorruptEventFile):
+        read_events(path)
+    assert reconstruct_exit_code(tmp_path, path) == 3
+
+
+@pytest.mark.parametrize("bad, first", [
+    (dict(frame=(0, 0, 7)), "record 2 has frame = 7"),       # n_frames = 2
+    (dict(ix=(3, 40, 4)), "record 1 has ix = 40"),           # 32 columns
+    (dict(iy=(60, 10, 5)), "record 0 has iy = 60"),          # 32 rows
+])
+def test_out_of_range_record_is_rejected(tmp_path, bad, first):
+    path = tmp_path / "range.ocme"
+    write_events(path, stream(**bad))
+    with pytest.raises(CorruptEventFile, match=first):
+        read_events(path)
+    assert reconstruct_exit_code(tmp_path, path) == 3
+

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import accidental_histogram_loop, coincidence_pairs_loop
 from scipy import stats
 
 from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
@@ -186,6 +189,64 @@ def test_accidentals_need_frames():
     ev = make_stream([(0, 5, 5, 0)], 1)
     with pytest.raises(TooFewFrames):
         estimate_accidentals(ev, offset=1)
+
+
+# ---------------------------------------------------------------------------
+# property tests against brute-force loops
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_streams(draw):
+    """Sorted streams of 0-60 events with frame gaps on a 2-8 pixel sensor."""
+    cfg = DetectorConfig(n_pixels_x=draw(st.integers(2, 8)),
+                         n_pixels_y=draw(st.integers(2, 8)))
+    n = draw(st.integers(0, 60))
+    column = lambda hi: np.array(draw(st.lists(st.integers(0, hi), min_size=n,
+                                               max_size=n)), dtype=np.int64)
+    # half the events share their predecessor's frame; the rest leave gaps
+    gaps = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 3)), min_size=n,
+                         max_size=n))
+    frame = np.cumsum(np.array(gaps, dtype=np.int64))
+    ix, iy = column(cfg.n_pixels_x - 1), column(cfg.n_pixels_y - 1)
+    t_bin = column(30)
+    order = np.lexsort((t_bin, frame))
+    n_frames = (int(frame[-1]) + 1 if n else 0) + draw(st.integers(0, 3))
+    rows = np.stack([frame, ix, iy, t_bin], axis=1)[order]
+    return make_stream(rows, n_frames, cfg)
+
+
+@given(small_streams(), st.integers(0, 6), st.integers(0, 3), st.booleans())
+def test_extraction_matches_per_frame_loop(ev, k, min_xi, one_pair_per_frame):
+    window = k * DetectorConfig().time_bin
+    pairs = extract_coincidences(ev, window, 2, min_xi,
+                                 one_pair_per_frame=one_pair_per_frame)
+    ref, n_cut, n_multi = coincidence_pairs_loop(
+        ev.frame, ev.ix, ev.iy, ev.t_bin, k, min_xi, one_pair_per_frame)
+    i = np.array([p[0] for p in ref], dtype=np.int64)
+    j = np.array([p[1] for p in ref], dtype=np.int64)
+    expected = {"frame": ev.frame[i], "ix1": ev.ix[i], "iy1": ev.iy[i],
+                "ix2": ev.ix[j], "iy2": ev.iy[j], "t1": ev.t_bin[i],
+                "t2": ev.t_bin[j]}
+    for name, values in expected.items():
+        assert np.array_equal(getattr(pairs, name), values), name
+    assert (pairs.window_bins, pairs.n_cut, pairs.n_multi_pair_frames) == \
+        (k, n_cut, n_multi)
+
+
+@given(small_streams(), st.integers(0, 6), st.integers(0, 3),
+       st.integers(1, 3))
+def test_accidentals_match_cross_frame_loop(ev, k, min_xi, offset):
+    window = k * DetectorConfig().time_bin
+    if ev.n_frames < 2 or ev.n_frames <= offset:
+        with pytest.raises(TooFewFrames):
+            estimate_accidentals(ev, window, offset, min_xi)
+        return
+    acc = estimate_accidentals(ev, window, offset, min_xi)
+    n_pixels = (ev.detector["n_pixels_x"], ev.detector["n_pixels_y"])
+    ref = accidental_histogram_loop(ev.frame, ev.ix, ev.iy, ev.t_bin, n_pixels,
+                                    k, min_xi, offset)
+    norm = ev.n_frames / (2.0 * (ev.n_frames - offset))
+    assert np.array_equal(acc.values, ref * norm)
 
 
 # ---------------------------------------------------------------------------

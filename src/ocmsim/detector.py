@@ -7,6 +7,16 @@ below the bin width), Poissonian dark counts, nearest-neighbor crosstalk, and
 first-hit semantics (each pixel timestamps only its earliest event per
 frame).
 
+Acquisitions thin by detection efficiency before sampling.  Efficiency does
+not depend on position, so a tuple leaves at least one detected photon with
+probability q = 1 - (1 - pde)**N wherever it lands.  ``run_acquisition``
+draws Poisson counts of such tuples only, at q times the pair rate, samples
+their positions, and gives each a per-photon detection mask drawn
+conditional on at least one detection.  This is exact: the event stream has
+the distribution it would have if every tuple were drawn and detected with
+Bernoulli efficiency, as ``apply_detector_model`` does.  At pde = 1, q is 1,
+every mask is full and the random draws are those of the unthinned model.
+
 Determinism contract: every public entry point takes a seed; identical
 (seed, config, source) produce identical event streams.  Acquisition runs are
 split into fixed-size frame blocks with per-block child seeds derived by
@@ -21,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnnormalizableDensity
-from .events_io import EventStream, stable_hash, write_events, write_manifest
+from .errors import SortKeyOverflow, UnnormalizableDensity
+from .events_io import (EventStream, stable_hash, time_bin_count, write_events,
+                        write_manifest)
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
@@ -356,10 +367,65 @@ def sample_event_positions(source, rng_seed: int, count: int,
     return source.sampler(detector)(rng, count)
 
 
+def _detected_masks(u: np.ndarray, pde: float) -> np.ndarray:
+    """Per-photon detection masks of tuples known to hold a detection.
+
+    Row i is the non-empty mask that the inverse CDF of ``u[i, 0]`` picks
+    from the 2**N - 1 non-empty masks, weighted by their Bernoulli(pde)
+    probabilities.  At pde = 1 only the full mask has weight.
+    """
+    n_tuples, n_ph = u.shape
+    if n_tuples == 0:
+        return np.zeros(u.shape, dtype=bool)
+    bits = (np.arange(1, 1 << n_ph)[:, None] >> np.arange(n_ph)) & 1
+    hits = bits.sum(axis=1)
+    cdf = np.cumsum(pde ** hits * (1.0 - pde) ** (n_ph - hits))
+    pick = np.searchsorted(cdf / cdf[-1], u[:, 0], side="right")
+    return bits[pick].astype(bool)
+
+
+def _key_widths(n_frames: int, cfg: DetectorConfig,
+                n_bins: int) -> tuple[int, int, int, int]:
+    """Bit widths of (frame, ix, iy, t_bin) in a packed 64-bit sort key."""
+    widths = tuple(int(n - 1).bit_length() for n in
+                   (n_frames, cfg.n_pixels_x, cfg.n_pixels_y, n_bins))
+    if sum(widths) > 64:
+        raise SortKeyOverflow(
+            f"{n_frames} frames, {cfg.n_pixels_x} x {cfg.n_pixels_y} pixels "
+            f"and {n_bins} time bins need {sum(widths)} > 64 key bits")
+    return widths
+
+
+def _pack(fields, widths) -> np.ndarray:
+    """One uint64 key per element, the first field most significant.
+
+    Each field must be non-negative and below 2**width, and the widths must
+    sum to at most 64; a stable argsort of the key then equals
+    ``np.lexsort`` with the fields in reverse order.
+    """
+    key = np.zeros(len(fields[0]), dtype=np.uint64)
+    for field, width in zip(fields, widths):
+        key <<= np.uint64(width)
+        key |= field.astype(np.uint64)
+    return key
+
+
+def _arrival_bins(rng: np.random.Generator, count: int,
+                  cfg: DetectorConfig, n_bins: int) -> np.ndarray:
+    """Uniform arrival time bins; rounding never reaches bin ``n_bins``."""
+    t = np.floor(rng.random(count) * cfg.frame_duration / cfg.time_bin)
+    return np.minimum(t, n_bins - 1).astype(np.uint16)
+
+
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
             rng: np.random.Generator, frame_ids: np.ndarray | None,
-            frame_range: tuple[int, int] | None) -> EventStream:
-    """Vectorized detector model; see apply_detector_model."""
+            frame_range: tuple[int, int] | None,
+            thinned: bool = False) -> EventStream:
+    """Vectorized detector model; see apply_detector_model.
+
+    With ``thinned``, every tuple is known to leave at least one detected
+    photon, and its detection mask is drawn conditional on that.
+    """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim == 2:
         positions = positions[:, None, :]
@@ -373,13 +439,18 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
         last = n_tuples if frame_ids.size == 0 else int(frame_ids.max()) + 1
         frame_range = (first, max(last, first + 1))
     n_frames = frame_range[1] - frame_range[0]
+    if frame_ids.size and (frame_ids.min() < frame_range[0]
+                           or frame_ids.max() >= frame_range[1]):
+        raise ValueError("frame ids must lie in frame_range")
+    n_bins = time_bin_count(cfg.frame_duration, cfg.time_bin)
+    w_frame, w_x, w_y, w_t = _key_widths(n_frames, cfg, n_bins)
 
     # one arrival time bin per tuple (pair photons are simultaneous)
-    tuple_tbin = np.floor(rng.random(n_tuples) * cfg.frame_duration
-                          / cfg.time_bin).astype(np.uint16)
+    tuple_tbin = _arrival_bins(rng, n_tuples, cfg, n_bins)
 
-    # Bernoulli detection efficiency per photon
-    survive = rng.random((n_tuples, n_ph)) < cfg.pde
+    # detection efficiency per photon: Bernoulli, or given a detection
+    u = rng.random((n_tuples, n_ph))
+    survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
 
     ix, iy, inside = cfg.pixel_index(positions)
     keep = survive & inside
@@ -405,8 +476,7 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
             cell = rng.integers(0, cfg.n_pixels_x * cfg.n_pixels_y, n_dark)
         d_ix = cell // cfg.n_pixels_y
         d_iy = cell % cfg.n_pixels_y
-        d_tbin = np.floor(rng.random(n_dark) * cfg.frame_duration
-                          / cfg.time_bin).astype(np.uint16)
+        d_tbin = _arrival_bins(rng, n_dark, cfg, n_bins)
         ph_frame = np.concatenate([ph_frame, d_frame])
         ph_ix = np.concatenate([ph_ix, d_ix.astype(np.int64)])
         ph_iy = np.concatenate([ph_iy, d_iy.astype(np.int64)])
@@ -429,17 +499,19 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
         ph_iy = np.concatenate([ph_iy] + [e[2] for e in extra])
         ph_tbin = np.concatenate([ph_tbin] + [e[3] for e in extra])
 
-    # first-hit: keep the earliest event per (frame, pixel)
+    # first-hit: keep the earliest event per (frame, pixel), by stable sorts
+    # on keys packed from (frame - first frame, ix, iy, t_bin)
     if ph_frame.size:
-        order = np.lexsort((ph_tbin, ph_iy, ph_ix, ph_frame))
-        ph_frame, ph_ix, ph_iy, ph_tbin = (a[order] for a in
-                                           (ph_frame, ph_ix, ph_iy, ph_tbin))
-        new = np.r_[True, (np.diff(ph_frame.astype(np.int64)) != 0)
-                    | (np.diff(ph_ix) != 0) | (np.diff(ph_iy) != 0)]
-        ph_frame, ph_ix, ph_iy, ph_tbin = (a[new] for a in
-                                           (ph_frame, ph_ix, ph_iy, ph_tbin))
+        rel = ph_frame - np.uint64(frame_range[0])
+        key = _pack((rel, ph_ix, ph_iy, ph_tbin), (w_frame, w_x, w_y, w_t))
+        order = np.argsort(key, kind="stable")
+        pixel = key[order] >> np.uint64(w_t)
+        order = order[np.r_[True, pixel[1:] != pixel[:-1]]]
+        rel, ph_frame, ph_ix, ph_iy, ph_tbin = (
+            a[order] for a in (rel, ph_frame, ph_ix, ph_iy, ph_tbin))
         # final stream order: (frame, t_bin, ix, iy)
-        order = np.lexsort((ph_iy, ph_ix, ph_tbin, ph_frame))
+        key = _pack((rel, ph_tbin, ph_ix, ph_iy), (w_frame, w_t, w_x, w_y))
+        order = np.argsort(key, kind="stable")
         ph_frame, ph_ix, ph_iy, ph_tbin = (a[order] for a in
                                            (ph_frame, ph_ix, ph_iy, ph_tbin))
 
@@ -478,7 +550,12 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
                     n_threads: int = 1) -> EventStream:
     """Simulate an acquisition of ``wall_time`` seconds of frames.
 
-    The number of frames equals wall_time * frame_rate.  When ``out_path`` is
+    The number of frames equals wall_time * frame_rate.  Each frame block
+    draws Poisson counts of only those tuples that leave at least one
+    detected photon (see the module docstring), samples their positions and
+    detects them.  ``pairs_generated`` still counts every tuple the source
+    emitted: the detected ones plus a Poisson count of the undetected ones,
+    drawn after the block's events.  When ``out_path`` is
     given, the event stream is written in the OCME format together with a
     manifest recording seed, configuration hash, source description and
     counters.  Frame blocks carry hash-derived child seeds and are merged in
@@ -489,19 +566,23 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     if n_frames < 1:
         raise ValueError("wall_time too short for a single frame")
     mean_pairs = source.pair_rate * cfg.frame_duration
+    n_ph = source.photons_per_event()
+    seen = 1.0 - (1.0 - cfg.pde) ** n_ph    # P(tuple leaves a detection)
     draw = source.sampler(cfg)
 
     def run_block(block: int) -> tuple[EventStream, int]:
         start = block * _BLOCK_FRAMES
         stop = min(start + _BLOCK_FRAMES, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
-        counts = rng.poisson(mean_pairs, stop - start)
+        counts = rng.poisson(mean_pairs * seen, stop - start)
         total = int(counts.sum())
-        positions = (draw(rng, total) if total else
-                     np.empty((0, source.photons_per_event(), 2)))
+        positions = draw(rng, total) if total else np.empty((0, n_ph, 2))
         frame_ids = start + np.repeat(np.arange(stop - start, dtype=np.uint64),
                                       counts)
-        return _detect(positions, cfg, rng, frame_ids, (start, stop)), total
+        stream = _detect(positions, cfg, rng, frame_ids, (start, stop),
+                         thinned=True)
+        unseen = rng.poisson(mean_pairs * (1.0 - seen) * (stop - start))
+        return stream, total + int(unseen)
 
     n_blocks = (n_frames + _BLOCK_FRAMES - 1) // _BLOCK_FRAMES
     if n_threads > 1 and n_blocks > 1:

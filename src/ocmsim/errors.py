@@ -37,6 +37,10 @@ class UnsortedInput(OcmsimError):
     """Event stream not sorted by (frame_id, t_bin)."""
 
 
+class SortKeyOverflow(OcmsimError):
+    """Event fields too wide to pack into one 64-bit sort key."""
+
+
 class CorruptEventFile(OcmsimError):
     """Event file is truncated, malformed or holds out-of-range records."""
 

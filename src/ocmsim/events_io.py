@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -51,6 +52,11 @@ class EventStream:
         return bool(np.all(np.diff(key.astype(np.int64)) >= 0))
 
 
+def time_bin_count(frame_duration: float, time_bin: float) -> int:
+    """Number of time bins in a frame; every ``t_bin`` lies below it."""
+    return math.ceil(frame_duration / time_bin)
+
+
 def stable_hash(obj) -> str:
     """Deterministic SHA-256 of a JSON-serializable object."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -84,7 +90,8 @@ def read_events(path) -> EventStream:
     """Load an OCME file; any malformed part raises ``CorruptEventFile``.
 
     Frame ids must lie below the header's ``n_frames`` and, when the header
-    carries a detector, pixel indices below its pixel counts.
+    carries a detector, pixel indices below its pixel counts and time bins
+    below the frame's time-bin count.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -111,12 +118,16 @@ def read_events(path) -> EventStream:
                                f"bytes is not whole {_RECORD.itemsize}-byte "
                                "records")
     records = np.frombuffer(data, dtype=_RECORD, offset=body)
-    bounds = [("frame", "n_frames", header)]
+    limits = [("frame", "n_frames", header.get("n_frames"))]
     if detector:
-        bounds += [("ix", "n_pixels_x", detector),
-                   ("iy", "n_pixels_y", detector)]
-    for name, key, owner in bounds:
-        limit = owner.get(key)
+        timing = (detector.get("frame_duration"), detector.get("time_bin"))
+        n_bins = (time_bin_count(*timing) if all(
+            type(v) in (int, float) and 0 < v < math.inf for v in timing)
+            else None)
+        limits += [("ix", "n_pixels_x", detector.get("n_pixels_x")),
+                   ("iy", "n_pixels_y", detector.get("n_pixels_y")),
+                   ("t_bin", "ceil(frame_duration / time_bin)", n_bins)]
+    for name, key, limit in limits:
         if type(limit) is not int:
             raise CorruptEventFile(f"{path}: header lacks an integer {key}")
         bad = np.flatnonzero(records[name] >= limit)

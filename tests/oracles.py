@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's computational paths:
 Bessel values come from an arbitrary-precision power series, convolutions
 from nested direct summation, the N-photon correlation from explicit
 2N-dimensional quadrature, and coincidence and accidental pairs from plain
-loops over every event pair.
+loops over every event pair.  The one exception is the unthinned
+acquisition, which reuses the library's sampler and detector model because
+it is the reference for thinning alone.
 """
 
 from __future__ import annotations
@@ -237,3 +239,35 @@ def accidental_histogram_loop(frame, ix, iy, t_bin, n_pixels, window_bins: int,
             if in_window and apart:
                 hist[int(ix[i]) + int(ix[j]), int(iy[i]) + int(iy[j])] += 1
     return hist
+
+
+def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
+    """``run_acquisition`` without thinning, block by block.
+
+    Every tuple is drawn, at Poisson counts of ``mean_pairs`` per frame, and
+    detected with Bernoulli efficiency.  The stream's ``pairs_generated``
+    is the number of tuples drawn.
+    """
+    from ocmsim import EventStream
+    from ocmsim.detector import _BLOCK_FRAMES, _detect, child_seed
+
+    n_frames = int(round(wall_time * cfg.frame_rate))
+    mean_pairs = source.pair_rate * cfg.frame_duration
+    draw = source.sampler(cfg)
+    parts, generated = [], 0
+    for block, start in enumerate(range(0, n_frames, _BLOCK_FRAMES)):
+        stop = min(start + _BLOCK_FRAMES, n_frames)
+        rng = np.random.default_rng(child_seed(seed, block))
+        counts = rng.poisson(mean_pairs, stop - start)
+        total = int(counts.sum())
+        positions = (draw(rng, total) if total else
+                     np.empty((0, source.photons_per_event(), 2)))
+        frame_ids = start + np.repeat(np.arange(stop - start, dtype=np.uint64),
+                                      counts)
+        parts.append(_detect(positions, cfg, rng, frame_ids, (start, stop)))
+        generated += total
+    return EventStream(
+        *(np.concatenate([getattr(p, k) for p in parts])
+          for k in ("frame", "ix", "iy", "t_bin")),
+        n_frames=n_frames, detector=cfg.to_dict(),
+        meta={"pairs_generated": generated})

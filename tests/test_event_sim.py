@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import unthinned_acquisition
 from scipy import stats
 
 from ocmsim import (Aperture, ClassicalSource, DetectorConfig, FieldGrid,
                     GridSpec, OcmPairSource, PhaseMatchingParams, PointSource,
-                    apply_detector_model, ocm_image, run_acquisition,
-                    sample_event_positions)
-from ocmsim.detector import _DensitySampler
-from ocmsim.errors import UnnormalizableDensity
+                    apply_detector_model, extract_coincidences, ocm_image,
+                    run_acquisition, sample_event_positions)
+from ocmsim.detector import _DensitySampler, _pack
+from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
+
+
+def assert_same_stream(a, b):
+    for name in ("frame", "ix", "iy", "t_bin"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert a.meta["pairs_generated"] == b.meta["pairs_generated"]
 
 
 @pytest.fixture
@@ -146,6 +157,24 @@ def test_pair_in_same_pixel_gives_one_event(ideal_detector):
     assert len(ev) == 1
 
 
+def test_first_hit_keeps_the_earliest_event_per_pixel(ideal_detector):
+    # 200 single photons in one frame; one seed draws the same arrival bins
+    # whether the photons land in 200 pixels or in one
+    ix, iy = np.divmod(np.arange(200), 16)
+    pitch, half = ideal_detector.pixel_pitch, 0.7e-3
+    spread = np.stack([(ix + 0.5) * pitch - half, (iy + 0.5) * pitch - half],
+                      axis=-1)[:, None, :]
+    frames = np.zeros(200, np.uint64)
+    apart = apply_detector_model(spread, ideal_detector, 9, frames, (0, 1))
+    same = apply_detector_model(np.zeros((200, 1, 2)), ideal_detector, 9,
+                                frames, (0, 1))
+    assert len(apart) == 200
+    np.testing.assert_array_equal(
+        np.lexsort((apart.iy, apart.ix, apart.t_bin)), np.arange(200))
+    assert len(same) == 1
+    assert same.t_bin[0] == apart.t_bin.min()
+
+
 def test_photons_outside_region_dropped(ideal_detector):
     pos = np.array([[[5.0e-3, 0.0], [0.0, 0.0]]])
     ev = apply_detector_model(pos, ideal_detector, 1)
@@ -221,10 +250,98 @@ def test_manifest_duty_cycle(tmp_path, point_pair_source, ideal_detector):
 
 
 def test_thread_count_does_not_change_stream(point_pair_source, ideal_detector):
-    a = run_acquisition(point_pair_source, ideal_detector, 0.2, 31, n_threads=1)
-    b = run_acquisition(point_pair_source, ideal_detector, 0.2, 31, n_threads=4)
-    np.testing.assert_array_equal(a.frame, b.frame)
-    np.testing.assert_array_equal(a.t_bin, b.t_bin)
+    noisy = DetectorConfig(pde=0.3, dark_count_rate=1e3, crosstalk_prob=0.01)
+    for cfg in (ideal_detector, noisy):
+        a = run_acquisition(point_pair_source, cfg, 0.2, 31, n_threads=1)
+        b = run_acquisition(point_pair_source, cfg, 0.2, 31, n_threads=4)
+        assert_same_stream(a, b)
+
+
+@pytest.mark.parametrize("noise", [
+    dict(dark_count_rate=0.0, crosstalk_prob=0.0),
+    dict(dark_count_rate=1e4, crosstalk_prob=0.0),
+    dict(dark_count_rate=0.0, crosstalk_prob=0.05),
+    dict(dark_count_rate=1e4, crosstalk_prob=0.05),
+], ids=["ideal", "darks", "crosstalk", "darks_crosstalk"])
+def test_pde_one_acquisition_equals_unthinned(point_pair_source, noise):
+    # at pde = 1 every tuple leaves a detection, so thinning draws nothing
+    # differently and the stream is the unthinned model's, bit for bit
+    cfg = DetectorConfig(pde=1.0, **noise)
+    for source in (point_pair_source, PointSource(waist=300e-6, rate=5e6)):
+        assert_same_stream(run_acquisition(source, cfg, 0.2, 41),
+                           unthinned_acquisition(source, cfg, 0.2, 41))
+
+
+def test_thinned_acquisition_matches_unthinned_in_distribution(
+        reference_system, pm_params, triple_slit):
+    # independent seeds; one pair per frame keeps the centroid samples
+    # independent, so the chi-square tests are exact in the large-count limit
+    src = OcmPairSource(triple_slit, reference_system, pm_params, 2.2e7)
+    cfg = DetectorConfig(pde=0.3, dark_count_rate=1e4, crosstalk_prob=0.02)
+    thinned = run_acquisition(src, cfg, 0.25, 1)
+    reference = unthinned_acquisition(src, cfg, 0.25, 2)
+
+    def centroids(stream):
+        pairs = extract_coincidences(stream, one_pair_per_frame=True)
+        return pairs, np.bincount((pairs.cx // 2) * 32 + pairs.cy // 2,
+                                  minlength=32 * 32)
+
+    def events_per_frame(stream):
+        k = np.bincount(np.bincount(stream.frame.astype(np.int64),
+                                    minlength=stream.n_frames))
+        return np.r_[k[:5], k[5:].sum()]           # 0, 1, 2, 3, 4, 5+ events
+
+    (pa, ha), (pb, hb) = centroids(thinned), centroids(reference)
+    sparse = ha + hb < 10
+    table = [np.r_[h[~sparse], h[sparse].sum()] for h in (ha, hb)]
+    assert stats.chi2_contingency(table)[1] > 1e-3
+    table = [events_per_frame(s) for s in (thinned, reference)]
+    assert stats.chi2_contingency(table)[1] > 1e-3
+
+    assert len(pa) > 10_000
+    assert abs(len(pa) - len(pb)) < 5 * np.sqrt(len(pa) + len(pb))
+    mean = src.pair_rate * cfg.frame_duration * thinned.n_frames
+    for stream in (thinned, reference):
+        assert abs(stream.meta["pairs_generated"] - mean) < 5 * np.sqrt(mean)
+
+
+@st.composite
+def packed_fields(draw):
+    """Four unsigned fields with widths summing to at most 64 bits, half of
+    the draws exactly 64; values cluster at 0..2 and at each field's top."""
+    total = draw(st.just(64) | st.integers(4, 64))
+    cuts = draw(st.lists(st.integers(1, total - 1), min_size=3, max_size=3,
+                         unique=True))
+    widths = [int(w) for w in np.diff([0, *sorted(cuts), total])]
+    n = draw(st.integers(1, 40))
+    fields = []
+    for w in widths:
+        top = (1 << w) - 1
+        values = (st.integers(0, min(2, top)) | st.just(top)
+                  | st.integers(0, top))
+        fields.append(np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                               dtype=np.uint64))
+    return fields, widths
+
+
+@given(packed_fields())
+def test_packed_key_order_equals_lexsort(case):
+    fields, widths = case
+    order = np.argsort(_pack(fields, widths), kind="stable")
+    np.testing.assert_array_equal(order, np.lexsort(fields[::-1]))
+
+
+def test_sort_key_wider_than_64_bits_is_a_typed_error(ideal_detector):
+    # 2**50 frames, 32 x 32 pixels and 220 time bins need 50+5+5+8 bits
+    with pytest.raises(SortKeyOverflow):
+        apply_detector_model(np.zeros((1, 2, 2)), ideal_detector, 1,
+                             frame_ids=[0], frame_range=(0, 1 << 50))
+
+
+def test_frame_ids_outside_frame_range_rejected(ideal_detector):
+    with pytest.raises(ValueError):
+        apply_detector_model(np.zeros((1, 2, 2)), ideal_detector, 1,
+                             frame_ids=[5], frame_range=(0, 3))
 
 
 def test_empirical_centroid_histogram_converges(reference_system, pm_params,

@@ -12,11 +12,12 @@ from ocmsim.errors import CorruptEventFile
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
 
-def stream(frame=(0, 0, 1), ix=(3, 9, 4), iy=(3, 9, 5)) -> EventStream:
+def stream(frame=(0, 0, 1), ix=(3, 9, 4), iy=(3, 9, 5),
+           t_bin=(0, 0, 0)) -> EventStream:
     """Three events in two frames on the default 32 x 32 sensor."""
     return EventStream(frame=np.array(frame, np.uint64),
                        ix=np.array(ix, np.uint16), iy=np.array(iy, np.uint16),
-                       t_bin=np.zeros(3, np.uint16), n_frames=2,
+                       t_bin=np.array(t_bin, np.uint16), n_frames=2,
                        detector=DetectorConfig().to_dict())
 
 
@@ -41,8 +42,12 @@ def reconstruct_exit_code(tmp_path, path) -> int:
     lambda good: good[:4] + struct.pack("<H", 9) + good[6:],  # wrong version
     lambda good: with_header(b"{not json"),                  # header not JSON
     lambda good: with_header(json.dumps({"detector": {}}).encode()),
+    lambda good: with_header(json.dumps(
+        {"n_frames": 2, "detector": {"n_pixels_x": 32, "n_pixels_y": 32,
+                                     "frame_duration": 45e-9}}).encode()),
     lambda good: good + b"\0" * 5,                           # partial record
-], ids=["short", "magic", "version", "not_json", "no_n_frames", "partial"])
+], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
+        "partial"])
 def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))
@@ -55,6 +60,7 @@ def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     (dict(frame=(0, 0, 7)), "record 2 has frame = 7"),       # n_frames = 2
     (dict(ix=(3, 40, 4)), "record 1 has ix = 40"),           # 32 columns
     (dict(iy=(60, 10, 5)), "record 0 has iy = 60"),          # 32 rows
+    (dict(t_bin=(0, 220, 5)), "record 1 has t_bin = 220"),   # 220 bins
 ])
 def test_out_of_range_record_is_rejected(tmp_path, bad, first):
     path = tmp_path / "range.ocme"

@@ -12,7 +12,6 @@ from .errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
                      PeaksNotFound)
 from .grid import FieldGrid
 from .optics import J1_FIRST_ZERO, somb
-from .reconstruction import CentroidImage
 
 #: FWHM of a unit-variance Gaussian
 GAUSSIAN_FWHM_FACTOR = 2.354820045030949
@@ -44,13 +43,6 @@ class Profile1D:
     def step(self) -> float:
         return float(np.median(np.diff(self.positions)))
 
-    def normalized(self) -> "Profile1D":
-        peak = self.values.max()
-        if peak <= 0:
-            return self
-        sig = None if self.sigma is None else self.sigma / peak
-        return Profile1D(self.positions, self.values / peak, sig)
-
 
 class FitModel(enum.Enum):
     NONE = "none"
@@ -72,22 +64,16 @@ class WidthReport:
             raise ValueError("first zero must exceed half the FWHM")
 
 
-def cross_section(image, axis: str = "x", band=None) -> Profile1D:
+def cross_section(image: FieldGrid, axis: str = "x", band=None) -> Profile1D:
     """Project an image over a band of the other axis.
 
     ``band`` gives inclusive index bounds (lo, hi) on the summed axis; None
-    projects everything.  Count-valued centroid images get Poisson sigmas.
+    projects everything.  Complex fields are projected by magnitude.
     """
-    if isinstance(image, CentroidImage):
-        values = image.values
-        x_pos, y_pos = image.bin_centers()
-        counts = image.mode.value == "sum"
-    elif isinstance(image, FieldGrid):
-        values = np.abs(image.values) if image.is_complex else image.values
-        x_pos, y_pos = image.x_axis(), image.y_axis()
-        counts = False
-    else:
-        raise TypeError("image must be FieldGrid or CentroidImage")
+    if not isinstance(image, FieldGrid):
+        raise TypeError("image must be a FieldGrid")
+    values = np.abs(image.values) if image.is_complex else image.values
+    x_pos, y_pos = image.x_axis(), image.y_axis()
 
     if axis == "x":
         positions, other_len = x_pos, values.shape[1]
@@ -101,9 +87,7 @@ def cross_section(image, axis: str = "x", band=None) -> Profile1D:
     lo, hi = (0, other_len - 1) if band is None else band
     if not (0 <= lo <= hi < other_len):
         raise EmptyBand(f"band ({lo}, {hi}) outside image of size {other_len}")
-    prof = take(lo, hi)
-    sigma = np.sqrt(np.clip(prof, 0.0, None)) if counts else None
-    return Profile1D(positions.copy(), prof, sigma)
+    return Profile1D(positions.copy(), take(lo, hi))
 
 
 def _smooth3(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import (FitModel, cross_section, export_profile_csv,
                        scaling_fit, slit_contrast, width_metrics)
 from .config import RunConfig, load_config, schema_help
-from .detector import ClassicalSource, child_seed, run_acquisition
+from .detector import child_seed, run_acquisition
 from .errors import ConfigError, OcmsimError
 from .events_io import EventStream, read_events, write_manifest
 from .grid import FieldGrid, GridSpec
@@ -208,13 +208,9 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
         ("coherent_half", "coherent", half),
         ("incoherent", "incoherent", wavelength),
     ]
-    base_system = cfg.system()
     for name, kind, lam in classical_runs:
-        source = ClassicalSource(cfg.aperture(), base_system.with_wavelength(lam),
-                                 cfg["acquisition.pair_rate_hz"],
-                                 coherent=(kind == "coherent"))
         det = cfg.detector(lam)
-        stream = run_acquisition(source, det, wall_time,
+        stream = run_acquisition(cfg.source(kind, lam), det, wall_time,
                                  child_seed(seed, name),
                                  out_path=out_dir / f"{name}_events.ocme")
         grids[name] = singles_image(stream, det)

@@ -254,23 +254,21 @@ class RunConfig:
             dark_count_rate=self["detector.dark_count_rate_hz"],
             crosstalk_prob=self["detector.crosstalk_prob"])
 
-    def source(self, kind: str | None = None):
+    def source(self, kind: str | None = None,
+               wavelength: float | None = None):
         kind = kind or self["acquisition.source"]
         rate = self["acquisition.pair_rate_hz"]
         if kind == "ocm":
-            return OcmPairSource(self.aperture(), self.system(),
+            return OcmPairSource(self.aperture(), self.system(wavelength),
                                  self.phase_matching(), rate,
                                  n_photons=self["ocm.n_photons"])
-        if kind == "coherent":
-            return ClassicalSource(self.aperture(), self.system(), rate,
-                                   coherent=True)
-        if kind == "incoherent":
-            return ClassicalSource(self.aperture(), self.system(), rate,
-                                   coherent=False)
+        if kind in ("coherent", "incoherent"):
+            return ClassicalSource(self.aperture(), self.system(wavelength),
+                                   rate, coherent=(kind == "coherent"))
         if kind == "point":
             return PointSource(self["aperture.waist_m"], rate)
         if kind == "far_field":
-            sys_ = self.system()
+            sys_ = self.system(wavelength)
             scale = sys_.object_distance * sys_.wavelength / (2.0 * np.pi)
             sigma = (self["acquisition.far_field_correlation_px"]
                      * self["detector.pixel_pitch_m"])

@@ -27,13 +27,14 @@ worker parallelism and reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import SortKeyOverflow, UnnormalizableDensity
-from .events_io import (EventStream, stable_hash, time_bin_count, write_events,
-                        write_manifest)
+from .events_io import EventStream, stable_hash, write_events, write_manifest
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
@@ -42,10 +43,21 @@ from .phasematch import PhaseMatchingParams, deviation_envelope
 #: detection efficiency of the reference sensor by wavelength
 DEFAULT_PDE = {810e-9: 0.008, 405e-9: 0.05}
 
+#: OCME stores ``t_bin`` as uint16
+_MAX_TIME_BINS = 1 << 16
+
+#: source density samples per pixel pitch, in detector coordinates
+_OVERSAMPLE = 8
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Geometry, timing and noise of the sensor array."""
+    """Geometry, timing and noise of the sensor array.
+
+    One dark count rate applies to every pixel.  ``from_dict`` is the one
+    parser of a stored sensor record (an event file's header included): the
+    strict inverse of ``to_dict``.
+    """
 
     n_pixels_x: int = 32
     n_pixels_y: int = 32
@@ -54,14 +66,14 @@ class DetectorConfig:
     frame_duration: float = 45e-9          # seconds
     frame_rate: float = 800e3              # frames per second
     pde: float = 0.008                     # photon detection efficiency
-    dark_count_rate: float | np.ndarray = 1e3   # Hz per pixel (scalar or map)
+    dark_count_rate: float = 1e3           # Hz, the same for every pixel
     crosstalk_prob: float = 0.01           # per nearest neighbor per detection
 
     def __post_init__(self) -> None:
         if self.n_pixels_x < 1 or self.n_pixels_y < 1:
             raise ValueError("pixel counts must be >= 1")
         for name in ("pixel_pitch", "time_bin", "frame_duration", "frame_rate"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if not 0.0 <= self.pde <= 1.0:
             raise ValueError("pde must be in [0, 1]")
@@ -69,11 +81,13 @@ class DetectorConfig:
             raise ValueError("crosstalk_prob must be in [0, 1]")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty cycle must lie in (0, 1]")
-        dark = np.asarray(self.dark_count_rate)
-        if dark.ndim not in (0, 2):
-            raise ValueError("dark_count_rate is a scalar or a per-pixel map")
-        if dark.ndim == 2 and dark.shape != (self.n_pixels_x, self.n_pixels_y):
-            raise ValueError("dark count map shape must match the pixel grid")
+        if np.ndim(self.dark_count_rate) != 0:
+            raise ValueError("dark_count_rate is one rate for every pixel")
+        if not self.dark_count_rate >= 0:
+            raise ValueError("dark_count_rate must be >= 0")
+        if self.frame_duration / self.time_bin > _MAX_TIME_BINS:
+            raise ValueError(f"more than {_MAX_TIME_BINS} time bins per "
+                             "frame do not fit a uint16 t_bin")
 
     @property
     def active_extent(self) -> tuple[float, float]:
@@ -84,6 +98,11 @@ class DetectorConfig:
     @property
     def duty_cycle(self) -> float:
         return self.frame_duration * self.frame_rate
+
+    @property
+    def n_time_bins(self) -> int:
+        """Number of time bins in a frame; every ``t_bin`` lies below it."""
+        return math.ceil(self.frame_duration / self.time_bin)
 
     def pixel_index(self, positions: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,22 +127,33 @@ class DetectorConfig:
         return x, y
 
     def to_dict(self) -> dict:
-        dark = self.dark_count_rate
-        dark = dark.tolist() if isinstance(dark, np.ndarray) else float(dark)
-        return {
-            "n_pixels_x": self.n_pixels_x, "n_pixels_y": self.n_pixels_y,
-            "pixel_pitch": self.pixel_pitch, "time_bin": self.time_bin,
-            "frame_duration": self.frame_duration, "frame_rate": self.frame_rate,
-            "pde": self.pde, "dark_count_rate": dark,
-            "crosstalk_prob": self.crosstalk_prob,
-        }
+        return {**asdict(self), "dark_count_rate": float(self.dark_count_rate)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectorConfig":
-        d = dict(d)
-        dark = d.get("dark_count_rate", 1e3)
-        if isinstance(dark, list):
-            d["dark_count_rate"] = np.asarray(dark)
+        """Inverse of ``to_dict``; raises ValueError for any other record.
+
+        The record must hold exactly the dataclass fields, integer pixel
+        counts and finite numbers elsewhere, in the ranges the constructor
+        accepts.
+        """
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in d]
+        unknown = [k for k in d if k not in names]
+        if missing or unknown:
+            raise ValueError(f"detector record keys: missing {missing}, "
+                             f"unknown {unknown}")
+        for name, value in d.items():
+            integer = name.startswith("n_pixels")
+            kind = numbers.Integral if integer else numbers.Real
+            try:
+                ok = (isinstance(value, kind) and not isinstance(value, bool)
+                      and math.isfinite(value))
+            except OverflowError:               # an int beyond float range
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} = {value!r} is not a finite "
+                                 + ("integer" if integer else "number"))
         return cls(**d)
 
 
@@ -155,13 +185,13 @@ class _DensitySampler:
 
 
 def _sampling_spec(detector: DetectorConfig, system: ImagingSystem,
-                   aperture: Aperture, oversample: int) -> GridSpec:
+                   aperture: Aperture) -> GridSpec:
     """Object-plane grid spec whose image covers the sensor with margin."""
     m = system.magnification
     half_img = max(detector.active_extent) / 2.0 + 2 * detector.pixel_pitch
     half_obj = max(half_img / m + 3.0 * system.first_zero_radius,
                    aperture.typical_extent() / 2.0 + 3.0 * system.first_zero_radius)
-    dx_obj = detector.pixel_pitch / (oversample * m)
+    dx_obj = detector.pixel_pitch / (_OVERSAMPLE * m)
     nx = int(np.ceil(2.0 * half_obj / dx_obj))
     nx += nx % 2
     return GridSpec.centered(nx, dx_obj)
@@ -182,7 +212,6 @@ class OcmPairSource:
     pair_rate: float                       # mean pairs/s reaching the detector
     n_photons: int = 2
     coherent: bool = True
-    oversample: int = 8
 
     def __post_init__(self) -> None:
         if self.pair_rate <= 0:
@@ -199,8 +228,7 @@ class OcmPairSource:
         return self.n_photons
 
     def centroid_density(self, detector: DetectorConfig) -> FieldGrid:
-        spec = _sampling_spec(detector, self.system, self.aperture,
-                              self.oversample)
+        spec = _sampling_spec(detector, self.system, self.aperture)
         return image(self.aperture, self.system, spec, order=self.n_photons,
                      coherent=self.coherent)
 
@@ -233,7 +261,6 @@ class ClassicalSource:
     system: ImagingSystem
     rate: float                            # mean detected-plane photons/s
     coherent: bool = True
-    oversample: int = 8
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -251,8 +278,7 @@ class ClassicalSource:
         return self.rate
 
     def sampler(self, detector: DetectorConfig):
-        spec = _sampling_spec(detector, self.system, self.aperture,
-                              self.oversample)
+        spec = _sampling_spec(detector, self.system, self.aperture)
         sampler = _DensitySampler(image(self.aperture, self.system, spec,
                                         coherent=self.coherent))
 
@@ -303,7 +329,6 @@ class FarFieldPairSource:
     pair_rate: float
     n_photons: int = 2
     correlation_sigma: float = 0.5 * 43.75e-6
-    oversample: int = 8
 
     def describe(self) -> dict:
         return {"kind": "far_field_pairs", "n_photons": self.n_photons,
@@ -316,7 +341,7 @@ class FarFieldPairSource:
     def pattern(self, detector: DetectorConfig) -> FieldGrid:
         # choose the aperture grid so the mapped pattern oversamples the pitch
         extent = max(self.aperture.typical_extent(), 1e-4)
-        want_dx_out = detector.pixel_pitch / self.oversample
+        want_dx_out = detector.pixel_pitch / _OVERSAMPLE
         # output spacing = (2 pi / (n dx_obj)) * scale / n_photons
         n = 512
         dx_obj = 2.0 * np.pi * self.scale / (self.n_photons * want_dx_out * n)
@@ -384,9 +409,10 @@ def _detected_masks(u: np.ndarray, pde: float) -> np.ndarray:
     return bits[pick].astype(bool)
 
 
-def _key_widths(n_frames: int, cfg: DetectorConfig,
-                n_bins: int) -> tuple[int, int, int, int]:
+def _key_widths(n_frames: int,
+                cfg: DetectorConfig) -> tuple[int, int, int, int]:
     """Bit widths of (frame, ix, iy, t_bin) in a packed 64-bit sort key."""
+    n_bins = cfg.n_time_bins
     widths = tuple(int(n - 1).bit_length() for n in
                    (n_frames, cfg.n_pixels_x, cfg.n_pixels_y, n_bins))
     if sum(widths) > 64:
@@ -411,10 +437,10 @@ def _pack(fields, widths) -> np.ndarray:
 
 
 def _arrival_bins(rng: np.random.Generator, count: int,
-                  cfg: DetectorConfig, n_bins: int) -> np.ndarray:
-    """Uniform arrival time bins; rounding never reaches bin ``n_bins``."""
+                  cfg: DetectorConfig) -> np.ndarray:
+    """Uniform arrival time bins; rounding never reaches ``n_time_bins``."""
     t = np.floor(rng.random(count) * cfg.frame_duration / cfg.time_bin)
-    return np.minimum(t, n_bins - 1).astype(np.uint16)
+    return np.minimum(t, cfg.n_time_bins - 1).astype(np.uint16)
 
 
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
@@ -442,11 +468,10 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     if frame_ids.size and (frame_ids.min() < frame_range[0]
                            or frame_ids.max() >= frame_range[1]):
         raise ValueError("frame ids must lie in frame_range")
-    n_bins = time_bin_count(cfg.frame_duration, cfg.time_bin)
-    w_frame, w_x, w_y, w_t = _key_widths(n_frames, cfg, n_bins)
+    w_frame, w_x, w_y, w_t = _key_widths(n_frames, cfg)
 
     # one arrival time bin per tuple (pair photons are simultaneous)
-    tuple_tbin = _arrival_bins(rng, n_tuples, cfg, n_bins)
+    tuple_tbin = _arrival_bins(rng, n_tuples, cfg)
 
     # detection efficiency per photon: Bernoulli, or given a detection
     u = rng.random((n_tuples, n_ph))
@@ -460,23 +485,16 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     ph_iy = iy[keep]
 
     # dark counts: Poisson per (pixel, frame), sampled sparsely
-    dark = np.asarray(cfg.dark_count_rate, dtype=float)
-    mean_per_px = dark * cfg.frame_duration
-    total_mean = float(mean_per_px.sum() if dark.ndim else
-                       mean_per_px * cfg.n_pixels_x * cfg.n_pixels_y) * n_frames
+    total_mean = (float(cfg.dark_count_rate) * cfg.frame_duration
+                  * cfg.n_pixels_x * cfg.n_pixels_y * n_frames)
     n_dark = rng.poisson(total_mean) if total_mean > 0 else 0
     if n_dark > 0:
         d_frame = (rng.integers(0, n_frames, n_dark).astype(np.uint64)
                    + frame_range[0])
-        if dark.ndim == 2:
-            flat = dark.ravel() / dark.sum()
-            cell = np.searchsorted(np.cumsum(flat), rng.random(n_dark),
-                                   side="right")
-        else:
-            cell = rng.integers(0, cfg.n_pixels_x * cfg.n_pixels_y, n_dark)
+        cell = rng.integers(0, cfg.n_pixels_x * cfg.n_pixels_y, n_dark)
         d_ix = cell // cfg.n_pixels_y
         d_iy = cell % cfg.n_pixels_y
-        d_tbin = _arrival_bins(rng, n_dark, cfg, n_bins)
+        d_tbin = _arrival_bins(rng, n_dark, cfg)
         ph_frame = np.concatenate([ph_frame, d_frame])
         ph_ix = np.concatenate([ph_ix, d_ix.astype(np.int64)])
         ph_iy = np.concatenate([ph_iy, d_iy.astype(np.int64)])
@@ -546,8 +564,8 @@ def child_seed(master_seed: int, label) -> int:
 
 
 def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
-                    seed: int, out_path=None, manifest_path=None,
-                    n_threads: int = 1) -> EventStream:
+                    seed: int, out_path=None, n_threads: int = 1
+                    ) -> EventStream:
     """Simulate an acquisition of ``wall_time`` seconds of frames.
 
     The number of frames equals wall_time * frame_rate.  Each frame block
@@ -555,12 +573,12 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     detected photon (see the module docstring), samples their positions and
     detects them.  ``pairs_generated`` still counts every tuple the source
     emitted: the detected ones plus a Poisson count of the undetected ones,
-    drawn after the block's events.  When ``out_path`` is
-    given, the event stream is written in the OCME format together with a
-    manifest recording seed, configuration hash, source description and
-    counters.  Frame blocks carry hash-derived child seeds and are merged in
-    block order, so the result does not depend on ``n_threads`` and reruns
-    with the same inputs are byte-identical.
+    drawn after the block's events.  When ``out_path`` is given, the event
+    stream is written in the OCME format, and next to it, at ``out_path +
+    ".manifest.txt"``, a manifest recording seed, configuration hash, source
+    description and counters.  Frame blocks carry hash-derived child seeds
+    and are merged in block order, so the result does not depend on
+    ``n_threads`` and reruns with the same inputs are byte-identical.
     """
     n_frames = int(round(wall_time * cfg.frame_rate))
     if n_frames < 1:
@@ -607,8 +625,7 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
 
     if out_path is not None:
         write_events(out_path, stream)
-        manifest_path = manifest_path or str(out_path) + ".manifest.txt"
-        write_manifest(manifest_path, {
+        write_manifest(str(out_path) + ".manifest.txt", {
             "seed": seed,
             "wall_time_s": wall_time,
             "n_frames": n_frames,

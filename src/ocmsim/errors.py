@@ -45,6 +45,10 @@ class CorruptEventFile(OcmsimError):
     """Event file is truncated, malformed or holds out-of-range records."""
 
 
+class CorruptGridFile(OcmsimError):
+    """Grid file is truncated, malformed or carries trailing bytes."""
+
+
 class MissingGeometry(OcmsimError):
     """Event stream or image call carries no detector geometry."""
 

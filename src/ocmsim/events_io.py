@@ -3,7 +3,10 @@
 Layout: magic ``OCME``, version u16, u32 JSON header length, a UTF-8 JSON
 header (detector configuration, source hash, frame count, seed, counters),
 then repeated little-endian records ``{frame_id u64, ix u16, iy u16,
-t_bin u16}`` sorted by (frame_id, t_bin).
+t_bin u16}`` sorted by (frame_id, t_bin).  The header's ``detector`` object
+holds exactly the fields of ``DetectorConfig`` (its ``to_dict``), and
+``read_events`` parses it with ``DetectorConfig.from_dict``; a header without
+one carries no sensor geometry.
 
 The manifest is a deterministic key: value text file written alongside a run;
 it never contains wall-clock timestamps so reruns are byte-identical.
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -52,11 +54,6 @@ class EventStream:
         return bool(np.all(np.diff(key.astype(np.int64)) >= 0))
 
 
-def time_bin_count(frame_duration: float, time_bin: float) -> int:
-    """Number of time bins in a frame; every ``t_bin`` lies below it."""
-    return math.ceil(frame_duration / time_bin)
-
-
 def stable_hash(obj) -> str:
     """Deterministic SHA-256 of a JSON-serializable object."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -89,9 +86,9 @@ def write_events(path, stream: EventStream) -> None:
 def read_events(path) -> EventStream:
     """Load an OCME file; any malformed part raises ``CorruptEventFile``.
 
-    Frame ids must lie below the header's ``n_frames`` and, when the header
-    carries a detector, pixel indices below its pixel counts and time bins
-    below the frame's time-bin count.
+    Frame ids must lie below the header's ``n_frames``.  A header detector
+    must parse with ``DetectorConfig.from_dict``, and pixel indices and time
+    bins must then lie below its pixel counts and time-bin count.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -120,13 +117,16 @@ def read_events(path) -> EventStream:
     records = np.frombuffer(data, dtype=_RECORD, offset=body)
     limits = [("frame", "n_frames", header.get("n_frames"))]
     if detector:
-        timing = (detector.get("frame_duration"), detector.get("time_bin"))
-        n_bins = (time_bin_count(*timing) if all(
-            type(v) in (int, float) and 0 < v < math.inf for v in timing)
-            else None)
-        limits += [("ix", "n_pixels_x", detector.get("n_pixels_x")),
-                   ("iy", "n_pixels_y", detector.get("n_pixels_y")),
-                   ("t_bin", "ceil(frame_duration / time_bin)", n_bins)]
+        from .detector import DetectorConfig    # detector imports this module
+
+        try:
+            cfg = DetectorConfig.from_dict(detector)
+        except ValueError as exc:
+            raise CorruptEventFile(f"{path}: bad detector: {exc}") from None
+        limits += [("ix", "n_pixels_x", cfg.n_pixels_x),
+                   ("iy", "n_pixels_y", cfg.n_pixels_y),
+                   ("t_bin", "ceil(frame_duration / time_bin)",
+                    cfg.n_time_bins)]
     for name, key, limit in limits:
         if type(limit) is not int:
             raise CorruptEventFile(f"{path}: header lacks an integer {key}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, SinkWriteError
+from .errors import CorruptGridFile, GridMismatch, SinkWriteError
 
 OCMG_MAGIC = b"OCMG"
 OCMG_VERSION = 1
@@ -163,20 +163,30 @@ class FieldGrid:
 
     @classmethod
     def load(cls, path) -> "FieldGrid":
+        """Read an OCMG file; any malformed part raises ``CorruptGridFile``."""
         with open(path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            magic, version, nx, ny, dx, dy, ox, oy, kind = _HEADER.unpack(raw)
-            if magic != OCMG_MAGIC:
-                raise ValueError(f"{path}: not an OCMG grid file")
-            if version != OCMG_VERSION:
-                raise ValueError(f"{path}: unsupported OCMG version {version}")
-            count = nx * ny * (2 if kind else 1)
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-        if kind:
-            values = data.view(np.complex128).reshape(nx, ny)
-        else:
-            values = data.reshape(nx, ny)
-        return cls(values.copy(), dx, dy, (ox, oy))
+            data = fh.read()
+        if len(data) < _HEADER.size:
+            raise CorruptGridFile(f"{path}: {len(data)} bytes, shorter than "
+                                  f"the {_HEADER.size}-byte OCMG header")
+        magic, version, nx, ny, dx, dy, ox, oy, kind = \
+            _HEADER.unpack_from(data)
+        if magic != OCMG_MAGIC:
+            raise CorruptGridFile(f"{path}: not an OCMG grid file")
+        if version != OCMG_VERSION:
+            raise CorruptGridFile(
+                f"{path}: unsupported OCMG version {version}")
+        count = nx * ny * (2 if kind else 1)
+        if len(data) != _HEADER.size + count * 8:
+            raise CorruptGridFile(
+                f"{path}: payload of {len(data) - _HEADER.size} bytes, "
+                f"expected {count * 8} for {nx} x {ny} samples")
+        data = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+        values = (data.view(np.complex128) if kind else data).reshape(nx, ny)
+        try:
+            return cls(values.copy(), dx, dy, (ox, oy))
+        except ValueError as exc:
+            raise CorruptGridFile(f"{path}: {exc}") from None
 
     def export_csv(self, path) -> None:
         """Plain-text export: `#`-prefixed header lines, then one row per x."""

@@ -96,14 +96,6 @@ class PhaseMatchingParams:
         return self.omega_s + self.omega_i
 
     @property
-    def lambda_s(self) -> float:
-        return 2.0 * np.pi * SPEED_OF_LIGHT / self.omega_s
-
-    @property
-    def lambda_i(self) -> float:
-        return 2.0 * np.pi * SPEED_OF_LIGHT / self.omega_i
-
-    @property
     def degenerate(self) -> bool:
         return self.omega_s == self.omega_i
 

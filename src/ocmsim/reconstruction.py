@@ -98,7 +98,6 @@ class CentroidImage:
     values: np.ndarray
     mode: XiMode
     detector: DetectorConfig
-    accidental_corrected: bool = False
     vignetting_corrected: bool = False
 
     @property
@@ -118,7 +117,7 @@ class CentroidImage:
 
 
 def _stream_detector(events: EventStream) -> DetectorConfig:
-    """The detector geometry recorded in a stream's header."""
+    """The detector geometry in a stream's header, strictly parsed."""
     if not events.detector:
         raise MissingGeometry("event stream has no detector header")
     return DetectorConfig.from_dict(events.detector)
@@ -221,8 +220,7 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
                        events.iy[i].astype(np.int64) + events.iy[j],
                        shape).astype(float)
     norm = events.n_frames / (2.0 * (events.n_frames - offset))
-    return CentroidImage(image * norm, XiMode.SUM, cfg,
-                         accidental_corrected=False)
+    return CentroidImage(image * norm, XiMode.SUM, cfg)
 
 
 def coverage_table(cfg: DetectorConfig, min_xi: int,
@@ -256,15 +254,14 @@ def centroid_image(pairs: CoincidenceSet,
                    accidentals: CentroidImage | None = None,
                    mode: XiMode = XiMode.SUM,
                    cfg: DetectorConfig | None = None,
-                   deviation_weight=None,
-                   floor_negative: bool = False) -> CentroidImage:
+                   deviation_weight=None) -> CentroidImage:
     """Half-pixel centroid image from coincidence pairs.
 
     SUM mode histograms the centroid bins and subtracts the accidental
-    estimate (negative bins are kept unless ``floor_negative``).  AVERAGE
-    mode divides each bin by its number of geometrically admissible deviation
-    cells, which removes the pyramid-shaped coverage vignetting exactly for a
-    deviation-uniform source.  Passing ``deviation_weight`` (e.g. the squared
+    estimate, keeping negative bins.  AVERAGE mode divides each bin by its
+    number of geometrically admissible deviation cells, which removes the
+    pyramid-shaped coverage vignetting exactly for a deviation-uniform
+    source.  Passing ``deviation_weight`` (e.g. the squared
     phase-matching envelope) instead weights the coverage by the actual
     deviation density: the correct vignetting correction for a pair source
     with a non-uniform separation profile.  ``cfg`` is the detector the pairs
@@ -277,22 +274,17 @@ def centroid_image(pairs: CoincidenceSet,
         raise GridMismatch("pair set and detector pixel counts differ")
     shape = (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1)
     counts = _histogram(pairs.cx, pairs.cy, shape).astype(float)
-    corrected = False
     if accidentals is not None:
         if accidentals.values.shape != shape:
             raise GridMismatch("accidental image shape mismatch")
         counts = counts - accidentals.values
-        corrected = True
     vignetting = False
     if mode is XiMode.AVERAGE or deviation_weight is not None:
         coverage = coverage_table(cfg, pairs.min_xi, deviation_weight)
         with np.errstate(invalid="ignore", divide="ignore"):
             counts = np.where(coverage > 0, counts / coverage, 0.0)
         vignetting = True
-    if floor_negative:
-        counts = counts.clip(min=0.0)
-    return CentroidImage(counts, mode, cfg, accidental_corrected=corrected,
-                         vignetting_corrected=vignetting)
+    return CentroidImage(counts, mode, cfg, vignetting_corrected=vignetting)
 
 
 def singles_image(events: EventStream,

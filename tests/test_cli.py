@@ -134,6 +134,16 @@ def test_simulate_then_reconstruct(tmp_path):
     assert (rec / "centroid_image.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "source", ["ocm", "coherent", "incoherent", "point", "far_field"])
+def test_every_source_simulates_and_reconstructs(tmp_path, source):
+    sim = ["--config", CONFIG, *FAST, "--set", "acquisition.wall_time_s=0.005",
+           "--set", f"acquisition.source={source}"]
+    assert run_cli([*sim, "--out", tmp_path / "sim", "simulate"]) == 0
+    assert run_cli(["--config", CONFIG, "--out", tmp_path / "rec",
+                    "reconstruct", tmp_path / "sim" / "events.ocme"]) == 0
+
+
 def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):
     out = tmp_path / "sim"
     assert run_cli(["--config", CONFIG, *FAST,

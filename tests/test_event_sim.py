@@ -63,6 +63,31 @@ def test_config_dict_round_trip():
     assert back == cfg
 
 
+def test_detector_rejects_unstorable_bins_and_negative_darks():
+    assert DetectorConfig().n_time_bins == 220              # ceil(45 / 0.205)
+    assert DetectorConfig(time_bin=45e-9 / 65536).n_time_bins == 65536
+    with pytest.raises(ValueError, match="uint16"):
+        DetectorConfig(time_bin=1e-13)                      # 450,000 bins
+    with pytest.raises(ValueError, match="dark_count_rate"):
+        DetectorConfig(dark_count_rate=-1e3)
+
+
+@pytest.mark.parametrize("change", [
+    dict(n_pixels_x=32.0),                  # pixel count not an integer
+    dict(n_pixels_y=True),
+    dict(time_bin="205e-12"),               # not a number
+    dict(frame_rate=float("nan")),          # not finite
+    dict(pixel_pitch=float("inf")),
+    dict(pde=10 ** 400),                    # beyond float range
+    dict(dark_count_rate=[1e3] * 4),        # not one rate for every pixel
+], ids=["float_pixels", "bool_pixels", "str_time_bin", "nan_rate",
+        "inf_pitch", "huge_pde", "dark_map"])
+def test_from_dict_is_strict(change):
+    record = {**DetectorConfig().to_dict(), **change}
+    with pytest.raises(ValueError):
+        DetectorConfig.from_dict(record)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

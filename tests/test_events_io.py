@@ -31,6 +31,15 @@ def with_header(blob: bytes) -> bytes:
     return struct.pack("<4sHI", b"OCME", 1, len(blob)) + blob
 
 
+def with_detector(**change) -> bytes:
+    """Header-only file whose default detector record has keys changed;
+    a value of None drops the key."""
+    detector = {**DetectorConfig().to_dict(), **change}
+    detector = {k: v for k, v in detector.items() if v is not None}
+    return with_header(json.dumps({"n_frames": 2,
+                                   "detector": detector}).encode())
+
+
 def reconstruct_exit_code(tmp_path, path) -> int:
     return main(["--config", str(CONFIG), "--out", str(tmp_path / "o"),
                  "reconstruct", str(path)])
@@ -46,8 +55,11 @@ def reconstruct_exit_code(tmp_path, path) -> int:
         {"n_frames": 2, "detector": {"n_pixels_x": 32, "n_pixels_y": 32,
                                      "frame_duration": 45e-9}}).encode()),
     lambda good: good + b"\0" * 5,                           # partial record
+    lambda good: with_detector(pixel_pitch=None),
+    lambda good: with_detector(bogus=1),
+    lambda good: with_detector(pde=5),
 ], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
-        "partial"])
+        "partial", "no_pixel_pitch", "unknown_key", "pde_5"])
 def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))

@@ -1,7 +1,14 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ocmsim import FieldGrid, FtDirection, GridSpec, fourier_transform_2d
+from ocmsim.cli import main
+from ocmsim.errors import CorruptGridFile
+
+CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
 
 def test_geometry_invariants():
@@ -84,3 +91,25 @@ def test_interpolation_matches_samples():
     np.testing.assert_allclose(g.interpolate(pts),
                                [g.values[5 + k, 10 + k] for k in range(4)],
                                atol=1e-12)
+
+
+def grid_bytes(tmp_path) -> bytes:
+    path = tmp_path / "good.ocmg"
+    FieldGrid(np.arange(12.0).reshape(3, 4), 1e-6, 2e-6).save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good: good[:20],                                  # short header
+    lambda good: b"XXXX" + good[4:],                         # wrong magic
+    lambda good: good[:4] + struct.pack("<H", 9) + good[6:],  # wrong version
+    lambda good: good[:-8],                                  # short payload
+    lambda good: good + b"\0" * 8,                           # trailing bytes
+], ids=["short", "magic", "version", "short_payload", "trailing"])
+def test_malformed_grid_file_is_a_typed_error(tmp_path, corrupt):
+    path = tmp_path / "bad.ocmg"
+    path.write_bytes(corrupt(grid_bytes(tmp_path)))
+    with pytest.raises(CorruptGridFile):
+        FieldGrid.load(path)
+    assert main(["--config", str(CONFIG), "--out", str(tmp_path / "o"),
+                 "analyze", str(path)]) == 3

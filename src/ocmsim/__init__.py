@@ -19,37 +19,34 @@ from .detector import (DEFAULT_PDE, ClassicalSource, DetectorConfig,
 from .events_io import EventStream, read_events, read_manifest, write_events
 from .grid import FieldGrid, GridSpec
 from .ocm import (analytic_centroid_psf_circular, centroid_psf,
-                  centroid_psf_fourier, classical_centroid_psf,
-                  far_field_pattern, incoherent_ocm_image, ocm_image)
-from .optics import (Aperture, FtDirection, ImagingSystem, J1_FIRST_ZERO,
+                  classical_centroid_psf, far_field_pattern, ocm_image)
+from .optics import (Aperture, ImagingSystem, J1_FIRST_ZERO,
                      PupilProfile, coherent_image, convolve2d, convolve_on,
                      fourier_transform_2d, image, incoherent_image,
                      single_lens_psf, somb)
 from .phasematch import (PhaseMatchingParams, SellmeierModel, biphoton_amplitude,
                          deviation_envelope, deviation_envelope_fwhm,
                          solve_poling_period, wavevector_mismatch)
-from .reconstruction import (CentroidImage, CoincidencePair, CoincidenceSet,
-                             XiMode, centroid_image, coverage_table,
+from .reconstruction import (CentroidImage, CoincidenceSet, XiMode,
+                             centroid_image, coverage_table,
                              estimate_accidentals, extract_coincidences,
-                             joint_correlation_histogram, singles_image)
+                             singles_image)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aperture", "CentroidImage", "ClassicalSource", "CoincidencePair",
-    "CoincidenceSet", "DEFAULT_PDE", "DetectorConfig", "EventStream",
-    "FarFieldPairSource", "FieldGrid", "FitModel", "FtDirection", "GridSpec",
-    "ImagingSystem", "J1_FIRST_ZERO", "OcmPairSource", "PhaseMatchingParams",
-    "PointSource", "Profile1D", "PupilProfile", "ScalingFit", "SellmeierModel",
-    "WidthReport", "XiMode", "analytic_centroid_psf_circular",
-    "apply_detector_model", "biphoton_amplitude", "centroid_image",
-    "centroid_psf", "centroid_psf_fourier", "classical_centroid_psf",
-    "coherent_image", "convolve2d", "convolve_on", "coverage_table",
-    "cross_section", "deviation_envelope", "deviation_envelope_fwhm",
-    "estimate_accidentals", "extract_coincidences", "far_field_pattern",
-    "fourier_transform_2d", "image", "incoherent_image",
-    "incoherent_ocm_image", "joint_correlation_histogram", "ocm_image",
-    "read_events", "read_manifest", "run_acquisition",
+    "Aperture", "CentroidImage", "ClassicalSource", "CoincidenceSet",
+    "DEFAULT_PDE", "DetectorConfig", "EventStream", "FarFieldPairSource",
+    "FieldGrid", "FitModel", "GridSpec", "ImagingSystem", "J1_FIRST_ZERO",
+    "OcmPairSource", "PhaseMatchingParams", "PointSource", "Profile1D",
+    "PupilProfile", "ScalingFit", "SellmeierModel", "WidthReport", "XiMode",
+    "analytic_centroid_psf_circular", "apply_detector_model",
+    "biphoton_amplitude", "centroid_image", "centroid_psf",
+    "classical_centroid_psf", "coherent_image", "convolve2d", "convolve_on",
+    "coverage_table", "cross_section", "deviation_envelope",
+    "deviation_envelope_fwhm", "estimate_accidentals", "extract_coincidences",
+    "far_field_pattern", "fourier_transform_2d", "image", "incoherent_image",
+    "ocm_image", "read_events", "read_manifest", "run_acquisition",
     "sample_event_positions", "scaling_fit", "single_lens_psf",
     "singles_image", "slit_contrast", "solve_poling_period", "somb",
     "wavevector_mismatch", "width_metrics", "write_events",

@@ -22,12 +22,10 @@ RESOLVED_CONTRAST = 0.1
 
 @dataclass
 class Profile1D:
-    """1-D cross-section: positions (strictly increasing), values, optional
-    per-bin Poisson sigma for count data."""
+    """1-D cross-section: positions (strictly increasing) and values."""
 
     positions: np.ndarray
     values: np.ndarray
-    sigma: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float)
@@ -70,8 +68,6 @@ def cross_section(image: FieldGrid, axis: str = "x", band=None) -> Profile1D:
     ``band`` gives inclusive index bounds (lo, hi) on the summed axis; None
     projects everything.  Complex fields are projected by magnitude.
     """
-    if not isinstance(image, FieldGrid):
-        raise TypeError("image must be a FieldGrid")
     values = np.abs(image.values) if image.is_complex else image.values
     x_pos, y_pos = image.x_axis(), image.y_axis()
 
@@ -88,12 +84,6 @@ def cross_section(image: FieldGrid, axis: str = "x", band=None) -> Profile1D:
     if not (0 <= lo <= hi < other_len):
         raise EmptyBand(f"band ({lo}, {hi}) outside image of size {other_len}")
     return Profile1D(positions.copy(), take(lo, hi))
-
-
-def _smooth3(values: np.ndarray) -> np.ndarray:
-    kernel = np.array([1.0, 1.0, 1.0]) / 3.0
-    pad = np.pad(values, 1, mode="edge")
-    return np.convolve(pad, kernel, mode="valid")
 
 
 def _interp_crossing(x0, y0, x1, y1, level) -> float:
@@ -121,25 +111,23 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
                   ) -> WidthReport:
     """FWHM (and first zero under a model fit) of a single-peaked profile.
 
-    Without a model, noisy count data is smoothed by a 3-bin moving average
-    before the half-maximum crossings are interpolated.  The sombrero-squared
-    model fits the argument scale, giving the diffraction first zero; the
-    Gaussian model converts the fitted std.
+    Without a model, the half-maximum crossings are interpolated linearly.
+    The sombrero-squared model fits the argument scale, giving the
+    diffraction first zero; the Gaussian model converts the fitted std.
     """
     x = profile.positions
     y = profile.values.astype(float)
 
     if model is FitModel.NONE:
-        yy = _smooth3(y) if profile.sigma is not None else y
         # ambiguity check: several well-separated peaks near the maximum
-        peak = yy.max()
+        peak = y.max()
         if peak <= 0:
             raise NoPeak("profile peak is not positive")
-        high = yy > 0.8 * peak
+        high = y > 0.8 * peak
         runs = np.flatnonzero(np.diff(high.astype(int)) == 1).size + int(high[0])
         if runs > 1:
             raise AmbiguousPeak("multi-modal profile needs a fit model")
-        return WidthReport(_fwhm_by_crossings(x, yy), None, model, 0.0)
+        return WidthReport(_fwhm_by_crossings(x, y), None, model, 0.0)
 
     peak_idx = int(np.argmax(y))
     if y[peak_idx] <= 0:
@@ -232,8 +220,6 @@ def slit_contrast(profile: Profile1D, n_slits: int, expected_pitch: float
     y = profile.values.astype(float)
     if x.size < 5 or not np.any(y > 0):
         raise PeaksNotFound("profile too short or empty")
-    if profile.sigma is not None:
-        y = _smooth3(y)
 
     if x[0] > -expected_pitch * (n_slits - 1) / 2.0 or \
             x[-1] < expected_pitch * (n_slits - 1) / 2.0:
@@ -262,14 +248,9 @@ def slit_contrast(profile: Profile1D, n_slits: int, expected_pitch: float
 
 
 def export_profile_csv(profile: Profile1D, path) -> None:
-    """CSV export (position, value [, sigma]) with # header lines."""
+    """CSV export (position, value) with # header lines."""
     with open(path, "w") as fh:
         fh.write("# ocmsim profile export\n")
-        if profile.sigma is None:
-            fh.write("# columns: position_m,value\n")
-            for p, v in zip(profile.positions, profile.values):
-                fh.write(f"{p!r},{v!r}\n")
-        else:
-            fh.write("# columns: position_m,value,sigma\n")
-            for p, v, s in zip(profile.positions, profile.values, profile.sigma):
-                fh.write(f"{p!r},{v!r},{s!r}\n")
+        fh.write("# columns: position_m,value\n")
+        for p, v in zip(profile.positions, profile.values):
+            fh.write(f"{p!r},{v!r}\n")

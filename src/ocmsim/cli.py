@@ -101,10 +101,9 @@ def cmd_psf(cfg: RunConfig, out_dir: Path) -> dict:
     return report
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int | None = None,
-                 n_threads: int = 1) -> dict:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
     """Run an acquisition of the configured source; write events + manifest."""
-    seed = cfg["acquisition.seed"] if seed is None else seed
+    seed = cfg["acquisition.seed"]
     source = cfg.source()
     detector = cfg.detector(cfg["system.wavelength_m"])
     events_path = out_dir / "events.ocme"

@@ -22,8 +22,8 @@ from .optics import Aperture, ImagingSystem, PupilProfile
 from .phasematch import PhaseMatchingParams, SellmeierModel
 
 # (path, type, default, help) — the single source of truth for keys and units.
-# type tags: float, int, bool, str, choice(...), float|auto, float|null,
-# pair<float>, pair<int>|null
+# type tags: float, int, int>=N, bool, str, choice(...), float|auto,
+# float|null, pair<float>, pair<int>|null
 SCHEMA: list[tuple[str, str, Any, str]] = [
     ("system.pupil_radius_m", "float", 1.38e-3, "pupil radius R [m]"),
     ("system.object_distance_m", "float", 0.355, "object-to-lens distance s_o [m]"),
@@ -83,7 +83,7 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "crosstalk cut: required Chebyshev pixel separation (exclusive) [-]"),
     ("reconstruction.mode", "choice:sum,average", "sum",
      "centroid histogram mode (sum or average over deviations)"),
-    ("reconstruction.accidental_offset_frames", "int", 1,
+    ("reconstruction.accidental_offset_frames", "int>=0", 1,
      "cross-frame offset for accidental estimation; 0 disables [-]"),
     ("reconstruction.vignetting_correction", "bool", True,
      "divide by the deviation-envelope-weighted coverage"),
@@ -95,7 +95,7 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "width fit model for profiles"),
     ("analysis.n_slits", "int", 3,
      "slit count for contrast scoring; 0 disables [-]"),
-    ("grid.nx", "int", 512, "object-plane grid samples per axis [-]"),
+    ("grid.nx", "int>=2", 512, "object-plane grid samples per axis [-]"),
     ("io.output_dir", "str", "out", "output directory"),
 ]
 
@@ -124,9 +124,12 @@ def _check_type(path: str, kind: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             fail("a number")
         return float(value)
-    if kind == "int":
+    if kind.startswith("int"):
         if isinstance(value, bool) or not isinstance(value, int):
             fail("an integer")
+        low = kind.partition(">=")[2]       # "int>=N" bounds the value
+        if low and value < int(low):
+            fail(f"an integer >= {low}")
         return int(value)
     if kind == "bool":
         if not isinstance(value, bool):
@@ -243,20 +246,28 @@ class RunConfig:
 
     def detector(self, wavelength: float | None = None) -> DetectorConfig:
         wavelength = wavelength or self["system.wavelength_m"]
-        return DetectorConfig(
-            n_pixels_x=self["detector.n_pixels_x"],
-            n_pixels_y=self["detector.n_pixels_y"],
-            pixel_pitch=self["detector.pixel_pitch_m"],
-            time_bin=self["detector.time_bin_s"],
-            frame_duration=self["detector.frame_duration_s"],
-            frame_rate=self["detector.frame_rate_hz"],
-            pde=self.pde_for(wavelength),
-            dark_count_rate=self["detector.dark_count_rate_hz"],
-            crosstalk_prob=self["detector.crosstalk_prob"])
+        try:
+            return DetectorConfig(
+                n_pixels_x=self["detector.n_pixels_x"],
+                n_pixels_y=self["detector.n_pixels_y"],
+                pixel_pitch=self["detector.pixel_pitch_m"],
+                time_bin=self["detector.time_bin_s"],
+                frame_duration=self["detector.frame_duration_s"],
+                frame_rate=self["detector.frame_rate_hz"],
+                pde=self.pde_for(wavelength),
+                dark_count_rate=self["detector.dark_count_rate_hz"],
+                crosstalk_prob=self["detector.crosstalk_prob"])
+        except ValueError as exc:
+            raise ConfigError(f"detector: {exc}") from None
 
     def source(self, kind: str | None = None,
                wavelength: float | None = None):
-        kind = kind or self["acquisition.source"]
+        try:
+            return self._source(kind or self["acquisition.source"], wavelength)
+        except ValueError as exc:
+            raise ConfigError(f"acquisition.source: {exc}") from None
+
+    def _source(self, kind: str, wavelength: float | None):
         rate = self["acquisition.pair_rate_hz"]
         if kind == "ocm":
             return OcmPairSource(self.aperture(), self.system(wavelength),

@@ -43,8 +43,8 @@ from .phasematch import PhaseMatchingParams, deviation_envelope
 #: detection efficiency of the reference sensor by wavelength
 DEFAULT_PDE = {810e-9: 0.008, 405e-9: 0.05}
 
-#: OCME stores ``t_bin`` as uint16
-_MAX_TIME_BINS = 1 << 16
+#: OCME stores ``ix``, ``iy`` and ``t_bin`` as uint16
+_UINT16_VALUES = 1 << 16
 
 #: source density samples per pixel pitch, in detector coordinates
 _OVERSAMPLE = 8
@@ -70,8 +70,10 @@ class DetectorConfig:
     crosstalk_prob: float = 0.01           # per nearest neighbor per detection
 
     def __post_init__(self) -> None:
-        if self.n_pixels_x < 1 or self.n_pixels_y < 1:
-            raise ValueError("pixel counts must be >= 1")
+        if not all(1 <= n <= _UINT16_VALUES
+                   for n in (self.n_pixels_x, self.n_pixels_y)):
+            raise ValueError(f"pixel counts must lie in [1, {_UINT16_VALUES}]"
+                             ", the range of a uint16 pixel index")
         for name in ("pixel_pitch", "time_bin", "frame_duration", "frame_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -85,8 +87,8 @@ class DetectorConfig:
             raise ValueError("dark_count_rate is one rate for every pixel")
         if not self.dark_count_rate >= 0:
             raise ValueError("dark_count_rate must be >= 0")
-        if self.frame_duration / self.time_bin > _MAX_TIME_BINS:
-            raise ValueError(f"more than {_MAX_TIME_BINS} time bins per "
+        if self.frame_duration / self.time_bin > _UINT16_VALUES:
+            raise ValueError(f"more than {_UINT16_VALUES} time bins per "
                              "frame do not fit a uint16 t_bin")
 
     @property
@@ -381,13 +383,12 @@ class FarFieldPairSource:
 # ---------------------------------------------------------------------------
 
 def sample_event_positions(source, rng_seed: int, count: int,
-                           detector: DetectorConfig | None = None) -> np.ndarray:
+                           detector: DetectorConfig) -> np.ndarray:
     """Draw ``count`` i.i.d. photon tuples, shape (count, N, 2), image plane.
 
     Deterministic for a fixed seed; densities are discretized on fine grids
-    and sampled by inverse CDF with uniform in-cell jitter.
+    for ``detector`` and sampled by inverse CDF with uniform in-cell jitter.
     """
-    detector = detector or DetectorConfig()
     rng = np.random.default_rng(rng_seed)
     return source.sampler(detector)(rng, count)
 
@@ -444,8 +445,8 @@ def _arrival_bins(rng: np.random.Generator, count: int,
 
 
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
-            rng: np.random.Generator, frame_ids: np.ndarray | None,
-            frame_range: tuple[int, int] | None,
+            rng: np.random.Generator, frame_ids: np.ndarray,
+            frame_range: tuple[int, int],
             thinned: bool = False) -> EventStream:
     """Vectorized detector model; see apply_detector_model.
 
@@ -453,17 +454,8 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     photon, and its detection mask is drawn conditional on that.
     """
     positions = np.asarray(positions, dtype=float)
-    if positions.ndim == 2:
-        positions = positions[:, None, :]
     n_tuples, n_ph = positions.shape[0], positions.shape[1]
-    if frame_ids is None:
-        frame_ids = np.arange(n_tuples, dtype=np.uint64)
-    else:
-        frame_ids = np.asarray(frame_ids, dtype=np.uint64)
-    if frame_range is None:
-        first = 0 if frame_ids.size == 0 else int(frame_ids.min())
-        last = n_tuples if frame_ids.size == 0 else int(frame_ids.max()) + 1
-        frame_range = (first, max(last, first + 1))
+    frame_ids = np.asarray(frame_ids, dtype=np.uint64)
     n_frames = frame_range[1] - frame_range[0]
     if frame_ids.size and (frame_ids.min() < frame_range[0]
                            or frame_ids.max() >= frame_range[1]):
@@ -543,9 +535,15 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
                          frame_ids=None, frame_range=None) -> EventStream:
     """Detect photon tuples: efficiency, binning, darks, crosstalk, first-hit.
 
-    ``positions`` has shape (n_tuples, N, 2); by default tuple i lands in
-    frame i.  Events come back sorted by (frame_id, t_bin).
+    ``positions`` has shape (n_tuples, N, 2); tuple i lands in frame
+    ``frame_ids[i]`` of ``frame_range``, by default frame i of
+    (0, max(n_tuples, 1)).  Events come back sorted by (frame_id, t_bin).
     """
+    if frame_ids is None:
+        frame_ids = np.arange(len(positions), dtype=np.uint64)
+        frame_range = frame_range or (0, max(len(positions), 1))
+    elif frame_range is None:
+        raise ValueError("frame_ids need a frame_range")
     rng = np.random.default_rng(rng_seed)
     return _detect(positions, cfg, rng, frame_ids, frame_range)
 

@@ -48,10 +48,10 @@ class EventStream:
         return self.frame.size
 
     def is_sorted(self) -> bool:
-        if len(self) < 2:
-            return True
-        key = self.frame.astype(np.uint64) * 65536 + self.t_bin
-        return bool(np.all(np.diff(key.astype(np.int64)) >= 0))
+        """Whether (frame, t_bin) never decreases, compared field by field."""
+        f, t = self.frame, self.t_bin
+        later = f[1:] > f[:-1]
+        return bool(np.all(later | ((f[1:] == f[:-1]) & (t[1:] >= t[:-1]))))
 
 
 def stable_hash(obj) -> str:

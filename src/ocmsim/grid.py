@@ -49,9 +49,6 @@ class GridSpec:
     def y_axis(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.ny) * self.dy
 
-    def extent(self) -> tuple[float, float]:
-        return (self.nx * self.dx, self.ny * self.dy)
-
 
 @dataclass
 class FieldGrid:
@@ -123,9 +120,6 @@ class FieldGrid:
     def same_spacing(self, other: "FieldGrid", rtol: float = 1e-9) -> bool:
         return (abs(self.dx - other.dx) <= rtol * self.dx
                 and abs(self.dy - other.dy) <= rtol * self.dy)
-
-    def integral(self) -> complex:
-        return self.values.sum() * self.dx * self.dy
 
     def peak_normalized(self) -> "FieldGrid":
         peak = np.abs(self.values).max()
@@ -209,25 +203,3 @@ class FieldGrid:
                         fh.write("\n")
         except OSError as exc:
             raise SinkWriteError(f"cannot write CSV {path}: {exc}") from exc
-
-    @classmethod
-    def load_csv(cls, path) -> "FieldGrid":
-        meta = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if "=" in tok:
-                            k, v = tok.split("=", 1)
-                            meta[k] = v
-                    continue
-                rows.append([float(t) for t in line.split(",")])
-        data = np.array(rows)
-        if meta.get("kind") == "complex":
-            data = data[:, 0::2] + 1j * data[:, 1::2]
-        return cls(data, float(meta["dx"]), float(meta["dy"]),
-                   (float(meta["origin_x"]), float(meta["origin_y"])))

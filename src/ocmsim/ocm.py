@@ -4,11 +4,12 @@ The centroid PSF is H(X) = N^2 h^{*N}(N X): the N-fold self-convolution of
 the system PSF with the argument compressed N-fold.  For a hard circular
 pupil this is again a sombrero with an N-times larger argument, i.e. the
 resolution scales as 1/N; a Gaussian pupil only narrows as 1/sqrt(N), as does
-the centroid density of classically correlated photons.
+the centroid density of classically correlated photons.  A test oracle
+checks ``centroid_psf`` by the pupil route N^2/(2 pi)^2 Int (h~)^N e^{iNqX}.
 
 Centroid images come from ``optics.image`` with ``order=N``: it samples the
 closed-form order-N PSF and is the classical image at N = 1.  ``ocm_image``
-and ``incoherent_ocm_image`` remain as aliases of it.
+remains as the coherent alias of it.
 
 Numerical note: self-convolutions here use the periodic spectral method
 (no zero padding).  For kernels with slowly decaying tails, the periodization
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, WrongPupilProfile
 from .grid import FieldGrid, GridSpec
-from .optics import (Aperture, FtDirection, ImagingSystem, PupilProfile,
+from .optics import (Aperture, ImagingSystem, PupilProfile,
                      fourier_transform_2d, image)
 
 
@@ -77,20 +78,6 @@ def centroid_psf(h: FieldGrid, n: int) -> FieldGrid:
     return _rescale_axes(out, n, float(n * n))
 
 
-def centroid_psf_fourier(pupil: FieldGrid, n: int) -> FieldGrid:
-    """Centroid PSF from the pupil side: H(X) = N^2/(2pi)^2 Int (h~)^N e^{iNqX}.
-
-    ``pupil`` holds h~(q) on a centered wavevector grid.  The hard circular
-    pupil is idempotent under powers, which is exactly why H is an N-fold
-    narrowed copy of h; a Gaussian pupil loses sqrt(N) only.
-    """
-    if n < 1:
-        raise ValueError("photon number must be >= 1")
-    powered = FieldGrid(pupil.values ** n, pupil.dx, pupil.dy, pupil.origin)
-    g = fourier_transform_2d(powered, FtDirection.INVERSE)
-    return _rescale_axes(g, n, float(n * n))
-
-
 def analytic_centroid_psf_circular(system: ImagingSystem, n: int,
                                    spec: GridSpec) -> FieldGrid:
     """Closed-form hard-pupil centroid PSF somb(2 pi R N |X| / s_o lambda).
@@ -106,12 +93,6 @@ def ocm_image(aperture: Aperture, system: ImagingSystem, n: int,
               spec: GridSpec) -> FieldGrid:
     """Coherent N-photon centroid image: ``optics.image`` at order n."""
     return image(aperture, system, spec, order=n)
-
-
-def incoherent_ocm_image(aperture: Aperture, system: ImagingSystem, n: int,
-                         spec: GridSpec) -> FieldGrid:
-    """Incoherent N-photon centroid image: ``optics.image`` at order n."""
-    return image(aperture, system, spec, order=n, coherent=False)
 
 
 def classical_centroid_psf(h: FieldGrid, n: int) -> FieldGrid:
@@ -147,7 +128,7 @@ def far_field_pattern(aperture: Aperture, n: int, scale: float,
     if n < 1:
         raise ValueError("photon number must be >= 1")
     a = aperture.rasterize(spec)
-    spectrum = fourier_transform_2d(a, FtDirection.FORWARD)
+    spectrum = fourier_transform_2d(a)
     intensity = np.abs(spectrum.values) ** 2
     # |A~(N q)|^2 sampled at q_j/N, then q -> position via the supplied scale
     return FieldGrid(intensity, spectrum.dx * scale / n, spectrum.dy * scale / n,

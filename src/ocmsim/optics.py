@@ -12,7 +12,7 @@ Conventions
   single-lens regime where the residual quadratic phase is negligible).
 * PSFs are normalized to h(0) = 1; images are reported in arbitrary units.
 * Continuous-FT convention: f~(q) = Integral f(rho) exp(-i q.rho) d^2 rho,
-  inverse carries 1/(2 pi)^2.
+  forward only (``far_field_pattern``); the inverse is a test oracle.
 """
 
 from __future__ import annotations
@@ -314,56 +314,23 @@ def incoherent_image(aperture: Aperture, system: ImagingSystem,
     return image(aperture, system, spec, coherent=False)
 
 
-class FtDirection(enum.Enum):
-    FORWARD = "forward"
-    INVERSE = "inverse"
+def fourier_transform_2d(f: FieldGrid) -> FieldGrid:
+    """Continuous-convention forward transform from the rho- to the q-domain.
 
-
-def fourier_transform_2d(f: FieldGrid, direction: FtDirection = FtDirection.FORWARD,
-                         out_origin: tuple[float, float] | None = None) -> FieldGrid:
-    """Continuous-convention Fourier transform between rho- and q-domains.
-
-    Forward: f~(q) = sum f(rho) exp(-i q.rho) dx dy on the centered q grid.
-    Inverse carries the 1/(2 pi)^2 factor and maps back to a centered spatial
-    grid (or to ``out_origin`` when given, e.g. to undo a forward transform of
-    a non-centered grid).  Forward then Inverse is the identity to 1e-10.
+    f~(q) = sum f(rho) exp(-i q.rho) dx dy on the centered q grid; the phase
+    ramp accounts for a grid whose center sample is not at the origin.
     """
     nx, ny = f.nx, f.ny
-    if direction is FtDirection.FORWARD:
-        dqx = 2.0 * np.pi / (nx * f.dx)
-        dqy = 2.0 * np.pi / (ny * f.dy)
-        qx = (np.arange(nx) - nx // 2) * dqx
-        qy = (np.arange(ny) - ny // 2) * dqy
-        spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(f.values)))
-        spectrum = spectrum * (f.dx * f.dy)
-        # center sample of the pre-shift grid sat at index (nx//2, ny//2);
-        # account for the true origin with an explicit phase ramp
-        x0 = f.origin[0] + (nx // 2) * f.dx
-        y0 = f.origin[1] + (ny // 2) * f.dy
-        if x0 != 0.0 or y0 != 0.0:
-            spectrum = spectrum * np.exp(-1j * (qx[:, None] * x0 + qy[None, :] * y0))
-        return FieldGrid(spectrum, dqx, dqy, (qx[0], qy[0]))
-
-    # inverse: f.values live on a q grid
-    dxo = 2.0 * np.pi / (nx * f.dx)
-    dyo = 2.0 * np.pi / (ny * f.dy)
-    if out_origin is None:
-        out_origin = (-(nx // 2) * dxo, -(ny // 2) * dyo)
-    qx = f.x_axis()
-    qy = f.y_axis()
-    # target center position relative to the implicit centered output grid
-    x0 = out_origin[0] + (nx // 2) * dxo
-    y0 = out_origin[1] + (ny // 2) * dyo
-    vals = f.values
+    dqx = 2.0 * np.pi / (nx * f.dx)
+    dqy = 2.0 * np.pi / (ny * f.dy)
+    qx = (np.arange(nx) - nx // 2) * dqx
+    qy = (np.arange(ny) - ny // 2) * dqy
+    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(f.values)))
+    spectrum = spectrum * (f.dx * f.dy)
+    # center sample of the pre-shift grid sat at index (nx//2, ny//2);
+    # account for the true origin with an explicit phase ramp
+    x0 = f.origin[0] + (nx // 2) * f.dx
+    y0 = f.origin[1] + (ny // 2) * f.dy
     if x0 != 0.0 or y0 != 0.0:
-        vals = vals * np.exp(1j * (qx[:, None] * x0 + qy[None, :] * y0))
-    field = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(vals)))
-    field = field * (nx * f.dx * ny * f.dy) / (2.0 * np.pi) ** 2
-    # q grids whose center sample is not q=0 add a position-space phase ramp
-    dqx_off = f.origin[0] + (nx // 2) * f.dx
-    dqy_off = f.origin[1] + (ny // 2) * f.dy
-    if dqx_off != 0.0 or dqy_off != 0.0:
-        cx = (np.arange(nx) - nx // 2) * dxo
-        cy = (np.arange(ny) - ny // 2) * dyo
-        field = field * np.exp(1j * (dqx_off * cx[:, None] + dqy_off * cy[None, :]))
-    return FieldGrid(field, dxo, dyo, out_origin)
+        spectrum = spectrum * np.exp(-1j * (qx[:, None] * x0 + qy[None, :] * y0))
+    return FieldGrid(spectrum, dqx, dqy, (qx[0], qy[0]))

@@ -25,6 +25,10 @@ from .optics import Aperture
 
 SPEED_OF_LIGHT = 299792458.0
 
+#: radial cut over which ``deviation_envelope_fwhm`` samples the envelope
+_FWHM_MAX_RADIUS = 5e-3
+_FWHM_SAMPLES = 20001
+
 
 @dataclass(frozen=True)
 class SellmeierModel:
@@ -35,7 +39,6 @@ class SellmeierModel:
     n2_thermal: tuple
     reference_temperature_c: float = 25.0
     temperature_c: float = 25.0
-    material: str = "custom"
 
     @classmethod
     def from_file(cls, path=None, temperature_c: float = 25.0) -> "SellmeierModel":
@@ -52,8 +55,7 @@ class SellmeierModel:
                    n2_thermal=tuple(th.get("n2", (0.0,))),
                    reference_temperature_c=float(
                        th.get("reference_temperature_C", 25.0)),
-                   temperature_c=float(temperature_c),
-                   material=str(raw.get("material", "custom")))
+                   temperature_c=float(temperature_c))
 
     def index_at_wavelength(self, wavelength_m):
         u = np.asarray(wavelength_m, dtype=float) * 1e6
@@ -94,10 +96,6 @@ class PhaseMatchingParams:
     def omega_p(self) -> float:
         """Pump frequency from energy conservation (never stored)."""
         return self.omega_s + self.omega_i
-
-    @property
-    def degenerate(self) -> bool:
-        return self.omega_s == self.omega_i
 
     @classmethod
     def from_wavelengths(cls, crystal_length: float, lambda_s: float,
@@ -195,12 +193,10 @@ def deviation_envelope(xi, params: PhaseMatchingParams):
     return _sinc(dk * params.crystal_length / 2.0)
 
 
-def deviation_envelope_fwhm(params: PhaseMatchingParams,
-                            max_radius: float = 5e-3,
-                            samples: int = 20001) -> float:
+def deviation_envelope_fwhm(params: PhaseMatchingParams) -> float:
     """FWHM of |deviation_envelope|^2 along a radial cut, by bisection-free
-    linear interpolation on a dense grid."""
-    r = np.linspace(0.0, max_radius, samples)
+    linear interpolation on a dense grid out to ``_FWHM_MAX_RADIUS``."""
+    r = np.linspace(0.0, _FWHM_MAX_RADIUS, _FWHM_SAMPLES)
     xi = np.stack([r, np.zeros_like(r)], axis=-1)
     env = deviation_envelope(xi, params) ** 2
     below = np.where(env < 0.5)[0]

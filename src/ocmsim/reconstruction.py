@@ -5,13 +5,14 @@ half-pixel centroid bin (cx, cy) = (ix1+ix2, iy1+iy2), so an n x n sensor
 reconstructs (2n-1) x (2n-1) centroid images.  Accidental coincidences are
 estimated by pairing events across different frames (offset k), which cannot
 contain true correlations, and subtracted.  Detector crosstalk is suppressed
-by requiring a minimum Chebyshev pixel separation within a pair.
+by requiring a minimum Chebyshev pixel separation within a pair.  Both use
+one enumeration, ``_pairs``, whose offset 0 pairs events of the same frame.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,27 +20,6 @@ from .detector import DetectorConfig
 from .errors import GridMismatch, MissingGeometry, TooFewFrames, UnsortedInput
 from .events_io import EventStream
 from .grid import FieldGrid
-
-
-@dataclass(frozen=True)
-class CoincidencePair:
-    """One unordered pixel pair within a coincidence window."""
-
-    frame_id: int
-    ix1: int
-    iy1: int
-    ix2: int
-    iy2: int
-    t1: int
-    t2: int
-
-    @property
-    def centroid_bin(self) -> tuple[int, int]:
-        return (self.ix1 + self.ix2, self.iy1 + self.iy2)
-
-    @property
-    def deviation(self) -> tuple[int, int]:
-        return (self.ix1 - self.ix2, self.iy1 - self.iy2)
 
 
 @dataclass
@@ -63,12 +43,6 @@ class CoincidenceSet:
     def __len__(self) -> int:
         return self.frame.size
 
-    def __getitem__(self, i: int) -> CoincidencePair:
-        return CoincidencePair(int(self.frame[i]), int(self.ix1[i]),
-                               int(self.iy1[i]), int(self.ix2[i]),
-                               int(self.iy2[i]), int(self.t1[i]),
-                               int(self.t2[i]))
-
     @property
     def cx(self) -> np.ndarray:
         return self.ix1.astype(np.int64) + self.ix2
@@ -80,10 +54,6 @@ class CoincidenceSet:
     @property
     def dx(self) -> np.ndarray:
         return self.ix1.astype(np.int64) - self.ix2
-
-    @property
-    def dy(self) -> np.ndarray:
-        return self.iy1.astype(np.int64) - self.iy2
 
 
 class XiMode(enum.Enum):
@@ -128,21 +98,35 @@ def _window_bins(window: float, cfg: DetectorConfig) -> int:
     return int(np.floor(window / cfg.time_bin + 1e-9))
 
 
-def _segment_pairs(lo, hi):
-    """Index pairs (i, j): every i with every j in [lo[i], hi[i])."""
-    reps = hi - lo
+def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
+    """(cfg, i, j, n_cut): admissible pairs of events in frames f, f + offset.
+
+    Event i meets every event j > i of frame f_i + offset, so offset 0 gives
+    each same-frame pair once, in (i, j) order.  Admissible pairs lie within
+    ``window`` in time and more than ``min_xi`` pixels apart (Chebyshev);
+    ``n_cut`` counts the in-window pairs that the separation cut rejects.
+    """
+    if not events.is_sorted():
+        raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
+    cfg = _stream_detector(events)
+    frames = events.frame
+    target = frames + np.uint64(offset)
+    lo = np.searchsorted(frames, target, side="left")
+    np.maximum(lo, np.arange(1, frames.size + 1), out=lo)
+    reps = np.searchsorted(frames, target, side="right") - lo
+    # i repeats once per partner; j runs from lo[i] through each segment
     i = np.repeat(np.arange(reps.size), reps)
     j = np.arange(i.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
-    return i, j
+    del target, lo, reps        # free per-event arrays before per-pair peaks
 
-
-def _pair_masks(events, i, j, window_bins, min_xi):
-    """(kept, cut): pairs inside the window, split by the min_xi cut."""
-    dt_ok = np.abs(events.t_bin[i].astype(np.int64) - events.t_bin[j]) \
-        <= window_bins
-    cheb = np.maximum(np.abs(events.ix[i].astype(np.int64) - events.ix[j]),
-                      np.abs(events.iy[i].astype(np.int64) - events.iy[j]))
-    return dt_ok & (cheb > min_xi), dt_ok & (cheb <= min_xi)
+    in_window = np.abs(events.t_bin[i].astype(np.int64) - events.t_bin[j]) \
+        <= _window_bins(window, cfg)
+    near = np.maximum(np.abs(events.ix[i].astype(np.int64) - events.ix[j]),
+                      np.abs(events.iy[i].astype(np.int64) - events.iy[j])) \
+        <= min_xi
+    n_cut = int(np.count_nonzero(in_window & near))
+    ok = in_window & ~near
+    return cfg, i[ok], j[ok], n_cut
 
 
 def extract_coincidences(events: EventStream, window: float = 1e-9,
@@ -158,16 +142,8 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     """
     if order != 2:
         raise ValueError("coincidence extraction is specified for pairs")
-    if not events.is_sorted():
-        raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
-    cfg = _stream_detector(events)
-    window_bins = _window_bins(window, cfg)
-
+    cfg, i, j, n_cut = _pairs(events, window, min_xi, 0)
     frames = events.frame
-    i, j = _segment_pairs(np.arange(1, frames.size + 1),
-                          np.searchsorted(frames, frames, side="right"))
-    ok, cut = _pair_masks(events, i, j, window_bins, min_xi)
-    i, j = i[ok], j[ok]
     _, inverse, counts = np.unique(frames[i], return_inverse=True,
                                    return_counts=True)
     if one_pair_per_frame:
@@ -180,9 +156,9 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         ix2=events.ix[j].astype(np.int64), iy2=events.iy[j].astype(np.int64),
         t1=events.t_bin[i].astype(np.int64),
         t2=events.t_bin[j].astype(np.int64),
-        window_bins=window_bins, min_xi=min_xi,
+        window_bins=_window_bins(window, cfg), min_xi=min_xi,
         n_pixels=(cfg.n_pixels_x, cfg.n_pixels_y),
-        n_frames=events.n_frames, n_cut=int(cut.sum()),
+        n_frames=events.n_frames, n_cut=n_cut,
         n_multi_pair_frames=int((counts > 1).sum()))
 
 
@@ -204,18 +180,8 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
     """
     if events.n_frames < 2 or events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
-    if not events.is_sorted():
-        raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
-    cfg = _stream_detector(events)
-    window_bins = _window_bins(window, cfg)
+    cfg, i, j, _ = _pairs(events, window, min_xi, offset)
     shape = (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1)
-
-    frames = events.frame
-    target = frames + np.uint64(offset)
-    i, j = _segment_pairs(np.searchsorted(frames, target, side="left"),
-                          np.searchsorted(frames, target, side="right"))
-    ok, _ = _pair_masks(events, i, j, window_bins, min_xi)
-    i, j = i[ok], j[ok]
     image = _histogram(events.ix[i].astype(np.int64) + events.ix[j],
                        events.iy[i].astype(np.int64) + events.iy[j],
                        shape).astype(float)
@@ -298,21 +264,3 @@ def singles_image(events: EventStream,
               -ey / 2.0 + cfg.pixel_pitch / 2.0)
     return FieldGrid(counts, cfg.pixel_pitch, cfg.pixel_pitch, origin)
 
-
-def joint_correlation_histogram(pairs: CoincidenceSet, axis: str = "x"
-                                ) -> np.ndarray:
-    """Symmetric pixel-pair histogram over (x1, x2) (or (y1, y2)).
-
-    The other axis is summed out; both orderings of each unordered pair
-    contribute, making the matrix symmetric.
-    """
-    if axis == "x":
-        a, b = pairs.ix1, pairs.ix2
-        n = pairs.n_pixels[0]
-    elif axis == "y":
-        a, b = pairs.iy1, pairs.iy2
-        n = pairs.n_pixels[1]
-    else:
-        raise ValueError("axis must be 'x' or 'y'")
-    hist = np.bincount(a * n + b, minlength=n * n).reshape(n, n).astype(float)
-    return hist + hist.T

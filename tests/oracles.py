@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's computational paths:
 Bessel values come from an arbitrary-precision power series, convolutions
 from nested direct summation, the N-photon correlation from explicit
-2N-dimensional quadrature, and coincidence and accidental pairs from plain
+2N-dimensional quadrature, the centroid PSF from the pupil side (powers of
+the pupil function and an inverse Fourier transform, where the library
+self-convolves the PSF), and coincidence and accidental pairs from plain
 loops over every event pair.  The one exception is the unthinned
 acquisition, which reuses the library's sampler and detector model because
 it is the reference for thinning alone.
@@ -149,6 +151,57 @@ def coherent_image_quadrature(a_values: np.ndarray, h, obj_x, obj_y,
             out[i, j] = abs(acc * dx * dy) ** 2
     return out
 
+
+
+def inverse_fourier_transform_2d(f, out_origin=None):
+    """Continuous-convention inverse of ``ocmsim.fourier_transform_2d``.
+
+    f(rho) = 1/(2 pi)^2 sum f~(q) exp(i q.rho) dqx dqy, from a q grid to a
+    centered spatial grid, or to ``out_origin`` when given (to undo a
+    forward transform of a non-centered grid).
+    """
+    from ocmsim import FieldGrid
+
+    nx, ny = f.nx, f.ny
+    dxo = 2.0 * np.pi / (nx * f.dx)
+    dyo = 2.0 * np.pi / (ny * f.dy)
+    if out_origin is None:
+        out_origin = (-(nx // 2) * dxo, -(ny // 2) * dyo)
+    qx = f.x_axis()
+    qy = f.y_axis()
+    # target center position relative to the implicit centered output grid
+    x0 = out_origin[0] + (nx // 2) * dxo
+    y0 = out_origin[1] + (ny // 2) * dyo
+    vals = f.values
+    if x0 != 0.0 or y0 != 0.0:
+        vals = vals * np.exp(1j * (qx[:, None] * x0 + qy[None, :] * y0))
+    field = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(vals)))
+    field = field * (nx * f.dx * ny * f.dy) / (2.0 * np.pi) ** 2
+    # q grids whose center sample is not q=0 add a position-space phase ramp
+    dqx_off = f.origin[0] + (nx // 2) * f.dx
+    dqy_off = f.origin[1] + (ny // 2) * f.dy
+    if dqx_off != 0.0 or dqy_off != 0.0:
+        cx = (np.arange(nx) - nx // 2) * dxo
+        cy = (np.arange(ny) - ny // 2) * dyo
+        field = field * np.exp(1j * (dqx_off * cx[:, None]
+                                     + dqy_off * cy[None, :]))
+    return FieldGrid(field, dxo, dyo, out_origin)
+
+
+def centroid_psf_pupil_route(pupil, n: int):
+    """Centroid PSF from the pupil side: H(X) = N^2/(2pi)^2 Int (h~)^N e^{iNqX}.
+
+    ``pupil`` holds h~(q) on a centered wavevector grid.  The hard circular
+    pupil is idempotent under powers, which is exactly why H is an N-fold
+    narrowed copy of h; a Gaussian pupil loses sqrt(N) only.  This is the
+    independent check on ``ocmsim.centroid_psf``, which self-convolves h.
+    """
+    from ocmsim import FieldGrid
+
+    powered = FieldGrid(pupil.values ** n, pupil.dx, pupil.dy, pupil.origin)
+    g = inverse_fourier_transform_2d(powered)
+    return FieldGrid(g.values * float(n * n), g.dx / n, g.dy / n,
+                     (g.origin[0] / n, g.origin[1] / n))
 
 def wavevector_mismatch_mp(q_s, q_i, params, dps: int = 50) -> float:
     """Arbitrary-precision evaluation of the mismatch closed form."""

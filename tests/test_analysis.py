@@ -92,7 +92,7 @@ def test_width_errors():
         width_metrics(Profile1D(x, np.full_like(x, -1.0)))
     bimodal = np.exp(-(x - 0.5) ** 2 / 0.005) + np.exp(-(x + 0.5) ** 2 / 0.005)
     with pytest.raises(AmbiguousPeak):
-        width_metrics(Profile1D(x, bimodal, sigma=np.sqrt(bimodal + 1)))
+        width_metrics(Profile1D(x, bimodal))
 
 
 def test_width_scale_equivariance():

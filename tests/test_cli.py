@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ocmsim
-from ocmsim import EventStream, FieldGrid, write_events
+from ocmsim import DetectorConfig, EventStream, FieldGrid, write_events
+from ocmsim.analysis import cross_section, export_profile_csv
 from ocmsim.cli import main
 from ocmsim.config import SCHEMA, load_config
 from ocmsim.errors import ConfigError
@@ -97,6 +99,41 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     code = run_cli(["--config", CONFIG, "--out", tmp_path / "o",
                     "reconstruct", events])
     assert code == 3
+
+
+@pytest.mark.parametrize("setting, command", [
+    ("grid.nx=0", "psf"),
+    ("detector.pde=1.5", "simulate"),
+    ("acquisition.pair_rate_hz=-5.0", "simulate"),
+    ("reconstruction.accidental_offset_frames=-1", "reconstruct"),
+], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset"])
+def test_out_of_range_value_exits_2(tmp_path, setting, command):
+    events = tmp_path / "two.ocme"
+    write_events(events, EventStream(
+        frame=np.array([0, 0, 1], np.uint64), ix=np.array([3, 9, 4], np.uint16),
+        iy=np.array([3, 9, 5], np.uint16), t_bin=np.zeros(3, np.uint16),
+        n_frames=2, detector=DetectorConfig().to_dict()))
+    args = ["--config", CONFIG, *FAST, "--set", setting,
+            "--out", tmp_path / "o", command]
+    assert run_cli(args + ([events] if command == "reconstruct" else [])) == 2
+
+
+def test_pde_auto_looks_up_the_wavelength():
+    cfg = load_config(CONFIG, ["detector.pde=auto"])
+    assert cfg.detector(810e-9).pde == 0.008
+    assert cfg.detector(405e-9).pde == 0.05
+    with pytest.raises(ConfigError, match="detector.pde"):
+        cfg.detector(532e-9)
+
+
+def test_custom_sellmeier_file_gives_the_shipped_poling_period(tmp_path):
+    copy = tmp_path / "index.yaml"
+    copy.write_text(resources.files("ocmsim.data")
+                    .joinpath("ppktp_z.yaml").read_text())
+    custom = load_config(CONFIG, [
+        f"phase_matching.sellmeier.data_file={copy}"]).phase_matching()
+    shipped = load_config(CONFIG).phase_matching()
+    assert custom.poling_period == shipped.poling_period
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():
@@ -212,3 +249,18 @@ def test_analyze_reconstructed_image(tmp_path):
     text = (an / "analyze_report.txt").read_text()
     assert "centroid_image_slit_contrast" in text
     assert (an / "centroid_image_profile.csv").exists()
+
+
+def test_analyze_projects_the_configured_band(tmp_path):
+    rng = np.random.default_rng(8)
+    grid = FieldGrid(rng.random((40, 30)), 1e-6, 1e-6, (-20e-6, -15e-6))
+    grid.save(tmp_path / "img.ocmg")
+    an = tmp_path / "an"
+    assert run_cli(["--config", CONFIG, "--set", "analysis.band=[5, 12]",
+                    "--set", "analysis.n_slits=0", "--out", an, "analyze",
+                    tmp_path / "img.ocmg"]) == 0
+    for band, name in (((5, 12), "band.csv"), (None, "all.csv")):
+        export_profile_csv(cross_section(grid, "x", band), tmp_path / name)
+    written = (an / "img_profile.csv").read_bytes()
+    assert written == (tmp_path / "band.csv").read_bytes()
+    assert written != (tmp_path / "all.csv").read_bytes()

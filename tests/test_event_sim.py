@@ -72,6 +72,14 @@ def test_detector_rejects_unstorable_bins_and_negative_darks():
         DetectorConfig(dark_count_rate=-1e3)
 
 
+def test_detector_rejects_unstorable_pixel_counts():
+    # ix and iy are uint16: 65,536 pixels along an axis fit, 65,537 do not
+    assert DetectorConfig(n_pixels_x=65536, n_pixels_y=1).n_pixels_x == 65536
+    for nx, ny in ((65537, 1), (1, 65537)):
+        with pytest.raises(ValueError, match="uint16"):
+            DetectorConfig(n_pixels_x=nx, n_pixels_y=ny)
+
+
 @pytest.mark.parametrize("change", [
     dict(n_pixels_x=32.0),                  # pixel count not an integer
     dict(n_pixels_y=True),

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
@@ -58,8 +60,9 @@ def reconstruct_exit_code(tmp_path, path) -> int:
     lambda good: with_detector(pixel_pitch=None),
     lambda good: with_detector(bogus=1),
     lambda good: with_detector(pde=5),
+    lambda good: with_detector(n_pixels_x=65537, n_pixels_y=1),  # uint16 ix
 ], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
-        "partial", "no_pixel_pitch", "unknown_key", "pde_5"])
+        "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor"])
 def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))
@@ -81,3 +84,34 @@ def test_out_of_range_record_is_rejected(tmp_path, bad, first):
         read_events(path)
     assert reconstruct_exit_code(tmp_path, path) == 3
 
+
+
+# frame ids from a few small values (to tie frames) or up to 2**63
+FRAMES = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 63))
+
+
+@given(st.lists(st.tuples(FRAMES, st.integers(0, 65535)), max_size=8),
+       st.booleans())
+def test_is_sorted_matches_lexsort(rows, presort):
+    rows = sorted(rows) if presort else rows
+    frame = np.array([r[0] for r in rows], np.uint64)
+    t_bin = np.array([r[1] for r in rows], np.uint16)
+    order = np.lexsort((t_bin, frame))
+    expected = bool(np.array_equal(frame[order], frame)
+                    and np.array_equal(t_bin[order], t_bin))
+    zeros = np.zeros(len(rows), np.uint16)
+    events = EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63 + 1)
+    assert events.is_sorted() == expected
+
+
+def test_is_sorted_compares_whole_frame_ids():
+    assert not stream(frame=(2 ** 48, 0, 0)).is_sorted()
+    assert stream(frame=(0, 2 ** 47, 2 ** 47), t_bin=(9, 0, 1)).is_sorted()
+
+
+def test_unsorted_file_with_huge_frame_ids_is_rejected(tmp_path):
+    events = stream(frame=(2 ** 48, 0, 0))
+    events.n_frames = 2 ** 48 + 1
+    path = tmp_path / "unsorted.ocme"
+    write_events(path, events)
+    assert reconstruct_exit_code(tmp_path, path) == 3

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ocmsim import FieldGrid, FtDirection, GridSpec, fourier_transform_2d
+from ocmsim import FieldGrid, GridSpec, fourier_transform_2d
 from ocmsim.cli import main
 from ocmsim.errors import CorruptGridFile
+
+from oracles import inverse_fourier_transform_2d
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
@@ -33,8 +35,8 @@ def test_fourier_round_trip_random():
     spec = GridSpec.centered(64, 5e-6)
     g = FieldGrid.from_spec(spec, rng.normal(size=(64, 64))
                             + 1j * rng.normal(size=(64, 64)))
-    back = fourier_transform_2d(fourier_transform_2d(g),
-                                FtDirection.INVERSE, out_origin=g.origin)
+    back = inverse_fourier_transform_2d(fourier_transform_2d(g),
+                                        out_origin=g.origin)
     err = np.linalg.norm(back.values - g.values) / np.linalg.norm(g.values)
     assert err < 1e-10
 
@@ -43,8 +45,8 @@ def test_round_trip_off_center_origin():
     rng = np.random.default_rng(4)
     g = FieldGrid(rng.normal(size=(32, 32)) + 0j, 1e-6, 1e-6,
                   (3.5e-6, -11e-6))
-    back = fourier_transform_2d(fourier_transform_2d(g),
-                                FtDirection.INVERSE, out_origin=g.origin)
+    back = inverse_fourier_transform_2d(fourier_transform_2d(g),
+                                        out_origin=g.origin)
     err = np.linalg.norm(back.values - g.values) / np.linalg.norm(g.values)
     assert err < 1e-10
 
@@ -80,8 +82,9 @@ def test_csv_round_trip(tmp_path):
     g.export_csv(path)
     text = path.read_text()
     assert text.startswith("#")
-    back = FieldGrid.load_csv(path)
-    np.testing.assert_array_equal(back.values, g.values)  # repr is lossless
+    data = np.loadtxt(path, delimiter=",", comments="#")
+    back = data[:, 0::2] + 1j * data[:, 1::2]
+    np.testing.assert_array_equal(back, g.values)  # repr is lossless
 
 
 def test_interpolation_matches_samples():

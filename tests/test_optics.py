@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocmsim import (Aperture, FieldGrid, FtDirection, GridSpec, ImagingSystem,
+from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
                     PupilProfile, coherent_image, convolve2d, convolve_on,
                     fourier_transform_2d, incoherent_image, single_lens_psf,
                     somb)

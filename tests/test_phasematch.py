@@ -33,7 +33,7 @@ def test_temperature_shifts_index():
 def test_pump_frequency_is_derived(reference_params):
     p = reference_params
     assert p.omega_p == p.omega_s + p.omega_i
-    assert p.degenerate
+    assert p.omega_s == p.omega_i
 
 
 def test_poling_period_magnitude(reference_params):

@@ -1,0 +1,47 @@
+"""The public surface: what the acceptance suite and the benchmark import
+keeps resolving, and ``ocmsim.__all__`` lists exactly the public names."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import ocmsim
+
+ROOT = Path(__file__).resolve().parents[1]
+CONSUMERS = [ROOT / "tests" / "test_acceptance.py",
+             ROOT / "perfbench" / "worker.py"]
+
+
+def ocmsim_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every ``from ocmsim... import name`` in a file,
+    function-level imports included."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "ocmsim"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("path", CONSUMERS, ids=lambda p: p.name)
+def test_consumer_imports_resolve(path):
+    imports = ocmsim_imports(path)
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_all_lists_exactly_the_public_names():
+    bound = set()
+    for node in ast.parse(Path(ocmsim.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in bound if not name.startswith("_")
+              and not isinstance(getattr(ocmsim, name), types.ModuleType)}
+    assert len(ocmsim.__all__) == len(set(ocmsim.__all__))
+    assert set(ocmsim.__all__) == public

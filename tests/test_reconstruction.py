@@ -8,9 +8,17 @@ from scipy import stats
 from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
                     PhaseMatchingParams, XiMode, apply_detector_model,
                     centroid_image, coverage_table, estimate_accidentals,
-                    extract_coincidences, joint_correlation_histogram,
-                    sample_event_positions, singles_image)
+                    extract_coincidences, sample_event_positions,
+                    singles_image)
 from ocmsim.errors import MissingGeometry, TooFewFrames, UnsortedInput
+
+
+def joint_histogram_x(pairs) -> np.ndarray:
+    """Symmetric (x1, x2) pixel-pair histogram: both orderings of each pair."""
+    n = pairs.n_pixels[0]
+    hist = np.bincount(pairs.ix1 * n + pairs.ix2, minlength=n * n)
+    hist = hist.reshape(n, n).astype(float)
+    return hist + hist.T
 
 
 def make_stream(rows, n_frames, cfg=None) -> EventStream:
@@ -41,10 +49,9 @@ def test_pair_arithmetic():
     ev = make_stream([(3, 5, 5, 7), (3, 9, 9, 10)], 4)
     pairs = extract_coincidences(ev, window=1e-9, min_xi=1)
     assert len(pairs) == 1
-    p = pairs[0]
-    assert p.centroid_bin == (14, 14)
-    assert abs(p.deviation[0]) == 4 and abs(p.deviation[1]) == 4
-    assert abs(p.t1 - p.t2) == 3
+    assert (pairs.cx[0], pairs.cy[0]) == (14, 14)
+    assert abs(pairs.dx[0]) == 4 and abs(pairs.iy1[0] - pairs.iy2[0]) == 4
+    assert abs(pairs.t1[0] - pairs.t2[0]) == 3
 
 
 def test_window_rejects_late_partner():
@@ -378,7 +385,7 @@ def test_joint_histogram_symmetry_and_orderings():
     cfg = DetectorConfig()
     ev = pair_stream(4, 20, 9, 7, 100, cfg)
     pairs = extract_coincidences(ev, min_xi=1)
-    hist = joint_correlation_histogram(pairs, "x")
+    hist = joint_histogram_x(pairs)
     assert hist[4, 9] == 100 and hist[9, 4] == 100
     np.testing.assert_array_equal(hist, hist.T)
 
@@ -391,7 +398,7 @@ def test_near_field_joint_histogram_diagonal_structure(reference_system,
     pos = sample_event_positions(src, 61, 300_000, cfg)
     ev = apply_detector_model(pos, cfg, 62)
     pairs = extract_coincidences(ev, min_xi=1)
-    hist = joint_correlation_histogram(pairs, "x")
+    hist = joint_histogram_x(pairs)
     n = cfg.n_pixels_x
     i1, i2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     # the image lives in the centroid: the anti-diagonal (i1+i2) profile of
@@ -427,7 +434,7 @@ def test_uncorrelated_singles_joint_histogram_rank1():
                      t_bin=tb.ravel()[order].astype(np.uint16),
                      n_frames=n_frames, detector=cfg.to_dict())
     pairs = extract_coincidences(ev, min_xi=0)
-    hist = joint_correlation_histogram(pairs, "x")
+    hist = joint_histogram_x(pairs)
     u, s, vt = np.linalg.svd(hist)
     residual = np.sqrt((s[1:] ** 2).sum() / (s ** 2).sum())
     assert residual < 0.05

@@ -63,27 +63,20 @@ class WidthReport:
 
 
 def cross_section(image: FieldGrid, axis: str = "x", band=None) -> Profile1D:
-    """Project an image over a band of the other axis.
+    """Project an image along x over a band of y.
 
-    ``band`` gives inclusive index bounds (lo, hi) on the summed axis; None
-    projects everything.  Complex fields are projected by magnitude.
+    ``band`` gives inclusive y-index bounds (lo, hi); None projects
+    everything.  Complex fields are projected by magnitude.  ``axis`` names
+    the profile axis and must be ``"x"``.
     """
+    if axis != "x":
+        raise ValueError("axis must be 'x'")
     values = np.abs(image.values) if image.is_complex else image.values
-    x_pos, y_pos = image.x_axis(), image.y_axis()
-
-    if axis == "x":
-        positions, other_len = x_pos, values.shape[1]
-        take = lambda lo, hi: values[:, lo:hi + 1].sum(axis=1)
-    elif axis == "y":
-        positions, other_len = y_pos, values.shape[0]
-        take = lambda lo, hi: values[lo:hi + 1, :].sum(axis=0)
-    else:
-        raise ValueError("axis must be 'x' or 'y'")
-
-    lo, hi = (0, other_len - 1) if band is None else band
-    if not (0 <= lo <= hi < other_len):
-        raise EmptyBand(f"band ({lo}, {hi}) outside image of size {other_len}")
-    return Profile1D(positions.copy(), take(lo, hi))
+    n_y = values.shape[1]
+    lo, hi = (0, n_y - 1) if band is None else band
+    if not (0 <= lo <= hi < n_y):
+        raise EmptyBand(f"band ({lo}, {hi}) outside image of size {n_y}")
+    return Profile1D(image.x_axis(), values[:, lo:hi + 1].sum(axis=1))
 
 
 def _interp_crossing(x0, y0, x1, y1, level) -> float:
@@ -253,4 +246,4 @@ def export_profile_csv(profile: Profile1D, path) -> None:
         fh.write("# ocmsim profile export\n")
         fh.write("# columns: position_m,value\n")
         for p, v in zip(profile.positions, profile.values):
-            fh.write(f"{p!r},{v!r}\n")
+            fh.write(f"{float(p)!r},{float(v)!r}\n")

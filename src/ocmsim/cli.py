@@ -22,9 +22,8 @@ from .events_io import EventStream, read_events, write_manifest
 from .grid import FieldGrid, GridSpec
 from .ocm import classical_centroid_psf
 from .optics import PupilProfile, single_lens_psf
-from .reconstruction import (XiMode, _stream_detector, centroid_image,
-                             estimate_accidentals, extract_coincidences,
-                             singles_image)
+from .reconstruction import (XiMode, centroid_image, estimate_accidentals,
+                             extract_coincidences, singles_image)
 
 _SCALING_N = (1, 2, 4, 8)
 
@@ -125,7 +124,6 @@ def _reconstruct(cfg: RunConfig, events: EventStream):
                    if offset > 0 else None)
     image = centroid_image(pairs, accidentals,
                            XiMode(cfg["reconstruction.mode"]),
-                           _stream_detector(events),
                            deviation_weight=cfg.deviation_weight())
     return pairs, accidentals, image
 
@@ -208,11 +206,10 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
         ("incoherent", "incoherent", wavelength),
     ]
     for name, kind, lam in classical_runs:
-        det = cfg.detector(lam)
-        stream = run_acquisition(cfg.source(kind, lam), det, wall_time,
-                                 child_seed(seed, name),
+        stream = run_acquisition(cfg.source(kind, lam), cfg.detector(lam),
+                                 wall_time, child_seed(seed, name),
                                  out_path=out_dir / f"{name}_events.ocme")
-        grids[name] = singles_image(stream, det)
+        grids[name] = singles_image(stream)
         report[f"{name}_n_events"] = len(stream)
 
     for name, grid in grids.items():

@@ -188,35 +188,36 @@ class RunConfig:
 
     # -- object builders ------------------------------------------------------
     def system(self, wavelength: float | None = None) -> ImagingSystem:
-        profile = PupilProfile(self["system.pupil_profile"])
-        if profile is PupilProfile.GAUSSIAN and \
-                self["system.pupil_sigma_m"] is None:
-            raise ConfigError(
-                "system.pupil_sigma_m: required for the gaussian profile")
-        return ImagingSystem(
-            pupil_radius=self["system.pupil_radius_m"],
-            object_distance=self["system.object_distance_m"],
-            wavelength=wavelength or self["system.wavelength_m"],
-            magnification=self["system.magnification"],
-            pupil_profile=profile,
-            pupil_sigma=self["system.pupil_sigma_m"])
+        try:
+            return ImagingSystem(
+                pupil_radius=self["system.pupil_radius_m"],
+                object_distance=self["system.object_distance_m"],
+                wavelength=wavelength or self["system.wavelength_m"],
+                magnification=self["system.magnification"],
+                pupil_profile=PupilProfile(self["system.pupil_profile"]),
+                pupil_sigma=self["system.pupil_sigma_m"])
+        except ValueError as exc:
+            raise ConfigError(f"system: {exc}") from None
 
     def aperture(self) -> Aperture:
         kind = self["aperture.kind"]
         center = self["aperture.center_m"]
-        if kind == "point":
-            return Aperture.point(center)
-        if kind in ("single_slit", "double_slit", "triple_slit"):
-            n = {"single_slit": 1, "double_slit": 2, "triple_slit": 3}[kind]
-            return Aperture.slits(n, self["aperture.line_width_m"],
-                                  self["aperture.pitch_m"],
-                                  self["aperture.slit_length_m"], center)
-        if kind == "rectangle":
-            return Aperture.rectangle(self["aperture.width_m"],
-                                      self["aperture.height_m"], center)
-        if kind == "gaussian_spot":
-            return Aperture.gaussian_spot(self["aperture.waist_m"], center)
-        return Aperture.uniform()
+        try:
+            if kind == "point":
+                return Aperture.point(center)
+            if kind in ("single_slit", "double_slit", "triple_slit"):
+                n = {"single_slit": 1, "double_slit": 2, "triple_slit": 3}[kind]
+                return Aperture.slits(n, self["aperture.line_width_m"],
+                                      self["aperture.pitch_m"],
+                                      self["aperture.slit_length_m"], center)
+            if kind == "rectangle":
+                return Aperture.rectangle(self["aperture.width_m"],
+                                          self["aperture.height_m"], center)
+            if kind == "gaussian_spot":
+                return Aperture.gaussian_spot(self["aperture.waist_m"], center)
+            return Aperture.uniform()
+        except ValueError as exc:
+            raise ConfigError(f"aperture: {exc}") from None
 
     def sellmeier(self) -> SellmeierModel:
         return SellmeierModel.from_file(

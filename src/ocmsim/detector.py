@@ -121,6 +121,11 @@ class DetectorConfig:
                   & (iy >= 0) & (iy < self.n_pixels_y))
         return ix, iy, inside
 
+    @property
+    def centroid_shape(self) -> tuple[int, int]:
+        """Shape of the half-pixel centroid grid that ``bin_center`` maps."""
+        return 2 * self.n_pixels_x - 1, 2 * self.n_pixels_y - 1
+
     def bin_center(self, cx, cy) -> tuple[np.ndarray, np.ndarray]:
         """Physical position of half-pixel centroid bin (cx, cy)."""
         ex, ey = self.active_extent
@@ -528,7 +533,7 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     return EventStream(
         frame=ph_frame.astype(np.uint64), ix=ph_ix.astype(np.uint16),
         iy=ph_iy.astype(np.uint16), t_bin=ph_tbin.astype(np.uint16),
-        n_frames=n_frames, detector=cfg.to_dict())
+        n_frames=n_frames, detector=cfg)
 
 
 def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
@@ -616,7 +621,7 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
         ix=np.concatenate([p.ix for p in parts]),
         iy=np.concatenate([p.iy for p in parts]),
         t_bin=np.concatenate([p.t_bin for p in parts]),
-        n_frames=n_frames, detector=cfg.to_dict(),
+        n_frames=n_frames, detector=cfg,
         source_hash=stable_hash(source.describe()),
         meta={"seed": int(seed), "wall_time": wall_time,
               "pairs_generated": generated})

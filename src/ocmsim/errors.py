@@ -50,7 +50,7 @@ class CorruptGridFile(OcmsimError):
 
 
 class MissingGeometry(OcmsimError):
-    """Event stream or image call carries no detector geometry."""
+    """Event stream carries no detector geometry."""
 
 
 class TooFewFrames(OcmsimError):

@@ -4,9 +4,9 @@ Layout: magic ``OCME``, version u16, u32 JSON header length, a UTF-8 JSON
 header (detector configuration, source hash, frame count, seed, counters),
 then repeated little-endian records ``{frame_id u64, ix u16, iy u16,
 t_bin u16}`` sorted by (frame_id, t_bin).  The header's ``detector`` object
-holds exactly the fields of ``DetectorConfig`` (its ``to_dict``), and
-``read_events`` parses it with ``DetectorConfig.from_dict``; a header without
-one carries no sensor geometry.
+holds exactly the fields of ``DetectorConfig`` (its ``to_dict``), or is empty
+for a stream without sensor geometry.  Only ``read_events`` parses it, with
+``DetectorConfig.from_dict``; the stream then carries the parsed object.
 
 The manifest is a deterministic key: value text file written alongside a run;
 it never contains wall-clock timestamps so reruns are byte-identical.
@@ -18,10 +18,14 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CorruptEventFile, SinkWriteError
+
+if TYPE_CHECKING:
+    from .detector import DetectorConfig
 
 OCME_MAGIC = b"OCME"
 OCME_VERSION = 1
@@ -40,7 +44,7 @@ class EventStream:
     iy: np.ndarray               # u2 pixel row index (y)
     t_bin: np.ndarray            # u2 time bin within frame
     n_frames: int
-    detector: dict = field(default_factory=dict)   # serialized DetectorConfig
+    detector: DetectorConfig | None = None   # the recording sensor, or none
     source_hash: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -63,7 +67,7 @@ def stable_hash(obj) -> str:
 def write_events(path, stream: EventStream) -> None:
     header = {
         "version": OCME_VERSION,
-        "detector": stream.detector,
+        "detector": stream.detector.to_dict() if stream.detector else {},
         "source_hash": stream.source_hash,
         "n_frames": int(stream.n_frames),
         "meta": stream.meta,
@@ -116,6 +120,7 @@ def read_events(path) -> EventStream:
                                "records")
     records = np.frombuffer(data, dtype=_RECORD, offset=body)
     limits = [("frame", "n_frames", header.get("n_frames"))]
+    cfg = None
     if detector:
         from .detector import DetectorConfig    # detector imports this module
 
@@ -138,7 +143,7 @@ def read_events(path) -> EventStream:
     return EventStream(
         frame=records["frame"].copy(), ix=records["ix"].copy(),
         iy=records["iy"].copy(), t_bin=records["t_bin"].copy(),
-        n_frames=header["n_frames"], detector=detector,
+        n_frames=header["n_frames"], detector=cfg,
         source_hash=header.get("source_hash", ""),
         meta=header.get("meta", {}))
 

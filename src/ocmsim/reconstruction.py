@@ -7,6 +7,9 @@ estimated by pairing events across different frames (offset k), which cannot
 contain true correlations, and subtracted.  Detector crosstalk is suppressed
 by requiring a minimum Chebyshev pixel separation within a pair.  Both use
 one enumeration, ``_pairs``, whose offset 0 pairs events of the same frame.
+Streams, pair sets and images carry the parsed ``DetectorConfig`` they were
+recorded with, and every function takes the geometry from its input; a
+``cfg`` passed alongside may only confirm it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class CoincidenceSet:
     t2: np.ndarray
     window_bins: int
     min_xi: int
-    n_pixels: tuple[int, int]
+    detector: DetectorConfig
     n_frames: int
     n_cut: int = 0                    # pairs rejected by the min_xi cut
     n_multi_pair_frames: int = 0      # frames contributing more than one pair
@@ -66,7 +69,6 @@ class CentroidImage:
     """Counts or coverage-normalized rates on the doubled centroid grid."""
 
     values: np.ndarray
-    mode: XiMode
     detector: DetectorConfig
     vignetting_corrected: bool = False
 
@@ -86,11 +88,13 @@ class CentroidImage:
                          (float(x[0]), float(y[0])))
 
 
-def _stream_detector(events: EventStream) -> DetectorConfig:
-    """The detector geometry in a stream's header, strictly parsed."""
-    if not events.detector:
-        raise MissingGeometry("event stream has no detector header")
-    return DetectorConfig.from_dict(events.detector)
+def _geometry(detector: DetectorConfig | None, *claimed) -> DetectorConfig:
+    """The data's detector; every claimed one that is not None must equal it."""
+    if detector is None:
+        raise MissingGeometry("event stream has no detector geometry")
+    if any(c is not None and c != detector for c in claimed):
+        raise GridMismatch("detector differs from the data's own")
+    return detector
 
 
 def _window_bins(window: float, cfg: DetectorConfig) -> int:
@@ -108,11 +112,12 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     """
     if not events.is_sorted():
         raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
-    cfg = _stream_detector(events)
+    cfg = _geometry(events.detector)
     frames = events.frame
     target = frames + np.uint64(offset)
-    lo = np.searchsorted(frames, target, side="left")
-    np.maximum(lo, np.arange(1, frames.size + 1), out=lo)
+    # partners lie past i: from i + 1 at offset 0, else in a later frame
+    lo = (np.searchsorted(frames, target, side="left") if offset
+          else np.arange(1, frames.size + 1))
     reps = np.searchsorted(frames, target, side="right") - lo
     # i repeats once per partner; j runs from lo[i] through each segment
     i = np.repeat(np.arange(reps.size), reps)
@@ -156,8 +161,7 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         ix2=events.ix[j].astype(np.int64), iy2=events.iy[j].astype(np.int64),
         t1=events.t_bin[i].astype(np.int64),
         t2=events.t_bin[j].astype(np.int64),
-        window_bins=_window_bins(window, cfg), min_xi=min_xi,
-        n_pixels=(cfg.n_pixels_x, cfg.n_pixels_y),
+        window_bins=_window_bins(window, cfg), min_xi=min_xi, detector=cfg,
         n_frames=events.n_frames, n_cut=n_cut,
         n_multi_pair_frames=int((counts > 1).sum()))
 
@@ -181,12 +185,11 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
     if events.n_frames < 2 or events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
     cfg, i, j, _ = _pairs(events, window, min_xi, offset)
-    shape = (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1)
     image = _histogram(events.ix[i].astype(np.int64) + events.ix[j],
                        events.iy[i].astype(np.int64) + events.iy[j],
-                       shape).astype(float)
+                       cfg.centroid_shape).astype(float)
     norm = events.n_frames / (2.0 * (events.n_frames - offset))
-    return CentroidImage(image * norm, XiMode.SUM, cfg)
+    return CentroidImage(image * norm, cfg)
 
 
 def coverage_table(cfg: DetectorConfig, min_xi: int,
@@ -213,7 +216,7 @@ def coverage_table(cfg: DetectorConfig, min_xi: int,
         xi_x = (ix1 - ix2)[keep] * cfg.pixel_pitch / 2.0
         xi_y = (iy1 - iy2)[keep] * cfg.pixel_pitch / 2.0
         w = np.asarray(deviation_weight(xi_x, xi_y), dtype=float)
-    return _histogram(cx, cy, (2 * nx - 1, 2 * ny - 1), weights=w).astype(float)
+    return _histogram(cx, cy, cfg.centroid_shape, weights=w).astype(float)
 
 
 def centroid_image(pairs: CoincidenceSet,
@@ -230,19 +233,13 @@ def centroid_image(pairs: CoincidenceSet,
     source.  Passing ``deviation_weight`` (e.g. the squared
     phase-matching envelope) instead weights the coverage by the actual
     deviation density: the correct vignetting correction for a pair source
-    with a non-uniform separation profile.  ``cfg`` is the detector the pairs
-    were recorded with; there is no default geometry.
+    with a non-uniform separation profile.  The pairs carry the geometry;
+    ``cfg`` and the accidentals' detector may only confirm it.
     """
-    if cfg is None:
-        raise MissingGeometry("centroid_image needs the detector geometry")
-    if (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1) != \
-            (2 * pairs.n_pixels[0] - 1, 2 * pairs.n_pixels[1] - 1):
-        raise GridMismatch("pair set and detector pixel counts differ")
-    shape = (2 * cfg.n_pixels_x - 1, 2 * cfg.n_pixels_y - 1)
-    counts = _histogram(pairs.cx, pairs.cy, shape).astype(float)
+    cfg = _geometry(pairs.detector, cfg,
+                    None if accidentals is None else accidentals.detector)
+    counts = _histogram(pairs.cx, pairs.cy, cfg.centroid_shape).astype(float)
     if accidentals is not None:
-        if accidentals.values.shape != shape:
-            raise GridMismatch("accidental image shape mismatch")
         counts = counts - accidentals.values
     vignetting = False
     if mode is XiMode.AVERAGE or deviation_weight is not None:
@@ -250,17 +247,17 @@ def centroid_image(pairs: CoincidenceSet,
         with np.errstate(invalid="ignore", divide="ignore"):
             counts = np.where(coverage > 0, counts / coverage, 0.0)
         vignetting = True
-    return CentroidImage(counts, mode, cfg, vignetting_corrected=vignetting)
+    return CentroidImage(counts, cfg, vignetting_corrected=vignetting)
 
 
 def singles_image(events: EventStream,
                   cfg: DetectorConfig | None = None) -> FieldGrid:
-    """Plain singles histogram on the pixel grid (classical-light imaging)."""
-    cfg = cfg or _stream_detector(events)
+    """Singles histogram on the stream's pixel grid (classical-light
+    imaging); ``cfg`` may only confirm the stream's detector."""
+    cfg = _geometry(events.detector, cfg)
     counts = _histogram(events.ix.astype(np.int64), events.iy.astype(np.int64),
                         (cfg.n_pixels_x, cfg.n_pixels_y)).astype(float)
-    ex, ey = cfg.active_extent
-    origin = (-ex / 2.0 + cfg.pixel_pitch / 2.0,
-              -ey / 2.0 + cfg.pixel_pitch / 2.0)
-    return FieldGrid(counts, cfg.pixel_pitch, cfg.pixel_pitch, origin)
+    # pixel i is centred on half-pixel centroid bin 2i
+    return FieldGrid(counts, cfg.pixel_pitch, cfg.pixel_pitch,
+                     cfg.bin_center(0, 0))
 

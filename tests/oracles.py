@@ -322,5 +322,5 @@ def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
     return EventStream(
         *(np.concatenate([getattr(p, k) for p in parts])
           for k in ("frame", "ix", "iy", "t_bin")),
-        n_frames=n_frames, detector=cfg.to_dict(),
+        n_frames=n_frames, detector=cfg,
         meta={"pairs_generated": generated})

@@ -39,6 +39,8 @@ def test_cross_section_band_errors(reference_system, psf_grid):
     h = single_lens_psf(reference_system, psf_grid)
     with pytest.raises(EmptyBand):
         cross_section(h, "x", band=(500, 600))
+    with pytest.raises(ValueError, match="axis"):
+        cross_section(h, "y")
 
 
 def test_cross_section_triple_slit_three_lobes(reference_system, triple_slit):

@@ -106,13 +106,19 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     ("detector.pde=1.5", "simulate"),
     ("acquisition.pair_rate_hz=-5.0", "simulate"),
     ("reconstruction.accidental_offset_frames=-1", "reconstruct"),
-], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset"])
+    ("system.pupil_radius_m=-1.0", "psf"),
+    ("system.magnification=0.0", "psf"),
+    ("aperture.pitch_m=1.0e-5", "psf"),
+    ("system.pupil_profile=gaussian", "psf"),
+], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
+        "negative_pupil", "zero_magnification", "pitch_below_line_width",
+        "gaussian_pupil_without_sigma"])
 def test_out_of_range_value_exits_2(tmp_path, setting, command):
     events = tmp_path / "two.ocme"
     write_events(events, EventStream(
         frame=np.array([0, 0, 1], np.uint64), ix=np.array([3, 9, 4], np.uint16),
         iy=np.array([3, 9, 5], np.uint16), t_bin=np.zeros(3, np.uint16),
-        n_frames=2, detector=DetectorConfig().to_dict()))
+        n_frames=2, detector=DetectorConfig()))
     args = ["--config", CONFIG, *FAST, "--set", setting,
             "--out", tmp_path / "o", command]
     assert run_cli(args + ([events] if command == "reconstruct" else [])) == 2
@@ -181,6 +187,36 @@ def test_every_source_simulates_and_reconstructs(tmp_path, source):
                     "reconstruct", tmp_path / "sim" / "events.ocme"]) == 0
 
 
+@pytest.mark.parametrize("kind", ["point", "single_slit", "double_slit",
+                                  "rectangle", "gaussian_spot", "uniform"])
+def test_every_aperture_simulates(tmp_path, kind):
+    assert run_cli(["--config", CONFIG, *FAST,
+                    "--set", "acquisition.wall_time_s=0.005",
+                    "--set", f"aperture.kind={kind}",
+                    "--out", tmp_path, "simulate"]) == 0
+    assert (tmp_path / "events.ocme").stat().st_size > 0
+
+
+@pytest.fixture(scope="module")
+def short_events(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim")
+    assert run_cli(["--config", CONFIG, *FAST,
+                    "--set", "acquisition.wall_time_s=0.005",
+                    "--out", out, "simulate"]) == 0
+    return out / "events.ocme"
+
+
+@pytest.mark.parametrize("mode, corrected", [("sum", "False"),
+                                             ("average", "True")])
+def test_vignetting_correction_off(tmp_path, short_events, mode, corrected):
+    assert run_cli(["--config", CONFIG,
+                    "--set", "reconstruction.vignetting_correction=false",
+                    "--set", f"reconstruction.mode={mode}",
+                    "--out", tmp_path, "reconstruct", short_events]) == 0
+    report = (tmp_path / "reconstruct_report.txt").read_text()
+    assert f"vignetting_corrected: {corrected}\n" in report
+
+
 def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):
     out = tmp_path / "sim"
     assert run_cli(["--config", CONFIG, *FAST,
@@ -222,6 +258,35 @@ def test_psf_report(tmp_path):
                  "psf_classical_pairs"):
         assert (out / f"{stem}.ocmg").exists()
         assert (out / f"{stem}_profile.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def psf_out(tmp_path_factory):
+    """``psf`` outputs, and ``analyze`` of ``psf_ocm.ocmg`` in ``analyze/``."""
+    out = tmp_path_factory.mktemp("psf")
+    assert run_cli(["--config", CONFIG, "--set", "grid.nx=256",
+                    "--out", out, "psf"]) == 0
+    assert run_cli(["--config", CONFIG, "--set", "analysis.n_slits=0",
+                    "--out", out / "analyze", "analyze",
+                    out / "psf_ocm.ocmg"]) == 0
+    return out
+
+
+def test_profile_csvs_load_back_exactly(psf_out):
+    profile = cross_section(FieldGrid.load(psf_out / "psf_ocm.ocmg"), "x")
+    for path in (psf_out / "psf_ocm_profile.csv",
+                 psf_out / "analyze" / "psf_ocm_profile.csv"):
+        back = np.loadtxt(path, delimiter=",", comments="#")
+        assert np.array_equal(back[:, 0], profile.positions)
+        assert np.array_equal(back[:, 1], profile.values)
+
+
+def test_analyze_psf_without_slit_scoring(psf_out):
+    report = dict(line.split(": ", 1) for line in
+                  (psf_out / "analyze" / "analyze_report.txt").read_text()
+                  .splitlines())
+    assert float(report["psf_ocm_fwhm_m"]) > 0
+    assert not any(key.endswith("_slit_contrast") for key in report)
 
 
 def test_psf_gaussian_pupil_flags_sql(tmp_path):

@@ -20,7 +20,7 @@ def stream(frame=(0, 0, 1), ix=(3, 9, 4), iy=(3, 9, 5),
     return EventStream(frame=np.array(frame, np.uint64),
                        ix=np.array(ix, np.uint16), iy=np.array(iy, np.uint16),
                        t_bin=np.array(t_bin, np.uint16), n_frames=2,
-                       detector=DetectorConfig().to_dict())
+                       detector=DetectorConfig())
 
 
 def file_bytes(tmp_path) -> bytes:

@@ -11,6 +11,7 @@ import pytest
 import ocmsim
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ocmsim"
 CONSUMERS = [ROOT / "tests" / "test_acceptance.py",
              ROOT / "perfbench" / "worker.py"]
 
@@ -45,3 +46,31 @@ def test_all_lists_exactly_the_public_names():
               and not isinstance(getattr(ocmsim, name), types.ModuleType)}
     assert len(ocmsim.__all__) == len(set(ocmsim.__all__))
     assert set(ocmsim.__all__) == public
+
+
+
+def from_dict_calls(tree: ast.AST) -> int:
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "from_dict" for node in ast.walk(tree))
+
+
+def test_detector_records_are_parsed_only_by_read_events():
+    """Every other consumer reads the stream's parsed ``DetectorConfig``."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    counts = {stem: from_dict_calls(tree) for stem, tree in trees.items()}
+    assert {stem: n for stem, n in counts.items() if n} == {"events_io": 1}
+    read_events, = [node for node in ast.walk(trees["events_io"])
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "read_events"]
+    assert from_dict_calls(read_events) == 1
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = [f"{path.name}: {node.module}.{alias.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

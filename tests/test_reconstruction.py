@@ -10,12 +10,13 @@ from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
                     centroid_image, coverage_table, estimate_accidentals,
                     extract_coincidences, sample_event_positions,
                     singles_image)
-from ocmsim.errors import MissingGeometry, TooFewFrames, UnsortedInput
+from ocmsim.errors import (GridMismatch, MissingGeometry, TooFewFrames,
+                           UnsortedInput)
 
 
 def joint_histogram_x(pairs) -> np.ndarray:
     """Symmetric (x1, x2) pixel-pair histogram: both orderings of each pair."""
-    n = pairs.n_pixels[0]
+    n = pairs.detector.n_pixels_x
     hist = np.bincount(pairs.ix1 * n + pairs.ix2, minlength=n * n)
     hist = hist.reshape(n, n).astype(float)
     return hist + hist.T
@@ -29,7 +30,7 @@ def make_stream(rows, n_frames, cfg=None) -> EventStream:
                        ix=rows[:, 1].astype(np.uint16),
                        iy=rows[:, 2].astype(np.uint16),
                        t_bin=rows[:, 3].astype(np.uint16),
-                       n_frames=n_frames, detector=cfg.to_dict())
+                       n_frames=n_frames, detector=cfg)
 
 
 def pair_stream(ix1, iy1, ix2, iy2, n_pairs, cfg=None) -> EventStream:
@@ -126,7 +127,7 @@ def _poisson_singles_stream(rng, n_frames, mean_per_frame, cfg) -> EventStream:
     return EventStream(frame=frames[order], ix=ix[order].astype(np.uint16),
                        iy=iy[order].astype(np.uint16),
                        t_bin=tb[order].astype(np.uint16),
-                       n_frames=n_frames, detector=cfg.to_dict())
+                       n_frames=n_frames, detector=cfg)
 
 
 def test_accidentals_flat_for_uniform_singles():
@@ -249,7 +250,7 @@ def test_accidentals_match_cross_frame_loop(ev, k, min_xi, offset):
             estimate_accidentals(ev, window, offset, min_xi)
         return
     acc = estimate_accidentals(ev, window, offset, min_xi)
-    n_pixels = (ev.detector["n_pixels_x"], ev.detector["n_pixels_y"])
+    n_pixels = (ev.detector.n_pixels_x, ev.detector.n_pixels_y)
     ref = accidental_histogram_loop(ev.frame, ev.ix, ev.iy, ev.t_bin, n_pixels,
                                     k, min_xi, offset)
     norm = ev.n_frames / (2.0 * (ev.n_frames - offset))
@@ -274,7 +275,7 @@ def _uniform_pair_stream(rng, n_pairs, cfg) -> EventStream:
     return EventStream(frame=f[order], ix=ix.ravel()[order].astype(np.uint16),
                        iy=iy.ravel()[order].astype(np.uint16),
                        t_bin=tb.ravel()[order].astype(np.uint16),
-                       n_frames=n_pairs, detector=cfg.to_dict())
+                       n_frames=n_pairs, detector=cfg)
 
 
 def _uniform_pair_set(rng, n_pairs, cfg, min_xi=1):
@@ -292,8 +293,7 @@ def _uniform_pair_set(rng, n_pairs, cfg, min_xi=1):
         ix1=ix[:, 0].astype(np.int64), iy1=iy[:, 0].astype(np.int64),
         ix2=ix[:, 1].astype(np.int64), iy2=iy[:, 1].astype(np.int64),
         t1=np.zeros(n, dtype=np.int64), t2=np.zeros(n, dtype=np.int64),
-        window_bins=4, min_xi=min_xi,
-        n_pixels=(cfg.n_pixels_x, cfg.n_pixels_y), n_frames=n)
+        window_bins=4, min_xi=min_xi, detector=cfg, n_frames=n)
 
 
 def test_uniform_pairs_show_pyramid_then_flat():
@@ -366,15 +366,46 @@ def test_singles_image():
                                     singles_image])
 def test_stream_without_geometry_is_rejected(reader):
     ev = make_stream([(0, 5, 5, 0), (0, 9, 9, 0), (1, 3, 3, 0)], 2)
-    ev.detector = {}
+    ev.detector = None
     with pytest.raises(MissingGeometry):
         reader(ev)
 
 
-def test_centroid_image_needs_geometry():
+def test_centroid_image_takes_the_pairs_geometry():
+    cfg = DetectorConfig(n_pixels_x=16, n_pixels_y=12, pixel_pitch=100e-6)
+    pairs = extract_coincidences(pair_stream(4, 2, 9, 7, 3, cfg))
+    assert pairs.detector is cfg
+    img = centroid_image(pairs)
+    assert img.detector is cfg and img.shape == (31, 23)
+    assert img.values[13, 9] == 3
+    assert img.to_field_grid().dx == 50e-6
+
+
+def test_cfg_other_than_the_pairs_detector_is_rejected():
+    # a 100 um pitch would give 50 um bins to data recorded at 43.75 um
     pairs = extract_coincidences(pair_stream(4, 20, 9, 7, 3))
-    with pytest.raises(MissingGeometry):
-        centroid_image(pairs)
+    with pytest.raises(GridMismatch):
+        centroid_image(pairs, cfg=DetectorConfig(pixel_pitch=100e-6))
+    assert centroid_image(pairs, cfg=DetectorConfig()).values.sum() == 3
+
+
+def test_accidentals_from_another_detector_are_rejected():
+    # same pixel count, different pitch: the centroid bins sit elsewhere
+    other = DetectorConfig(pixel_pitch=50e-6)
+    pairs = extract_coincidences(pair_stream(4, 20, 9, 7, 3))
+    acc = estimate_accidentals(pair_stream(4, 20, 9, 7, 3, other))
+    assert acc.shape == (63, 63)
+    with pytest.raises(GridMismatch):
+        centroid_image(pairs, acc)
+
+
+def test_singles_image_rejects_a_cfg_other_than_the_streams():
+    # on a 16 x 16 grid the event at (5, 20) of a 32 x 32 stream would
+    # land in bin (6, 4)
+    ev = make_stream([(0, 5, 20, 0)], 1)
+    with pytest.raises(GridMismatch):
+        singles_image(ev, DetectorConfig(n_pixels_x=16, n_pixels_y=16))
+    assert singles_image(ev, DetectorConfig()).values[5, 20] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +463,7 @@ def test_uncorrelated_singles_joint_histogram_rank1():
                      ix=ixs.ravel()[order].astype(np.uint16),
                      iy=iy.ravel()[order].astype(np.uint16),
                      t_bin=tb.ravel()[order].astype(np.uint16),
-                     n_frames=n_frames, detector=cfg.to_dict())
+                     n_frames=n_frames, detector=cfg)
     pairs = extract_coincidences(ev, min_xi=0)
     hist = joint_histogram_x(pairs)
     u, s, vt = np.linalg.svd(hist)

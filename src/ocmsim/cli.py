@@ -28,11 +28,6 @@ from .reconstruction import (XiMode, centroid_image, estimate_accidentals,
 _SCALING_N = (1, 2, 4, 8)
 
 
-def _band(cfg: RunConfig):
-    band = cfg["analysis.band"]
-    return None if band is None else tuple(band)
-
-
 def _intensity_psf_width(system, order):
     """Projected FWHM of the order-N centroid PSF intensity (self-sized grid)."""
     if system.pupil_profile is PupilProfile.HARD_CIRCULAR:
@@ -122,8 +117,9 @@ def _reconstruct(cfg: RunConfig, events: EventStream):
     offset = cfg["reconstruction.accidental_offset_frames"]
     accidentals = (estimate_accidentals(events, window, offset, min_xi)
                    if offset > 0 else None)
-    image = centroid_image(pairs, accidentals,
-                           XiMode(cfg["reconstruction.mode"]),
+    # weighted mode: deviation_weight() is set and overrides the XiMode
+    mode = XiMode.SUM if cfg["reconstruction.mode"] == "sum" else XiMode.AVERAGE
+    image = centroid_image(pairs, accidentals, mode,
                            deviation_weight=cfg.deviation_weight())
     return pairs, accidentals, image
 
@@ -146,25 +142,34 @@ def cmd_reconstruct(cfg: RunConfig, events_path, out_dir: Path) -> dict:
         "accidental_sum": n_acc,
         "accidental_fraction": n_acc / max(len(pairs), 1),
         "mode": cfg["reconstruction.mode"],
-        "vignetting_corrected": image.vignetting_corrected,
         "grid_shape": f"{image.shape[0]}x{image.shape[1]}",
     }
     write_manifest(out_dir / "reconstruct_report.txt", report)
     return report
 
 
+def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str):
+    """x profile of ``grid`` over the configured band, written to
+    ``<stem>_profile.csv``, and its slit-contrast report entries (none
+    unless ``analysis.n_slits`` >= 2)."""
+    prof = cross_section(grid, "x", cfg["analysis.band"])
+    export_profile_csv(prof, out_dir / f"{stem}_profile.csv")
+    n_slits = cfg["analysis.n_slits"]
+    if n_slits < 2:
+        return prof, {}
+    pitch_img = cfg["aperture.pitch_m"] * cfg["system.magnification"]
+    contrast, resolved = slit_contrast(prof, n_slits, pitch_img)
+    return prof, {f"{stem}_slit_contrast": contrast,
+                  f"{stem}_resolved": resolved}
+
+
 def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
     """Profiles, widths and slit contrast for stored images."""
     report: dict = {"command": "analyze"}
     model = FitModel(cfg["analysis.model"])
-    pitch_img = cfg["aperture.pitch_m"] * cfg["system.magnification"]
-    n_slits = cfg["analysis.n_slits"]
-    for path in image_paths:
-        path = Path(path)
-        grid = FieldGrid.load(path)
-        prof = cross_section(grid, "x", _band(cfg))
+    for path in map(Path, image_paths):
         stem = path.stem
-        export_profile_csv(prof, out_dir / f"{stem}_profile.csv")
+        prof, slits = _profile(cfg, FieldGrid.load(path), out_dir, stem)
         try:
             wm = width_metrics(prof, model)
             report[f"{stem}_fwhm_m"] = wm.fwhm
@@ -172,10 +177,7 @@ def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
                 report[f"{stem}_first_zero_m"] = wm.first_zero
         except OcmsimError as exc:
             report[f"{stem}_width_error"] = type(exc).__name__
-        if n_slits >= 2:
-            contrast, resolved = slit_contrast(prof, n_slits, pitch_img)
-            report[f"{stem}_slit_contrast"] = contrast
-            report[f"{stem}_resolved"] = resolved
+        report.update(slits)
     write_manifest(out_dir / "analyze_report.txt", report)
     return report
 
@@ -185,8 +187,6 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
     seed = cfg["acquisition.seed"]
     wall_time = cfg["acquisition.wall_time_s"]
     wavelength = cfg["system.wavelength_m"]
-    pitch_img = cfg["aperture.pitch_m"] * cfg["system.magnification"]
-    n_slits = cfg["analysis.n_slits"]
     report: dict = {"command": "compare", "wall_time_s": wall_time}
     resolved_modes = []
 
@@ -214,18 +214,20 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
 
     for name, grid in grids.items():
         grid.save(out_dir / f"{name}_image.ocmg")
-        prof = cross_section(grid, "x", _band(cfg))
-        export_profile_csv(prof, out_dir / f"{name}_profile.csv")
-        if n_slits >= 2:
-            contrast, resolved = slit_contrast(prof, n_slits, pitch_img)
-            report[f"{name}_slit_contrast"] = contrast
-            report[f"{name}_resolved"] = resolved
-            if resolved:
-                resolved_modes.append(name)
-    if n_slits >= 2:
+        _, slits = _profile(cfg, grid, out_dir, name)
+        report.update(slits)
+        if slits.get(f"{name}_resolved"):
+            resolved_modes.append(name)
+    if cfg["analysis.n_slits"] >= 2:
         report["resolved_modes"] = ",".join(resolved_modes)
     write_manifest(out_dir / "compare_report.txt", report)
     return report
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads (results are thread-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("psf", help="theory PSF grids, profiles and widths")

@@ -8,6 +8,8 @@ keys, wrong types and inconsistent values are reported with a dotted path
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,8 +24,7 @@ from .optics import Aperture, ImagingSystem, PupilProfile
 from .phasematch import PhaseMatchingParams, SellmeierModel
 
 # (path, type, default, help) — the single source of truth for keys and units.
-# type tags: float, int, int>=N, bool, str, choice(...), float|auto,
-# float|null, pair<float>, pair<int>|null
+# type tags: see _check_type
 SCHEMA: list[tuple[str, str, Any, str]] = [
     ("system.pupil_radius_m", "float", 1.38e-3, "pupil radius R [m]"),
     ("system.object_distance_m", "float", 0.355, "object-to-lens distance s_o [m]"),
@@ -44,7 +45,7 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
     ("aperture.height_m", "float", 300e-6, "rectangle height [m]"),
     ("aperture.waist_m", "float", 25e-6, "Gaussian spot waist radius [m]"),
     ("aperture.center_m", "pair<float>", (0.0, 0.0), "aperture center (x, y) [m]"),
-    ("ocm.n_photons", "int", 2, "photon number N of the centroid state [-]"),
+    ("ocm.n_photons", "int>=1", 2, "photon number N of the centroid state [-]"),
     ("phase_matching.crystal_length_m", "float", 5e-3, "crystal length L [m]"),
     ("phase_matching.signal_wavelength_m", "float", 810e-9,
      "signal vacuum wavelength [m]"),
@@ -78,22 +79,21 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "mean photon tuples per second reaching the detector [Hz]"),
     ("acquisition.far_field_correlation_px", "float", 0.5,
      "far-field per-photon correlation jitter [pixels]"),
-    ("reconstruction.window_s", "float", 1e-9, "coincidence window [s]"),
-    ("reconstruction.min_xi_pixels", "int", 1,
+    ("reconstruction.window_s", "float>=0", 1e-9, "coincidence window [s]"),
+    ("reconstruction.min_xi_pixels", "int>=0", 1,
      "crosstalk cut: required Chebyshev pixel separation (exclusive) [-]"),
-    ("reconstruction.mode", "choice:sum,average", "sum",
-     "centroid histogram mode (sum or average over deviations)"),
+    ("reconstruction.mode", "choice:sum,average,weighted", "weighted",
+     "centroid normalisation: sum keeps the pair coverage, average divides "
+     "by it, weighted by its phase-matching-weighted sum"),
     ("reconstruction.accidental_offset_frames", "int>=0", 1,
      "cross-frame offset for accidental estimation; 0 disables [-]"),
-    ("reconstruction.vignetting_correction", "bool", True,
-     "divide by the deviation-envelope-weighted coverage"),
     ("reconstruction.one_pair_per_frame", "bool", False,
      "drop frames that yield more than one admissible pair"),
     ("analysis.band", "pair<int>|null", None,
      "inclusive index band projected over the other axis; null = all"),
     ("analysis.model", "choice:none,somb2,gaussian", "none",
      "width fit model for profiles"),
-    ("analysis.n_slits", "int", 3,
+    ("analysis.n_slits", "int>=0", 3,
      "slit count for contrast scoring; 0 disables [-]"),
     ("grid.nx", "int>=2", 512, "object-plane grid samples per axis [-]"),
     ("io.output_dir", "str", "out", "output directory"),
@@ -111,70 +111,58 @@ def _set_path(tree: dict, path: str, value) -> None:
 def default_tree() -> dict:
     tree: dict = {}
     for path, _, default, _ in SCHEMA:
-        _set_path(tree, path, list(default) if isinstance(default, tuple)
-                  else default)
+        _set_path(tree, path, default)
     return tree
 
 
+# base type -> (cast, what one value must be); a float also takes an int,
+# and only a bool field takes a bool
+_BASES = {"float": (float, "a number"), "int": (int, "an integer"),
+          "bool": (bool, "a boolean"), "str": (str, "a string")}
+
+
 def _check_type(path: str, kind: str, value):
+    """``value`` checked against a schema type tag and cast to its base type.
+
+    A tag is ``choice:a,b,...``, ``pair<tag>`` or a ``_BASES`` type with an
+    optional lower bound ``>=N`` or ``>N``; any tag may end in ``|null`` or
+    ``|auto``, which also accepts that literal as it is.
+    """
+    kind, _, alt = kind.partition("|")
+    if alt and value == (None if alt == "null" else alt):
+        return value
+
     def fail(expected):
+        expected += f" or {alt}" if alt else ""
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail("a number")
-        return float(value)
-    if kind.startswith("int"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail("an integer")
-        low = kind.partition(">=")[2]       # "int>=N" bounds the value
-        if low and value < int(low):
-            fail(f"an integer >= {low}")
-        return int(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            fail("a boolean")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            fail("a string")
-        return value
-    if kind == "str|null":
-        if value is not None and not isinstance(value, str):
-            fail("a string or null")
-        return value
-    if kind == "float|null":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail("a number or null")
-        return float(value)
-    if kind == "float|auto":
-        if value == "auto":
-            return "auto"
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail("a number or 'auto'")
-        return float(value)
-    if kind == "pair<float>":
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            fail("a pair of numbers")
-        return (float(value[0]), float(value[1]))
-    if kind == "pair<int>|null":
-        if value is None:
-            return None
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in value)):
-            fail("a pair of integers or null")
-        return (int(value[0]), int(value[1]))
     if kind.startswith("choice:"):
         choices = kind.split(":", 1)[1].split(",")
         if value not in choices:
             fail(f"one of {choices}")
         return value
-    raise AssertionError(f"unknown schema kind {kind}")
+    if kind.startswith("pair<"):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            fail("a pair")
+        return tuple(_check_type(path, kind[5:-1], v) for v in value)
+    base, op, low = re.fullmatch(r"(\w+)(>=|>|)(\d*)", kind).groups()
+    cast, expected = _BASES[base]
+    accepted = (int, float) if cast is float else cast
+    if not isinstance(value, accepted) or (isinstance(value, bool)
+                                           and cast is not bool):
+        fail(expected)
+    if op and not (value >= int(low) if op == ">=" else value > int(low)):
+        fail(f"{expected} {op} {low}")
+    return cast(value)
+
+
+@contextmanager
+def _config_errors(section: str):
+    """Re-raise a constructor's ``ValueError`` as ``ConfigError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 @dataclass
@@ -188,7 +176,7 @@ class RunConfig:
 
     # -- object builders ------------------------------------------------------
     def system(self, wavelength: float | None = None) -> ImagingSystem:
-        try:
+        with _config_errors("system"):
             return ImagingSystem(
                 pupil_radius=self["system.pupil_radius_m"],
                 object_distance=self["system.object_distance_m"],
@@ -196,13 +184,11 @@ class RunConfig:
                 magnification=self["system.magnification"],
                 pupil_profile=PupilProfile(self["system.pupil_profile"]),
                 pupil_sigma=self["system.pupil_sigma_m"])
-        except ValueError as exc:
-            raise ConfigError(f"system: {exc}") from None
 
     def aperture(self) -> Aperture:
         kind = self["aperture.kind"]
         center = self["aperture.center_m"]
-        try:
+        with _config_errors("aperture"):
             if kind == "point":
                 return Aperture.point(center)
             if kind in ("single_slit", "double_slit", "triple_slit"):
@@ -216,13 +202,6 @@ class RunConfig:
             if kind == "gaussian_spot":
                 return Aperture.gaussian_spot(self["aperture.waist_m"], center)
             return Aperture.uniform()
-        except ValueError as exc:
-            raise ConfigError(f"aperture: {exc}") from None
-
-    def sellmeier(self) -> SellmeierModel:
-        return SellmeierModel.from_file(
-            self["phase_matching.sellmeier.data_file"],
-            temperature_c=self["phase_matching.sellmeier.temperature_C"])
 
     def phase_matching(self) -> PhaseMatchingParams:
         poling = self["phase_matching.poling_period_m"]
@@ -232,7 +211,9 @@ class RunConfig:
             lambda_i=self["phase_matching.idler_wavelength_m"],
             focal_length=self["phase_matching.focal_length_m"],
             poling_period=None if poling == "auto" else poling,
-            index_model=self.sellmeier())
+            index_model=SellmeierModel.from_file(
+                self["phase_matching.sellmeier.data_file"],
+                temperature_c=self["phase_matching.sellmeier.temperature_C"]))
 
     def pde_for(self, wavelength: float) -> float:
         pde = self["detector.pde"]
@@ -247,7 +228,7 @@ class RunConfig:
 
     def detector(self, wavelength: float | None = None) -> DetectorConfig:
         wavelength = wavelength or self["system.wavelength_m"]
-        try:
+        with _config_errors("detector"):
             return DetectorConfig(
                 n_pixels_x=self["detector.n_pixels_x"],
                 n_pixels_y=self["detector.n_pixels_y"],
@@ -258,36 +239,28 @@ class RunConfig:
                 pde=self.pde_for(wavelength),
                 dark_count_rate=self["detector.dark_count_rate_hz"],
                 crosstalk_prob=self["detector.crosstalk_prob"])
-        except ValueError as exc:
-            raise ConfigError(f"detector: {exc}") from None
 
     def source(self, kind: str | None = None,
                wavelength: float | None = None):
-        try:
-            return self._source(kind or self["acquisition.source"], wavelength)
-        except ValueError as exc:
-            raise ConfigError(f"acquisition.source: {exc}") from None
-
-    def _source(self, kind: str, wavelength: float | None):
+        kind = kind or self["acquisition.source"]
         rate = self["acquisition.pair_rate_hz"]
-        if kind == "ocm":
-            return OcmPairSource(self.aperture(), self.system(wavelength),
-                                 self.phase_matching(), rate,
-                                 n_photons=self["ocm.n_photons"])
-        if kind in ("coherent", "incoherent"):
-            return ClassicalSource(self.aperture(), self.system(wavelength),
-                                   rate, coherent=(kind == "coherent"))
-        if kind == "point":
-            return PointSource(self["aperture.waist_m"], rate)
-        if kind == "far_field":
-            sys_ = self.system(wavelength)
+        with _config_errors("acquisition.source"):
+            if kind == "ocm":
+                return OcmPairSource(self.aperture(), self.system(wavelength),
+                                     self.phase_matching(), rate,
+                                     n_photons=self["ocm.n_photons"])
+            if kind in ("coherent", "incoherent"):
+                return ClassicalSource(self.aperture(), self.system(wavelength),
+                                       rate, coherent=(kind == "coherent"))
+            if kind == "point":
+                return PointSource(self["aperture.waist_m"], rate)
+            sys_ = self.system(wavelength)                      # far_field
             scale = sys_.object_distance * sys_.wavelength / (2.0 * np.pi)
             sigma = (self["acquisition.far_field_correlation_px"]
                      * self["detector.pixel_pitch_m"])
             return FarFieldPairSource(self.aperture(), scale, rate,
                                       n_photons=self["ocm.n_photons"],
                                       correlation_sigma=sigma)
-        raise ConfigError(f"acquisition.source: unknown source kind {kind!r}")
 
     def object_grid(self, system: ImagingSystem | None = None) -> GridSpec:
         """Object-plane grid: covers the object and >= 8 PSF zeros."""
@@ -303,8 +276,9 @@ class RunConfig:
         return GridSpec.centered(nx, dx)
 
     def deviation_weight(self):
-        """Squared phase-matching envelope as a vignetting weight, or None."""
-        if not self["reconstruction.vignetting_correction"]:
+        """Squared phase-matching envelope as the coverage weight of
+        ``weighted`` mode; None for ``sum`` and ``average``."""
+        if self["reconstruction.mode"] != "weighted":
             return None
         params = self.phase_matching()
         from .phasematch import deviation_envelope
@@ -355,7 +329,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             user = {}
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        _merge(tree, user, "")
+        _merge(tree, user)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
@@ -369,11 +343,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     return RunConfig(flat)
 
 
-def _merge(base: dict, update: dict, prefix: str) -> None:
+def _merge(base: dict, update: dict) -> None:
     for key, value in update.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
         if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value, path)
+            _merge(base[key], value)
         else:
             base[key] = value
 

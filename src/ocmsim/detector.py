@@ -34,7 +34,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import SortKeyOverflow, UnnormalizableDensity
-from .events_io import EventStream, stable_hash, write_events, write_manifest
+from .events_io import (EventStream, canonical_json, stable_hash,
+                        write_events, write_manifest)
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
@@ -578,10 +579,11 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     emitted: the detected ones plus a Poisson count of the undetected ones,
     drawn after the block's events.  When ``out_path`` is given, the event
     stream is written in the OCME format, and next to it, at ``out_path +
-    ".manifest.txt"``, a manifest recording seed, configuration hash, source
-    description and counters.  Frame blocks carry hash-derived child seeds
-    and are merged in block order, so the result does not depend on
-    ``n_threads`` and reruns with the same inputs are byte-identical.
+    ".manifest.txt"``, a manifest recording seed, detector hash, source
+    description (the JSON that ``source_hash`` hashes) and counters.  Frame
+    blocks carry hash-derived child seeds and are merged in block order, so
+    the result does not depend on ``n_threads`` and reruns with the same
+    inputs are byte-identical.
     """
     n_frames = int(round(wall_time * cfg.frame_rate))
     if n_frames < 1:
@@ -633,8 +635,8 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
             "wall_time_s": wall_time,
             "n_frames": n_frames,
             "duty_cycle": cfg.duty_cycle,
-            "config_hash": stable_hash(cfg.to_dict()),
-            "source": source.describe(),
+            "detector_hash": stable_hash(cfg.to_dict()),
+            "source": canonical_json(source.describe()),
             "source_hash": stream.source_hash,
             "pairs_generated": generated,
             "events_written": len(stream),

@@ -58,10 +58,14 @@ class EventStream:
         return bool(np.all(later | ((f[1:] == f[:-1]) & (t[1:] >= t[:-1]))))
 
 
+def canonical_json(obj) -> str:
+    """Sorted-key, one-line JSON without spaces: what ``stable_hash`` hashes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def stable_hash(obj) -> str:
     """Deterministic SHA-256 of a JSON-serializable object."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 def write_events(path, stream: EventStream) -> None:
@@ -72,7 +76,7 @@ def write_events(path, stream: EventStream) -> None:
         "n_frames": int(stream.n_frames),
         "meta": stream.meta,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = canonical_json(header).encode()
     records = np.empty(len(stream), dtype=_RECORD)
     records["frame"] = stream.frame
     records["ix"] = stream.ix

@@ -60,6 +60,9 @@ class CoincidenceSet:
 
 
 class XiMode(enum.Enum):
+    """Keep the pair coverage (SUM) or divide it out (AVERAGE); a
+    ``deviation_weight`` given to ``centroid_image`` overrides the mode."""
+
     SUM = "sum"
     AVERAGE = "average"
 
@@ -70,7 +73,6 @@ class CentroidImage:
 
     values: np.ndarray
     detector: DetectorConfig
-    vignetting_corrected: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -226,28 +228,27 @@ def centroid_image(pairs: CoincidenceSet,
                    deviation_weight=None) -> CentroidImage:
     """Half-pixel centroid image from coincidence pairs.
 
-    SUM mode histograms the centroid bins and subtracts the accidental
-    estimate, keeping negative bins.  AVERAGE mode divides each bin by its
-    number of geometrically admissible deviation cells, which removes the
-    pyramid-shaped coverage vignetting exactly for a deviation-uniform
-    source.  Passing ``deviation_weight`` (e.g. the squared
-    phase-matching envelope) instead weights the coverage by the actual
-    deviation density: the correct vignetting correction for a pair source
-    with a non-uniform separation profile.  The pairs carry the geometry;
-    ``cfg`` and the accidentals' detector may only confirm it.
+    Every mode histograms the centroid bins and subtracts the accidental
+    estimate, keeping negative bins.  SUM stops there.  AVERAGE divides
+    each bin by its number of geometrically admissible deviation cells,
+    which removes the pyramid-shaped coverage vignetting exactly for a
+    deviation-uniform source.  A given ``deviation_weight`` (e.g. the
+    squared phase-matching envelope) overrides ``mode``: the image is
+    divided by the coverage weighted by that deviation density, the correct
+    vignetting correction for a pair source with a non-uniform separation
+    profile.  The pairs carry the geometry; ``cfg`` and the accidentals'
+    detector may only confirm it.
     """
     cfg = _geometry(pairs.detector, cfg,
                     None if accidentals is None else accidentals.detector)
     counts = _histogram(pairs.cx, pairs.cy, cfg.centroid_shape).astype(float)
     if accidentals is not None:
         counts = counts - accidentals.values
-    vignetting = False
     if mode is XiMode.AVERAGE or deviation_weight is not None:
         coverage = coverage_table(cfg, pairs.min_xi, deviation_weight)
         with np.errstate(invalid="ignore", divide="ignore"):
             counts = np.where(coverage > 0, counts / coverage, 0.0)
-        vignetting = True
-    return CentroidImage(counts, cfg, vignetting_corrected=vignetting)
+    return CentroidImage(counts, cfg)
 
 
 def singles_image(events: EventStream,

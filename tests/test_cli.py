@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 
 import ocmsim
-from ocmsim import DetectorConfig, EventStream, FieldGrid, write_events
+from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
+                    estimate_accidentals, extract_coincidences, read_events,
+                    read_manifest, write_events)
 from ocmsim.analysis import cross_section, export_profile_csv
 from ocmsim.cli import main
-from ocmsim.config import SCHEMA, load_config
+from ocmsim.config import SCHEMA, _check_type, load_config
 from ocmsim.errors import ConfigError
+from ocmsim.events_io import stable_hash
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
@@ -78,6 +82,42 @@ def test_bad_override_choice():
         load_config(CONFIG, overrides=["reconstruction.mode=sideways"])
 
 
+@pytest.mark.parametrize("kind, value, expected", [
+    ("float", 3, 3.0),
+    ("float>=0", 0, 0.0),
+    ("float>0", 1e-9, 1e-9),
+    ("int>=1", 1, 1),
+    ("bool", False, False),
+    ("str|null", None, None),
+    ("float|auto", "auto", "auto"),
+    ("pair<float>", [1, 2.5], (1.0, 2.5)),
+    ("pair<int>|null", [2, 3], (2, 3)),
+    ("choice:a,b", "b", "b"),
+])
+def test_schema_tag_accepts(kind, value, expected):
+    out = _check_type("k", kind, value)
+    assert out == expected and type(out) is type(expected)
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("float", True, "expected a number, got True"),
+    ("float>=0", -1e-9, "expected a number >= 0"),
+    ("float>0", 0.0, "expected a number > 0"),
+    ("int", 1.0, "expected an integer"),
+    ("int>=1", 0, "expected an integer >= 1"),
+    ("bool", 1, "expected a boolean"),
+    ("str", None, "expected a string"),
+    ("float|auto", "automatic", "expected a number or auto"),
+    ("float|null", "x", "expected a number or null"),
+    ("pair<float>", [1.0], "expected a pair"),
+    ("pair<int>|null", [1, 2.0], "expected an integer, got 2.0"),
+    ("choice:a,b", None, "expected one of"),
+])
+def test_schema_tag_rejects(kind, value, message):
+    with pytest.raises(ConfigError, match=f"^k: {message}"):
+        _check_type("k", kind, value)
+
+
 def test_exit_code_2_on_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("nonsense_key: 1\n")
@@ -101,19 +141,28 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("setting, command", [
-    ("grid.nx=0", "psf"),
-    ("detector.pde=1.5", "simulate"),
-    ("acquisition.pair_rate_hz=-5.0", "simulate"),
-    ("reconstruction.accidental_offset_frames=-1", "reconstruct"),
-    ("system.pupil_radius_m=-1.0", "psf"),
-    ("system.magnification=0.0", "psf"),
-    ("aperture.pitch_m=1.0e-5", "psf"),
-    ("system.pupil_profile=gaussian", "psf"),
+@pytest.mark.parametrize("setting, command, named", [
+    ("grid.nx=0", "psf", "grid.nx"),
+    ("detector.pde=1.5", "simulate", "detector"),
+    ("acquisition.pair_rate_hz=-5.0", "simulate", "acquisition.source"),
+    ("reconstruction.accidental_offset_frames=-1", "reconstruct",
+     "reconstruction.accidental_offset_frames"),
+    ("system.pupil_radius_m=-1.0", "psf", "system"),
+    ("system.magnification=0.0", "psf", "system"),
+    ("aperture.pitch_m=1.0e-5", "psf", "aperture"),
+    ("system.pupil_profile=gaussian", "psf", "system"),
+    ("reconstruction.window_s=-1.0e-9", "reconstruct",
+     "reconstruction.window_s"),
+    ("reconstruction.min_xi_pixels=-3", "reconstruct",
+     "reconstruction.min_xi_pixels"),
+    ("ocm.n_photons=0", "psf", "ocm.n_photons"),
+    ("ocm.n_photons=-2", "psf", "ocm.n_photons"),
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
-        "gaussian_pupil_without_sigma"])
-def test_out_of_range_value_exits_2(tmp_path, setting, command):
+        "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
+        "zero_photons", "negative_photons"])
+def test_out_of_range_value_exits_2(tmp_path, capsys, setting, command,
+                                    named):
     events = tmp_path / "two.ocme"
     write_events(events, EventStream(
         frame=np.array([0, 0, 1], np.uint64), ix=np.array([3, 9, 4], np.uint16),
@@ -122,6 +171,16 @@ def test_out_of_range_value_exits_2(tmp_path, setting, command):
     args = ["--config", CONFIG, *FAST, "--set", setting,
             "--out", tmp_path / "o", command]
     assert run_cli(args + ([events] if command == "reconstruct" else [])) == 2
+    assert f"configuration error: {named}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_rejected_by_the_parser(tmp_path, threads):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--config", CONFIG, *FAST, "--threads", threads,
+                 "--out", tmp_path, "simulate"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_pde_auto_looks_up_the_wavelength():
@@ -206,15 +265,36 @@ def short_events(tmp_path_factory):
     return out / "events.ocme"
 
 
-@pytest.mark.parametrize("mode, corrected", [("sum", "False"),
-                                             ("average", "True")])
-def test_vignetting_correction_off(tmp_path, short_events, mode, corrected):
-    assert run_cli(["--config", CONFIG,
-                    "--set", "reconstruction.vignetting_correction=false",
-                    "--set", f"reconstruction.mode={mode}",
+def test_simulate_manifest_reads_back(short_events):
+    manifest = read_manifest(str(short_events) + ".manifest.txt")
+    source = load_config(CONFIG, FAST[1::2]).source()
+    assert json.loads(manifest["source"]) == source.describe()
+    assert manifest["detector_hash"] == stable_hash(
+        read_events(short_events).detector.to_dict())
+
+
+@pytest.mark.parametrize("mode", ["sum", "average", "weighted"])
+def test_reconstruct_mode_selects_the_normalisation(tmp_path, short_events,
+                                                    mode):
+    """sum keeps the coverage; average divides by the pair count per bin;
+    weighted by the phase-matching-weighted pair count."""
+    assert run_cli(["--config", CONFIG, "--set", f"reconstruction.mode={mode}",
                     "--out", tmp_path, "reconstruct", short_events]) == 0
     report = (tmp_path / "reconstruct_report.txt").read_text()
-    assert f"vignetting_corrected: {corrected}\n" in report
+    assert f"\nmode: {mode}\n" in report and "vignetting" not in report
+
+    cfg = load_config(CONFIG, [f"reconstruction.mode={mode}"])
+    events = read_events(short_events)
+    pairs = extract_coincidences(events, 1e-9, 2, 1)
+    expected = np.zeros((63, 63))
+    np.add.at(expected, (pairs.cx, pairs.cy), 1.0)
+    expected -= estimate_accidentals(events, 1e-9, 1, 1).values
+    if mode != "sum":
+        coverage = coverage_table(events.detector, 1, cfg.deviation_weight())
+        expected = np.where(coverage > 0, expected / np.where(
+            coverage > 0, coverage, 1.0), 0.0)
+    image = FieldGrid.load(tmp_path / "centroid_image.ocmg").values
+    assert np.array_equal(image, expected)
 
 
 def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):

@@ -74,3 +74,24 @@ def test_no_module_imports_another_modules_private_names():
                if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def dotted_lookups() -> set[str]:
+    """Every dotted string literal that ``src/ocmsim`` subscripts with."""
+    return {node.slice.value
+            for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str) and "." in node.slice.value}
+
+
+def test_every_config_key_is_read_and_every_read_key_exists():
+    """A schema key nothing reads selects nothing; a read key outside the
+    schema could only fail at run time."""
+    from ocmsim.config import SCHEMA
+
+    schema = {path for path, _, _, _ in SCHEMA}
+    lookups = dotted_lookups()
+    assert sorted(schema - lookups) == []
+    assert sorted(lookups - schema) == []

@@ -21,7 +21,7 @@ from .grid import FieldGrid, GridSpec
 from .ocm import (analytic_centroid_psf_circular, centroid_psf,
                   classical_centroid_psf, far_field_pattern, ocm_image)
 from .optics import (Aperture, ImagingSystem, J1_FIRST_ZERO,
-                     PupilProfile, coherent_image, convolve2d, convolve_on,
+                     PupilProfile, coherent_image, convolve2d,
                      fourier_transform_2d, image, incoherent_image,
                      single_lens_psf, somb)
 from .phasematch import (PhaseMatchingParams, SellmeierModel, biphoton_amplitude,
@@ -42,7 +42,7 @@ __all__ = [
     "PupilProfile", "ScalingFit", "SellmeierModel", "WidthReport", "XiMode",
     "analytic_centroid_psf_circular", "apply_detector_model",
     "biphoton_amplitude", "centroid_image", "centroid_psf",
-    "classical_centroid_psf", "coherent_image", "convolve2d", "convolve_on",
+    "classical_centroid_psf", "coherent_image", "convolve2d",
     "coverage_table", "cross_section", "deviation_envelope",
     "deviation_envelope_fwhm", "estimate_accidentals", "extract_coincidences",
     "far_field_pattern", "fourier_transform_2d", "image", "incoherent_image",

@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
                      PeaksNotFound)
@@ -187,6 +186,8 @@ def scaling_fit(widths) -> ScalingFit:
     dof = x.size - 2
     stderr = np.sqrt((1 - r ** 2) * syy / sxx / dof)
     pred = np.mean(y) - slope * np.mean(x) + slope * x
+    from scipy.special import stdtrit
+
     return ScalingFit(alpha=-slope, ci95=stdtrit(dof, 0.975) * stderr,
                       residual=float(np.sqrt(np.mean((pred - y) ** 2))))
 

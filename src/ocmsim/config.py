@@ -73,11 +73,11 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "nearest-neighbor crosstalk probability per detection [-]"),
     ("acquisition.source", "choice:ocm,coherent,incoherent,point,far_field",
      "ocm", "light source for simulate/compare"),
-    ("acquisition.wall_time_s", "float", 1.0, "acquisition wall time [s]"),
+    ("acquisition.wall_time_s", "float>0", 1.0, "acquisition wall time [s]"),
     ("acquisition.seed", "int", 12345, "master random seed [-]"),
     ("acquisition.pair_rate_hz", "float", 2e6,
      "mean photon tuples per second reaching the detector [Hz]"),
-    ("acquisition.far_field_correlation_px", "float", 0.5,
+    ("acquisition.far_field_correlation_px", "float>=0", 0.5,
      "far-field per-photon correlation jitter [pixels]"),
     ("reconstruction.window_s", "float>=0", 1e-9, "coincidence window [s]"),
     ("reconstruction.min_xi_pixels", "int>=0", 1,
@@ -263,15 +263,18 @@ class RunConfig:
                                       correlation_sigma=sigma)
 
     def object_grid(self, system: ImagingSystem | None = None) -> GridSpec:
-        """Object-plane grid: covers the object and >= 8 PSF zeros."""
+        """Object-plane grid: covers the object and >= 8 PSF zeros, refined
+        to sample the order-N PSF and the PSF at the wavelength / N."""
         system = system or self.system()
         r0 = system.first_zero_radius
         half = max(3.0 * self.aperture().typical_extent(), 8.0 * r0)
+        n = self["ocm.n_photons"]
+        limit = min(system.sampling_limit(n), system.with_wavelength(
+            system.wavelength / n).sampling_limit())
         nx = self["grid.nx"]
         dx = 2.0 * half / nx
-        if dx > r0 / 4.0:
-            nx = int(np.ceil(2.0 * half / (r0 / 4.0)))
-            nx += nx % 2
+        if dx > limit:
+            nx = 2 * (int(half / limit) + 1)    # even, and dx < limit
             dx = 2.0 * half / nx
         return GridSpec.centered(nx, dx)
 
@@ -340,6 +343,9 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             raise ConfigError(f"--set {key}: cannot parse value {raw!r}") from exc
         _set_path(tree, key.strip(), value)
     flat = _walk_and_validate(tree)
+    if flat["acquisition.wall_time_s"] * flat["detector.frame_rate_hz"] < 1:
+        raise ConfigError("acquisition.wall_time_s: shorter than one frame "
+                          "period of detector.frame_rate_hz")
     return RunConfig(flat)
 
 

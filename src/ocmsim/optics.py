@@ -3,7 +3,9 @@
 One function, ``image``, forms every image: the coherent |A * H_N|^2 or the
 incoherent |A|^2 * |H_N|^2 with the order-N PSF H_N.  Order 1 is classical
 imaging (``coherent_image``, ``incoherent_image``); order N > 1 is the
-N-photon centroid image (``ocm.ocm_image``).
+N-photon centroid image (``ocm.ocm_image``).  Its cost follows the object's
+size, not the grid's: only the aperture's nonzero box is convolved.  SciPy
+loads inside ``somb`` and the convolution, not on import.
 
 Conventions
 -----------
@@ -21,8 +23,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import j1
 
 from .errors import GridTooCoarse, SpacingMismatch, WrongPupilProfile
 from .grid import FieldGrid, GridSpec
@@ -36,6 +36,8 @@ def somb(x):
 
     Even in x; first zero at x = 3.8317...
     """
+    from scipy.special import j1
+
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
     nz = x != 0
@@ -87,6 +89,13 @@ class ImagingSystem:
             raise WrongPupilProfile("psf_sigma defined for Gaussian pupils only")
         return self.object_distance * self.wavelength / (
             2.0 * np.pi * self.pupil_sigma)
+
+    def sampling_limit(self, order: int = 1) -> float:
+        """Coarsest grid spacing that samples the order-N PSF: a quarter of
+        the first-zero radius (hard pupil) or half the Gaussian std."""
+        if self.pupil_profile is PupilProfile.HARD_CIRCULAR:
+            return self.first_zero_radius / order / 4.0
+        return self.psf_sigma / np.sqrt(order) / 2.0
 
     def psf_amplitude(self, x, y, order: int = 1):
         """PSF amplitude h at object-plane offsets, h(0)=1.
@@ -222,18 +231,28 @@ def single_lens_psf(system: ImagingSystem, spec: GridSpec,
                     order: int = 1) -> FieldGrid:
     """Sample the object-plane PSF h on the grid, h(0) = 1.
 
-    Raises GridTooCoarse when the spacing under-samples the PSF (fewer than
-    4 samples per first-zero radius for the hard pupil, or per Gaussian std).
+    Raises GridTooCoarse when the spacing exceeds ``system.sampling_limit``
+    (4 samples per first-zero radius for the hard pupil, 2 per Gaussian std).
     """
-    if system.pupil_profile is PupilProfile.HARD_CIRCULAR:
-        limit = system.first_zero_radius / order / 4.0
-    else:
-        limit = system.psf_sigma / np.sqrt(order) / 2.0
+    limit = system.sampling_limit(order)
     if spec.dx > limit or spec.dy > limit:
         raise GridTooCoarse(
             f"spacing {max(spec.dx, spec.dy):.3g} m exceeds {limit:.3g} m "
             "needed to sample the PSF")
     return FieldGrid.sample(spec, lambda x, y: system.psf_amplitude(x, y, order))
+
+
+def _linear_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Full linear convolution sum of two arrays: the zero-padded spectral
+    product the same calls scipy.signal.fftconvolve makes."""
+    from scipy import fft as sp_fft
+
+    shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
+    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
+    fft, ifft = ((sp_fft.rfftn, sp_fft.irfftn) if real
+                 else (sp_fft.fftn, sp_fft.ifftn))
+    fshape = [sp_fft.next_fast_len(n, real) for n in shape]
+    return ifft(fft(f, fshape) * fft(g, fshape), fshape)[:shape[0], :shape[1]]
 
 
 def convolve2d(f: FieldGrid, g: FieldGrid) -> FieldGrid:
@@ -245,34 +264,9 @@ def convolve2d(f: FieldGrid, g: FieldGrid) -> FieldGrid:
     if not f.same_spacing(g):
         raise SpacingMismatch(
             f"spacings differ: ({f.dx}, {f.dy}) vs ({g.dx}, {g.dy})")
-    # zero-padded spectral product at the next fast FFT length, cropped to
-    # the full linear support (the same calls scipy.signal.fftconvolve makes)
-    shape = [n + k - 1 for n, k in zip(f.values.shape, g.values.shape)]
-    real = not (f.is_complex or g.is_complex)
-    fft, ifft = ((sp_fft.rfftn, sp_fft.irfftn) if real
-                 else (sp_fft.fftn, sp_fft.ifftn))
-    fshape = [sp_fft.next_fast_len(n, real) for n in shape]
-    values = ifft(fft(f.values, fshape) * fft(g.values, fshape), fshape)
-    values = values[:shape[0], :shape[1]] * f.dx * f.dy
+    values = _linear_convolution(f.values, g.values) * f.dx * f.dy
     origin = (f.origin[0] + g.origin[0], f.origin[1] + g.origin[1])
     return FieldGrid(values, f.dx, f.dy, origin)
-
-
-def convolve_on(f: FieldGrid, kernel: FieldGrid) -> FieldGrid:
-    """Linear convolution evaluated on f's own grid.
-
-    The kernel grid must contain a sample at the physical origin so the full
-    convolution lands on f's sample positions exactly.
-    """
-    full = convolve2d(f, kernel)
-    # the kernel's origin-sample index gives f's alignment inside the output
-    ox = round(-kernel.origin[0] / kernel.dx)
-    oy = round(-kernel.origin[1] / kernel.dy)
-    if (abs(kernel.origin[0] + ox * kernel.dx) > 1e-9 * kernel.dx
-            or abs(kernel.origin[1] + oy * kernel.dy) > 1e-9 * kernel.dy):
-        raise SpacingMismatch("kernel grid has no sample at the origin")
-    values = full.values[ox:ox + f.nx, oy:oy + f.ny]
-    return FieldGrid(values, f.dx, f.dy, f.origin)
 
 
 def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
@@ -284,22 +278,29 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     ``single_lens_psf``.  The N-photon correlation depends on the centroid
     alone, so for N > 1 this is the complete centroid-image prediction.
     ``spec`` is the object-plane grid; the returned axes are scaled by the
-    magnification.  Nonnegative everywhere.
+    magnification.  Nonnegative everywhere.  Only the bounding box of the
+    aperture's nonzero samples is convolved; the rest adds nothing.
     """
-    a = aperture.rasterize(spec)
-    # a kernel on the object grid itself would truncate the PSF at half the
-    # needed support; the doubled grid holds every pairwise difference
-    kernel = GridSpec.centered(2 * spec.nx, spec.dx, 2 * spec.ny, spec.dy)
-    h = single_lens_psf(system, kernel, order)
+    a = aperture.rasterize(spec).values
+    nonzero = [np.flatnonzero(np.any(a != 0, axis=k)) for k in (1, 0)]
+    # the box of nonzero samples; an empty aperture keeps its first sample
+    (i0, i1), (j0, j1) = ((n[0], n[-1]) if n.size else (0, 0) for n in nonzero)
+    box = a[i0:i1 + 1, j0:j1 + 1]
+    # the kernel holds every offset from a box sample to an output sample
+    kernel = GridSpec(spec.nx + i1 - i0, spec.ny + j1 - j0, spec.dx, spec.dy,
+                      (-i1 * spec.dx, -j1 * spec.dy))
+    h = single_lens_psf(system, kernel, order).values
     if not coherent:
-        a.values = np.abs(a.values) ** 2
-        h.values = np.abs(h.values) ** 2
-    conv = convolve_on(a, h)
+        box = np.abs(box) ** 2
+        h = np.abs(h) ** 2
+    # output sample p sits at index p + i1 - i0 of the full convolution
+    conv = _linear_convolution(box, h)[i1 - i0:i1 - i0 + spec.nx,
+                                       j1 - j0:j1 - j0 + spec.ny]
+    conv = conv * spec.dx * spec.dy
     m = system.magnification
-    values = (np.abs(conv.values) ** 2 if coherent
-              else conv.values.real.clip(min=0.0))
-    return FieldGrid(values, conv.dx * m, conv.dy * m,
-                     (conv.origin[0] * m, conv.origin[1] * m))
+    values = np.abs(conv) ** 2 if coherent else conv.real.clip(min=0.0)
+    return FieldGrid(values, spec.dx * m, spec.dy * m,
+                     (spec.origin[0] * m, spec.origin[1] * m))
 
 
 def coherent_image(aperture: Aperture, system: ImagingSystem,

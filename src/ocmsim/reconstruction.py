@@ -202,6 +202,7 @@ def coverage_table(cfg: DetectorConfig, min_xi: int,
     Chebyshev cut, and accumulates 1 (or ``deviation_weight(xi_x, xi_y)``,
     with xi the physical pair half-separation) on the pair's centroid bin.
     This is the exact combinatorial vignetting profile of the summed image.
+    The weight is evaluated once per pixel offset and gathered per pair.
     """
     nx, ny = cfg.n_pixels_x, cfg.n_pixels_y
     pix = np.arange(nx * ny)
@@ -215,9 +216,12 @@ def coverage_table(cfg: DetectorConfig, min_xi: int,
     if deviation_weight is None:
         w = None
     else:
-        xi_x = (ix1 - ix2)[keep] * cfg.pixel_pitch / 2.0
-        xi_y = (iy1 - iy2)[keep] * cfg.pixel_pitch / 2.0
-        w = np.asarray(deviation_weight(xi_x, xi_y), dtype=float)
+        dx, dy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny),
+                             indexing="ij")
+        table = np.asarray(deviation_weight(dx * cfg.pixel_pitch / 2.0,
+                                            dy * cfg.pixel_pitch / 2.0),
+                           dtype=float)
+        w = table[(ix1 - ix2)[keep] + nx - 1, (iy1 - iy2)[keep] + ny - 1]
     return _histogram(cx, cy, cfg.centroid_shape, weights=w).astype(float)
 
 

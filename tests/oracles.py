@@ -6,9 +6,12 @@ from nested direct summation, the N-photon correlation from explicit
 2N-dimensional quadrature, the centroid PSF from the pupil side (powers of
 the pupil function and an inverse Fourier transform, where the library
 self-convolves the PSF), and coincidence and accidental pairs from plain
-loops over every event pair.  The one exception is the unthinned
-acquisition, which reuses the library's sampler and detector model because
-it is the reference for thinning alone.
+loops over every event pair.  Three references reuse library parts because
+each checks one shortcut alone: the unthinned acquisition (the library's
+sampler and detector model, without thinning), the doubled-kernel image
+(the library's PSF sampling and convolution, on the whole grid instead of
+the aperture's box) and the per-pair coverage table (the library's weight,
+evaluated on every pixel pair instead of once per pixel offset).
 """
 
 from __future__ import annotations
@@ -151,6 +154,52 @@ def coherent_image_quadrature(a_values: np.ndarray, h, obj_x, obj_y,
             out[i, j] = abs(acc * dx * dy) ** 2
     return out
 
+
+
+def image_doubled_kernel(aperture, system, spec, order: int = 1,
+                         coherent: bool = True):
+    """``ocmsim.image`` by convolving the whole rasterized grid.
+
+    The PSF is sampled on the doubled grid, which holds every difference
+    between two samples of ``spec``, and the convolution is cropped at the
+    kernel's origin sample back onto ``spec``.
+    """
+    from ocmsim import FieldGrid, GridSpec, convolve2d, single_lens_psf
+
+    a = aperture.rasterize(spec)
+    kernel = GridSpec.centered(2 * spec.nx, spec.dx, 2 * spec.ny, spec.dy)
+    h = single_lens_psf(system, kernel, order)
+    if not coherent:
+        a.values = np.abs(a.values) ** 2
+        h.values = np.abs(h.values) ** 2
+    # the doubled grid's origin sample has index (nx, ny)
+    conv = convolve2d(a, h).values[spec.nx:2 * spec.nx, spec.ny:2 * spec.ny]
+    m = system.magnification
+    values = np.abs(conv) ** 2 if coherent else conv.real.clip(min=0.0)
+    return FieldGrid(values, spec.dx * m, spec.dy * m,
+                     (spec.origin[0] * m, spec.origin[1] * m))
+
+
+def coverage_table_per_pair(cfg, min_xi: int, deviation_weight=None):
+    """``ocmsim.coverage_table`` with the weight evaluated on every pair.
+
+    Same pair enumeration and accumulation order as the library, so a
+    weight that depends only on the pixel offset gives identical bits.
+    """
+    nx, ny = cfg.n_pixels_x, cfg.n_pixels_y
+    pix = np.arange(nx * ny)
+    pxx, pyy = pix // ny, pix % ny
+    a, b = np.triu_indices(nx * ny, k=1)
+    ix1, iy1, ix2, iy2 = pxx[a], pyy[a], pxx[b], pyy[b]
+    keep = np.maximum(np.abs(ix1 - ix2), np.abs(iy1 - iy2)) > min_xi
+    flat = (ix1 + ix2)[keep] * (2 * ny - 1) + (iy1 + iy2)[keep]
+    w = None
+    if deviation_weight is not None:
+        w = np.asarray(deviation_weight(
+            (ix1 - ix2)[keep] * cfg.pixel_pitch / 2.0,
+            (iy1 - iy2)[keep] * cfg.pixel_pitch / 2.0), dtype=float)
+    hist = np.bincount(flat, weights=w, minlength=(2 * nx - 1) * (2 * ny - 1))
+    return hist.reshape(2 * nx - 1, 2 * ny - 1).astype(float)
 
 
 def inverse_fourier_transform_2d(f, out_origin=None):

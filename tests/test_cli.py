@@ -157,10 +157,15 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
      "reconstruction.min_xi_pixels"),
     ("ocm.n_photons=0", "psf", "ocm.n_photons"),
     ("ocm.n_photons=-2", "psf", "ocm.n_photons"),
+    ("acquisition.wall_time_s=0.0", "simulate", "acquisition.wall_time_s"),
+    ("acquisition.wall_time_s=1.0e-7", "simulate", "acquisition.wall_time_s"),
+    ("acquisition.far_field_correlation_px=-1.0", "simulate",
+     "acquisition.far_field_correlation_px"),
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
-        "zero_photons", "negative_photons"])
+        "zero_photons", "negative_photons", "zero_wall_time",
+        "wall_time_below_one_frame", "negative_far_field_correlation"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, setting, command,
                                     named):
     events = tmp_path / "two.ocme"
@@ -207,6 +212,26 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
                       f"print([m for m in {heavy!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_reconstruct_and_analyze_leave_scipy_unloaded(tmp_path):
+    # profiling, slit scoring and reconstruction need no SciPy; a module-level
+    # import of scipy.special or scipy.fft would add ~0.3 s to each command
+    assert run_cli(["--config", CONFIG, *FAST, "--out", tmp_path / "sim",
+                    "simulate"]) == 0
+    rec, an = tmp_path / "rec", tmp_path / "an"
+    script = (
+        "import sys; from ocmsim.cli import main; "
+        f"assert main(['--config', {str(CONFIG)!r}, '--out', {str(rec)!r}, "
+        f"'reconstruct', {str(tmp_path / 'sim' / 'events.ocme')!r}]) == 0; "
+        f"assert main(['--config', {str(CONFIG)!r}, '--out', {str(an)!r}, "
+        f"'analyze', {str(rec / 'centroid_image.ocmg')!r}]) == 0; "
+        "print([m for m in ('scipy.special', 'scipy.fft') "
+        "if m in sys.modules])")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (an / "analyze_report.txt").exists()
 
 
 def test_help_lists_every_config_key():
@@ -324,6 +349,15 @@ def test_seed_flag_changes_stream(tmp_path):
     assert run_cli(["--config", CONFIG, *FAST, "--seed", "777", "--out", b,
                     "simulate"]) == 0
     assert (a / "events.ocme").read_bytes() != (b / "events.ocme").read_bytes()
+
+
+def test_psf_refines_a_coarse_grid_to_the_order_n_psf(tmp_path):
+    assert run_cli(["--config", CONFIG, "--set", "grid.nx=64",
+                    "--out", tmp_path, "psf"]) == 0
+    # the default grid already samples the order-2 PSF: it is not refined,
+    # so the default psf outputs keep their bytes
+    cfg = load_config(CONFIG)
+    assert cfg.object_grid().nx == cfg["grid.nx"]
 
 
 def test_psf_report(tmp_path):

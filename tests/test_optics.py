@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
-                    PupilProfile, coherent_image, convolve2d, convolve_on,
-                    fourier_transform_2d, incoherent_image, single_lens_psf,
-                    somb)
+                    PupilProfile, coherent_image, convolve2d,
+                    fourier_transform_2d, image, incoherent_image,
+                    single_lens_psf, somb)
 from ocmsim.errors import GridTooCoarse, SpacingMismatch
 
 from conftest import first_zero_of
 from oracles import (coherent_image_quadrature, direct_convolution,
-                     j1_first_root_bisect, somb_reference)
+                     image_doubled_kernel, j1_first_root_bisect,
+                     somb_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +82,10 @@ def test_convolution_delta_identity():
                                                    / (2 * (30e-6) ** 2)))
     delta = FieldGrid(np.zeros((48, 48)), 4e-6, 4e-6, spec.origin)
     delta.values[24, 24] = 1.0 / (4e-6 * 4e-6)
-    out = convolve_on(g, delta)
-    err = np.abs(out.values - g.values).max() / np.abs(g.values).max()
+    out = convolve2d(g, delta)
+    # the delta sits 24 samples into its grid, so g reappears 24 samples in
+    err = np.abs(out.values[24:72, 24:72] - g.values).max() \
+        / np.abs(g.values).max()
     assert err < 1e-9
 
 
@@ -246,6 +249,48 @@ def test_incoherent_double_slit_has_no_fringes(reference_system):
 
     assert count_local_maxima(prof_i[lo:hi + 1]) == 0      # monotone valley
     assert count_local_maxima(prof_c[lo:hi + 1]) >= 1      # fringes
+
+
+# a 48 x 40 grid at 10 um: 480 x 400 um, sampling the order-2 PSF (r0/8)
+BOX_SPEC = GridSpec.centered(48, 10e-6, 40, 10e-6)
+
+
+def _complex_mask() -> Aperture:
+    values = np.zeros((48, 40), dtype=complex)
+    rng = np.random.default_rng(16)
+    values[30:41, 5:12] = rng.random((11, 7)) * np.exp(2j * np.pi
+                                                       * rng.random((11, 7)))
+    return Aperture.from_mask(FieldGrid.from_spec(BOX_SPEC, values))
+
+
+BOX_APERTURES = {
+    "point": Aperture.point((60e-6, -30e-6)),
+    "slits": Aperture.slits(3, 20e-6, 60e-6, slit_length=150e-6,
+                            center=(15e-6, 10e-6)),
+    "rectangle": Aperture.rectangle(100e-6, 60e-6, (30e-6, -20e-6)),
+    "gaussian_spot": Aperture.gaussian_spot(40e-6),
+    "uniform": Aperture.uniform(),
+    "mask": _complex_mask(),
+    "touching_edge": Aperture.rectangle(80e-6, 50e-6,
+                                        (BOX_SPEC.origin[0], 150e-6)),
+    "outside_grid": Aperture.rectangle(80e-6, 50e-6, (1e-3, 0.0)),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("coherent", [True, False])
+@pytest.mark.parametrize("kind", list(BOX_APERTURES))
+def test_image_equals_doubled_kernel_oracle(reference_system, kind,
+                                            coherent, order):
+    aperture = BOX_APERTURES[kind]
+    got = image(aperture, reference_system, BOX_SPEC, order, coherent)
+    ref = image_doubled_kernel(aperture, reference_system, BOX_SPEC, order,
+                               coherent)
+    assert (got.dx, got.dy, got.origin) == (ref.dx, ref.dy, ref.origin)
+    # an aperture outside the grid images to exact zeros on both routes
+    np.testing.assert_allclose(got.values, ref.values, rtol=0.0,
+                               atol=1e-12 * ref.values.max())
+    assert (ref.values.max() == 0.0) == (kind == "outside_grid")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import accidental_histogram_loop, coincidence_pairs_loop
+from oracles import (accidental_histogram_loop, coincidence_pairs_loop,
+                     coverage_table_per_pair)
 from scipy import stats
 
 from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
@@ -10,6 +11,7 @@ from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
                     centroid_image, coverage_table, estimate_accidentals,
                     extract_coincidences, sample_event_positions,
                     singles_image)
+from ocmsim.config import RunConfig, load_config
 from ocmsim.errors import (GridMismatch, MissingGeometry, TooFewFrames,
                            UnsortedInput)
 
@@ -239,6 +241,19 @@ def test_extraction_matches_per_frame_loop(ev, k, min_xi, one_pair_per_frame):
         assert np.array_equal(getattr(pairs, name), values), name
     assert (pairs.window_bins, pairs.n_cut, pairs.n_multi_pair_frames) == \
         (k, n_cut, n_multi)
+
+
+@given(st.integers(2, 24), st.integers(2, 24), st.integers(0, 4),
+       st.floats(1e-6, 2e-4), st.floats(1e-4, 3e-2))
+def test_coverage_table_equals_per_pair_oracle(nx, ny, min_xi, pitch,
+                                               crystal_length):
+    weight = RunConfig({**load_config().values,
+                        "phase_matching.crystal_length_m": crystal_length}
+                       ).deviation_weight()
+    cfg = DetectorConfig(n_pixels_x=nx, n_pixels_y=ny, pixel_pitch=pitch)
+    for w in (None, weight):
+        assert np.array_equal(coverage_table(cfg, min_xi, w),
+                              coverage_table_per_pair(cfg, min_xi, w))
 
 
 @given(small_streams(), st.integers(0, 6), st.integers(0, 3),

@@ -183,7 +183,8 @@ def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
 
 
 def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
-    """Image the configured object with all four illumination modes."""
+    """Image the configured object with all four illumination modes; only
+    the images, profiles and report are written, not the event streams."""
     seed = cfg["acquisition.seed"]
     wall_time = cfg["acquisition.wall_time_s"]
     wavelength = cfg["system.wavelength_m"]
@@ -192,8 +193,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
 
     # quantum pairs at the base wavelength
     events = run_acquisition(cfg.source("ocm"), cfg.detector(wavelength),
-                             wall_time, child_seed(seed, "ocm"),
-                             out_path=out_dir / "ocm_events.ocme")
+                             wall_time, child_seed(seed, "ocm"))
     pairs, _, image = _reconstruct(cfg, events)
     grids = {"ocm": image.to_field_grid()}
     report["ocm_n_pairs"] = len(pairs)
@@ -207,8 +207,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
     ]
     for name, kind, lam in classical_runs:
         stream = run_acquisition(cfg.source(kind, lam), cfg.detector(lam),
-                                 wall_time, child_seed(seed, name),
-                                 out_path=out_dir / f"{name}_events.ocme")
+                                 wall_time, child_seed(seed, name))
         grids[name] = singles_image(stream)
         report[f"{name}_n_events"] = len(stream)
 

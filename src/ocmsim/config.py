@@ -8,6 +8,7 @@ keys, wrong types and inconsistent values are reported with a dotted path
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -126,7 +127,8 @@ def _check_type(path: str, kind: str, value):
 
     A tag is ``choice:a,b,...``, ``pair<tag>`` or a ``_BASES`` type with an
     optional lower bound ``>=N`` or ``>N``; any tag may end in ``|null`` or
-    ``|auto``, which also accepts that literal as it is.
+    ``|auto``, which also accepts that literal as it is.  A float must be
+    finite.
     """
     kind, _, alt = kind.partition("|")
     if alt and value == (None if alt == "null" else alt):
@@ -151,6 +153,12 @@ def _check_type(path: str, kind: str, value):
     if not isinstance(value, accepted) or (isinstance(value, bool)
                                            and cast is not bool):
         fail(expected)
+    try:
+        finite = cast is not float or math.isfinite(value)
+    except OverflowError:                   # an int beyond float range
+        finite = False
+    if not finite:
+        fail(f"a finite {expected[2:]}")
     if op and not (value >= int(low) if op == ">=" else value > int(low)):
         fail(f"{expected} {op} {low}")
     return cast(value)

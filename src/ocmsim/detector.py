@@ -26,10 +26,11 @@ worker parallelism and reruns are byte-identical.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -145,6 +146,8 @@ class DetectorConfig:
         counts and finite numbers elsewhere, in the ranges the constructor
         accepts.
         """
+        if not isinstance(d, dict):
+            raise ValueError(f"detector record {d!r} is not an object")
         names = [f.name for f in fields(cls)]
         missing = [n for n in names if n not in d]
         unknown = [k for k in d if k not in names]
@@ -168,6 +171,23 @@ class DetectorConfig:
 # ---------------------------------------------------------------------------
 # Sources
 # ---------------------------------------------------------------------------
+
+def _record(value):
+    """JSON form of a source's inputs, the record ``source_hash`` hashes:
+    dataclasses field by field, tuples as lists, enums by value, and a
+    sampled grid (a mask aperture) by its geometry and the SHA-256 of its
+    samples."""
+    if isinstance(value, FieldGrid):
+        samples = np.ascontiguousarray(value.values)
+        return {"shape": list(samples.shape), "dtype": samples.dtype.str,
+                "dx": value.dx, "dy": value.dy, "origin": list(value.origin),
+                "sha256": hashlib.sha256(samples.tobytes()).hexdigest()}
+    if is_dataclass(value):
+        return {f.name: _record(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_record(v) for v in value]
+    return value.value if isinstance(value, enum.Enum) else value
+
 
 class _DensitySampler:
     """Inverse-CDF sampler over a piecewise-constant 2-D density grid."""
@@ -228,9 +248,7 @@ class OcmPairSource:
             raise ValueError("the event pipeline is specified for photon pairs")
 
     def describe(self) -> dict:
-        return {"kind": "ocm_pairs", "n_photons": self.n_photons,
-                "wavelength": self.system.wavelength,
-                "pair_rate": self.pair_rate, "coherent": self.coherent}
+        return {"kind": "ocm_pairs", **_record(self)}
 
     def photons_per_event(self) -> int:
         return self.n_photons
@@ -275,8 +293,7 @@ class ClassicalSource:
             raise ValueError("rate must be > 0")
 
     def describe(self) -> dict:
-        return {"kind": "classical", "coherent": self.coherent,
-                "wavelength": self.system.wavelength, "rate": self.rate}
+        return {"kind": "classical", **_record(self)}
 
     def photons_per_event(self) -> int:
         return 1
@@ -304,7 +321,7 @@ class PointSource:
     rate: float
 
     def describe(self) -> dict:
-        return {"kind": "point", "waist": self.waist, "rate": self.rate}
+        return {"kind": "point", **_record(self)}
 
     def photons_per_event(self) -> int:
         return 1
@@ -339,9 +356,7 @@ class FarFieldPairSource:
     correlation_sigma: float = 0.5 * 43.75e-6
 
     def describe(self) -> dict:
-        return {"kind": "far_field_pairs", "n_photons": self.n_photons,
-                "scale": self.scale, "pair_rate": self.pair_rate,
-                "correlation_sigma": self.correlation_sigma}
+        return {"kind": "far_field_pairs", **_record(self)}
 
     def photons_per_event(self) -> int:
         return self.n_photons

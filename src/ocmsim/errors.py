@@ -9,10 +9,6 @@ class GridTooCoarse(OcmsimError):
     """Sampling too coarse to represent the field (PSF under-sampled)."""
 
 
-class SpacingMismatch(OcmsimError):
-    """Two grids that must share sample spacing do not."""
-
-
 class GridMismatch(OcmsimError):
     """Grids that must share geometry (shape/spacing/origin) do not."""
 
@@ -47,10 +43,6 @@ class CorruptEventFile(OcmsimError):
 
 class CorruptGridFile(OcmsimError):
     """Grid file is truncated, malformed or carries trailing bytes."""
-
-
-class MissingGeometry(OcmsimError):
-    """Event stream carries no detector geometry."""
 
 
 class TooFewFrames(OcmsimError):

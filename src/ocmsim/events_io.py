@@ -4,8 +4,8 @@ Layout: magic ``OCME``, version u16, u32 JSON header length, a UTF-8 JSON
 header (detector configuration, source hash, frame count, seed, counters),
 then repeated little-endian records ``{frame_id u64, ix u16, iy u16,
 t_bin u16}`` sorted by (frame_id, t_bin).  The header's ``detector`` object
-holds exactly the fields of ``DetectorConfig`` (its ``to_dict``), or is empty
-for a stream without sensor geometry.  Only ``read_events`` parses it, with
+holds exactly the fields of ``DetectorConfig`` (its ``to_dict``): every
+stream has a sensor.  Only ``read_events`` parses it, with
 ``DetectorConfig.from_dict``; the stream then carries the parsed object.
 
 The manifest is a deterministic key: value text file written alongside a run;
@@ -44,7 +44,7 @@ class EventStream:
     iy: np.ndarray               # u2 pixel row index (y)
     t_bin: np.ndarray            # u2 time bin within frame
     n_frames: int
-    detector: DetectorConfig | None = None   # the recording sensor, or none
+    detector: DetectorConfig     # the recording sensor
     source_hash: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -71,7 +71,7 @@ def stable_hash(obj) -> str:
 def write_events(path, stream: EventStream) -> None:
     header = {
         "version": OCME_VERSION,
-        "detector": stream.detector.to_dict() if stream.detector else {},
+        "detector": stream.detector.to_dict(),
         "source_hash": stream.source_hash,
         "n_frames": int(stream.n_frames),
         "meta": stream.meta,
@@ -94,9 +94,10 @@ def write_events(path, stream: EventStream) -> None:
 def read_events(path) -> EventStream:
     """Load an OCME file; any malformed part raises ``CorruptEventFile``.
 
-    Frame ids must lie below the header's ``n_frames``.  A header detector
-    must parse with ``DetectorConfig.from_dict``, and pixel indices and time
-    bins must then lie below its pixel counts and time-bin count.
+    The header's ``n_frames`` must be a nonnegative integer and its
+    ``detector`` must parse with ``DetectorConfig.from_dict``.  Frame ids
+    must lie below ``n_frames``, pixel indices and time bins below the
+    detector's pixel counts and time-bin count.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -115,30 +116,27 @@ def read_events(path) -> EventStream:
         header = json.loads(data[_PREFIX.size:body].decode())
     except ValueError as exc:       # also UnicodeDecodeError
         raise CorruptEventFile(f"{path}: header is not JSON: {exc}") from None
-    detector = header.get("detector", {}) if isinstance(header, dict) else None
-    if not isinstance(detector, dict):
-        raise CorruptEventFile(f"{path}: header or detector is not an object")
+    if not isinstance(header, dict):
+        raise CorruptEventFile(f"{path}: header is not an object")
     if (len(data) - body) % _RECORD.itemsize:
         raise CorruptEventFile(f"{path}: record area of {len(data) - body} "
                                f"bytes is not whole {_RECORD.itemsize}-byte "
                                "records")
     records = np.frombuffer(data, dtype=_RECORD, offset=body)
-    limits = [("frame", "n_frames", header.get("n_frames"))]
-    cfg = None
-    if detector:
-        from .detector import DetectorConfig    # detector imports this module
+    from .detector import DetectorConfig        # detector imports this module
 
-        try:
-            cfg = DetectorConfig.from_dict(detector)
-        except ValueError as exc:
-            raise CorruptEventFile(f"{path}: bad detector: {exc}") from None
-        limits += [("ix", "n_pixels_x", cfg.n_pixels_x),
-                   ("iy", "n_pixels_y", cfg.n_pixels_y),
-                   ("t_bin", "ceil(frame_duration / time_bin)",
-                    cfg.n_time_bins)]
-    for name, key, limit in limits:
-        if type(limit) is not int:
-            raise CorruptEventFile(f"{path}: header lacks an integer {key}")
+    try:
+        cfg = DetectorConfig.from_dict(header.get("detector"))
+    except ValueError as exc:
+        raise CorruptEventFile(f"{path}: bad detector: {exc}") from None
+    for name, key, limit in [
+            ("frame", "n_frames", header.get("n_frames")),
+            ("ix", "n_pixels_x", cfg.n_pixels_x),
+            ("iy", "n_pixels_y", cfg.n_pixels_y),
+            ("t_bin", "ceil(frame_duration / time_bin)", cfg.n_time_bins)]:
+        if type(limit) is not int or limit < 0:
+            raise CorruptEventFile(
+                f"{path}: header lacks a nonnegative integer {key}")
         bad = np.flatnonzero(records[name] >= limit)
         if bad.size:
             raise CorruptEventFile(

@@ -65,9 +65,11 @@ class FieldGrid:
             raise ValueError("values must be a 2-D array")
         if self.values.shape[0] < 2 or self.values.shape[1] < 2:
             raise ValueError("grid needs nx, ny >= 2")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("sample spacing must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
+            raise ValueError("sample spacing must be positive and finite")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("origin must be finite")
 
     # -- geometry -----------------------------------------------------------
     @property
@@ -117,10 +119,6 @@ class FieldGrid:
         return FieldGrid(self.values.copy(), self.dx, self.dy, self.origin)
 
     # -- numerics helpers ----------------------------------------------------
-    def same_spacing(self, other: "FieldGrid", rtol: float = 1e-9) -> bool:
-        return (abs(self.dx - other.dx) <= rtol * self.dx
-                and abs(self.dy - other.dy) <= rtol * self.dy)
-
     def peak_normalized(self) -> "FieldGrid":
         peak = np.abs(self.values).max()
         if peak == 0:
@@ -170,6 +168,9 @@ class FieldGrid:
         if version != OCMG_VERSION:
             raise CorruptGridFile(
                 f"{path}: unsupported OCMG version {version}")
+        if kind not in (0, 1):
+            raise CorruptGridFile(f"{path}: kind {kind} is neither 0 (real) "
+                                  "nor 1 (complex)")
         count = nx * ny * (2 if kind else 1)
         if len(data) != _HEADER.size + count * 8:
             raise CorruptGridFile(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, SpacingMismatch, WrongPupilProfile
+from .errors import GridTooCoarse, WrongPupilProfile
 from .grid import FieldGrid, GridSpec
 
 #: first positive root of the Bessel function J1
@@ -243,8 +243,8 @@ def single_lens_psf(system: ImagingSystem, spec: GridSpec,
 
 
 def _linear_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Full linear convolution sum of two arrays: the zero-padded spectral
-    product the same calls scipy.signal.fftconvolve makes."""
+    """Full linear convolution sum of two arrays by a zero-padded spectral
+    product (no wrap-around)."""
     from scipy import fft as sp_fft
 
     shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
@@ -253,20 +253,6 @@ def _linear_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
                  else (sp_fft.fftn, sp_fft.ifftn))
     fshape = [sp_fft.next_fast_len(n, real) for n in shape]
     return ifft(fft(f, fshape) * fft(g, fshape), fshape)[:shape[0], :shape[1]]
-
-
-def convolve2d(f: FieldGrid, g: FieldGrid) -> FieldGrid:
-    """Linear convolution (f*g)(rho) = Integral f g, discretized as sum*dx*dy.
-
-    Spectral method with zero padding (no wrap-around); the output covers the
-    combined support, with origin = f.origin + g.origin.
-    """
-    if not f.same_spacing(g):
-        raise SpacingMismatch(
-            f"spacings differ: ({f.dx}, {f.dy}) vs ({g.dx}, {g.dy})")
-    values = _linear_convolution(f.values, g.values) * f.dx * f.dy
-    origin = (f.origin[0] + g.origin[0], f.origin[1] + g.origin[1])
-    return FieldGrid(values, f.dx, f.dy, origin)
 
 
 def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,

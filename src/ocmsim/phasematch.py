@@ -1,4 +1,4 @@
-"""Quasi-phase-matched SPDC: wavevector mismatch and the biphoton amplitude.
+"""Quasi-phase-matched SPDC: wavevector mismatch, pair-separation envelope.
 
 The pair source is a periodically poled crystal pumped at omega_p; energy
 conservation fixes omega_p = omega_s + omega_i.  Collinear emission is
@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from .errors import EvanescentInput
-from .optics import Aperture
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -156,26 +155,6 @@ def wavevector_mismatch(q_s, q_i, params: PhaseMatchingParams):
 def _sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
     return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
-def biphoton_amplitude(rho_1, rho_2, aperture: Aperture,
-                       params: PhaseMatchingParams):
-    """Thick-crystal biphoton amplitude at source output positions rho_1, rho_2.
-
-    A(-(w_s rho_1 + w_i rho_2)/(w_s + w_i)) * sinc(Delta_k L / 2), with the
-    transverse wavevectors q_k = (omega_k / c f) rho_k of the preparation
-    far field.  The frequency-weighted centroid reduces to -(rho_1+rho_2)/2
-    in degenerate operation.
-    """
-    rho_1 = np.asarray(rho_1, dtype=float)
-    rho_2 = np.asarray(rho_2, dtype=float)
-    cf = SPEED_OF_LIGHT * params.focal_length
-    q_s = params.omega_s / cf * rho_1
-    q_i = params.omega_i / cf * rho_2
-    dk = wavevector_mismatch(q_s, q_i, params)
-    centroid = -(params.omega_s * rho_1 + params.omega_i * rho_2) / params.omega_p
-    a_val = aperture.amplitude(centroid[..., 0], centroid[..., 1])
-    return a_val * _sinc(dk * params.crystal_length / 2.0)
 
 
 def deviation_envelope(xi, params: PhaseMatchingParams):

@@ -7,9 +7,10 @@ estimated by pairing events across different frames (offset k), which cannot
 contain true correlations, and subtracted.  Detector crosstalk is suppressed
 by requiring a minimum Chebyshev pixel separation within a pair.  Both use
 one enumeration, ``_pairs``, whose offset 0 pairs events of the same frame.
-Streams, pair sets and images carry the parsed ``DetectorConfig`` they were
-recorded with, and every function takes the geometry from its input; a
-``cfg`` passed alongside may only confirm it.
+Every stream, pair set and image carries the ``DetectorConfig`` it was
+recorded with (an event file's header always holds one), and every function
+takes the geometry from its input; a ``cfg`` passed alongside may only
+confirm it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import GridMismatch, MissingGeometry, TooFewFrames, UnsortedInput
+from .errors import GridMismatch, TooFewFrames, UnsortedInput
 from .events_io import EventStream
 from .grid import FieldGrid
 
@@ -90,10 +91,9 @@ class CentroidImage:
                          (float(x[0]), float(y[0])))
 
 
-def _geometry(detector: DetectorConfig | None, *claimed) -> DetectorConfig:
-    """The data's detector; every claimed one that is not None must equal it."""
-    if detector is None:
-        raise MissingGeometry("event stream has no detector geometry")
+def _geometry(detector: DetectorConfig, *claimed) -> DetectorConfig:
+    """The data's detector, once every claimed one that is not None has
+    confirmed it."""
     if any(c is not None and c != detector for c in claimed):
         raise GridMismatch("detector differs from the data's own")
     return detector
@@ -114,7 +114,7 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     """
     if not events.is_sorted():
         raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
-    cfg = _geometry(events.detector)
+    cfg = events.detector
     frames = events.frame
     target = frames + np.uint64(offset)
     # partners lie past i: from i + 1 at offset 0, else in a later frame
@@ -182,8 +182,11 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
     same window and separation cut; the resulting histogram is scaled by
     F / (2 (F - offset)) so its expectation matches the accidental part of
     the true-coincidence histogram (cross-frame pairing sees each unordered
-    pixel pair from both sides, hence the factor 2).
+    pixel pair from both sides, hence the factor 2).  ``offset`` must be at
+    least 1: offset 0 would pair the events of one frame, true pairs too.
     """
+    if offset < 1:
+        raise ValueError(f"accidental offset must be >= 1, got {offset}")
     if events.n_frames < 2 or events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
     cfg, i, j, _ = _pairs(events, window, min_xi, offset)
@@ -198,31 +201,33 @@ def coverage_table(cfg: DetectorConfig, min_xi: int,
                    deviation_weight=None) -> np.ndarray:
     """Per-centroid-bin count (or weight sum) of admissible deviation cells.
 
-    Enumerates every unordered pixel pair of the sensor, applies the
-    Chebyshev cut, and accumulates 1 (or ``deviation_weight(xi_x, xi_y)``,
-    with xi the physical pair half-separation) on the pair's centroid bin.
+    Counts every unordered pixel pair of the sensor that passes the
+    Chebyshev cut on its centroid bin, with weight 1 (or
+    ``deviation_weight(xi_x, xi_y)``, xi the physical pair half-separation).
     This is the exact combinatorial vignetting profile of the summed image.
-    The weight is evaluated once per pixel offset and gathered per pair.
+    Each pixel offset (dx, dy) meets every bin of one strided sub-grid once,
+    so the weight is evaluated once per offset and added to that sub-grid.
+    Offsets run in the order (dx, then dy, ascending, with dx * ny + dy < 0)
+    in which a pair enumeration by ascending flat pixel index meets a bin's
+    pairs, so the weighted sums come out bit for bit as such a pair loop's.
     """
     nx, ny = cfg.n_pixels_x, cfg.n_pixels_y
-    pix = np.arange(nx * ny)
-    pxx, pyy = pix // ny, pix % ny
-    a, b = np.triu_indices(nx * ny, k=1)    # unordered distinct pixel pairs
-    ix1, iy1, ix2, iy2 = pxx[a], pyy[a], pxx[b], pyy[b]
-    cheb = np.maximum(np.abs(ix1 - ix2), np.abs(iy1 - iy2))
-    keep = cheb > min_xi
-    cx = (ix1 + ix2)[keep]
-    cy = (iy1 + iy2)[keep]
     if deviation_weight is None:
-        w = None
+        table = np.ones((2 * nx - 1, 2 * ny - 1))
     else:
         dx, dy = np.meshgrid(np.arange(1 - nx, nx), np.arange(1 - ny, ny),
                              indexing="ij")
         table = np.asarray(deviation_weight(dx * cfg.pixel_pitch / 2.0,
                                             dy * cfg.pixel_pitch / 2.0),
                            dtype=float)
-        w = table[(ix1 - ix2)[keep] + nx - 1, (iy1 - iy2)[keep] + ny - 1]
-    return _histogram(cx, cy, cfg.centroid_shape, weights=w).astype(float)
+    out = np.zeros(cfg.centroid_shape)
+    for dx in range(1 - nx, 1):
+        for dy in range(1 - ny, ny if dx else 0):
+            if max(-dx, abs(dy)) > min_xi:
+                # pairs (i + dx, i) centre on bins 2i + dx along each axis
+                out[-dx:2 * nx - 1 + dx:2, abs(dy):2 * ny - 1 - abs(dy):2] \
+                    += table[dx + nx - 1, dy + ny - 1]
+    return out
 
 
 def centroid_image(pairs: CoincidenceSet,

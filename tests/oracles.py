@@ -6,18 +6,22 @@ from nested direct summation, the N-photon correlation from explicit
 2N-dimensional quadrature, the centroid PSF from the pupil side (powers of
 the pupil function and an inverse Fourier transform, where the library
 self-convolves the PSF), and coincidence and accidental pairs from plain
-loops over every event pair.  Three references reuse library parts because
+loops over every event pair.  Four references reuse library parts because
 each checks one shortcut alone: the unthinned acquisition (the library's
 sampler and detector model, without thinning), the doubled-kernel image
-(the library's PSF sampling and convolution, on the whole grid instead of
-the aperture's box) and the per-pair coverage table (the library's weight,
-evaluated on every pixel pair instead of once per pixel offset).
+(the library's PSF sampling, convolved by SciPy's ``fftconvolve`` on the
+whole grid instead of the aperture's box), the per-pair coverage table (the
+library's weight, evaluated on every pixel pair instead of once per pixel
+offset) and the biphoton amplitude (the library's wavevector mismatch at
+two free photon positions, where the pair source evaluates it at +-xi).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from mpmath import mp
+
+from ocmsim.errors import OcmsimError
 
 
 def bessel_j1_series(x: float, dps: int = 40) -> float:
@@ -155,6 +159,32 @@ def coherent_image_quadrature(a_values: np.ndarray, h, obj_x, obj_y,
     return out
 
 
+class SpacingMismatch(OcmsimError):
+    """Two grids that must share sample spacing do not."""
+
+
+def same_spacing(f, g, rtol: float = 1e-9) -> bool:
+    return (abs(f.dx - g.dx) <= rtol * f.dx
+            and abs(f.dy - g.dy) <= rtol * f.dy)
+
+
+def convolve2d(f, g):
+    """Linear convolution (f*g)(rho) = Integral f g, discretized as sum*dx*dy.
+
+    SciPy's zero-padded ``fftconvolve`` (no wrap-around); the output covers
+    the combined support, with origin = f.origin + g.origin.
+    """
+    from scipy.signal import fftconvolve
+
+    from ocmsim import FieldGrid
+
+    if not same_spacing(f, g):
+        raise SpacingMismatch(
+            f"spacings differ: ({f.dx}, {f.dy}) vs ({g.dx}, {g.dy})")
+    values = fftconvolve(f.values, g.values) * f.dx * f.dy
+    origin = (f.origin[0] + g.origin[0], f.origin[1] + g.origin[1])
+    return FieldGrid(values, f.dx, f.dy, origin)
+
 
 def image_doubled_kernel(aperture, system, spec, order: int = 1,
                          coherent: bool = True):
@@ -164,7 +194,7 @@ def image_doubled_kernel(aperture, system, spec, order: int = 1,
     between two samples of ``spec``, and the convolution is cropped at the
     kernel's origin sample back onto ``spec``.
     """
-    from ocmsim import FieldGrid, GridSpec, convolve2d, single_lens_psf
+    from ocmsim import FieldGrid, GridSpec, single_lens_psf
 
     a = aperture.rasterize(spec)
     kernel = GridSpec.centered(2 * spec.nx, spec.dx, 2 * spec.ny, spec.dy)
@@ -251,6 +281,28 @@ def centroid_psf_pupil_route(pupil, n: int):
     g = inverse_fourier_transform_2d(powered)
     return FieldGrid(g.values * float(n * n), g.dx / n, g.dy / n,
                      (g.origin[0] / n, g.origin[1] / n))
+
+
+def biphoton_amplitude(rho_1, rho_2, aperture, params):
+    """Thick-crystal biphoton amplitude at source output positions rho_1, rho_2.
+
+    A(-(w_s rho_1 + w_i rho_2)/(w_s + w_i)) * sinc(Delta_k L / 2), with the
+    transverse wavevectors q_k = (omega_k / c f) rho_k of the preparation
+    far field.  The frequency-weighted centroid reduces to -(rho_1+rho_2)/2
+    in degenerate operation.
+    """
+    from ocmsim import wavevector_mismatch
+
+    rho_1 = np.asarray(rho_1, dtype=float)
+    rho_2 = np.asarray(rho_2, dtype=float)
+    cf = 299792458.0 * params.focal_length
+    q_s = params.omega_s / cf * rho_1
+    q_i = params.omega_i / cf * rho_2
+    dk = wavevector_mismatch(q_s, q_i, params)
+    centroid = -(params.omega_s * rho_1 + params.omega_i * rho_2) / params.omega_p
+    a_val = aperture.amplitude(centroid[..., 0], centroid[..., 1])
+    return a_val * np.sinc(dk * params.crystal_length / 2.0 / np.pi)
+
 
 def wavevector_mismatch_mp(q_s, q_i, params, dps: int = 50) -> float:
     """Arbitrary-precision evaluation of the mismatch closed form."""

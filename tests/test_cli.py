@@ -15,7 +15,7 @@ from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
 from ocmsim.analysis import cross_section, export_profile_csv
 from ocmsim.cli import main
 from ocmsim.config import SCHEMA, _check_type, load_config
-from ocmsim.errors import ConfigError
+from ocmsim.errors import ConfigError, CorruptEventFile
 from ocmsim.events_io import stable_hash
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
@@ -112,6 +112,10 @@ def test_schema_tag_accepts(kind, value, expected):
     ("pair<float>", [1.0], "expected a pair"),
     ("pair<int>|null", [1, 2.0], "expected an integer, got 2.0"),
     ("choice:a,b", None, "expected one of"),
+    ("float", float("inf"), "expected a finite number, got inf"),
+    ("float>0", float("nan"), "expected a finite number, got nan"),
+    pytest.param("float", 10 ** 400, "expected a finite number",
+                 id="int_beyond_float_range"),
 ])
 def test_schema_tag_rejects(kind, value, message):
     with pytest.raises(ConfigError, match=f"^k: {message}"):
@@ -135,7 +139,15 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     write_events(events, EventStream(
         frame=np.array([0, 0], np.uint64), ix=np.array([3, 9], np.uint16),
         iy=np.array([3, 9], np.uint16), t_bin=np.array([0, 0], np.uint16),
-        n_frames=2))
+        n_frames=2, detector=DetectorConfig()))
+    # OCME: 6-byte magic and version, u32 header length, header, records
+    data = events.read_bytes()
+    body = 10 + int.from_bytes(data[6:10], "little")
+    blob = json.dumps({**json.loads(data[10:body]), "detector": {}}).encode()
+    events.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob
+                       + data[body:])
+    with pytest.raises(CorruptEventFile, match="bad detector"):
+        read_events(events)
     code = run_cli(["--config", CONFIG, "--out", tmp_path / "o",
                     "reconstruct", events])
     assert code == 3
@@ -161,11 +173,14 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     ("acquisition.wall_time_s=1.0e-7", "simulate", "acquisition.wall_time_s"),
     ("acquisition.far_field_correlation_px=-1.0", "simulate",
      "acquisition.far_field_correlation_px"),
+    ("reconstruction.window_s=.inf", "reconstruct", "reconstruction.window_s"),
+    ("system.pupil_radius_m=.nan", "psf", "system.pupil_radius_m"),
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
         "zero_photons", "negative_photons", "zero_wall_time",
-        "wall_time_below_one_frame", "negative_far_field_correlation"])
+        "wall_time_below_one_frame", "negative_far_field_correlation",
+        "infinite_window", "nan_pupil"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, setting, command,
                                     named):
     events = tmp_path / "two.ocme"
@@ -333,6 +348,16 @@ def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):
                     "reconstruct", out / "events.ocme"]) == 0
     grid = FieldGrid.load(rec / "centroid_image.ocmg")
     assert grid.values.shape == (31, 31)
+
+
+def test_compare_writes_only_what_it_reports(tmp_path):
+    assert run_cli(["--config", CONFIG, *FAST,
+                    "--set", "acquisition.wall_time_s=0.002",
+                    "--out", tmp_path, "compare"]) == 0
+    modes = ("ocm", "coherent", "coherent_half", "incoherent")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["compare_report.txt"] + [f"{m}_image.ocmg" for m in modes]
+        + [f"{m}_profile.csv" for m in modes])
 
 
 def test_simulate_determinism(tmp_path):

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from oracles import unthinned_acquisition
 from scipy import stats
 
-from ocmsim import (Aperture, ClassicalSource, DetectorConfig, FieldGrid,
-                    GridSpec, OcmPairSource, PhaseMatchingParams, PointSource,
+from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
+                    FarFieldPairSource, FieldGrid, GridSpec, ImagingSystem,
+                    OcmPairSource, PhaseMatchingParams, PointSource,
                     apply_detector_model, extract_coincidences, ocm_image,
                     run_acquisition, sample_event_positions)
 from ocmsim.detector import _DensitySampler, _pack
 from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
+from ocmsim.events_io import stable_hash
 
 
 def assert_same_stream(a, b):
@@ -256,6 +258,42 @@ def test_detected_singles_scale_with_pde(reference_system, pm_params):
 # ---------------------------------------------------------------------------
 # acquisition
 # ---------------------------------------------------------------------------
+
+def test_source_hash_identifies_the_source(reference_system, triple_slit):
+    """Sources that sample different densities hash differently; the same
+    inputs hash the same."""
+    double = Aperture.slits(2, 70e-6, 110e-6, slit_length=300e-6)
+    wider = ImagingSystem(reference_system.pupil_radius,
+                          reference_system.object_distance,
+                          reference_system.wavelength, 3.0)
+    rng = np.random.default_rng(5)
+    spec = GridSpec.centered(16, 20e-6)
+    masks = [Aperture.from_mask(FieldGrid.from_spec(spec, rng.uniform(
+        size=(16, 16)))) for _ in range(2)]
+
+    def crystal(length):
+        return PhaseMatchingParams.from_wavelengths(length, 810e-9, 810e-9,
+                                                    50e-3)
+
+    groups = [
+        [OcmPairSource(triple_slit, reference_system, crystal(5e-3), 1e6),
+         OcmPairSource(double, wider, crystal(1e-3), 1e6),
+         OcmPairSource(masks[0], reference_system, crystal(5e-3), 1e6),
+         OcmPairSource(masks[1], reference_system, crystal(5e-3), 1e6)],
+        [ClassicalSource(triple_slit, reference_system, 1e6),
+         ClassicalSource(Aperture.rectangle(200e-6, 300e-6),
+                         reference_system, 1e6),
+         ClassicalSource(triple_slit, wider, 1e6)],
+        [FarFieldPairSource(a, 4.6e-8, 1e6)
+         for a in (triple_slit, double, *masks)],
+    ]
+    for group in groups:
+        hashes = [stable_hash(s.describe()) for s in group]
+        assert len(set(hashes)) == len(group)
+    again = OcmPairSource(triple_slit, reference_system, crystal(5e-3), 1e6)
+    assert stable_hash(again.describe()) == \
+        stable_hash(groups[0][0].describe())
+
 
 def test_frame_count_exact(point_pair_source, ideal_detector):
     stream = run_acquisition(point_pair_source, ideal_detector, 0.01, 3)

@@ -61,8 +61,14 @@ def reconstruct_exit_code(tmp_path, path) -> int:
     lambda good: with_detector(bogus=1),
     lambda good: with_detector(pde=5),
     lambda good: with_detector(n_pixels_x=65537, n_pixels_y=1),  # uint16 ix
+    lambda good: with_header(json.dumps({"n_frames": 2}).encode()),
+    lambda good: with_header(json.dumps({"n_frames": 2,
+                                         "detector": None}).encode()),
+    lambda good: with_header(json.dumps(
+        {"n_frames": -5, "detector": DetectorConfig().to_dict()}).encode()),
 ], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
-        "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor"])
+        "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor",
+        "no_detector", "null_detector", "negative_n_frames"])
 def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))
@@ -100,7 +106,8 @@ def test_is_sorted_matches_lexsort(rows, presort):
     expected = bool(np.array_equal(frame[order], frame)
                     and np.array_equal(t_bin[order], t_bin))
     zeros = np.zeros(len(rows), np.uint16)
-    events = EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63 + 1)
+    events = EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63 + 1,
+                         detector=DetectorConfig())
     assert events.is_sorted() == expected
 
 

@@ -108,7 +108,11 @@ def grid_bytes(tmp_path) -> bytes:
     lambda good: good[:4] + struct.pack("<H", 9) + good[6:],  # wrong version
     lambda good: good[:-8],                                  # short payload
     lambda good: good + b"\0" * 8,                           # trailing bytes
-], ids=["short", "magic", "version", "short_payload", "trailing"])
+    lambda good: good[:46] + b"\7" + good[47:] * 2,          # kind 7
+    lambda good: good[:14] + struct.pack("<d", np.inf) + good[22:],  # dx
+    lambda good: good[:30] + struct.pack("<d", np.nan) + good[38:],  # origin
+], ids=["short", "magic", "version", "short_payload", "trailing", "kind_7",
+        "infinite_dx", "nan_origin"])
 def test_malformed_grid_file_is_a_typed_error(tmp_path, corrupt):
     path = tmp_path / "bad.ocmg"
     path.write_bytes(corrupt(grid_bytes(tmp_path)))

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
-                    PupilProfile, coherent_image, convolve2d,
-                    fourier_transform_2d, image, incoherent_image,
-                    single_lens_psf, somb)
-from ocmsim.errors import GridTooCoarse, SpacingMismatch
+                    PupilProfile, coherent_image, fourier_transform_2d, image,
+                    incoherent_image, single_lens_psf, somb)
+from ocmsim.errors import GridTooCoarse
 
 from conftest import first_zero_of
-from oracles import (coherent_image_quadrature, direct_convolution,
-                     image_doubled_kernel, j1_first_root_bisect,
-                     somb_reference)
+from oracles import (SpacingMismatch, coherent_image_quadrature, convolve2d,
+                     direct_convolution, image_doubled_kernel,
+                     j1_first_root_bisect, somb_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_gaussian_pupil_psf_is_gaussian():
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution: the reference that ``image_doubled_kernel`` builds on
 # ---------------------------------------------------------------------------
 
 def test_convolution_delta_identity():

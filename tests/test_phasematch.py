@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from ocmsim import (Aperture, PhaseMatchingParams, SellmeierModel,
-                    biphoton_amplitude, deviation_envelope,
-                    deviation_envelope_fwhm, solve_poling_period,
-                    wavevector_mismatch)
+                    deviation_envelope, deviation_envelope_fwhm,
+                    solve_poling_period, wavevector_mismatch)
 from ocmsim.errors import EvanescentInput
 
-from oracles import wavevector_mismatch_mp
+from oracles import biphoton_amplitude, wavevector_mismatch_mp
 
 
 @pytest.fixture
@@ -103,6 +102,17 @@ def test_biphoton_amplitude_sees_aperture(reference_params):
     # common displacement moves the centroid outside the small aperture
     off = np.array([0.4e-3, 0.0])
     assert biphoton_amplitude(off, off, ap, reference_params) == 0.0
+
+
+def test_envelope_is_the_biphoton_amplitude_at_opposite_positions(
+        reference_params):
+    """Photons at +-xi keep the centroid at 0, where a uniform aperture
+    passes everything: the amplitude left is the pair envelope."""
+    rng = np.random.default_rng(43)
+    xi = rng.uniform(-2e-3, 2e-3, size=(50, 2))
+    np.testing.assert_array_equal(
+        deviation_envelope(xi, reference_params),
+        biphoton_amplitude(xi, -xi, Aperture.uniform(), reference_params))
 
 
 def test_envelope_fwhm_reference_value(reference_params):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,8 +14,7 @@ from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
                     extract_coincidences, sample_event_positions,
                     singles_image)
 from ocmsim.config import RunConfig, load_config
-from ocmsim.errors import (GridMismatch, MissingGeometry, TooFewFrames,
-                           UnsortedInput)
+from ocmsim.errors import GridMismatch, TooFewFrames, UnsortedInput
 
 
 def joint_histogram_x(pairs) -> np.ndarray:
@@ -201,6 +202,14 @@ def test_accidentals_need_frames():
         estimate_accidentals(ev, offset=1)
 
 
+@pytest.mark.parametrize("offset", [0, -1])
+def test_accidentals_need_a_positive_offset(offset):
+    # offset 0 would pair each frame with itself: half the true-pair counts
+    ev = pair_stream(4, 2, 9, 7, 10)
+    with pytest.raises(ValueError, match="offset must be >= 1"):
+        estimate_accidentals(ev, offset=offset)
+
+
 # ---------------------------------------------------------------------------
 # property tests against brute-force loops
 # ---------------------------------------------------------------------------
@@ -243,7 +252,8 @@ def test_extraction_matches_per_frame_loop(ev, k, min_xi, one_pair_per_frame):
         (k, n_cut, n_multi)
 
 
-@given(st.integers(2, 24), st.integers(2, 24), st.integers(0, 4),
+@given(st.integers(1, 24), st.integers(1, 24),
+       st.one_of(st.integers(0, 4), st.integers(5, 30)),
        st.floats(1e-6, 2e-4), st.floats(1e-4, 3e-2))
 def test_coverage_table_equals_per_pair_oracle(nx, ny, min_xi, pitch,
                                                crystal_length):
@@ -254,6 +264,19 @@ def test_coverage_table_equals_per_pair_oracle(nx, ny, min_xi, pitch,
     for w in (None, weight):
         assert np.array_equal(coverage_table(cfg, min_xi, w),
                               coverage_table_per_pair(cfg, min_xi, w))
+
+
+def test_coverage_table_memory_follows_the_offsets_not_the_pairs():
+    """A 64 x 64 sensor has 8.4e6 pixel pairs but only 127 x 127 offsets."""
+    weight = load_config().deviation_weight()
+    cfg = DetectorConfig(n_pixels_x=64, n_pixels_y=64)
+    tracemalloc.start()
+    try:
+        coverage_table(cfg, 1, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @given(small_streams(), st.integers(0, 6), st.integers(0, 3),
@@ -376,15 +399,6 @@ def test_singles_image():
 # ---------------------------------------------------------------------------
 # detector geometry
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("reader", [extract_coincidences, estimate_accidentals,
-                                    singles_image])
-def test_stream_without_geometry_is_rejected(reader):
-    ev = make_stream([(0, 5, 5, 0), (0, 9, 9, 0), (1, 3, 3, 0)], 2)
-    ev.detector = None
-    with pytest.raises(MissingGeometry):
-        reader(ev)
-
 
 def test_centroid_image_takes_the_pairs_geometry():
     cfg = DetectorConfig(n_pixels_x=16, n_pixels_y=12, pixel_pitch=100e-6)

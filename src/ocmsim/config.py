@@ -128,7 +128,7 @@ def _check_type(path: str, kind: str, value):
     A tag is ``choice:a,b,...``, ``pair<tag>`` or a ``_BASES`` type with an
     optional lower bound ``>=N`` or ``>N``; any tag may end in ``|null`` or
     ``|auto``, which also accepts that literal as it is.  A float must be
-    finite.
+    finite, an int within float range.
     """
     kind, _, alt = kind.partition("|")
     if alt and value == (None if alt == "null" else alt):
@@ -154,11 +154,12 @@ def _check_type(path: str, kind: str, value):
                                            and cast is not bool):
         fail(expected)
     try:
-        finite = cast is not float or math.isfinite(value)
+        finite = cast not in (int, float) or math.isfinite(value)
     except OverflowError:                   # an int beyond float range
         finite = False
     if not finite:
-        fail(f"a finite {expected[2:]}")
+        fail("a finite number" if cast is float
+             else f"{expected} within float range")
     if op and not (value >= int(low) if op == ">=" else value > int(low)):
         fail(f"{expected} {op} {low}")
     return cast(value)

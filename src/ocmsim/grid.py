@@ -111,9 +111,13 @@ class FieldGrid:
 
     @classmethod
     def sample(cls, spec: GridSpec, func) -> "FieldGrid":
-        """Pixel-center sample ``func(x, y)`` on the spec's grid."""
-        X, Y = np.meshgrid(spec.x_axis(), spec.y_axis(), indexing="ij")
-        return cls(np.asarray(func(X, Y)), spec.dx, spec.dy, spec.origin)
+        """Pixel-center sample ``func(x, y)`` on the spec's grid; ``func``
+        gets the x axis as a column, the y axis as a row, and must broadcast."""
+        shape = (spec.nx, spec.ny)
+        values = np.asarray(func(spec.x_axis()[:, None], spec.y_axis()[None, :]))
+        if values.shape != shape:       # e.g. a function of y alone
+            values = np.broadcast_to(values, shape).copy()
+        return cls(values, spec.dx, spec.dy, spec.origin)
 
     def copy(self) -> "FieldGrid":
         return FieldGrid(self.values.copy(), self.dx, self.dy, self.origin)

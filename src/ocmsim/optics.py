@@ -4,8 +4,9 @@ One function, ``image``, forms every image: the coherent |A * H_N|^2 or the
 incoherent |A|^2 * |H_N|^2 with the order-N PSF H_N.  Order 1 is classical
 imaging (``coherent_image``, ``incoherent_image``); order N > 1 is the
 N-photon centroid image (``ocm.ocm_image``).  Its cost follows the object's
-size, not the grid's: only the aperture's nonzero box is convolved.  SciPy
-loads inside ``somb`` and the convolution, not on import.
+size, not the grid's: only the aperture's nonzero box is convolved.  PSFs
+and convolutions need NumPy alone: ``somb`` is a port of the Cephes J1 and
+the convolution runs on ``numpy.fft``, both bit-identical to SciPy's.
 
 Conventions
 -----------
@@ -31,17 +32,83 @@ from .grid import FieldGrid, GridSpec
 J1_FIRST_ZERO = 3.8317059702075125
 
 
+# Cephes j1.c (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), which scipy.special.j1 runs: R = RP/RQ on x <= 5, the
+# Hankel form P = PP/PQ, Q = QP/QQ above.  RQ and QQ carry the implicit
+# leading 1 of Cephes' p1evl, which 1.0 * z reproduces exactly.
+_J1_RP = (-8.99971225705559398224e8, 4.52228297998194034323e11,
+          -7.27494245221818276015e13, 3.68295732863852883286e15)
+_J1_RQ = (1.0, 6.20836478118054335476e2, 2.56987256757748830383e5,
+          8.35146791431949253037e7, 2.21511595479792499675e10,
+          4.74914122079991414898e12, 7.84369607876235854894e14,
+          8.95222336184627338078e16, 5.32278620332680085395e18)
+_J1_PP = (7.62125616208173112003e-4, 7.31397056940917570436e-2,
+          1.12719608129684925192e0, 5.11207951146807644818e0,
+          8.42404590141772420927e0, 5.21451598682361504063e0,
+          1.00000000000000000254e0)
+_J1_PQ = (5.71323128072548699714e-4, 6.88455908754495404082e-2,
+          1.10514232634061696926e0, 5.07386386128601488557e0,
+          8.39985554327604159757e0, 5.20982848682361821619e0,
+          9.99999999999999997461e-1)
+_J1_QP = (5.10862594750176621635e-2, 4.98213872951233449420e0,
+          7.58238284132545283818e1, 3.66779609360150777800e2,
+          7.10856304998926107277e2, 5.97489612400613639965e2,
+          2.11688757100572135698e2, 2.52070205858023719784e1)
+_J1_QQ = (1.0, 7.42373277035675149943e1, 1.05644886038262816351e3,
+          4.98641058337653607651e3, 9.56231892404756170795e3,
+          7.99704160447350683650e3, 2.82619278517639096600e3,
+          3.36093607810698293419e2)
+_J1_Z1, _J1_Z2 = 1.46819706421238932572e1, 4.92184563216946036703e1
+_THPIO4, _SQ2OPI = 2.35619449019234492885, 7.9788456080286535587989e-1
+_SOMB_BLOCK = 1 << 15       # elements per block: bounds somb's temporaries
+
+
+def _polevl(z: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes polevl: Horner's rule in its order of operations, in place."""
+    p = z * coef[0]
+    for c in coef[1:-1]:
+        p += c
+        p *= z
+    p += coef[-1]
+    return p
+
+
+def _somb_block(a: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = 2 J1(a)/a for a = |x| in Cephes' order of operations (J1 is
+    odd, so the sign of x cannot change the quotient); 1 at 0, 0 at inf."""
+    out[...] = a == 0.0
+    out[np.isnan(a)] = np.nan
+    # most blocks lie wholly above the seam at 5: no mask copies there
+    far = (slice(None) if a.min() > 5.0 and a.max() < np.inf
+           else (a > 5.0) & (a < np.inf))
+    x = a[far]
+    w = 5.0 / x
+    z = w * w
+    p = _polevl(z, _J1_PP) / _polevl(z, _J1_PQ)
+    q = _polevl(z, _J1_QP) / _polevl(z, _J1_QQ)
+    xn = x - _THPIO4
+    p = p * np.cos(xn) - w * q * np.sin(xn)
+    out[far] = 2.0 * (p * _SQ2OPI / np.sqrt(x)) / x
+    near = (a > 0.0) & (a <= 5.0)
+    x = a[near]
+    z = x * x
+    w = _polevl(z, _J1_RP) / _polevl(z, _J1_RQ) * x * (z - _J1_Z1) * (z - _J1_Z2)
+    out[near] = 2.0 * w / x
+
+
 def somb(x):
     """Sombrero function 2*J1(x)/x with the removable singularity somb(0)=1.
 
-    Even in x; first zero at x = 3.8317...
+    Even in x; first zero at x = 3.8317...  J1 is Cephes' ``j1`` ported to
+    NumPy in blocks, so a finite x gives ``2 * scipy.special.j1(x) / x`` bit
+    for bit (``tests/test_optics.py``); somb(+-inf) = 0, somb(nan) = nan.
     """
-    from scipy.special import j1
-
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = 2.0 * j1(x[nz]) / x[nz]
+    out = np.empty(x.shape)
+    flat_x, flat = x.ravel(), out.reshape(-1)
+    for k in range(0, x.size, _SOMB_BLOCK):
+        block = slice(k, k + _SOMB_BLOCK)
+        _somb_block(np.abs(flat_x[block]), flat[block])
     if out.ndim == 0:
         return float(out)
     return out
@@ -105,8 +172,9 @@ class ImagingSystem:
         """
         r = np.hypot(x, y)
         if self.pupil_profile is PupilProfile.HARD_CIRCULAR:
-            return somb(2.0 * np.pi * self.pupil_radius * order * r
-                        / (self.object_distance * self.wavelength))
+            r *= 2.0 * np.pi * self.pupil_radius * order
+            r /= self.object_distance * self.wavelength
+            return somb(r)
         sigma = self.psf_sigma
         return np.exp(-order * r ** 2 / (2.0 * sigma ** 2))
 
@@ -186,13 +254,12 @@ class Aperture:
         if self.kind == "gaussian_spot":
             return np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / self.waist ** 2)
         if self.kind == "slits":
-            out = np.zeros(np.broadcast(x, y).shape)
+            inside = np.zeros(np.broadcast(x, y).shape, bool)
             for sx in self.slit_centers():
-                out = np.maximum(out, (np.abs(x - sx) <= self.line_width / 2
-                                       ).astype(float))
+                inside |= np.abs(x - sx) <= self.line_width / 2
             if self.slit_length is not None:
-                out = out * (np.abs(y - cy) <= self.slit_length / 2)
-            return out
+                inside &= np.abs(y - cy) <= self.slit_length / 2
+            return inside.astype(float)
         if self.kind == "mask":
             return self.mask.interpolate(np.stack(
                 np.broadcast_arrays(x, y), axis=-1))
@@ -242,17 +309,37 @@ def single_lens_psf(system: ImagingSystem, spec: GridSpec,
     return FieldGrid.sample(spec, lambda x, y: system.psf_amplitude(x, y, order))
 
 
-def _linear_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Full linear convolution sum of two arrays by a zero-padded spectral
-    product (no wrap-around)."""
-    from scipy import fft as sp_fft
+def _fast_len(n: int, primes: tuple[int, ...] = (2, 3, 5)) -> int:
+    """Smallest m >= n with no prime factor outside ``primes``: 5-smooth for
+    real FFTs, 11-smooth for complex, as ``scipy.fft.next_fast_len``."""
+    m = n
+    while True:
+        k = m
+        for p in primes:
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
+
+def _linear_convolution(f: np.ndarray, g: np.ndarray,
+                        rows: slice = slice(None)) -> np.ndarray:
+    """``rows`` of the full linear convolution sum of two real arrays by a
+    zero-padded spectral product, bit for bit that of ``scipy.fft``'s
+    rfftn/irfftn: axis 1, then 0, and back, and the factor 1/(n0 n1) last,
+    as pocketfft's n-d c2r.  Only the kept rows are inverted along axis 1."""
     shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
-    real = not (np.iscomplexobj(f) or np.iscomplexobj(g))
-    fft, ifft = ((sp_fft.rfftn, sp_fft.irfftn) if real
-                 else (sp_fft.fftn, sp_fft.ifftn))
-    fshape = [sp_fft.next_fast_len(n, real) for n in shape]
-    return ifft(fft(f, fshape) * fft(g, fshape), fshape)[:shape[0], :shape[1]]
+    n0, n1 = (_fast_len(n) for n in shape)
+    s, t = (np.zeros((n0, n1 // 2 + 1), complex) for _ in range(2))
+    for a, spectrum in ((f, s), (g, t)):
+        np.fft.rfft(a, n1, axis=1, out=spectrum[:len(a)])
+        np.fft.fft(spectrum, axis=0, out=spectrum)
+    s *= t
+    s = np.fft.ifft(s, axis=0, norm="forward", out=s)[:shape[0]][rows]
+    out = np.fft.irfft(s, n1, axis=1, norm="forward")
+    out *= 1.0 / (n0 * n1)
+    return out[:, :shape[1]]
 
 
 def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
@@ -275,16 +362,18 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     # the kernel holds every offset from a box sample to an output sample
     kernel = GridSpec(spec.nx + i1 - i0, spec.ny + j1 - j0, spec.dx, spec.dy,
                       (-i1 * spec.dx, -j1 * spec.dy))
-    h = single_lens_psf(system, kernel, order).values
+    h = single_lens_psf(system, kernel, order).values   # real for every pupil
     if not coherent:
         box = np.abs(box) ** 2
         h = np.abs(h) ** 2
     # output sample p sits at index p + i1 - i0 of the full convolution
-    conv = _linear_convolution(box, h)[i1 - i0:i1 - i0 + spec.nx,
-                                       j1 - j0:j1 - j0 + spec.ny]
-    conv = conv * spec.dx * spec.dy
+    rows = slice(i1 - i0, i1 - i0 + spec.nx)
+    conv = _linear_convolution(box.real, h, rows)
+    if np.iscomplexobj(box):
+        conv = conv + 1j * _linear_convolution(box.imag, h, rows)
+    conv = conv[:, j1 - j0:j1 - j0 + spec.ny] * spec.dx * spec.dy
     m = system.magnification
-    values = np.abs(conv) ** 2 if coherent else conv.real.clip(min=0.0)
+    values = np.abs(conv) ** 2 if coherent else conv.clip(min=0.0)
     return FieldGrid(values, spec.dx * m, spec.dy * m,
                      (spec.origin[0] * m, spec.origin[1] * m))
 

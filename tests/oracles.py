@@ -14,6 +14,9 @@ whole grid instead of the aperture's box), the per-pair coverage table (the
 library's weight, evaluated on every pixel pair instead of once per pixel
 offset) and the biphoton amplitude (the library's wavevector mismatch at
 two free photon positions, where the pair source evaluates it at +-xi).
+Two SciPy routines are bit-exact references for NumPy ports in ``optics``:
+``scipy.special.j1`` for ``somb`` and the ``scipy.fft`` padded product for
+``_linear_convolution``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,29 @@ def somb_reference(x: float) -> float:
     if x == 0.0:
         return 1.0
     return 2.0 * bessel_j1_series(x) / x
+
+
+def somb_scipy(x) -> np.ndarray:
+    """2 J1(x)/x from ``scipy.special.j1``, 1 at x = 0."""
+    from scipy.special import j1
+
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    nz = x != 0
+    out[nz] = 2.0 * j1(x[nz]) / x[nz]
+    return out
+
+
+def linear_convolution_scipy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays by ``scipy.fft``: the
+    5-smooth padded ``rfftn`` product and its ``irfftn``."""
+    from scipy import fft as sp_fft
+
+    shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
+    fshape = [sp_fft.next_fast_len(n, True) for n in shape]
+    spectrum = (sp_fft.rfftn(f, fshape, axes=(0, 1))
+                * sp_fft.rfftn(g, fshape, axes=(0, 1)))
+    return sp_fft.irfftn(spectrum, fshape, axes=(0, 1))[:shape[0], :shape[1]]
 
 
 def j1_first_root_bisect(lo: float = 3.0, hi: float = 4.5,

@@ -116,6 +116,9 @@ def test_schema_tag_accepts(kind, value, expected):
     ("float>0", float("nan"), "expected a finite number, got nan"),
     pytest.param("float", 10 ** 400, "expected a finite number",
                  id="int_beyond_float_range"),
+    pytest.param("int>=1", 10 ** 400,
+                 "expected an integer within float range",
+                 id="int_key_beyond_float_range"),
 ])
 def test_schema_tag_rejects(kind, value, message):
     with pytest.raises(ConfigError, match=f"^k: {message}"):
@@ -175,12 +178,13 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
      "acquisition.far_field_correlation_px"),
     ("reconstruction.window_s=.inf", "reconstruct", "reconstruction.window_s"),
     ("system.pupil_radius_m=.nan", "psf", "system.pupil_radius_m"),
+    ("grid.nx=1" + "0" * 400, "psf", "grid.nx"),
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
         "zero_photons", "negative_photons", "zero_wall_time",
         "wall_time_below_one_frame", "negative_far_field_correlation",
-        "infinite_window", "nan_pupil"])
+        "infinite_window", "nan_pupil", "grid_nx_beyond_float_range"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, setting, command,
                                     named):
     events = tmp_path / "two.ocme"
@@ -247,6 +251,27 @@ def test_reconstruct_and_analyze_leave_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert (an / "analyze_report.txt").exists()
+
+
+def test_simulate_and_the_pair_sampler_load_no_scipy(tmp_path):
+    # the sombrero PSF and the convolution need NumPy alone; importing SciPy
+    # would add ~0.3 s and ~27 MB to every simulate
+    script = (
+        "import sys; from ocmsim.cli import main; "
+        "from ocmsim.config import load_config; "
+        "from ocmsim.detector import OcmPairSource; "
+        f"assert main(['--config', {str(CONFIG)!r}, "
+        f"'--set', 'acquisition.wall_time_s=0.01', "
+        f"'--out', {str(tmp_path / 'sim')!r}, 'simulate']) == 0; "
+        "print([m for m in sys.modules if m.startswith('scipy')]); "
+        f"cfg = load_config({str(CONFIG)!r}); source = cfg.source(); "
+        "assert isinstance(source, OcmPairSource); "
+        "source.sampler(cfg.detector()); "
+        "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
+    assert (tmp_path / "sim" / "events.ocme").exists()
 
 
 def test_help_lists_every_config_key():

@@ -1,10 +1,14 @@
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ocmsim import FieldGrid, GridSpec, fourier_transform_2d
+from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
+                    PupilProfile, fourier_transform_2d)
 from ocmsim.cli import main
 from ocmsim.errors import CorruptGridFile
 
@@ -94,6 +98,43 @@ def test_interpolation_matches_samples():
     np.testing.assert_allclose(g.interpolate(pts),
                                [g.values[5 + k, 10 + k] for k in range(4)],
                                atol=1e-12)
+
+
+# every analytic Aperture kind, and both pupils at orders 1 to 3; ``mask``
+# interpolates a grid that is not the sampled one
+SAMPLED = {
+    "slits": Aperture.slits(3, 20e-6, 45e-6, slit_length=90e-6,
+                            center=(5e-6, -3e-6)).amplitude,
+    "unbounded_slit": Aperture.slits(1, 30e-6).amplitude,
+    "rectangle": Aperture.rectangle(70e-6, 40e-6, (10e-6, 5e-6)).amplitude,
+    "gaussian_spot": Aperture.gaussian_spot(25e-6, (-5e-6, 0.0)).amplitude,
+    "uniform": Aperture.uniform().amplitude,
+    "mask": Aperture.from_mask(FieldGrid.sample(
+        GridSpec.centered(24, 8e-6),
+        lambda x, y: np.exp(-(x ** 2 + 2 * y ** 2) / 1e-9))).amplitude,
+    **{f"{pupil.value}_pupil_order_{n}": partial(ImagingSystem(
+        1.38e-3, 0.355, 810e-9, 2.4, pupil, pupil_sigma=0.5e-3).psf_amplitude,
+        order=n) for pupil in PupilProfile for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLED))
+@given(st.integers(2, 40), st.integers(2, 40), st.floats(1e-7, 1e-5),
+       st.floats(1e-7, 1e-5), st.floats(-2e-4, 2e-4), st.floats(-2e-4, 2e-4))
+def test_sample_equals_meshgrid_evaluation(kind, nx, ny, dx, dy, ox, oy):
+    spec = GridSpec(nx, ny, dx, dy, (ox, oy))
+    func = SAMPLED[kind]
+    X, Y = np.meshgrid(spec.x_axis(), spec.y_axis(), indexing="ij")
+    got = FieldGrid.sample(spec, func)
+    assert got.spec == spec
+    assert np.array_equal(got.values, func(X, Y))
+
+
+def test_sample_broadcasts_a_partial_result_to_a_writable_grid():
+    spec = GridSpec(5, 3, 1.0, 2.0, (0.0, -2.0))
+    g = FieldGrid.sample(spec, lambda x, y: y)
+    assert g.values.shape == (5, 3) and g.values.flags.writeable
+    assert np.array_equal(g.values, np.tile(spec.y_axis(), (5, 1)))
 
 
 def grid_bytes(tmp_path) -> bytes:

@@ -1,15 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
                     PupilProfile, coherent_image, fourier_transform_2d, image,
                     incoherent_image, single_lens_psf, somb)
 from ocmsim.errors import GridTooCoarse
+from ocmsim.optics import J1_FIRST_ZERO, _fast_len, _linear_convolution
 
 from conftest import first_zero_of
 from oracles import (SpacingMismatch, coherent_image_quadrature, convolve2d,
                      direct_convolution, image_doubled_kernel,
-                     j1_first_root_bisect, somb_reference)
+                     j1_first_root_bisect, linear_convolution_scipy,
+                     somb_reference, somb_scipy)
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +41,46 @@ def test_somb_matches_series_reference():
     xs = np.linspace(0.05, 25.0, 113)
     ref = np.array([somb_reference(float(x)) for x in xs])
     np.testing.assert_allclose(somb(xs), ref, atol=1e-12)
+
+
+# the x = 5 seam between the Cephes rational and Hankel forms, subnormals,
+# the first zero and both ends of the float range
+SOMB_EDGES = [0.0, 5.0, -5.0, np.nextafter(5.0, 0.0), np.nextafter(5.0, 6.0),
+              5.0 - 1e-15, 5.0 + 1e-15, 5e-324, -1e-310, 1e-300, 1e300,
+              -1e300, J1_FIRST_ZERO, -J1_FIRST_ZERO]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+def test_somb_equals_scipy_j1_bit_for_bit(values):
+    x = np.array(values)
+    assert np.array_equal(somb(x), somb_scipy(x))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_somb_of_a_scalar_is_the_float_scipy_gives(x):
+    got = somb(np.float64(x))
+    assert type(got) is float and got == somb_scipy(x)
+
+
+def test_somb_equals_scipy_j1_across_blocks_and_seams():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([SOMB_EDGES, rng.uniform(-400.0, 400.0, 70001),
+                        rng.uniform(-5.0, 5.0, 3000)])
+    rng.shuffle(x)
+    assert np.array_equal(somb(x), somb_scipy(x))
+    grid = x[:69000].reshape(230, 300)[::2, ::3]     # strided 2-d input
+    assert np.array_equal(somb(grid), somb_scipy(grid))
+
+
+def test_somb_non_finite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert somb(np.inf) == 0.0 and somb(-np.inf) == 0.0
+        assert np.isnan(somb(np.nan))
+        got = somb(np.array([np.inf, np.nan, -np.inf, 0.0, 6.0, 1.0]))
+    assert got[[0, 2]].tolist() == [0.0, 0.0] and np.isnan(got[1])
+    assert np.array_equal(got[3:], somb_scipy([0.0, 6.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +115,32 @@ def test_gaussian_pupil_psf_is_gaussian():
     x = h.x_axis()
     expected = np.exp(-x ** 2 / (2 * sigma ** 2))
     np.testing.assert_allclose(h.values[:, 64], expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the padded FFT convolution inside ``image``, against scipy.fft
+# ---------------------------------------------------------------------------
+
+def test_fast_len_equals_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    for n in range(1, 4097):
+        assert _fast_len(n) == next_fast_len(n, True)
+        assert _fast_len(n, (2, 3, 5, 7, 11)) == next_fast_len(n, False)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.data())
+def test_linear_convolution_equals_scipy_fft_bit_for_bit(nf0, nf1, ng0, ng1,
+                                                         seed, data):
+    rng = np.random.default_rng(seed)
+    f, g = rng.normal(size=(nf0, nf1)), rng.normal(size=(ng0, ng1))
+    ref = linear_convolution_scipy(f, g)
+    assert np.array_equal(_linear_convolution(f, g), ref)
+    start = data.draw(st.integers(0, ref.shape[0] - 1))
+    stop = data.draw(st.integers(start + 1, ref.shape[0]))
+    rows = _linear_convolution(f, g, slice(start, stop))
+    assert np.array_equal(rows, ref[start:stop])
 
 
 # ---------------------------------------------------------------------------

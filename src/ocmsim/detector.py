@@ -10,12 +10,20 @@ frame).
 Acquisitions thin by detection efficiency before sampling.  Efficiency does
 not depend on position, so a tuple leaves at least one detected photon with
 probability q = 1 - (1 - pde)**N wherever it lands.  ``run_acquisition``
-draws Poisson counts of such tuples only, at q times the pair rate, samples
-their positions, and gives each a per-photon detection mask drawn
-conditional on at least one detection.  This is exact: the event stream has
-the distribution it would have if every tuple were drawn and detected with
-Bernoulli efficiency, as ``apply_detector_model`` does.  At pde = 1, q is 1,
-every mask is full and the random draws are those of the unthinned model.
+draws such tuples only, at q times the pair rate, samples their positions,
+and gives each a per-photon detection mask drawn conditional on at least one
+detection.  This is exact: the event stream has the distribution it would
+have if every tuple were drawn and detected with Bernoulli efficiency, as
+``apply_detector_model`` does.  At pde = 1, q is 1, every mask is full and
+the random draws are those of the unthinned model.
+
+Tuples reach frames at Poisson counts of mean m per frame, independent from
+frame to frame.  A block of n frames draws them as one Poisson(n m) total,
+each tuple placed on a uniform random frame of the block: given their total,
+i.i.d. Poisson counts are multinomial with equal cell probabilities, which
+is what uniform placement gives, so the per-frame counts are exactly i.i.d.
+Poisson(m).  The cost follows the tuples, not the frames, most of which are
+empty at real-sensor efficiency.
 
 Determinism contract: every public entry point takes a seed; identical
 (seed, config, source) produce identical event streams.  Acquisition runs are
@@ -576,6 +584,19 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
 _BLOCK_FRAMES = 1 << 16
 
 
+def _tuple_frames(rng: np.random.Generator, mean: float, start: int,
+                  stop: int) -> np.ndarray:
+    """Sorted frame ids of the tuples of frames [start, stop), at Poisson
+    counts of ``mean`` per frame: one Poisson total for the block, each
+    tuple on a uniform random frame (exact, see the module docstring)."""
+    n_frames = stop - start
+    ids = rng.integers(0, n_frames, rng.poisson(mean * n_frames),
+                       dtype=np.uint64)
+    ids.sort()
+    ids += np.uint64(start)
+    return ids
+
+
 def child_seed(master_seed: int, label) -> int:
     """Seed derived by hashing (master seed, label): a block index or a name."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
@@ -588,9 +609,10 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     """Simulate an acquisition of ``wall_time`` seconds of frames.
 
     The number of frames equals wall_time * frame_rate.  Each frame block
-    draws Poisson counts of only those tuples that leave at least one
-    detected photon (see the module docstring), samples their positions and
-    detects them.  ``pairs_generated`` still counts every tuple the source
+    draws one Poisson total of only those tuples that leave at least one
+    detected photon, places them on uniform random frames of the block (both
+    exact, see the module docstring), samples their positions and detects
+    them.  ``pairs_generated`` still counts every tuple the source
     emitted: the detected ones plus a Poisson count of the undetected ones,
     drawn after the block's events.  When ``out_path`` is given, the event
     stream is written in the OCME format, and next to it, at ``out_path +
@@ -612,11 +634,9 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
         start = block * _BLOCK_FRAMES
         stop = min(start + _BLOCK_FRAMES, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
-        counts = rng.poisson(mean_pairs * seen, stop - start)
-        total = int(counts.sum())
+        frame_ids = _tuple_frames(rng, mean_pairs * seen, start, stop)
+        total = frame_ids.size
         positions = draw(rng, total) if total else np.empty((0, n_ph, 2))
-        frame_ids = start + np.repeat(np.arange(stop - start, dtype=np.uint64),
-                                      counts)
         stream = _detect(positions, cfg, rng, frame_ids, (start, stop),
                          thinned=True)
         unseen = rng.poisson(mean_pairs * (1.0 - seen) * (stop - start))

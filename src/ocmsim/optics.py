@@ -168,9 +168,22 @@ class ImagingSystem:
         """PSF amplitude h at object-plane offsets, h(0)=1.
 
         ``order`` scales the argument (order N gives the N-photon centroid
-        PSF shape for this pupil).
+        PSF shape for this pupil).  On an x column and a y row, as
+        ``FieldGrid.sample`` passes its axes, h is evaluated once per
+        distinct (|x|, |y|) pair and gathered: h depends on hypot(x, y)
+        alone, which ignores signs bit for bit, so the values are those of
+        direct evaluation.
         """
-        r = np.hypot(x, y)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim == y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1:
+            ux, ix = np.unique(np.abs(x[:, 0]), return_inverse=True)
+            uy, iy = np.unique(np.abs(y[0]), return_inverse=True)
+            h = self._psf_of_radius(np.hypot(ux[:, None], uy), order)
+            return h[ix].take(iy, axis=1)
+        return self._psf_of_radius(np.hypot(x, y), order)
+
+    def _psf_of_radius(self, r: np.ndarray, order: int) -> np.ndarray:
+        """h at radii ``r`` (scaled in place for the hard pupil)."""
         if self.pupil_profile is PupilProfile.HARD_CIRCULAR:
             r *= 2.0 * np.pi * self.pupil_radius * order
             r /= self.object_distance * self.wavelength

@@ -421,12 +421,21 @@ def accidental_histogram_loop(frame, ix, iy, t_bin, n_pixels, window_bins: int,
     return hist
 
 
+def per_frame_counts(rng, mean: float, n_frames: int) -> np.ndarray:
+    """Tuples per frame as one Poisson draw per frame: the emission step
+    that block-total placement replaced, kept as its reference."""
+    return rng.poisson(mean, n_frames)
+
+
 def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
     """``run_acquisition`` without thinning, block by block.
 
     Every tuple is drawn, at Poisson counts of ``mean_pairs`` per frame, and
-    detected with Bernoulli efficiency.  The stream's ``pairs_generated``
-    is the number of tuples drawn.
+    detected with Bernoulli efficiency.  A block's tuples are one Poisson
+    total placed on uniform random frames, which gives exactly i.i.d.
+    Poisson counts per frame (multinomial cells given the total); this is
+    its own copy of the library's placement.  The stream's
+    ``pairs_generated`` is the number of tuples drawn.
     """
     from ocmsim import EventStream
     from ocmsim.detector import _BLOCK_FRAMES, _detect, child_seed
@@ -438,14 +447,13 @@ def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
     for block, start in enumerate(range(0, n_frames, _BLOCK_FRAMES)):
         stop = min(start + _BLOCK_FRAMES, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
-        counts = rng.poisson(mean_pairs, stop - start)
-        total = int(counts.sum())
+        total = rng.poisson(mean_pairs * (stop - start))
+        frame_ids = start + np.sort(rng.integers(0, stop - start, total,
+                                                 dtype=np.uint64))
         positions = (draw(rng, total) if total else
                      np.empty((0, source.photons_per_event(), 2)))
-        frame_ids = start + np.repeat(np.arange(stop - start, dtype=np.uint64),
-                                      counts)
         parts.append(_detect(positions, cfg, rng, frame_ids, (start, stop)))
-        generated += total
+        generated += int(total)
     return EventStream(
         *(np.concatenate([getattr(p, k) for p in parts])
           for k in ("frame", "ix", "iy", "t_bin")),

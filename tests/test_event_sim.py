@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import unthinned_acquisition
+from oracles import per_frame_counts, unthinned_acquisition
 from scipy import stats
 
 from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
@@ -10,7 +10,8 @@ from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
                     OcmPairSource, PhaseMatchingParams, PointSource,
                     apply_detector_model, extract_coincidences, ocm_image,
                     run_acquisition, sample_event_positions)
-from ocmsim.detector import _DensitySampler, _pack
+from ocmsim.detector import (_BLOCK_FRAMES, _DensitySampler, _pack,
+                             _tuple_frames)
 from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
 from ocmsim.events_io import stable_hash
 
@@ -374,6 +375,98 @@ def test_thinned_acquisition_matches_unthinned_in_distribution(
     mean = src.pair_rate * cfg.frame_duration * thinned.n_frames
     for stream in (thinned, reference):
         assert abs(stream.meta["pairs_generated"] - mean) < 5 * np.sqrt(mean)
+
+
+# ---------------------------------------------------------------------------
+# emission: one Poisson total per frame block, placed on uniform frames
+# ---------------------------------------------------------------------------
+
+def placed_counts(seed: int, mean: float, n_frames: int) -> np.ndarray:
+    """Tuples per frame from ``_tuple_frames``, block by block."""
+    rng = np.random.default_rng(seed)
+    ids = np.concatenate([
+        _tuple_frames(rng, mean, start, min(start + _BLOCK_FRAMES, n_frames))
+        for start in range(0, n_frames, _BLOCK_FRAMES)])
+    return np.bincount(ids.astype(np.int64), minlength=n_frames)
+
+
+@pytest.mark.parametrize("mean", [0.0072, 1.0], ids=["real_sensor", "ideal"])
+def test_block_total_placement_gives_poisson_counts_per_frame(mean):
+    # 0.0072 tuples per frame: real-sensor rate after thinning; 16 blocks
+    n = 16 * _BLOCK_FRAMES
+    placed = placed_counts(3, mean, n)
+    reference = per_frame_counts(np.random.default_rng(4), mean, n)
+
+    def histogram(counts):                 # frames with 0, 1, 2, 3, 4, 5+
+        k = np.bincount(counts, minlength=6)
+        return np.r_[k[:5], k[5:].sum()]
+
+    ha, hb = histogram(placed), histogram(reference)
+    last = np.flatnonzero(ha + hb >= 10)[-1]    # pool the sparse tail
+    table = [np.r_[h[:last], h[last:].sum()] for h in (ha, hb)]
+    assert len(table[0]) >= 3
+    assert stats.chi2_contingency(table)[1] > 1e-3
+    # sample mean and variance of i.i.d. Poisson counts, within 5 sigma
+    for counts in (placed, reference):
+        assert abs(counts.mean() - mean) < 5 * np.sqrt(mean / n)
+        assert abs(counts.var() - mean) < 5 * np.sqrt((mean + 2 * mean ** 2)
+                                                      / n)
+
+
+def test_block_total_placement_is_uniform_within_each_block():
+    # 2.5 blocks at 20 tuples per frame; the first and the last frame of the
+    # full blocks and of the partial final block are bins of their own, so
+    # a frame that an off-by-one leaves empty adds 40 or 20 to the chi-square
+    mean, n_frames = 20.0, 2 * _BLOCK_FRAMES + _BLOCK_FRAMES // 2
+    rng = np.random.default_rng(12)
+    offsets = {_BLOCK_FRAMES: [], _BLOCK_FRAMES // 2: []}
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, n_frames)
+        ids = _tuple_frames(rng, mean, start, stop)
+        assert ids.dtype == np.uint64 and np.all(ids[:-1] <= ids[1:])
+        assert ids.min() >= start and ids.max() < stop
+        offsets[stop - start].append(ids - np.uint64(start))
+    chi2, dof = 0.0, 0
+    for length, parts in offsets.items():
+        edges = np.r_[0, np.linspace(1, length - 1, 9).round(), length]
+        observed = np.histogram(np.concatenate(parts), bins=edges)[0]
+        expected = observed.sum() * np.diff(edges) / length
+        chi2 += float(((observed - expected) ** 2 / expected).sum())
+        dof += len(observed) - 1
+    assert stats.chi2.sf(chi2, dof) > 1e-3
+
+
+def test_acquisition_draws_no_per_frame_poisson(monkeypatch, reference_system,
+                                                pm_params, triple_slit):
+    # every Poisson call of a real-sensor acquisition draws one variate: a
+    # block total, its undetected tuples or its dark counts, never one count
+    # per frame
+    import ocmsim.detector
+
+    sizes = []
+    make_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def poisson(self, *args, **kwargs):
+            draws = self._rng.poisson(*args, **kwargs)
+            sizes.append(np.size(draws))
+            return draws
+
+    monkeypatch.setattr(ocmsim.detector.np.random, "default_rng",
+                        lambda seed=None: CountingGenerator(make_rng(seed)))
+    cfg = DetectorConfig()                     # pde 0.008, 1 kHz darks
+    source = OcmPairSource(triple_slit, reference_system, pm_params, 1e7)
+    stream = run_acquisition(source, cfg, 3 * _BLOCK_FRAMES / cfg.frame_rate,
+                             7)
+    assert stream.n_frames == 3 * _BLOCK_FRAMES and len(stream) > 0
+    assert len(sizes) == 3 * 3                 # total, unseen, darks per block
+    assert max(sizes) == 1
 
 
 @st.composite

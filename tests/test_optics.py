@@ -1,4 +1,6 @@
 import warnings
+from hashlib import sha256
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
                     PupilProfile, coherent_image, fourier_transform_2d, image,
                     incoherent_image, single_lens_psf, somb)
+from ocmsim.config import load_config
 from ocmsim.errors import GridTooCoarse
 from ocmsim.optics import J1_FIRST_ZERO, _fast_len, _linear_convolution
 
@@ -115,6 +118,55 @@ def test_gaussian_pupil_psf_is_gaussian():
     x = h.x_axis()
     expected = np.exp(-x ** 2 / (2 * sigma ** 2))
     np.testing.assert_allclose(h.values[:, 64], expected, atol=1e-12)
+
+
+@st.composite
+def psf_specs(draw):
+    """Grids from 0.025 to 0.5 first-zero radii per sample, with origins
+    anywhere from a whole axis left of 0 to right of it, centred ones too."""
+    r0 = 127e-6
+    nx, ny = draw(st.integers(2, 60)), draw(st.integers(2, 60))
+    dx, dy = (draw(st.floats(0.025, 0.5)) * r0 for _ in range(2))
+    origin = []
+    for n, d in ((nx, dx), (ny, dy)):
+        shift = draw(st.sampled_from([0.0, 0.5]) | st.floats(-1.0, 1.0))
+        origin.append(-(draw(st.integers(0, n)) + shift) * d)
+    return GridSpec(nx, ny, dx, dy, tuple(origin))
+
+
+@given(psf_specs(), st.integers(1, 3), st.booleans())
+def test_psf_on_axes_equals_direct_evaluation(spec, order, gaussian):
+    # on broadcast axes h is evaluated per distinct (|x|, |y|) and gathered
+    sys_ = (ImagingSystem(1.38e-3, 0.355, 810e-9, 2.4,
+                          PupilProfile.GAUSSIAN, pupil_sigma=0.5e-3)
+            if gaussian else ImagingSystem(1.38e-3, 0.355, 810e-9, 2.4))
+    got = FieldGrid.sample(spec, lambda x, y: sys_.psf_amplitude(x, y, order))
+    X, Y = np.meshgrid(spec.x_axis(), spec.y_axis(), indexing="ij")
+    assert np.array_equal(got.values, sys_.psf_amplitude(X, Y, order))
+
+
+@pytest.mark.parametrize("overrides", [
+    ["detector.pde=auto", "detector.dark_count_rate_hz=1000.0"],
+    ["detector.pde=1.0", "detector.dark_count_rate_hz=0.0",
+     "detector.crosstalk_prob=0.0", "acquisition.pair_rate_hz=22222222.2"],
+], ids=["real_sensor", "ideal_triple_slit"])
+def test_centroid_density_unchanged_by_psf_gather(monkeypatch, overrides):
+    # the sampler's density, with the PSF kernel gathered and evaluated
+    # directly on full grids, is the same to the last bit
+    config = Path(__file__).parent.parent / "configs" / "default.yaml"
+    cfg = load_config(config, overrides)
+    source, detector = cfg.source(), cfg.detector()
+
+    def digest():
+        values = source.centroid_density(detector).values
+        return sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+    gathered = digest()
+    direct = ImagingSystem.psf_amplitude
+    monkeypatch.setattr(ImagingSystem, "psf_amplitude",
+                        lambda self, x, y, order=1:
+                        direct(self, *np.broadcast_arrays(x, y), order))
+    assert digest() == gathered
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", required=True, help="YAML run configuration")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a configuration key (repeatable)")
+                        help="override a configuration key (repeatable); "
+                        "KEY may name a section, whose mapping merges key by "
+                        "key, and VALUE is YAML, where 1e-3 is a number")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the master seed")
+                        help="override the master seed (as --set "
+                        "acquisition.seed=N)")
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads (results are thread-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,9 +261,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set)
-        if args.seed is not None:
-            cfg.values["acquisition.seed"] = int(args.seed)
+        seed = [] if args.seed is None else [f"acquisition.seed={args.seed}"]
+        cfg = load_config(args.config, args.set + seed)
         out_dir = Path(args.out or cfg["io.output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:

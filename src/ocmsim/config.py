@@ -101,21 +101,6 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
 ]
 
 
-def _set_path(tree: dict, path: str, value) -> None:
-    keys = path.split(".")
-    node = tree
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
-
-
-def default_tree() -> dict:
-    tree: dict = {}
-    for path, _, default, _ in SCHEMA:
-        _set_path(tree, path, default)
-    return tree
-
-
 # base type -> (cast, what one value must be); a float also takes an int,
 # and only a bool field takes a bool
 _BASES = {"float": (float, "a number"), "int": (int, "an integer"),
@@ -176,7 +161,7 @@ def _config_errors(section: str):
 
 @dataclass
 class RunConfig:
-    """Validated flat view of the configuration tree."""
+    """Validated configuration: one value per dotted ``SCHEMA`` key."""
 
     values: dict = field(default_factory=dict)
 
@@ -302,33 +287,42 @@ class RunConfig:
         return weight
 
 
-def _walk_and_validate(tree: dict) -> dict:
-    known = {path: kind for path, kind, _, _ in SCHEMA}
-    flat: dict = {}
+_KINDS = {path: kind for path, kind, _, _ in SCHEMA}
 
-    def recurse(node, prefix):
-        if not isinstance(node, dict):
-            raise ConfigError(f"{prefix or '<root>'}: expected a mapping")
-        for key, value in node.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if path in known:
-                flat[path] = _check_type(path, known[path], value)
-            elif any(p.startswith(path + ".") for p in known):
-                recurse(value, path)
-            else:
-                raise ConfigError(f"{path}: unknown configuration key")
 
-    recurse(tree, "")
-    return flat
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading that also reads ``1e-3``, ``2E+9`` or
+    ``1.0e3`` (no dot, or no exponent sign) as a float, not a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
+def _overlay(values: dict, path: str, value) -> None:
+    """Set ``value`` at dotted ``path``: a key takes it as it is, a section
+    takes a mapping whose items overlay its keys one by one."""
+    if path in _KINDS:
+        values[path] = value
+    elif not any(key.startswith(path + ".") for key in _KINDS):
+        raise ConfigError(f"{path}: unknown configuration key")
+    elif not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    else:
+        for key, item in value.items():
+            _overlay(values, f"{path}.{key}", item)
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
-    """Load and validate a YAML config; apply ``key.path=value`` overrides."""
-    tree = default_tree()
+    """The schema defaults, overlaid by the YAML file at ``path`` and then by
+    each ``KEY=VALUE`` override in turn, each value checked once at the end."""
+    values = {key: default for key, _, default, _ in SCHEMA}
     if path is not None:
         try:
             with open(path) as fh:
-                user = yaml.safe_load(fh)
+                user = yaml.load(fh, Loader=_Loader)
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark
             where = (f"{path}:{mark.line + 1}:{mark.column + 1}"
@@ -341,35 +335,33 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
             user = {}
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        _merge(tree, user)
+        for key, value in user.items():
+            _overlay(values, str(key), value)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
         key, raw = item.split("=", 1)
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set {key}: cannot parse value {raw!r}") from exc
-        _set_path(tree, key.strip(), value)
-    flat = _walk_and_validate(tree)
+        _overlay(values, key.strip(), value)
+    flat = {key: _check_type(key, _KINDS[key], value)
+            for key, value in values.items()}
     if flat["acquisition.wall_time_s"] * flat["detector.frame_rate_hz"] < 1:
         raise ConfigError("acquisition.wall_time_s: shorter than one frame "
                           "period of detector.frame_rate_hz")
     return RunConfig(flat)
 
 
-def _merge(base: dict, update: dict) -> None:
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value)
-        else:
-            base[key] = value
-
-
 def schema_help() -> str:
     """Human-readable key table for --help."""
     width = max(len(path) for path, _, _, _ in SCHEMA)
-    lines = ["configuration keys (YAML paths, SI units):"]
+    lines = ["configuration keys (YAML paths, SI units); --set KEY may also "
+             "name a section,",
+             "whose mapping merges key by key as in the file, and a YAML "
+             "VALUE such as 1e-3",
+             "reads as a number:"]
     for path, kind, default, help_ in SCHEMA:
         lines.append(f"  {path.ljust(width)}  {help_} "
                      f"(type {kind}, default {default!r})")

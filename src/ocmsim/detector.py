@@ -473,6 +473,24 @@ def _arrival_bins(rng: np.random.Generator, count: int,
     return np.minimum(t, cfg.n_time_bins - 1).astype(np.uint16)
 
 
+_NEIGHBOURS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
+
+
+def _crosstalk(rng: np.random.Generator, cfg: DetectorConfig, frame, ix, iy,
+               t_bin):
+    """Detections, then crosstalk: each fires each on-sensor ``_NEIGHBOURS``
+    pixel at most once, in its time bin; one draw per (side, detection)."""
+    side, src = np.nonzero(rng.random((4, frame.size)) < cfg.crosstalk_prob)
+    nx_ = ix[src] + _NEIGHBOURS[side, 0]
+    ny_ = iy[src] + _NEIGHBOURS[side, 1]
+    ok = ((nx_ >= 0) & (nx_ < cfg.n_pixels_x)
+          & (ny_ >= 0) & (ny_ < cfg.n_pixels_y))
+    src = src[ok]
+    return (np.concatenate([frame, frame[src]]),
+            np.concatenate([ix, nx_[ok]]), np.concatenate([iy, ny_[ok]]),
+            np.concatenate([t_bin, t_bin[src]]))
+
+
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
             rng: np.random.Generator, frame_ids: np.ndarray,
             frame_range: tuple[int, int],
@@ -521,22 +539,9 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
         ph_iy = np.concatenate([ph_iy, d_iy.astype(np.int64)])
         ph_tbin = np.concatenate([ph_tbin, d_tbin])
 
-    # crosstalk: every detection may trigger each 4-neighbor once, same bin
     if cfg.crosstalk_prob > 0 and ph_frame.size:
-        n_det = ph_frame.size
-        extra = []
-        for ddx, ddy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            fired = rng.random(n_det) < cfg.crosstalk_prob
-            nx_ = ph_ix[fired] + ddx
-            ny_ = ph_iy[fired] + ddy
-            ok = ((nx_ >= 0) & (nx_ < cfg.n_pixels_x)
-                  & (ny_ >= 0) & (ny_ < cfg.n_pixels_y))
-            extra.append((ph_frame[fired][ok], nx_[ok], ny_[ok],
-                          ph_tbin[fired][ok]))
-        ph_frame = np.concatenate([ph_frame] + [e[0] for e in extra])
-        ph_ix = np.concatenate([ph_ix] + [e[1] for e in extra])
-        ph_iy = np.concatenate([ph_iy] + [e[2] for e in extra])
-        ph_tbin = np.concatenate([ph_tbin] + [e[3] for e in extra])
+        ph_frame, ph_ix, ph_iy, ph_tbin = _crosstalk(
+            rng, cfg, ph_frame, ph_ix, ph_iy, ph_tbin)
 
     # first-hit: keep the earliest event per (frame, pixel), by stable sorts
     # on keys packed from (frame - first frame, ix, iy, t_bin)

@@ -5,15 +5,18 @@ Bessel values come from an arbitrary-precision power series, convolutions
 from nested direct summation, the N-photon correlation from explicit
 2N-dimensional quadrature, the centroid PSF from the pupil side (powers of
 the pupil function and an inverse Fourier transform, where the library
-self-convolves the PSF), and coincidence and accidental pairs from plain
-loops over every event pair.  Four references reuse library parts because
+self-convolves the PSF), coincidence and accidental pairs from plain loops
+over every event pair, crosstalk from one draw per neighbour side, and
+configuration values from the nested-tree loader that the flat overlay
+replaced.  Five references reuse library parts because
 each checks one shortcut alone: the unthinned acquisition (the library's
 sampler and detector model, without thinning), the doubled-kernel image
 (the library's PSF sampling, convolved by SciPy's ``fftconvolve`` on the
 whole grid instead of the aperture's box), the per-pair coverage table (the
 library's weight, evaluated on every pixel pair instead of once per pixel
-offset) and the biphoton amplitude (the library's wavevector mismatch at
-two free photon positions, where the pair source evaluates it at +-xi).
+offset), the biphoton amplitude (the library's wavevector mismatch at two
+free photon positions, where the pair source evaluates it at +-xi) and the
+nested configuration tree (the library's schema and per-key type check).
 Two SciPy routines are bit-exact references for NumPy ports in ``optics``:
 ``scipy.special.j1`` for ``somb`` and the ``scipy.fft`` padded product for
 ``_linear_convolution``.
@@ -459,3 +462,71 @@ def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
           for k in ("frame", "ix", "iy", "t_bin")),
         n_frames=n_frames, detector=cfg,
         meta={"pairs_generated": generated})
+
+
+def nested_config_values(path, overrides=(), seed=None) -> dict:
+    """Configuration values as the nested-tree loader produced them.
+
+    The schema defaults form a tree, the YAML file merges into it key by
+    key, each ``--set`` writes its node whole, a ``--seed`` replaces the
+    seed unchecked, and only then is the tree flattened and each leaf
+    checked.  This is the path the flat overlay replaced; it agrees with it
+    wherever it loads and is kept as the reference for that.
+    """
+    import yaml
+
+    from ocmsim.config import SCHEMA, _check_type
+
+    def put(tree, dotted, value):
+        *sections, leaf = dotted.split(".")
+        for key in sections:
+            tree = tree.setdefault(key, {})
+        tree[leaf] = value
+
+    def merge(base, update):
+        for key, value in update.items():
+            if isinstance(value, dict) and isinstance(base.get(key), dict):
+                merge(base[key], value)
+            else:
+                base[key] = value
+
+    kinds = {key: kind for key, kind, _, _ in SCHEMA}
+    tree: dict = {}
+    for key, _, default, _ in SCHEMA:
+        put(tree, key, default)
+    with open(path) as fh:
+        merge(tree, yaml.safe_load(fh) or {})
+    for item in overrides:
+        key, raw = item.split("=", 1)
+        put(tree, key.strip(), yaml.safe_load(raw))
+
+    flat: dict = {}
+
+    def walk(node, prefix):
+        for key, value in node.items():
+            dotted = f"{prefix}.{key}" if prefix else str(key)
+            if dotted in kinds:
+                flat[dotted] = _check_type(dotted, kinds[dotted], value)
+            else:
+                walk(value, dotted)
+
+    walk(tree, "")
+    if seed is not None:
+        flat["acquisition.seed"] = int(seed)
+    return flat
+
+
+def crosstalk_per_side(rng, cfg, frame, ix, iy, t_bin):
+    """Crosstalk as four uniform draws, one per neighbour side in the order
+    +x, -x, +y, -y, and a loop over the detections each side fires from:
+    the per-side draw that the single (side, detection) draw replaced."""
+    out = [list(a) for a in (frame, ix, iy, t_bin)]
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        fired = rng.random(len(frame)) < cfg.crosstalk_prob
+        for i in np.flatnonzero(fired):
+            x, y = ix[i] + dx, iy[i] + dy
+            if 0 <= x < cfg.n_pixels_x and 0 <= y < cfg.n_pixels_y:
+                for column, value in zip(out, (frame[i], x, y, t_bin[i])):
+                    column.append(value)
+    return tuple(np.array(column, dtype=a.dtype)
+                 for column, a in zip(out, (frame, ix, iy, t_bin)))

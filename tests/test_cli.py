@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ocmsim
 from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
@@ -17,8 +22,10 @@ from ocmsim.cli import main
 from ocmsim.config import SCHEMA, _check_type, load_config
 from ocmsim.errors import ConfigError, CorruptEventFile
 from ocmsim.events_io import stable_hash
+from oracles import nested_config_values
 
-CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "default.yaml"
 
 FAST = [
     "--set", "acquisition.wall_time_s=0.01",
@@ -80,6 +87,179 @@ def test_set_override():
 def test_bad_override_choice():
     with pytest.raises(ConfigError, match="reconstruction.mode"):
         load_config(CONFIG, overrides=["reconstruction.mode=sideways"])
+
+
+def load_perfbench_workloads() -> dict:
+    """``WORKLOADS`` of perfbench/spec.py, a data module that imports no
+    ``ocmsim``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spec", ROOT / "perfbench" / "spec.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_perfbench_workloads()
+
+
+@pytest.fixture
+def two_frame_events(tmp_path):
+    """A three-event, two-frame stream on the default sensor."""
+    events = tmp_path / "two.ocme"
+    write_events(events, EventStream(
+        frame=np.array([0, 0, 1], np.uint64), ix=np.array([3, 9, 4], np.uint16),
+        iy=np.array([3, 9, 5], np.uint16), t_bin=np.zeros(3, np.uint16),
+        n_frames=2, detector=DetectorConfig()))
+    return events
+
+
+@pytest.mark.parametrize("name", [None, *WORKLOADS])
+def test_shipped_config_loads_the_nested_tree_values(name):
+    """The default file, alone or under a benchmark workload's overrides
+    (as its worker and its CLI runs pass them), with or without a seed."""
+    overrides = []
+    if name is not None:
+        workload = WORKLOADS[name]
+        overrides = workload["overrides"] + [
+            f"acquisition.wall_time_s={workload['wall_time_s']!r}"]
+    assert load_config(CONFIG, overrides).values == \
+        nested_config_values(CONFIG, overrides)
+    assert load_config(CONFIG, overrides + ["acquisition.seed=41"]).values \
+        == nested_config_values(CONFIG, overrides, seed=41)
+
+
+@pytest.mark.parametrize("setting, command, outcome", [
+    # a section mapping merges key by key, as the same mapping in the file
+    ("detector={pde: 1.0}", "reconstruct", ["detector.pde=1.0"]),
+    ("reconstruction={}", "reconstruct", []),
+    # a key below a key names nothing
+    ("detector.pde.x=1", "psf", "detector.pde.x: unknown configuration key"),
+    ("acquisition.seed.x=1", "psf",
+     "acquisition.seed.x: unknown configuration key"),
+    # a section takes a mapping, and each key in it is checked
+    ("detector=5", "psf", "detector: expected a mapping"),
+    ("detector={pde: {x: 1}}", "psf", "detector.pde: expected a number"),
+], ids=["detector_mapping", "empty_reconstruction_mapping",
+        "key_below_float_key", "key_below_int_key", "section_not_mapping",
+        "section_mapping_bad_value"])
+def test_set_of_a_section_or_below_a_key(tmp_path, capsys, two_frame_events,
+                                         setting, command, outcome):
+    args = ["--config", CONFIG, "--set", setting, "--out", tmp_path / "o",
+            command] + ([two_frame_events] if command == "reconstruct" else [])
+    if isinstance(outcome, str):
+        assert run_cli(args) == 2
+        assert f"configuration error: {outcome}" in capsys.readouterr().err
+    else:
+        assert run_cli(args) == 0
+        assert load_config(CONFIG, [setting]).values == \
+            load_config(CONFIG, outcome).values
+
+
+def tag_values(kind: str):
+    """Values a schema type tag accepts (choices, bounds, pairs, literals)."""
+    kind, _, alt = kind.partition("|")
+    if kind.startswith("choice:"):
+        values = st.sampled_from(kind[7:].split(","))
+    elif kind.startswith("pair<"):
+        values = st.lists(tag_values(kind[5:-1]), min_size=2, max_size=2)
+    elif kind == "bool":
+        values = st.booleans()
+    elif kind == "str":
+        values = st.text(alphabet="abcdefxyz_/", min_size=1, max_size=8)
+    else:
+        base, op, low = re.fullmatch(r"(\w+)(>=|>|)(\d*)", kind).groups()
+        low = int(low) if op else -10 ** 6
+        if base == "int":
+            values = st.integers(min_value=low + (op == ">"),
+                                 max_value=10 ** 6)
+        else:
+            values = st.floats(min_value=low, max_value=1e9,
+                               exclude_min=op == ">")
+    return values | st.just(None if alt == "null" else alt) if alt else values
+
+
+KINDS = {key: kind for key, kind, _, _ in SCHEMA}
+
+
+@given(drawn=st.sets(st.sampled_from(sorted(KINDS))).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: tag_values(KINDS[key]) for key in sorted(keys)})))
+def test_file_leaf_sets_and_section_sets_load_alike(tmp_path_factory, drawn):
+    """A random subset of keys, written as a YAML file, as one ``--set``
+    per key and as one section mapping per section, loads one set of
+    values, in which every drawn key holds its checked value."""
+    nested: dict = {}
+    for key, value in drawn.items():
+        *sections, leaf = key.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+    path = tmp_path_factory.getbasetemp() / "drawn.yaml"
+    path.write_text(yaml.safe_dump(nested))
+    leaf_sets = [f"{key}={json.dumps(value)}" for key, value in drawn.items()]
+    section_sets = [f"{section}={json.dumps(mapping)}"
+                    for section, mapping in nested.items()]
+
+    def outcome(path, overrides):
+        try:
+            return load_config(path, overrides).values
+        except ConfigError as exc:
+            return str(exc)
+
+    loaded = outcome(path, [])
+    assert outcome(None, leaf_sets) == loaded
+    assert outcome(None, section_sets) == loaded
+    if isinstance(loaded, str):       # only a run shorter than one frame
+        assert loaded.startswith("acquisition.wall_time_s: shorter than")
+    else:
+        assert all(loaded[key] == _check_type(key, KINDS[key], value)
+                   for key, value in drawn.items())
+
+
+EXPONENTS = {"reconstruction.window_s": ("2e-9", "2.0e-9"),
+             "acquisition.pair_rate_hz": ("4E+6", "4.0e+6"),
+             "acquisition.wall_time_s": ("1e-3", "1.0e-3"),
+             "aperture.center_m": ("[1e-6, -2.5e-6]", "[1.0e-6, -2.5e-6]"),
+             "system.pupil_radius_m": ("1.5e-3", "1.5e-3")}
+
+
+def test_exponent_without_dot_is_a_number_in_file_and_set(tmp_path):
+    dotted = [f"{key}={plain}" for key, (_, plain) in EXPONENTS.items()]
+    expected = load_config(None, dotted).values
+    assert expected["reconstruction.window_s"] == 2e-9
+    sets = [f"{key}={short}" for key, (short, _) in EXPONENTS.items()]
+    assert load_config(None, sets).values == expected
+
+    sections: dict = {}
+    for key, (short, _) in EXPONENTS.items():
+        section, leaf = key.split(".")
+        sections.setdefault(section, []).append(f"  {leaf}: {short}\n")
+    custom = tmp_path / "exponents.yaml"
+    custom.write_text("".join(f"{section}:\n" + "".join(lines)
+                              for section, lines in sections.items()))
+    assert load_config(custom).values == expected
+    set_args = [arg for item in sets for arg in ("--set", item)]
+    assert run_cli(["--config", custom, *set_args, "--set", "grid.nx=256",
+                    "--out", tmp_path / "o", "simulate"]) == 0
+
+
+@pytest.mark.parametrize("setting, outcome", [
+    ("io.output_dir=1e3x", "1e3x"),
+    ("io.output_dir='1e3'", "1e3"),
+    ("io.output_dir=auto", "auto"),
+    ("grid.nx=1_000", 1000),
+    ("analysis.band=[1_0, 2E1]", ConfigError("expected an integer, got 20.0")),
+    # an unquoted exponent is a number, so a string key needs it quoted
+    ("io.output_dir=1e3", ConfigError("expected a string, got 1000.0")),
+])
+def test_only_exponent_numbers_change_reading(setting, outcome):
+    key = setting.split("=")[0]
+    if isinstance(outcome, ConfigError):
+        with pytest.raises(ConfigError, match=f"^{key}: {outcome}"):
+            load_config(CONFIG, [setting])
+    else:
+        assert load_config(CONFIG, [setting])[key] == outcome
 
 
 @pytest.mark.parametrize("kind, value, expected", [
@@ -185,16 +365,12 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
         "zero_photons", "negative_photons", "zero_wall_time",
         "wall_time_below_one_frame", "negative_far_field_correlation",
         "infinite_window", "nan_pupil", "grid_nx_beyond_float_range"])
-def test_out_of_range_value_exits_2(tmp_path, capsys, setting, command,
-                                    named):
-    events = tmp_path / "two.ocme"
-    write_events(events, EventStream(
-        frame=np.array([0, 0, 1], np.uint64), ix=np.array([3, 9, 4], np.uint16),
-        iy=np.array([3, 9, 5], np.uint16), t_bin=np.zeros(3, np.uint16),
-        n_frames=2, detector=DetectorConfig()))
+def test_out_of_range_value_exits_2(tmp_path, capsys, two_frame_events,
+                                    setting, command, named):
     args = ["--config", CONFIG, *FAST, "--set", setting,
             "--out", tmp_path / "o", command]
-    assert run_cli(args + ([events] if command == "reconstruct" else [])) == 2
+    assert run_cli(args + ([two_frame_events] if command == "reconstruct"
+                           else [])) == 2
     assert f"configuration error: {named}: " in capsys.readouterr().err
 
 
@@ -399,6 +575,19 @@ def test_seed_flag_changes_stream(tmp_path):
     assert run_cli(["--config", CONFIG, *FAST, "--seed", "777", "--out", b,
                     "simulate"]) == 0
     assert (a / "events.ocme").read_bytes() != (b / "events.ocme").read_bytes()
+
+
+def test_seed_flag_is_a_checked_seed_override(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["--config", CONFIG, *FAST, "--seed", "777", "--out", a,
+                    "simulate"]) == 0
+    assert run_cli(["--config", CONFIG, *FAST, "--set", "acquisition.seed=777",
+                    "--out", b, "simulate"]) == 0
+    assert (a / "events.ocme").read_bytes() == (b / "events.ocme").read_bytes()
+    assert run_cli(["--config", CONFIG, "--seed", "1" + "0" * 400,
+                    "--out", tmp_path / "c", "psf"]) == 2
+    assert ("configuration error: acquisition.seed: expected an integer "
+            "within float range") in capsys.readouterr().err
 
 
 def test_psf_refines_a_coarse_grid_to_the_order_n_psf(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import per_frame_counts, unthinned_acquisition
+from oracles import (crosstalk_per_side, per_frame_counts,
+                     unthinned_acquisition)
 from scipy import stats
 
 from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
@@ -10,8 +11,8 @@ from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
                     OcmPairSource, PhaseMatchingParams, PointSource,
                     apply_detector_model, extract_coincidences, ocm_image,
                     run_acquisition, sample_event_positions)
-from ocmsim.detector import (_BLOCK_FRAMES, _DensitySampler, _pack,
-                             _tuple_frames)
+from ocmsim.detector import (_BLOCK_FRAMES, _crosstalk, _DensitySampler,
+                             _pack, _tuple_frames)
 from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
 from ocmsim.events_io import stable_hash
 
@@ -241,6 +242,27 @@ def test_crosstalk_spawns_neighbors():
     for k in range(len(ev)):
         by_frame.setdefault(int(ev.frame[k]), set()).add(int(ev.t_bin[k]))
     assert all(len(bins) == 1 for bins in by_frame.values())
+
+
+@given(n_x=st.integers(1, 5), n_y=st.integers(1, 5),
+       prob=st.sampled_from([0.01, 0.3, 1.0]), n_det=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_crosstalk_draw_equals_per_side_draws(n_x, n_y, prob, n_det, seed):
+    """One (side, detection) draw gives the events, their order and the
+    generator state of four per-side draws."""
+    cfg = DetectorConfig(n_pixels_x=n_x, n_pixels_y=n_y, crosstalk_prob=prob)
+    fields = np.random.default_rng(seed)
+    frame = fields.integers(0, 9, n_det).astype(np.uint64)
+    ix = fields.integers(0, n_x, n_det)
+    iy = fields.integers(0, n_y, n_det)
+    t_bin = fields.integers(0, 200, n_det).astype(np.uint16)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _crosstalk(rng, cfg, frame, ix, iy, t_bin)
+    want = crosstalk_per_side(ref, cfg, frame, ix, iy, t_bin)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert rng.random() == ref.random()
 
 
 def test_detected_singles_scale_with_pde(reference_system, pm_params):

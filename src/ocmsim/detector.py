@@ -543,19 +543,15 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
         ph_frame, ph_ix, ph_iy, ph_tbin = _crosstalk(
             rng, cfg, ph_frame, ph_ix, ph_iy, ph_tbin)
 
-    # first-hit: keep the earliest event per (frame, pixel), by stable sorts
-    # on keys packed from (frame - first frame, ix, iy, t_bin)
+    # first-hit: sort on keys packed from (frame - first frame, ix, iy, t_bin)
+    # and keep each (frame, pixel)'s first, earliest event; the events leave
+    # in the sensor's readout order (frame, ix, iy), one per pixel and frame
     if ph_frame.size:
-        rel = ph_frame - np.uint64(frame_range[0])
-        key = _pack((rel, ph_ix, ph_iy, ph_tbin), (w_frame, w_x, w_y, w_t))
+        key = _pack((ph_frame - np.uint64(frame_range[0]), ph_ix, ph_iy,
+                     ph_tbin), (w_frame, w_x, w_y, w_t))
         order = np.argsort(key, kind="stable")
         pixel = key[order] >> np.uint64(w_t)
         order = order[np.r_[True, pixel[1:] != pixel[:-1]]]
-        rel, ph_frame, ph_ix, ph_iy, ph_tbin = (
-            a[order] for a in (rel, ph_frame, ph_ix, ph_iy, ph_tbin))
-        # final stream order: (frame, t_bin, ix, iy)
-        key = _pack((rel, ph_tbin, ph_ix, ph_iy), (w_frame, w_t, w_x, w_y))
-        order = np.argsort(key, kind="stable")
         ph_frame, ph_ix, ph_iy, ph_tbin = (a[order] for a in
                                            (ph_frame, ph_ix, ph_iy, ph_tbin))
 
@@ -571,7 +567,8 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
 
     ``positions`` has shape (n_tuples, N, 2); tuple i lands in frame
     ``frame_ids[i]`` of ``frame_range``, by default frame i of
-    (0, max(n_tuples, 1)).  Events come back sorted by (frame_id, t_bin).
+    (0, max(n_tuples, 1)).  Events come back in readout order: by frame,
+    then pixel (ix, iy), at most one per pixel and frame.
     """
     if frame_ids is None:
         frame_ids = np.arange(len(positions), dtype=np.uint64)

@@ -30,7 +30,7 @@ class SinkWriteError(OcmsimError):
 
 
 class UnsortedInput(OcmsimError):
-    """Event stream not sorted by (frame_id, t_bin)."""
+    """Event stream whose frame ids decrease somewhere."""
 
 
 class SortKeyOverflow(OcmsimError):

@@ -3,7 +3,9 @@
 Layout: magic ``OCME``, version u16, u32 JSON header length, a UTF-8 JSON
 header (detector configuration, source hash, frame count, seed, counters),
 then repeated little-endian records ``{frame_id u64, ix u16, iy u16,
-t_bin u16}`` sorted by (frame_id, t_bin).  The header's ``detector`` object
+t_bin u16}`` sorted by frame_id, the one order reconstruction needs
+(``ocmsim`` writes each frame in pixel order, one event per pixel; files in
+(frame_id, t_bin) order read alike).  The header's ``detector`` object
 holds exactly the fields of ``DetectorConfig`` (its ``to_dict``): every
 stream has a sensor.  Only ``read_events`` parses it, with
 ``DetectorConfig.from_dict``; the stream then carries the parsed object.
@@ -52,10 +54,8 @@ class EventStream:
         return self.frame.size
 
     def is_sorted(self) -> bool:
-        """Whether (frame, t_bin) never decreases, compared field by field."""
-        f, t = self.frame, self.t_bin
-        later = f[1:] > f[:-1]
-        return bool(np.all(later | ((f[1:] == f[:-1]) & (t[1:] >= t[:-1]))))
+        """Whether frame ids never decrease: the order reconstruction needs."""
+        return bool(np.all(self.frame[1:] >= self.frame[:-1]))
 
 
 def canonical_json(obj) -> str:
@@ -86,7 +86,7 @@ def write_events(path, stream: EventStream) -> None:
         with open(path, "wb") as fh:
             fh.write(_PREFIX.pack(OCME_MAGIC, OCME_VERSION, len(blob)))
             fh.write(blob)
-            fh.write(records.tobytes())
+            records.tofile(fh)
     except OSError as exc:
         raise SinkWriteError(f"cannot write event file {path}: {exc}") from exc
 
@@ -94,9 +94,10 @@ def write_events(path, stream: EventStream) -> None:
 def read_events(path) -> EventStream:
     """Load an OCME file; any malformed part raises ``CorruptEventFile``.
 
-    The header's ``n_frames`` must be a nonnegative integer and its
-    ``detector`` must parse with ``DetectorConfig.from_dict``.  Frame ids
-    must lie below ``n_frames``, pixel indices and time bins below the
+    The header's ``n_frames`` must be an integer in [0, 2**63], so that a
+    frame id plus a cross-frame offset below it cannot wrap a uint64, and
+    its ``detector`` must parse with ``DetectorConfig.from_dict``.  Frame
+    ids must lie below ``n_frames``, pixel indices and time bins below the
     detector's pixel counts and time-bin count.
     """
     with open(path, "rb") as fh:
@@ -134,9 +135,9 @@ def read_events(path) -> EventStream:
             ("ix", "n_pixels_x", cfg.n_pixels_x),
             ("iy", "n_pixels_y", cfg.n_pixels_y),
             ("t_bin", "ceil(frame_duration / time_bin)", cfg.n_time_bins)]:
-        if type(limit) is not int or limit < 0:
+        if type(limit) is not int or not 0 <= limit <= 2 ** 63:
             raise CorruptEventFile(
-                f"{path}: header lacks a nonnegative integer {key}")
+                f"{path}: header lacks an integer {key} in [0, 2**63]")
         bad = np.flatnonzero(records[name] >= limit)
         if bad.size:
             raise CorruptEventFile(

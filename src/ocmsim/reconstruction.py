@@ -113,7 +113,7 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     ``n_cut`` counts the in-window pairs that the separation cut rejects.
     """
     if not events.is_sorted():
-        raise UnsortedInput("events must be sorted by (frame_id, t_bin)")
+        raise UnsortedInput("events must be sorted by frame_id")
     cfg = events.detector
     frames = events.frame
     target = frames + np.uint64(offset)
@@ -144,8 +144,8 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     Pairs closer than ``min_xi`` pixels (Chebyshev) are rejected to suppress
     crosstalk and counted in ``n_cut``.  Frames with several admissible pairs
     keep them all (flagged), unless ``one_pair_per_frame`` drops such frames.
-    Pairs come out in stream order: frame ascending, then (i, j) with i < j
-    by stream index, event i in the ``*1`` arrays and event j in ``*2``.
+    Pairs come out by frame, then as (i, j) with i < j in stream (pixel
+    readout) order, event i in the ``*1`` arrays and event j in ``*2``.
     """
     if order != 2:
         raise ValueError("coincidence extraction is specified for pairs")

@@ -538,6 +538,27 @@ def test_reconstruct_mode_selects_the_normalisation(tmp_path, short_events,
     assert np.array_equal(image, expected)
 
 
+def test_time_ordered_event_file_reconstructs_alike(tmp_path, short_events):
+    """Records sorted by (frame, t_bin, ix, iy), as older files hold them,
+    give the report and image bytes of the pixel-ordered file."""
+    events = read_events(short_events)
+    order = np.lexsort((events.iy, events.ix, events.t_bin, events.frame))
+    assert not np.array_equal(order, np.arange(len(events)))
+    for name in ("frame", "ix", "iy", "t_bin"):
+        setattr(events, name, getattr(events, name)[order])
+    write_events(tmp_path / "timed.ocme", events)
+    outputs = []
+    for name, path in (("pixel", short_events),
+                       ("timed", tmp_path / "timed.ocme")):
+        assert run_cli(["--config", CONFIG, "--out", tmp_path / name,
+                        "reconstruct", path]) == 0
+        outputs.append({p.name: p.read_bytes()
+                        for p in (tmp_path / name).iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["centroid_image.csv", "centroid_image.ocmg",
+                                  "reconstruct_report.txt"]
+
+
 def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):
     out = tmp_path / "sim"
     assert run_cli(["--config", CONFIG, *FAST,

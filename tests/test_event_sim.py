@@ -206,8 +206,9 @@ def test_first_hit_keeps_the_earliest_event_per_pixel(ideal_detector):
     same = apply_detector_model(np.zeros((200, 1, 2)), ideal_detector, 9,
                                 frames, (0, 1))
     assert len(apart) == 200
-    np.testing.assert_array_equal(
-        np.lexsort((apart.iy, apart.ix, apart.t_bin)), np.arange(200))
+    # events leave in readout order: by pixel (ix, iy), whatever their times
+    np.testing.assert_array_equal(apart.ix, ix)
+    np.testing.assert_array_equal(apart.iy, iy)
     assert len(same) == 1
     assert same.t_bin[0] == apart.t_bin.min()
 
@@ -349,6 +350,21 @@ def test_thread_count_does_not_change_stream(point_pair_source, ideal_detector):
         a = run_acquisition(point_pair_source, cfg, 0.2, 31, n_threads=1)
         b = run_acquisition(point_pair_source, cfg, 0.2, 31, n_threads=4)
         assert_same_stream(a, b)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_acquired_streams_are_in_readout_order(point_pair_source, n_threads):
+    """Strictly increasing (frame, ix, iy): frame blocks merge in order, and
+    each frame holds at most one event per pixel, in pixel order, even where
+    hot darks and crosstalk hit one pixel more than once in a frame."""
+    cfg = DetectorConfig(n_pixels_x=4, n_pixels_y=3, pde=0.5,
+                         dark_count_rate=1e6, crosstalk_prob=0.3)
+    for seed in (1, 2, 3):
+        ev = run_acquisition(point_pair_source, cfg, 0.1, seed,
+                             n_threads=n_threads)
+        assert ev.n_frames > _BLOCK_FRAMES
+        key = (ev.frame.astype(np.int64) * 4 + ev.ix) * 3 + ev.iy
+        assert np.all(np.diff(key) > 0)
 
 
 @pytest.mark.parametrize("noise", [

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
 from ocmsim.errors import CorruptEventFile
+from ocmsim.events_io import _RECORD
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
@@ -42,6 +44,16 @@ def with_detector(**change) -> bytes:
                                    "detector": detector}).encode())
 
 
+def with_frames(n_frames, frames) -> bytes:
+    """File whose header holds ``n_frames`` and whose events lie in
+    ``frames``, at pixel (0, 0) and time bin 0."""
+    records = np.zeros(len(frames), dtype=_RECORD)
+    records["frame"] = frames
+    return with_header(json.dumps({"n_frames": n_frames, "detector":
+                                   DetectorConfig().to_dict()}).encode()
+                       ) + records.tobytes()
+
+
 def reconstruct_exit_code(tmp_path, path) -> int:
     return main(["--config", str(CONFIG), "--out", str(tmp_path / "o"),
                  "reconstruct", str(path)])
@@ -66,9 +78,13 @@ def reconstruct_exit_code(tmp_path, path) -> int:
                                          "detector": None}).encode()),
     lambda good: with_header(json.dumps(
         {"n_frames": -5, "detector": DetectorConfig().to_dict()}).encode()),
+    # frame + offset would wrap a uint64: frame 2**64 - 1 meets frame 0
+    lambda good: with_frames(2 ** 64, [0, 2 ** 64 - 1]),
+    lambda good: with_frames(2 ** 70, [0, 1]),
 ], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
         "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor",
-        "no_detector", "null_detector", "negative_n_frames"])
+        "no_detector", "null_detector", "negative_n_frames", "n_frames_2**64",
+        "n_frames_2**70"])
 def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))
@@ -99,12 +115,11 @@ FRAMES = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 63))
 @given(st.lists(st.tuples(FRAMES, st.integers(0, 65535)), max_size=8),
        st.booleans())
 def test_is_sorted_matches_lexsort(rows, presort):
-    rows = sorted(rows) if presort else rows
+    """Sorted means sorted by frame id; time bins may fall within a frame."""
+    rows = sorted(rows, key=lambda r: r[0]) if presort else rows
     frame = np.array([r[0] for r in rows], np.uint64)
     t_bin = np.array([r[1] for r in rows], np.uint16)
-    order = np.lexsort((t_bin, frame))
-    expected = bool(np.array_equal(frame[order], frame)
-                    and np.array_equal(t_bin[order], t_bin))
+    expected = bool(np.array_equal(frame[np.lexsort((frame,))], frame))
     zeros = np.zeros(len(rows), np.uint16)
     events = EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63 + 1,
                          detector=DetectorConfig())
@@ -122,3 +137,33 @@ def test_unsorted_file_with_huge_frame_ids_is_rejected(tmp_path):
     path = tmp_path / "unsorted.ocme"
     write_events(path, events)
     assert reconstruct_exit_code(tmp_path, path) == 3
+
+
+def test_frame_count_of_2_63_reads(tmp_path):
+    events = stream(frame=(0, 0, 2 ** 63 - 1))
+    events.n_frames = 2 ** 63
+    path = tmp_path / "edge.ocme"
+    write_events(path, events)
+    assert read_events(path).frame.tolist() == [0, 0, 2 ** 63 - 1]
+
+
+def test_write_events_does_not_copy_the_records(tmp_path):
+    n = 10 ** 6
+    rng = np.random.default_rng(3)
+    events = EventStream(
+        frame=np.sort(rng.integers(0, n, n, dtype=np.uint64)),
+        ix=rng.integers(0, 32, n, dtype=np.uint16),
+        iy=rng.integers(0, 32, n, dtype=np.uint16),
+        t_bin=rng.integers(0, 220, n, dtype=np.uint16),
+        n_frames=n, detector=DetectorConfig())
+    path = tmp_path / "big.ocme"
+    tracemalloc.start()
+    try:
+        write_events(path, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * _RECORD.itemsize
+    back = read_events(path)
+    for name in ("frame", "ix", "iy", "t_bin"):
+        assert np.array_equal(getattr(back, name), getattr(events, name))

@@ -26,7 +26,7 @@ def joint_histogram_x(pairs) -> np.ndarray:
 
 
 def make_stream(rows, n_frames, cfg=None) -> EventStream:
-    """rows: (frame, ix, iy, t_bin), already sorted by (frame, t_bin)."""
+    """rows: (frame, ix, iy, t_bin), sorted by frame."""
     cfg = cfg or DetectorConfig()
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
     return EventStream(frame=rows[:, 0].astype(np.uint64),
@@ -293,6 +293,45 @@ def test_accidentals_match_cross_frame_loop(ev, k, min_xi, offset):
                                     k, min_xi, offset)
     norm = ev.n_frames / (2.0 * (ev.n_frames - offset))
     assert np.array_equal(acc.values, ref * norm)
+
+
+def _pixel_pairs(pairs) -> list:
+    """Multiset of unordered pixel pairs per frame, as a sorted list."""
+    return sorted((int(f), *sorted([(int(a), int(b)), (int(c), int(d))]))
+                  for f, a, b, c, d in zip(pairs.frame, pairs.ix1, pairs.iy1,
+                                           pairs.ix2, pairs.iy2))
+
+
+@pytest.fixture(scope="module")
+def phase_matching_weight():
+    return load_config().deviation_weight()
+
+
+@given(small_streams(), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_order_within_a_frame_changes_no_result(phase_matching_weight, ev,
+                                                min_xi, one_pair_per_frame,
+                                                seed):
+    """Frame order is the whole stream contract: the events of each frame
+    shuffled give the same pairs, counters, images and accidentals."""
+    order = np.lexsort((np.random.default_rng(seed).random(len(ev)),
+                        ev.frame))
+    shuffled = EventStream(ev.frame[order], ev.ix[order], ev.iy[order],
+                           ev.t_bin[order], ev.n_frames, ev.detector)
+    window = 3 * ev.detector.time_bin
+    a, b = (extract_coincidences(e, window, 2, min_xi, one_pair_per_frame)
+            for e in (ev, shuffled))
+    assert (len(a), a.n_cut, a.n_multi_pair_frames) == \
+        (len(b), b.n_cut, b.n_multi_pair_frames)
+    assert _pixel_pairs(a) == _pixel_pairs(b)
+    for weight in (None, phase_matching_weight):
+        assert np.array_equal(centroid_image(a, deviation_weight=weight).values,
+                              centroid_image(b, deviation_weight=weight).values)
+    for offset in (1, 2, 3):
+        if ev.n_frames > offset:
+            assert np.array_equal(
+                estimate_accidentals(ev, window, offset, min_xi).values,
+                estimate_accidentals(shuffled, window, offset, min_xi).values)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +138,12 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
             return amp * np.exp(-(xv - x0) ** 2 / (2.0 * sigma ** 2))
         p0 = (amp0, x0_0, width0)
 
-    from scipy.optimize import curve_fit
+    from scipy.optimize import OptimizeWarning, curve_fit
 
     try:
-        popt, _ = curve_fit(f, x, y, p0=p0, maxfev=20000)
+        with warnings.catch_warnings():     # the covariance goes unused
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, _ = curve_fit(f, x, y, p0=p0, maxfev=20000)
     except RuntimeError as exc:
         raise NoPeak(f"model fit failed: {exc}") from exc
     residual = float(np.sqrt(np.mean((f(x, *popt) - y) ** 2)) / y.max())

@@ -18,7 +18,8 @@ from .analysis import (FitModel, cross_section, export_profile_csv,
 from .config import RunConfig, load_config, schema_help
 from .detector import child_seed, run_acquisition
 from .errors import ConfigError, OcmsimError
-from .events_io import EventStream, read_events, write_manifest
+from .events_io import (EventStream, canonical_json, read_events,
+                        stable_hash, write_events, write_manifest)
 from .grid import FieldGrid, GridSpec
 from .ocm import classical_centroid_psf
 from .optics import PupilProfile, single_lens_psf
@@ -95,16 +96,22 @@ def cmd_psf(cfg: RunConfig, out_dir: Path) -> dict:
     return report
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> None:
     """Run an acquisition of the configured source; write events + manifest."""
-    seed = cfg["acquisition.seed"]
-    source = cfg.source()
-    detector = cfg.detector(cfg["system.wavelength_m"])
-    events_path = out_dir / "events.ocme"
+    source, detector = cfg.source(), cfg.detector()
     stream = run_acquisition(source, detector, cfg["acquisition.wall_time_s"],
-                             seed, out_path=events_path, n_threads=n_threads)
-    return {"events": str(events_path), "n_events": len(stream),
-            "n_frames": stream.n_frames}
+                             cfg["acquisition.seed"], n_threads=n_threads)
+    events_path, meta = out_dir / "events.ocme", stream.meta
+    write_events(events_path, stream)
+    write_manifest(f"{events_path}.manifest.txt", {
+        "seed": meta["seed"], "wall_time_s": meta["wall_time"],
+        "n_frames": stream.n_frames,
+        "duty_cycle": detector.duty_cycle,
+        "detector_hash": stable_hash(detector.to_dict()),
+        "source": canonical_json(source.describe()),
+        "source_hash": stream.source_hash,
+        "pairs_generated": meta["pairs_generated"],
+        "events_written": len(stream)})
 
 
 def _reconstruct(cfg: RunConfig, events: EventStream):
@@ -150,15 +157,18 @@ def cmd_reconstruct(cfg: RunConfig, events_path, out_dir: Path) -> dict:
 
 def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str):
     """x profile of ``grid`` over the configured band, written to
-    ``<stem>_profile.csv``, and its slit-contrast report entries (none
-    unless ``analysis.n_slits`` >= 2)."""
+    ``<stem>_profile.csv``, and its slit-contrast report entries: none unless
+    ``analysis.n_slits`` >= 2, the error's name if scoring fails."""
     prof = cross_section(grid, "x", cfg["analysis.band"])
     export_profile_csv(prof, out_dir / f"{stem}_profile.csv")
     n_slits = cfg["analysis.n_slits"]
     if n_slits < 2:
         return prof, {}
     pitch_img = cfg["aperture.pitch_m"] * cfg["system.magnification"]
-    contrast, resolved = slit_contrast(prof, n_slits, pitch_img)
+    try:
+        contrast, resolved = slit_contrast(prof, n_slits, pitch_img)
+    except OcmsimError as exc:
+        return prof, {f"{stem}_slit_error": type(exc).__name__}
     return prof, {f"{stem}_slit_contrast": contrast,
                   f"{stem}_resolved": resolved}
 

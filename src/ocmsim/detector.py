@@ -38,13 +38,13 @@ import enum
 import hashlib
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import SortKeyOverflow, UnnormalizableDensity
-from .events_io import (EventStream, canonical_json, stable_hash,
-                        write_events, write_manifest)
+from .events_io import EventStream, stable_hash
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
@@ -491,10 +491,12 @@ def _crosstalk(rng: np.random.Generator, cfg: DetectorConfig, frame, ix, iy,
             np.concatenate([t_bin, t_bin[src]]))
 
 
+_Detected = namedtuple("_Detected", "frame ix iy t_bin")
+
+
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
             rng: np.random.Generator, frame_ids: np.ndarray,
-            frame_range: tuple[int, int],
-            thinned: bool = False) -> EventStream:
+            frame_range: tuple[int, int], thinned: bool = False) -> _Detected:
     """Vectorized detector model; see apply_detector_model.
 
     With ``thinned``, every tuple is known to leave at least one detected
@@ -555,10 +557,8 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
         ph_frame, ph_ix, ph_iy, ph_tbin = (a[order] for a in
                                            (ph_frame, ph_ix, ph_iy, ph_tbin))
 
-    return EventStream(
-        frame=ph_frame.astype(np.uint64), ix=ph_ix.astype(np.uint16),
-        iy=ph_iy.astype(np.uint16), t_bin=ph_tbin.astype(np.uint16),
-        n_frames=n_frames, detector=cfg)
+    return _Detected(ph_frame.astype(np.uint64), ph_ix.astype(np.uint16),
+                    ph_iy.astype(np.uint16), ph_tbin.astype(np.uint16))
 
 
 def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
@@ -566,17 +566,19 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
     """Detect photon tuples: efficiency, binning, darks, crosstalk, first-hit.
 
     ``positions`` has shape (n_tuples, N, 2); tuple i lands in frame
-    ``frame_ids[i]`` of ``frame_range``, by default frame i of
-    (0, max(n_tuples, 1)).  Events come back in readout order: by frame,
-    then pixel (ix, iy), at most one per pixel and frame.
+    ``frame_ids[i]`` of the stream's ``frame_range`` = (0, n_frames), by
+    default frame i of (0, max(n_tuples, 1)).  Events come back in readout
+    order: by frame, then pixel (ix, iy), at most one per pixel and frame.
     """
     if frame_ids is None:
         frame_ids = np.arange(len(positions), dtype=np.uint64)
         frame_range = frame_range or (0, max(len(positions), 1))
-    elif frame_range is None:
-        raise ValueError("frame_ids need a frame_range")
+    if frame_range is None or frame_range[0] != 0:
+        raise ValueError("frame_range must be (0, n_frames), got "
+                         f"{frame_range}")
     rng = np.random.default_rng(rng_seed)
-    return _detect(positions, cfg, rng, frame_ids, frame_range)
+    return EventStream(*_detect(positions, cfg, rng, frame_ids, frame_range),
+                       n_frames=int(frame_range[1]), detector=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +608,7 @@ def child_seed(master_seed: int, label) -> int:
 
 
 def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
-                    seed: int, out_path=None, n_threads: int = 1
-                    ) -> EventStream:
+                    seed: int, n_threads: int = 1) -> EventStream:
     """Simulate an acquisition of ``wall_time`` seconds of frames.
 
     The number of frames equals wall_time * frame_rate.  Each frame block
@@ -616,13 +617,10 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     exact, see the module docstring), samples their positions and detects
     them.  ``pairs_generated`` still counts every tuple the source
     emitted: the detected ones plus a Poisson count of the undetected ones,
-    drawn after the block's events.  When ``out_path`` is given, the event
-    stream is written in the OCME format, and next to it, at ``out_path +
-    ".manifest.txt"``, a manifest recording seed, detector hash, source
-    description (the JSON that ``source_hash`` hashes) and counters.  Frame
-    blocks carry hash-derived child seeds and are merged in block order, so
-    the result does not depend on ``n_threads`` and reruns with the same
-    inputs are byte-identical.
+    drawn after the block's events.  Frame blocks carry hash-derived child
+    seeds and are merged in block order into one stream, so the result does
+    not depend on ``n_threads`` and reruns with the same inputs are
+    byte-identical.
     """
     n_frames = int(round(wall_time * cfg.frame_rate))
     if n_frames < 1:
@@ -632,17 +630,17 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     seen = 1.0 - (1.0 - cfg.pde) ** n_ph    # P(tuple leaves a detection)
     draw = source.sampler(cfg)
 
-    def run_block(block: int) -> tuple[EventStream, int]:
+    def run_block(block: int) -> tuple[_Detected, int]:
         start = block * _BLOCK_FRAMES
         stop = min(start + _BLOCK_FRAMES, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
         frame_ids = _tuple_frames(rng, mean_pairs * seen, start, stop)
         total = frame_ids.size
         positions = draw(rng, total) if total else np.empty((0, n_ph, 2))
-        stream = _detect(positions, cfg, rng, frame_ids, (start, stop),
+        events = _detect(positions, cfg, rng, frame_ids, (start, stop),
                          thinned=True)
         unseen = rng.poisson(mean_pairs * (1.0 - seen) * (stop - start))
-        return stream, total + int(unseen)
+        return events, total + int(unseen)
 
     n_blocks = (n_frames + _BLOCK_FRAMES - 1) // _BLOCK_FRAMES
     if n_threads > 1 and n_blocks > 1:
@@ -652,30 +650,9 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
             results = list(pool.map(run_block, range(n_blocks)))
     else:
         results = [run_block(b) for b in range(n_blocks)]
-    parts = [r[0] for r in results]
-    generated = sum(r[1] for r in results)
-
-    stream = EventStream(
-        frame=np.concatenate([p.frame for p in parts]),
-        ix=np.concatenate([p.ix for p in parts]),
-        iy=np.concatenate([p.iy for p in parts]),
-        t_bin=np.concatenate([p.t_bin for p in parts]),
-        n_frames=n_frames, detector=cfg,
+    parts, generated = zip(*results)
+    return EventStream(
+        *map(np.concatenate, zip(*parts)), n_frames=n_frames, detector=cfg,
         source_hash=stable_hash(source.describe()),
         meta={"seed": int(seed), "wall_time": wall_time,
-              "pairs_generated": generated})
-
-    if out_path is not None:
-        write_events(out_path, stream)
-        write_manifest(str(out_path) + ".manifest.txt", {
-            "seed": seed,
-            "wall_time_s": wall_time,
-            "n_frames": n_frames,
-            "duty_cycle": cfg.duty_cycle,
-            "detector_hash": stable_hash(cfg.to_dict()),
-            "source": canonical_json(source.describe()),
-            "source_hash": stream.source_hash,
-            "pairs_generated": generated,
-            "events_written": len(stream),
-        })
-    return stream
+              "pairs_generated": sum(generated)})

@@ -33,6 +33,10 @@ class UnsortedInput(OcmsimError):
     """Event stream whose frame ids decrease somewhere."""
 
 
+class EventOutOfRange(OcmsimError):
+    """Event stream whose arrays, frame count or ids break its bounds."""
+
+
 class SortKeyOverflow(OcmsimError):
     """Event fields too wide to pack into one 64-bit sort key."""
 

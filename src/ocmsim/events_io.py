@@ -9,6 +9,8 @@ t_bin u16}`` sorted by frame_id, the one order reconstruction needs
 holds exactly the fields of ``DetectorConfig`` (its ``to_dict``): every
 stream has a sensor.  Only ``read_events`` parses it, with
 ``DetectorConfig.from_dict``; the stream then carries the parsed object.
+``EventStream`` checks the rest of the contract when a stream is made, in
+memory or from a file, so ``read_events`` reads back any stream it holds.
 
 The manifest is a deterministic key: value text file written alongside a run;
 it never contains wall-clock timestamps so reruns are byte-identical.
@@ -24,7 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CorruptEventFile, SinkWriteError
+from .errors import (CorruptEventFile, EventOutOfRange, SinkWriteError,
+                     UnsortedInput)
 
 if TYPE_CHECKING:
     from .detector import DetectorConfig
@@ -37,11 +40,17 @@ _RECORD = np.dtype([("frame", "<u8"), ("ix", "<u2"), ("iy", "<u2"),
 _PREFIX = struct.Struct("<4sHI")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventStream:
-    """Detected events plus the acquisition context they came from."""
+    """Detected events plus the acquisition context they came from.
 
-    frame: np.ndarray            # u8 frame ids, sorted
+    Valid by construction: an int ``n_frames`` in [0, 2**63] (so frame id
+    + offset < n_frames cannot wrap); 1-D record-dtype arrays, one value per
+    event; ids below ``n_frames``, pixel counts, ``n_time_bins``.  Frame ids
+    that decrease raise ``UnsortedInput``, other breaches ``EventOutOfRange``.
+    """
+
+    frame: np.ndarray            # u8 frame ids, never decreasing
     ix: np.ndarray               # u2 pixel column index (x)
     iy: np.ndarray               # u2 pixel row index (y)
     t_bin: np.ndarray            # u2 time bin within frame
@@ -50,12 +59,30 @@ class EventStream:
     source_hash: str = ""
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        n, cfg, frame = self.n_frames, self.detector, self.frame
+        if type(n) is not int or not 0 <= n <= 2 ** 63:
+            raise EventOutOfRange(f"n_frames = {n!r} not an int in [0, 2**63]")
+        for name, key, limit in [
+                ("frame", "n_frames", n), ("ix", "n_pixels_x", cfg.n_pixels_x),
+                ("iy", "n_pixels_y", cfg.n_pixels_y),
+                ("t_bin", "ceil(frame_duration / time_bin)", cfg.n_time_bins)]:
+            a = getattr(self, name)
+            if (not isinstance(a, np.ndarray) or a.dtype != _RECORD[name]
+                    or a.ndim != 1 or a.shape != frame.shape):
+                raise EventOutOfRange(f"{name} is not a 1-D {_RECORD[name]} "
+                                      "array of one value per event")
+            if a.size and a.max() >= limit:
+                i = int(np.argmax(a >= limit))
+                raise EventOutOfRange(f"record {i} has {name} = {a[i]}, not "
+                                      f"below {key} = {limit}")
+        rising = frame[1:] >= frame[:-1]
+        if not rising.all():
+            i = int(np.argmin(rising)) + 1
+            raise UnsortedInput(f"record {i} has frame = {frame[i]}, unsorted")
+
     def __len__(self) -> int:
         return self.frame.size
-
-    def is_sorted(self) -> bool:
-        """Whether frame ids never decrease: the order reconstruction needs."""
-        return bool(np.all(self.frame[1:] >= self.frame[:-1]))
 
 
 def canonical_json(obj) -> str:
@@ -69,19 +96,13 @@ def stable_hash(obj) -> str:
 
 
 def write_events(path, stream: EventStream) -> None:
-    header = {
-        "version": OCME_VERSION,
-        "detector": stream.detector.to_dict(),
-        "source_hash": stream.source_hash,
-        "n_frames": int(stream.n_frames),
-        "meta": stream.meta,
-    }
+    header = {"version": OCME_VERSION, "detector": stream.detector.to_dict(),
+              "source_hash": stream.source_hash, "n_frames": stream.n_frames,
+              "meta": stream.meta}
     blob = canonical_json(header).encode()
     records = np.empty(len(stream), dtype=_RECORD)
-    records["frame"] = stream.frame
-    records["ix"] = stream.ix
-    records["iy"] = stream.iy
-    records["t_bin"] = stream.t_bin
+    for name in _RECORD.names:
+        records[name] = getattr(stream, name)
     try:
         with open(path, "wb") as fh:
             fh.write(_PREFIX.pack(OCME_MAGIC, OCME_VERSION, len(blob)))
@@ -94,11 +115,8 @@ def write_events(path, stream: EventStream) -> None:
 def read_events(path) -> EventStream:
     """Load an OCME file; any malformed part raises ``CorruptEventFile``.
 
-    The header's ``n_frames`` must be an integer in [0, 2**63], so that a
-    frame id plus a cross-frame offset below it cannot wrap a uint64, and
-    its ``detector`` must parse with ``DetectorConfig.from_dict``.  Frame
-    ids must lie below ``n_frames``, pixel indices and time bins below the
-    detector's pixel counts and time-bin count.
+    The header's ``detector`` must parse with ``DetectorConfig.from_dict``,
+    and header and records must make a valid ``EventStream``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -130,25 +148,14 @@ def read_events(path) -> EventStream:
         cfg = DetectorConfig.from_dict(header.get("detector"))
     except ValueError as exc:
         raise CorruptEventFile(f"{path}: bad detector: {exc}") from None
-    for name, key, limit in [
-            ("frame", "n_frames", header.get("n_frames")),
-            ("ix", "n_pixels_x", cfg.n_pixels_x),
-            ("iy", "n_pixels_y", cfg.n_pixels_y),
-            ("t_bin", "ceil(frame_duration / time_bin)", cfg.n_time_bins)]:
-        if type(limit) is not int or not 0 <= limit <= 2 ** 63:
-            raise CorruptEventFile(
-                f"{path}: header lacks an integer {key} in [0, 2**63]")
-        bad = np.flatnonzero(records[name] >= limit)
-        if bad.size:
-            raise CorruptEventFile(
-                f"{path}: record {bad[0]} has {name} = "
-                f"{records[name][bad[0]]}, not below {key} = {limit}")
-    return EventStream(
-        frame=records["frame"].copy(), ix=records["ix"].copy(),
-        iy=records["iy"].copy(), t_bin=records["t_bin"].copy(),
-        n_frames=header["n_frames"], detector=cfg,
-        source_hash=header.get("source_hash", ""),
-        meta=header.get("meta", {}))
+    try:
+        return EventStream(
+            **{name: records[name].copy() for name in _RECORD.names},
+            n_frames=header.get("n_frames"), detector=cfg,
+            source_hash=header.get("source_hash", ""),
+            meta=header.get("meta", {}))
+    except (EventOutOfRange, UnsortedInput) as exc:
+        raise CorruptEventFile(f"{path}: {exc}") from None
 
 
 def write_manifest(path, entries: dict) -> None:

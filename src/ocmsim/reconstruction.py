@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorConfig
-from .errors import GridMismatch, TooFewFrames, UnsortedInput
+from .errors import GridMismatch, TooFewFrames
 from .events_io import EventStream
 from .grid import FieldGrid
 
@@ -111,9 +111,8 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     each same-frame pair once, in (i, j) order.  Admissible pairs lie within
     ``window`` in time and more than ``min_xi`` pixels apart (Chebyshev);
     ``n_cut`` counts the in-window pairs that the separation cut rejects.
+    ``EventStream`` keeps frame ids sorted and below n_frames <= 2**63.
     """
-    if not events.is_sorted():
-        raise UnsortedInput("events must be sorted by frame_id")
     cfg = events.detector
     frames = events.frame
     target = frames + np.uint64(offset)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -544,8 +545,8 @@ def test_time_ordered_event_file_reconstructs_alike(tmp_path, short_events):
     events = read_events(short_events)
     order = np.lexsort((events.iy, events.ix, events.t_bin, events.frame))
     assert not np.array_equal(order, np.arange(len(events)))
-    for name in ("frame", "ix", "iy", "t_bin"):
-        setattr(events, name, getattr(events, name)[order])
+    events = replace(events, **{name: getattr(events, name)[order]
+                                for name in ("frame", "ix", "iy", "t_bin")})
     write_events(tmp_path / "timed.ocme", events)
     outputs = []
     for name, path in (("pixel", short_events),
@@ -688,6 +689,26 @@ def test_analyze_reconstructed_image(tmp_path):
     text = (an / "analyze_report.txt").read_text()
     assert "centroid_image_slit_contrast" in text
     assert (an / "centroid_image_profile.csv").exists()
+
+
+def test_analyze_records_an_unscorable_image_and_goes_on(tmp_path):
+    """An empty image, as a zero-event ``reconstruct`` writes, has no peaks
+    to score: its errors are recorded and the triple slit beside it is
+    still scored."""
+    x = -1e-3 + 10e-6 * np.arange(200)
+    slits = sum(np.exp(-(x - c) ** 2 / (2 * 40e-6 ** 2))
+                for c in (-264e-6, 0.0, 264e-6))
+    for name, values in (("empty", np.zeros(200)), ("good", slits)):
+        FieldGrid(np.repeat(values[:, None], 5, axis=1), 10e-6, 10e-6,
+                  (-1e-3, 0.0)).save(tmp_path / f"{name}.ocmg")
+    an = tmp_path / "an"
+    assert run_cli(["--config", CONFIG, "--out", an, "analyze",
+                    tmp_path / "empty.ocmg", tmp_path / "good.ocmg"]) == 0
+    report = read_manifest(an / "analyze_report.txt")
+    assert report["empty_slit_error"] == "PeaksNotFound"
+    assert report["empty_width_error"] == "NoPeak"
+    assert report["good_resolved"] == "True"
+    assert float(report["good_slit_contrast"]) > 0.5
 
 
 def test_analyze_projects_the_configured_band(tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,11 +12,16 @@ from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
                     FarFieldPairSource, FieldGrid, GridSpec, ImagingSystem,
                     OcmPairSource, PhaseMatchingParams, PointSource,
                     apply_detector_model, extract_coincidences, ocm_image,
-                    run_acquisition, sample_event_positions)
+                    read_events, read_manifest, run_acquisition,
+                    sample_event_positions, write_events)
+from ocmsim.cli import cmd_simulate
+from ocmsim.config import load_config
 from ocmsim.detector import (_BLOCK_FRAMES, _crosstalk, _DensitySampler,
                              _pack, _tuple_frames)
 from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
 from ocmsim.events_io import stable_hash
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 def assert_same_stream(a, b):
@@ -324,24 +331,28 @@ def test_frame_count_exact(point_pair_source, ideal_detector):
     assert stream.n_frames == 8000
 
 
-def test_acquisition_file_determinism(tmp_path, point_pair_source,
-                                      ideal_detector):
-    p1, p2 = tmp_path / "a.ocme", tmp_path / "b.ocme"
-    run_acquisition(point_pair_source, ideal_detector, 0.002, 99, out_path=p1)
-    run_acquisition(point_pair_source, ideal_detector, 0.002, 99, out_path=p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    m1 = (tmp_path / "a.ocme.manifest.txt").read_text()
-    m2 = (tmp_path / "b.ocme.manifest.txt").read_text()
-    assert m1.replace("a.ocme", "") == m2.replace("b.ocme", "")
+def test_acquisition_file_determinism(tmp_path):
+    cfg = load_config(CONFIG, ["acquisition.wall_time_s=0.002",
+                               "acquisition.seed=99"])
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        cmd_simulate(cfg, tmp_path / name)
+    for file in ("events.ocme", "events.ocme.manifest.txt"):
+        assert (tmp_path / "a" / file).read_bytes() == \
+            (tmp_path / "b" / file).read_bytes()
 
 
-def test_manifest_duty_cycle(tmp_path, point_pair_source, ideal_detector):
-    path = tmp_path / "run.ocme"
-    run_acquisition(point_pair_source, ideal_detector, 0.001, 4, out_path=path)
-    from ocmsim import read_manifest
-    manifest = read_manifest(tmp_path / "run.ocme.manifest.txt")
+def test_manifest_duty_cycle(tmp_path):
+    cfg = load_config(CONFIG, ["acquisition.wall_time_s=0.001",
+                               "acquisition.seed=4"])
+    cmd_simulate(cfg, tmp_path)
+    manifest = read_manifest(tmp_path / "events.ocme.manifest.txt")
     assert manifest["duty_cycle"] == "0.036"
     assert manifest["n_frames"] == "800"
+    events = read_events(tmp_path / "events.ocme")
+    assert manifest["events_written"] == str(len(events))
+    assert manifest["pairs_generated"] == \
+        str(events.meta["pairs_generated"])
 
 
 def test_thread_count_does_not_change_stream(point_pair_source, ideal_detector):
@@ -544,6 +555,19 @@ def test_frame_ids_outside_frame_range_rejected(ideal_detector):
     with pytest.raises(ValueError):
         apply_detector_model(np.zeros((1, 2, 2)), ideal_detector, 1,
                              frame_ids=[5], frame_range=(0, 3))
+
+
+def test_frame_range_starts_at_frame_0(tmp_path, ideal_detector):
+    """A range from frame 5 gave a stream of frame 5 in 1 frame, which
+    its own event file could not hold; from frame 0 it reads back."""
+    with pytest.raises(ValueError, match=r"got \(5, 6\)"):
+        apply_detector_model(np.zeros((1, 2, 2)), ideal_detector, 1,
+                             frame_ids=[5], frame_range=(5, 6))
+    events = apply_detector_model(np.zeros((1, 2, 2)), ideal_detector, 1,
+                                  frame_ids=[5], frame_range=(0, 6))
+    assert (events.frame.tolist(), events.n_frames) == ([5], 6)
+    write_events(tmp_path / "five.ocme", events)
+    assert read_events(tmp_path / "five.ocme").frame.tolist() == [5]
 
 
 def test_empirical_centroid_histogram_converges(reference_system, pm_params,

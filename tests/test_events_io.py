@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -10,19 +12,24 @@ from hypothesis import strategies as st
 
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
-from ocmsim.errors import CorruptEventFile
+from ocmsim.errors import CorruptEventFile, EventOutOfRange, UnsortedInput
 from ocmsim.events_io import _RECORD
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
 
-def stream(frame=(0, 0, 1), ix=(3, 9, 4), iy=(3, 9, 5),
-           t_bin=(0, 0, 0)) -> EventStream:
-    """Three events in two frames on the default 32 x 32 sensor."""
-    return EventStream(frame=np.array(frame, np.uint64),
-                       ix=np.array(ix, np.uint16), iy=np.array(iy, np.uint16),
-                       t_bin=np.array(t_bin, np.uint16), n_frames=2,
-                       detector=DetectorConfig())
+#: three events in two frames
+EVENTS = dict(frame=(0, 0, 1), ix=(3, 9, 4), iy=(3, 9, 5), t_bin=(0, 0, 0))
+
+
+def stream(n_frames=2, **change) -> EventStream:
+    """``EVENTS`` with fields changed, on the default 32 x 32 sensor."""
+    fields = {**EVENTS, **change}
+    return EventStream(frame=np.array(fields["frame"], np.uint64),
+                       ix=np.array(fields["ix"], np.uint16),
+                       iy=np.array(fields["iy"], np.uint16),
+                       t_bin=np.array(fields["t_bin"], np.uint16),
+                       n_frames=n_frames, detector=DetectorConfig())
 
 
 def file_bytes(tmp_path) -> bytes:
@@ -44,11 +51,13 @@ def with_detector(**change) -> bytes:
                                    "detector": detector}).encode())
 
 
-def with_frames(n_frames, frames) -> bytes:
-    """File whose header holds ``n_frames`` and whose events lie in
-    ``frames``, at pixel (0, 0) and time bin 0."""
-    records = np.zeros(len(frames), dtype=_RECORD)
-    records["frame"] = frames
+def with_records(n_frames, **fields) -> bytes:
+    """File whose header holds ``n_frames`` and the default sensor, and
+    whose records hold ``fields``, written unchecked; any field not given
+    is 0."""
+    records = np.zeros(len(next(iter(fields.values()))), dtype=_RECORD)
+    for name, values in fields.items():
+        records[name] = values
     return with_header(json.dumps({"n_frames": n_frames, "detector":
                                    DetectorConfig().to_dict()}).encode()
                        ) + records.tobytes()
@@ -79,8 +88,8 @@ def reconstruct_exit_code(tmp_path, path) -> int:
     lambda good: with_header(json.dumps(
         {"n_frames": -5, "detector": DetectorConfig().to_dict()}).encode()),
     # frame + offset would wrap a uint64: frame 2**64 - 1 meets frame 0
-    lambda good: with_frames(2 ** 64, [0, 2 ** 64 - 1]),
-    lambda good: with_frames(2 ** 70, [0, 1]),
+    lambda good: with_records(2 ** 64, frame=[0, 2 ** 64 - 1]),
+    lambda good: with_records(2 ** 70, frame=[0, 1]),
 ], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
         "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor",
         "no_detector", "null_detector", "negative_n_frames", "n_frames_2**64",
@@ -100,51 +109,165 @@ def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
     (dict(t_bin=(0, 220, 5)), "record 1 has t_bin = 220"),   # 220 bins
 ])
 def test_out_of_range_record_is_rejected(tmp_path, bad, first):
+    with pytest.raises(EventOutOfRange, match=first):
+        stream(**bad)
     path = tmp_path / "range.ocme"
-    write_events(path, stream(**bad))
+    path.write_bytes(with_records(2, **{**EVENTS, **bad}))
     with pytest.raises(CorruptEventFile, match=first):
         read_events(path)
     assert reconstruct_exit_code(tmp_path, path) == 3
 
 
+# frame ids from a few small values (to tie frames) or up to 2**63 - 1
+FRAMES = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 63 - 1))
 
-# frame ids from a few small values (to tie frames) or up to 2**63
-FRAMES = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 63))
 
-
-@given(st.lists(st.tuples(FRAMES, st.integers(0, 65535)), max_size=8),
+@given(st.lists(st.tuples(FRAMES, st.integers(0, 219)), max_size=8),
        st.booleans())
-def test_is_sorted_matches_lexsort(rows, presort):
+def test_construction_requires_frames_in_order(rows, presort):
     """Sorted means sorted by frame id; time bins may fall within a frame."""
     rows = sorted(rows, key=lambda r: r[0]) if presort else rows
     frame = np.array([r[0] for r in rows], np.uint64)
     t_bin = np.array([r[1] for r in rows], np.uint16)
-    expected = bool(np.array_equal(frame[np.lexsort((frame,))], frame))
     zeros = np.zeros(len(rows), np.uint16)
-    events = EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63 + 1,
-                         detector=DetectorConfig())
-    assert events.is_sorted() == expected
+    if np.array_equal(frame[np.lexsort((frame,))], frame):
+        EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63,
+                    detector=DetectorConfig())
+    else:
+        with pytest.raises(UnsortedInput):
+            EventStream(frame, zeros, zeros, t_bin, n_frames=2 ** 63,
+                        detector=DetectorConfig())
 
 
-def test_is_sorted_compares_whole_frame_ids():
-    assert not stream(frame=(2 ** 48, 0, 0)).is_sorted()
-    assert stream(frame=(0, 2 ** 47, 2 ** 47), t_bin=(9, 0, 1)).is_sorted()
+def test_order_compares_whole_frame_ids():
+    with pytest.raises(UnsortedInput, match="record 1 has frame = 0"):
+        stream(2 ** 48 + 1, frame=(2 ** 48, 0, 0))
+    stream(2 ** 47 + 1, frame=(0, 2 ** 47, 2 ** 47), t_bin=(9, 0, 1))
 
 
 def test_unsorted_file_with_huge_frame_ids_is_rejected(tmp_path):
-    events = stream(frame=(2 ** 48, 0, 0))
-    events.n_frames = 2 ** 48 + 1
     path = tmp_path / "unsorted.ocme"
-    write_events(path, events)
+    path.write_bytes(with_records(2 ** 48 + 1, frame=(2 ** 48, 0, 0)))
+    with pytest.raises(CorruptEventFile, match="record 1 has frame = 0"):
+        read_events(path)
     assert reconstruct_exit_code(tmp_path, path) == 3
 
 
 def test_frame_count_of_2_63_reads(tmp_path):
-    events = stream(frame=(0, 0, 2 ** 63 - 1))
-    events.n_frames = 2 ** 63
+    events = stream(2 ** 63, frame=(0, 0, 2 ** 63 - 1))
     path = tmp_path / "edge.ocme"
     write_events(path, events)
     assert read_events(path).frame.tolist() == [0, 0, 2 ** 63 - 1]
+    with pytest.raises(EventOutOfRange, match="n_frames"):
+        stream(2 ** 63 + 1)
+
+
+def test_frame_count_that_could_wrap_is_refused_in_memory():
+    """Frame 2**64 - 1 plus offset 1 would wrap to frame 0 and pair with
+    it as a spurious accidental."""
+    with pytest.raises(EventOutOfRange, match="n_frames"):
+        stream(2 ** 64, frame=(0, 0, 2 ** 64 - 1))
+
+
+def test_stream_fields_are_frozen():
+    events = stream()
+    with pytest.raises(AttributeError):
+        events.n_frames = 5
+
+
+SENSOR = DetectorConfig(n_pixels_x=3, n_pixels_y=2, time_bin=1e-9,
+                        frame_duration=4e-9)
+DTYPES = {"frame": np.uint64, "ix": np.uint16, "iy": np.uint16,
+          "t_bin": np.uint16}
+
+
+def contract_error(arrays, n_frames, cfg):
+    """The error a stream of ``arrays`` (name -> array or other value) and
+    ``n_frames`` must raise, or None, checked event by event: its arrays
+    and frame count first, then frame order, then the bounds."""
+    if any(not isinstance(a, np.ndarray) or a.ndim != 1
+           or a.dtype != DTYPES[name] for name, a in arrays.items()):
+        return EventOutOfRange
+    if len({a.size for a in arrays.values()}) != 1:
+        return EventOutOfRange
+    if type(n_frames) is not int or not 0 <= n_frames <= 2 ** 63:
+        return EventOutOfRange
+    frame = [int(v) for v in arrays["frame"]]
+    if any(a > b for a, b in zip(frame, frame[1:])):
+        return UnsortedInput
+    limits = {"frame": n_frames, "ix": cfg.n_pixels_x, "iy": cfg.n_pixels_y,
+              "t_bin": math.ceil(cfg.frame_duration / cfg.time_bin)}
+    for name, a in arrays.items():
+        if any(int(v) >= limits[name] for v in a):
+            return EventOutOfRange
+    return None
+
+
+@st.composite
+def stream_parts(draw):
+    """A valid stream's arrays and frame count on ``SENSOR``, then up to
+    two breaches of the contract, each at its edge."""
+    n = draw(st.integers(0, 5))
+    n_frames = draw(st.integers(0, 6))
+    limits = {"frame": n_frames, "ix": SENSOR.n_pixels_x,
+              "iy": SENSOR.n_pixels_y, "t_bin": SENSOR.n_time_bins}
+    values = {name: draw(st.lists(st.integers(0, max(limit - 1, 0)),
+                                  min_size=n, max_size=n))
+              for name, limit in limits.items()}
+    values["frame"].sort()
+    dtypes = dict(DTYPES)
+    for _ in range(draw(st.integers(0, 2))):
+        breach = draw(st.sampled_from(["high", "unsorted", "dtype", "length",
+                                       "shape", "n_frames"]))
+        name = draw(st.sampled_from(list(DTYPES)))
+        if breach == "high" and n:
+            top = 2 ** 64 - 1 if name == "frame" else limits[name] + 1
+            values[name][draw(st.integers(0, n - 1))] = draw(
+                st.integers(limits[name], top))
+        elif breach == "unsorted":
+            values["frame"] = draw(st.permutations(values["frame"]))
+        elif breach == "dtype":
+            dtypes[name] = np.float64 if name == "frame" else np.int64
+        elif breach == "length":
+            values[name] = values[name] + [0]
+        elif breach == "shape":
+            dtypes[name] = None        # a list, or a column of the dtype
+        elif breach == "n_frames":
+            n_frames = draw(st.sampled_from([-1, 2 ** 63, 2 ** 63 + 1, 2 ** 64,
+                                             3.0, True, np.int64(4), None]))
+    arrays = {}
+    for name, v in values.items():
+        if dtypes[name] is None:
+            arrays[name] = (v if draw(st.booleans()) else
+                            np.array(v, DTYPES[name]).reshape(-1, 1))
+        else:
+            arrays[name] = np.array(v, dtypes[name])
+    return arrays, n_frames
+
+
+@given(stream_parts())
+def test_stream_is_valid_exactly_when_the_contract_holds(parts):
+    """Construction succeeds exactly when the event-by-event check passes,
+    raising the error it names otherwise, and a valid stream reads back
+    from its file as it was written."""
+    arrays, n_frames = parts
+    expected = contract_error(arrays, n_frames, SENSOR)
+    if expected is not None:
+        with pytest.raises(expected):
+            EventStream(**arrays, n_frames=n_frames, detector=SENSOR)
+        return
+    events = EventStream(**arrays, n_frames=n_frames, detector=SENSOR,
+                         source_hash="abc", meta={"seed": 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/s.ocme"
+        write_events(path, events)
+        back = read_events(path)
+    for name, dtype in DTYPES.items():
+        assert getattr(back, name).dtype == dtype
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(events, name))
+    assert (back.n_frames, back.detector, back.source_hash, back.meta) == \
+        (n_frames, SENSOR, "abc", {"seed": 1})
 
 
 def test_write_events_does_not_copy_the_records(tmp_path):

@@ -14,7 +14,8 @@ from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
                     extract_coincidences, sample_event_positions,
                     singles_image)
 from ocmsim.config import RunConfig, load_config
-from ocmsim.errors import GridMismatch, TooFewFrames, UnsortedInput
+from ocmsim.errors import (EventOutOfRange, GridMismatch, TooFewFrames,
+                           UnsortedInput)
 
 
 def joint_histogram_x(pairs) -> np.ndarray:
@@ -87,23 +88,33 @@ def test_three_events_give_three_pairs():
 
 @pytest.mark.parametrize("k", [99, 103, 167, 175, 198, 206, 229, 237, 295])
 def test_window_of_whole_bins_keeps_its_last_bin(k):
-    # window = k * time_bin is k bins wide, however the quotient rounds
-    window = k * DetectorConfig().time_bin
-    at_edge = make_stream([(0, 5, 5, 0), (0, 9, 9, k)], 1)
+    # window = k * time_bin is k bins wide, however the quotient rounds;
+    # a 100 ns frame holds 488 bins, so bin k + 1 lies inside it
+    cfg = DetectorConfig(frame_duration=100e-9)
+    window = k * cfg.time_bin
+    at_edge = make_stream([(0, 5, 5, 0), (0, 9, 9, k)], 1, cfg)
     assert len(extract_coincidences(at_edge, window=window, min_xi=1)) == 1
-    beyond = make_stream([(0, 5, 5, 0), (0, 9, 9, k + 1)], 1)
+    beyond = make_stream([(0, 5, 5, 0), (0, 9, 9, k + 1)], 1, cfg)
     assert len(extract_coincidences(beyond, window=window, min_xi=1)) == 0
     # the cross-frame accidental join uses the same window
-    assert estimate_accidentals(make_stream([(0, 5, 5, 0), (1, 9, 9, k)], 2),
-                                window=window).values.sum() > 0
-    assert estimate_accidentals(make_stream([(0, 5, 5, 0), (1, 9, 9, k + 1)], 2),
-                                window=window).values.sum() == 0
+    assert estimate_accidentals(
+        make_stream([(0, 5, 5, 0), (1, 9, 9, k)], 2, cfg),
+        window=window).values.sum() > 0
+    assert estimate_accidentals(
+        make_stream([(0, 5, 5, 0), (1, 9, 9, k + 1)], 2, cfg),
+        window=window).values.sum() == 0
 
 
 def test_unsorted_input_rejected():
-    ev = make_stream([(1, 5, 5, 0), (0, 9, 9, 0)], 2)
     with pytest.raises(UnsortedInput):
-        extract_coincidences(ev)
+        make_stream([(1, 5, 5, 0), (0, 9, 9, 0)], 2)
+
+
+def test_pixel_beyond_the_sensor_never_reaches_a_centroid_bin():
+    """Column 40 of a 32-wide sensor would pair into centroid bin 45 of
+    the 63-bin grid, a pair the sensor cannot record."""
+    with pytest.raises(EventOutOfRange, match="record 1 has ix = 40"):
+        make_stream([(0, 5, 5, 0), (0, 40, 9, 0)], 1)
 
 
 def test_label_exchange_symmetry():

@@ -199,15 +199,17 @@ class RunConfig:
 
     def phase_matching(self) -> PhaseMatchingParams:
         poling = self["phase_matching.poling_period_m"]
-        return PhaseMatchingParams.from_wavelengths(
-            crystal_length=self["phase_matching.crystal_length_m"],
-            lambda_s=self["phase_matching.signal_wavelength_m"],
-            lambda_i=self["phase_matching.idler_wavelength_m"],
-            focal_length=self["phase_matching.focal_length_m"],
-            poling_period=None if poling == "auto" else poling,
-            index_model=SellmeierModel.from_file(
-                self["phase_matching.sellmeier.data_file"],
-                temperature_c=self["phase_matching.sellmeier.temperature_C"]))
+        temperature = self["phase_matching.sellmeier.temperature_C"]
+        with _config_errors("phase_matching"):
+            return PhaseMatchingParams.from_wavelengths(
+                crystal_length=self["phase_matching.crystal_length_m"],
+                lambda_s=self["phase_matching.signal_wavelength_m"],
+                lambda_i=self["phase_matching.idler_wavelength_m"],
+                focal_length=self["phase_matching.focal_length_m"],
+                poling_period=None if poling == "auto" else poling,
+                index_model=SellmeierModel.from_file(
+                    self["phase_matching.sellmeier.data_file"],
+                    temperature_c=temperature))
 
     def pde_for(self, wavelength: float) -> float:
         pde = self["detector.pde"]

@@ -64,9 +64,10 @@ _OVERSAMPLE = 8
 class DetectorConfig:
     """Geometry, timing and noise of the sensor array.
 
-    One dark count rate applies to every pixel.  ``from_dict`` is the one
-    parser of a stored sensor record (an event file's header included): the
-    strict inverse of ``to_dict``.
+    One dark count rate applies to every pixel.  The constructor owns the
+    contract or raises ValueError: ``int`` pixel counts, ``float`` others,
+    all finite and in range, no bool.  ``from_dict`` is the one parser of a
+    stored record (an event file's header too): the inverse of ``to_dict``.
     """
 
     n_pixels_x: int = 32
@@ -80,6 +81,19 @@ class DetectorConfig:
     crosstalk_prob: float = 0.01           # per nearest neighbor per detection
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integer = f.name.startswith("n_pixels")
+            kind = numbers.Integral if integer else numbers.Real
+            try:
+                ok = (isinstance(value, kind) and not isinstance(value, bool)
+                      and math.isfinite(value))
+            except OverflowError:               # an int beyond float range
+                ok = False
+            if not ok:
+                raise ValueError(f"{f.name} = {value!r} is not a finite "
+                                 + ("integer" if integer else "number"))
+            object.__setattr__(self, f.name, (int if integer else float)(value))
         if not all(1 <= n <= _UINT16_VALUES
                    for n in (self.n_pixels_x, self.n_pixels_y)):
             raise ValueError(f"pixel counts must lie in [1, {_UINT16_VALUES}]"
@@ -87,14 +101,11 @@ class DetectorConfig:
         for name in ("pixel_pitch", "time_bin", "frame_duration", "frame_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if not 0.0 <= self.pde <= 1.0:
-            raise ValueError("pde must be in [0, 1]")
-        if not 0.0 <= self.crosstalk_prob <= 1.0:
-            raise ValueError("crosstalk_prob must be in [0, 1]")
+        for name in ("pde", "crosstalk_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty cycle must lie in (0, 1]")
-        if np.ndim(self.dark_count_rate) != 0:
-            raise ValueError("dark_count_rate is one rate for every pixel")
         if not self.dark_count_rate >= 0:
             raise ValueError("dark_count_rate must be >= 0")
         if self.frame_duration / self.time_bin > _UINT16_VALUES:
@@ -144,15 +155,14 @@ class DetectorConfig:
         return x, y
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "dark_count_rate": float(self.dark_count_rate)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectorConfig":
         """Inverse of ``to_dict``; raises ValueError for any other record.
 
-        The record must hold exactly the dataclass fields, integer pixel
-        counts and finite numbers elsewhere, in the ranges the constructor
-        accepts.
+        The record must be an object holding exactly the dataclass fields;
+        the constructor checks their values.
         """
         if not isinstance(d, dict):
             raise ValueError(f"detector record {d!r} is not an object")
@@ -162,17 +172,6 @@ class DetectorConfig:
         if missing or unknown:
             raise ValueError(f"detector record keys: missing {missing}, "
                              f"unknown {unknown}")
-        for name, value in d.items():
-            integer = name.startswith("n_pixels")
-            kind = numbers.Integral if integer else numbers.Real
-            try:
-                ok = (isinstance(value, kind) and not isinstance(value, bool)
-                      and math.isfinite(value))
-            except OverflowError:               # an int beyond float range
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} = {value!r} is not a finite "
-                                 + ("integer" if integer else "number"))
         return cls(**d)
 
 
@@ -233,8 +232,28 @@ def _sampling_spec(detector: DetectorConfig, system: ImagingSystem,
     return GridSpec.centered(nx, dx_obj)
 
 
+class _Source:
+    """Shared by the sources: ``kind``, ``n_photons`` per tuple, ``describe``
+    (what ``source_hash`` hashes) and ``_positive`` values: finite, > 0."""
+
+    n_photons = 1
+    _positive = ("pair_rate",)
+
+    def __post_init__(self) -> None:
+        for name in self._positive:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} = {value!r} must be finite and > 0")
+
+    def describe(self) -> dict:
+        return {"kind": self.kind, **_record(self)}
+
+    def photons_per_event(self) -> int:
+        return self.n_photons
+
+
 @dataclass(frozen=True)
-class OcmPairSource:
+class OcmPairSource(_Source):
     """Entangled N-photon centroid source imaged onto the detector.
 
     The joint density factorizes into the centroid image (the N-photon
@@ -242,6 +261,7 @@ class OcmPairSource:
     envelope from phase matching, applied in detector coordinates.
     """
 
+    kind = "ocm_pairs"
     aperture: Aperture
     system: ImagingSystem
     phase_matching: PhaseMatchingParams
@@ -250,16 +270,9 @@ class OcmPairSource:
     coherent: bool = True
 
     def __post_init__(self) -> None:
-        if self.pair_rate <= 0:
-            raise ValueError("pair_rate must be > 0")
+        super().__post_init__()
         if self.n_photons != 2:
             raise ValueError("the event pipeline is specified for photon pairs")
-
-    def describe(self) -> dict:
-        return {"kind": "ocm_pairs", **_record(self)}
-
-    def photons_per_event(self) -> int:
-        return self.n_photons
 
     def centroid_density(self, detector: DetectorConfig) -> FieldGrid:
         spec = _sampling_spec(detector, self.system, self.aperture)
@@ -288,23 +301,14 @@ class OcmPairSource:
 
 
 @dataclass(frozen=True)
-class ClassicalSource:
+class ClassicalSource(_Source):
     """Classical illumination: independent single photons from an image."""
 
+    kind = "classical"
     aperture: Aperture
     system: ImagingSystem
     rate: float                            # mean detected-plane photons/s
     coherent: bool = True
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
-
-    def describe(self) -> dict:
-        return {"kind": "classical", **_record(self)}
-
-    def photons_per_event(self) -> int:
-        return 1
 
     @property
     def pair_rate(self) -> float:
@@ -322,17 +326,13 @@ class ClassicalSource:
 
 
 @dataclass(frozen=True)
-class PointSource:
+class PointSource(_Source):
     """Gaussian calibration spot of given waist radius (single photons)."""
 
+    kind = "point"
+    _positive = ("pair_rate", "waist")
     waist: float                           # 1/e amplitude radius, meters
     rate: float
-
-    def describe(self) -> dict:
-        return {"kind": "point", **_record(self)}
-
-    def photons_per_event(self) -> int:
-        return 1
 
     @property
     def pair_rate(self) -> float:
@@ -348,7 +348,7 @@ class PointSource:
 
 
 @dataclass(frozen=True)
-class FarFieldPairSource:
+class FarFieldPairSource(_Source):
     """Pair source in the far-field configuration: both photons share a mode.
 
     The common position is drawn from the N-fold narrowed diffraction pattern
@@ -357,17 +357,12 @@ class FarFieldPairSource:
     residual phase-matching correlation width.
     """
 
+    kind = "far_field_pairs"
     aperture: Aperture
     scale: float                           # position per wavevector, s_o*lambda/2pi
     pair_rate: float
     n_photons: int = 2
     correlation_sigma: float = 0.5 * 43.75e-6
-
-    def describe(self) -> dict:
-        return {"kind": "far_field_pairs", **_record(self)}
-
-    def photons_per_event(self) -> int:
-        return self.n_photons
 
     def pattern(self, detector: DetectorConfig) -> FieldGrid:
         # choose the aperture grid so the mapped pattern oversamples the pitch
@@ -526,7 +521,7 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     ph_iy = iy[keep]
 
     # dark counts: Poisson per (pixel, frame), sampled sparsely
-    total_mean = (float(cfg.dark_count_rate) * cfg.frame_duration
+    total_mean = (cfg.dark_count_rate * cfg.frame_duration
                   * cfg.n_pixels_x * cfg.n_pixels_y * n_frames)
     n_dark = rng.poisson(total_mean) if total_mean > 0 else 0
     if n_dark > 0:

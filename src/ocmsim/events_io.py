@@ -10,7 +10,7 @@ holds exactly the fields of ``DetectorConfig`` (its ``to_dict``): every
 stream has a sensor.  Only ``read_events`` parses it, with
 ``DetectorConfig.from_dict``; the stream then carries the parsed object.
 ``EventStream`` checks the rest of the contract when a stream is made, in
-memory or from a file, so ``read_events`` reads back any stream it holds.
+memory or from a file, and freezes it, so ``read_events`` reads it back.
 
 The manifest is a deterministic key: value text file written alongside a run;
 it never contains wall-clock timestamps so reruns are byte-identical.
@@ -48,6 +48,7 @@ class EventStream:
     + offset < n_frames cannot wrap); 1-D record-dtype arrays, one value per
     event; ids below ``n_frames``, pixel counts, ``n_time_bins``.  Frame ids
     that decrease raise ``UnsortedInput``, other breaches ``EventOutOfRange``.
+    It takes over its arrays, uncopied, and makes them read-only.
     """
 
     frame: np.ndarray            # u8 frame ids, never decreasing
@@ -80,6 +81,8 @@ class EventStream:
         if not rising.all():
             i = int(np.argmin(rising)) + 1
             raise UnsortedInput(f"record {i} has frame = {frame[i]}, unsorted")
+        for name in _RECORD.names:
+            getattr(self, name).flags.writeable = False
 
     def __len__(self) -> int:
         return self.frame.size

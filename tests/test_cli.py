@@ -360,12 +360,14 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     ("reconstruction.window_s=.inf", "reconstruct", "reconstruction.window_s"),
     ("system.pupil_radius_m=.nan", "psf", "system.pupil_radius_m"),
     ("grid.nx=1" + "0" * 400, "psf", "grid.nx"),
+    ("phase_matching.crystal_length_m=-1.0", "reconstruct", "phase_matching"),
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
         "zero_photons", "negative_photons", "zero_wall_time",
         "wall_time_below_one_frame", "negative_far_field_correlation",
-        "infinite_window", "nan_pupil", "grid_nx_beyond_float_range"])
+        "infinite_window", "nan_pupil", "grid_nx_beyond_float_range",
+        "negative_crystal_length"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, two_frame_events,
                                     setting, command, named):
     args = ["--config", CONFIG, *FAST, "--set", setting,
@@ -373,6 +375,23 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, two_frame_events,
     assert run_cli(args + ([two_frame_events] if command == "reconstruct"
                            else [])) == 2
     assert f"configuration error: {named}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, setting", [
+    *((kind, f"acquisition.pair_rate_hz={rate}")
+      for kind in ("ocm", "coherent", "incoherent", "point", "far_field")
+      for rate in ("-5.0", "0.0")),
+    ("point", "aperture.waist_m=-1.0"),
+])
+def test_refused_source_exits_2(tmp_path, capsys, kind, setting):
+    """Every source kind refuses a rate that is not > 0 when it is built,
+    and the point source a waist that is not; NumPy never sees them."""
+    code = run_cli(["--config", CONFIG, *FAST, "--set",
+                    f"acquisition.source={kind}", "--set", setting,
+                    "--out", tmp_path / "o", "simulate"])
+    assert code == 2
+    assert "configuration error: acquisition.source: " in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +67,22 @@ def test_detector_validation():
         DetectorConfig(frame_duration=2e-6)      # duty cycle > 1
     with pytest.raises(ValueError):
         DetectorConfig(dark_count_rate=np.ones((4, 4)))   # wrong map shape
+    # each would construct a sensor whose event file does not read back
+    for bad in (dict(n_pixels_x=True), dict(n_pixels_x=32.0),
+                dict(time_bin=float("inf")), dict(pde=float("nan"))):
+        with pytest.raises(ValueError, match="not a finite"):
+            DetectorConfig(**bad)
 
 
 def test_config_dict_round_trip():
     cfg = DetectorConfig(pde=0.42, crosstalk_prob=0.0)
     back = DetectorConfig.from_dict(cfg.to_dict())
     assert back == cfg
+    # NumPy scalars are stored as int and float, so the record is JSON
+    cfg = DetectorConfig(n_pixels_x=np.int64(8), pde=np.float32(0.5))
+    record = json.loads(json.dumps(cfg.to_dict()))
+    assert record["n_pixels_x"] == 8 and record["pde"] == 0.5
+    assert DetectorConfig.from_dict(record) == cfg
 
 
 def test_detector_rejects_unstorable_bins_and_negative_darks():
@@ -324,6 +335,22 @@ def test_source_hash_identifies_the_source(reference_system, triple_slit):
     again = OcmPairSource(triple_slit, reference_system, crystal(5e-3), 1e6)
     assert stable_hash(again.describe()) == \
         stable_hash(groups[0][0].describe())
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
+def test_sources_refuse_a_rate_not_finite_and_positive(reference_system,
+                                                       triple_slit, pm_params,
+                                                       rate):
+    builders = [
+        lambda: OcmPairSource(triple_slit, reference_system, pm_params, rate),
+        lambda: ClassicalSource(triple_slit, reference_system, rate),
+        lambda: PointSource(25e-6, rate),
+        lambda: FarFieldPairSource(triple_slit, 4.6e-8, rate)]
+    for build in builders:
+        with pytest.raises(ValueError, match="finite and > 0"):
+            build()
+    with pytest.raises(ValueError, match="waist"):
+        PointSource(float("nan"), 1e6)
 
 
 def test_frame_count_exact(point_pair_source, ideal_detector):

@@ -26,7 +26,7 @@ def stream(n_frames=2, **change) -> EventStream:
     """``EVENTS`` with fields changed, on the default 32 x 32 sensor."""
     fields = {**EVENTS, **change}
     return EventStream(frame=np.array(fields["frame"], np.uint64),
-                       ix=np.array(fields["ix"], np.uint16),
+                       ix=np.asarray(fields["ix"], np.uint16),
                        iy=np.array(fields["iy"], np.uint16),
                        t_bin=np.array(fields["t_bin"], np.uint16),
                        n_frames=n_frames, detector=DetectorConfig())
@@ -170,9 +170,15 @@ def test_frame_count_that_could_wrap_is_refused_in_memory():
 
 
 def test_stream_fields_are_frozen():
+    """Neither a field nor an event changes once the stream has checked
+    them; the stream holds the arrays it was given, now read-only."""
     events = stream()
     with pytest.raises(AttributeError):
         events.n_frames = 5
+    with pytest.raises(ValueError, match="read-only"):
+        events.ix[1] = 40                   # beyond the 32 columns
+    ix = np.array(EVENTS["ix"], np.uint16)
+    assert stream(ix=ix).ix is ix and not ix.flags.writeable
 
 
 SENSOR = DetectorConfig(n_pixels_x=3, n_pixels_y=2, time_bin=1e-9,
@@ -290,3 +296,48 @@ def test_write_events_does_not_copy_the_records(tmp_path):
     back = read_events(path)
     for name in ("frame", "ix", "iy", "t_bin"):
         assert np.array_equal(getattr(back, name), getattr(events, name))
+
+
+#: per field, values a sensor record may hold besides the defaults: in
+#: range or not, and outside the contract (bools, float pixel counts,
+#: non-finite numbers and an int beyond float range)
+SENSOR_VALUES = {
+    "n_pixels_x": [1, 3, 65536, 65537, 0], "n_pixels_y": [2, 70000],
+    "pixel_pitch": [1e-5, 0.0], "time_bin": [1e-9, 1e-14],
+    "frame_duration": [4e-9, 2e-6], "frame_rate": [1e3, 0.0],
+    "pde": [0, 1, 0.5, 1.5], "dark_count_rate": [0, 5e4],
+    "crosstalk_prob": [0.0, 1, 2.0]}
+BAD_VALUES = [True, -1, math.inf, -math.inf, math.nan, 10 ** 400]
+
+
+@st.composite
+def sensor_records(draw):
+    """A sensor record whose fields each take the default, another value
+    from ``SENSOR_VALUES``, one of ``BAD_VALUES``, or 32.0 for a count."""
+    record = DetectorConfig().to_dict()
+    for name in record:
+        extra = [32.0] if name.startswith("n_pixels") else []
+        record[name] = draw(st.sampled_from(
+            [record[name], *SENSOR_VALUES[name], *BAD_VALUES, *extra]))
+    return record
+
+
+@given(sensor_records())
+def test_sensor_record_is_refused_alike_in_memory_and_from_a_file(record):
+    """The constructor refuses exactly the records ``from_dict`` refuses,
+    and every sensor it accepts reads back equal from an event file."""
+    try:
+        parsed = DetectorConfig.from_dict(dict(record))
+    except ValueError:
+        with pytest.raises(ValueError):
+            DetectorConfig(**record)
+        return
+    cfg = DetectorConfig(**record)
+    assert cfg == parsed
+    empty = np.zeros(0, np.uint16)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/s.ocme"
+        write_events(path, EventStream(np.zeros(0, np.uint64), empty, empty,
+                                       empty, n_frames=1, detector=cfg))
+        back = read_events(path).detector
+    assert back == cfg and back.to_dict() == cfg.to_dict()

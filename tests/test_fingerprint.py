@@ -1,0 +1,55 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from ocmsim import DetectorConfig, EventStream, read_events, write_events
+from ocmsim.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "default.yaml"
+SPEC = importlib.util.spec_from_file_location(
+    "fingerprint", ROOT / "tools" / "fingerprint.py")
+fingerprint_tool = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(fingerprint_tool)
+
+#: one small simulate -> reconstruct flow
+SMALL = {"small": (["--set", "acquisition.wall_time_s=0.002",
+                    "--set", "grid.nx=256"],
+                   [fingerprint_tool.SIMULATE, fingerprint_tool.RECONSTRUCT])}
+
+
+def prints_of(root: Path) -> dict:
+    fingerprint_tool.run_flows(root, SMALL, CONFIG, main)
+    return fingerprint_tool.fingerprint(root, read_events)
+
+
+def test_reruns_print_equal_and_one_changed_byte_shows(tmp_path):
+    first = prints_of(tmp_path / "a")
+    assert first == prints_of(tmp_path / "b")
+    assert {"small/simulate/events.ocme", "small/simulate/events.ocme records",
+            "small/reconstruct/centroid_image.ocmg"} <= set(first)
+    report = tmp_path / "a" / "small" / "reconstruct" / "reconstruct_report.txt"
+    data = bytearray(report.read_bytes())
+    data[-2] ^= 1
+    report.write_bytes(bytes(data))
+    changed = fingerprint_tool.fingerprint(tmp_path / "a", read_events)
+    assert [k for k in first if first[k] != changed[k]] == \
+        ["small/reconstruct/reconstruct_report.txt"]
+
+
+def test_order_within_a_frame_changes_only_the_exact_hash(tmp_path):
+    """Frame 0 in pixel order, then in time-bin order: the same records."""
+    prints = []
+    for name, order in (("pixel", [0, 1, 2]), ("time", [1, 0, 2])):
+        (tmp_path / name).mkdir()
+        write_events(tmp_path / name / "e.ocme", EventStream(
+            frame=np.array([0, 0, 1], np.uint64),
+            ix=np.array([3, 9, 4], np.uint16)[order],
+            iy=np.array([3, 9, 5], np.uint16)[order],
+            t_bin=np.array([7, 2, 0], np.uint16)[order],
+            n_frames=2, detector=DetectorConfig()))
+        prints.append(fingerprint_tool.fingerprint(tmp_path / name,
+                                                   read_events))
+    assert prints[0]["e.ocme"] != prints[1]["e.ocme"]
+    assert prints[0]["e.ocme records"] == prints[1]["e.ocme records"]

@@ -27,9 +27,10 @@ empty at real-sensor efficiency.
 
 Determinism contract: every public entry point takes a seed; identical
 (seed, config, source) produce identical event streams.  Acquisition runs are
-split into fixed-size frame blocks with per-block child seeds derived by
-hashing (master seed, block index), so the output is independent of any
-worker parallelism and reruns are byte-identical.
+split into frame blocks sized by their expected events (``_block_frames``),
+never by the thread count, with child seeds derived by hashing (master seed,
+block index), so the output is independent of any worker parallelism and
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -212,7 +213,11 @@ class _DensitySampler:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         g = self._grid
-        idx = np.searchsorted(self._cdf, rng.random(count), side="right")
+        # sorted uniforms walk the CDF in cache order; idx keeps draw order
+        u = rng.random(count)
+        order = np.argsort(u)
+        idx = np.empty(count, dtype=np.intp)
+        idx[order] = np.searchsorted(self._cdf, u[order], side="right")
         ix, iy = idx // g.ny, idx % g.ny
         x = g.origin[0] + ix * g.dx + (rng.random(count) - 0.5) * g.dx
         y = g.origin[1] + iy * g.dy + (rng.random(count) - 0.5) * g.dy
@@ -461,6 +466,17 @@ def _pack(fields, widths) -> np.ndarray:
     return key
 
 
+def _unpack(key: np.ndarray, widths, dtypes) -> list[np.ndarray]:
+    """Inverse of ``_pack``: the fields of each key, each in its dtype."""
+    fields, shift = [], sum(widths)
+    for width, dtype in zip(widths, dtypes):
+        shift -= width
+        field = key >> np.uint64(shift)
+        field &= np.uint64((1 << width) - 1)
+        fields.append(field.astype(dtype))
+    return fields
+
+
 def _arrival_bins(rng: np.random.Generator, count: int,
                   cfg: DetectorConfig) -> np.ndarray:
     """Uniform arrival time bins; rounding never reaches ``n_time_bins``."""
@@ -504,7 +520,7 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     if frame_ids.size and (frame_ids.min() < frame_range[0]
                            or frame_ids.max() >= frame_range[1]):
         raise ValueError("frame ids must lie in frame_range")
-    w_frame, w_x, w_y, w_t = _key_widths(n_frames, cfg)
+    widths = _key_widths(n_frames, cfg)
 
     # one arrival time bin per tuple (pair photons are simultaneous)
     tuple_tbin = _arrival_bins(rng, n_tuples, cfg)
@@ -540,20 +556,21 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
         ph_frame, ph_ix, ph_iy, ph_tbin = _crosstalk(
             rng, cfg, ph_frame, ph_ix, ph_iy, ph_tbin)
 
-    # first-hit: sort on keys packed from (frame - first frame, ix, iy, t_bin)
-    # and keep each (frame, pixel)'s first, earliest event; the events leave
-    # in the sensor's readout order (frame, ix, iy), one per pixel and frame
-    if ph_frame.size:
-        key = _pack((ph_frame - np.uint64(frame_range[0]), ph_ix, ph_iy,
-                     ph_tbin), (w_frame, w_x, w_y, w_t))
-        order = np.argsort(key, kind="stable")
-        pixel = key[order] >> np.uint64(w_t)
-        order = order[np.r_[True, pixel[1:] != pixel[:-1]]]
-        ph_frame, ph_ix, ph_iy, ph_tbin = (a[order] for a in
-                                           (ph_frame, ph_ix, ph_iy, ph_tbin))
+    return _first_hit(ph_frame, ph_ix, ph_iy, ph_tbin, frame_range[0], widths)
 
-    return _Detected(ph_frame.astype(np.uint64), ph_ix.astype(np.uint16),
-                    ph_iy.astype(np.uint16), ph_tbin.astype(np.uint16))
+
+def _first_hit(frame, ix, iy, t_bin, first_frame: int, widths) -> _Detected:
+    """Each (frame, pixel)'s earliest event, in the sensor's readout order
+    (frame, ix, iy): sorted keys packed from (frame - first frame, ix, iy,
+    t_bin), the first of each pixel kept.  A key holds its whole record, so
+    equal keys are equal events and no stable sort is needed."""
+    key = _pack((frame - np.uint64(first_frame), ix, iy, t_bin), widths)
+    key.sort()
+    pixel = key >> np.uint64(widths[-1])
+    key = key[np.r_[True, pixel[1:] != pixel[:-1]][:key.size]]
+    frame, ix, iy, t_bin = _unpack(key, widths, (np.uint64, *3 * (np.uint16,)))
+    frame += np.uint64(first_frame)
+    return _Detected(frame, ix, iy, t_bin)
 
 
 def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
@@ -580,7 +597,24 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
 # Acquisition
 # ---------------------------------------------------------------------------
 
-_BLOCK_FRAMES = 1 << 16
+_MIN_BLOCK_FRAMES = 1 << 16
+_MAX_BLOCK_FRAMES = 1 << 22
+_BLOCK_EVENTS = 1 << 14
+
+
+def _block_frames(source, cfg: DetectorConfig) -> int:
+    """Frames per block: the fewest, a power of two from the minimum, that
+    expect ``_BLOCK_EVENTS`` detected photons and dark counts, at most the
+    maximum and the frame bits left in a 64-bit sort key.  Dense runs keep
+    the shortest blocks, which bound their memory."""
+    per_frame = cfg.frame_duration * (
+        source.pair_rate * source.photons_per_event() * cfg.pde
+        + cfg.dark_count_rate * cfg.n_pixels_x * cfg.n_pixels_y)
+    cap = min(_MAX_BLOCK_FRAMES, 1 << (64 - sum(_key_widths(1, cfg))))
+    frames = _MIN_BLOCK_FRAMES
+    while frames < cap and frames * per_frame < _BLOCK_EVENTS:
+        frames *= 2
+    return frames
 
 
 def _tuple_frames(rng: np.random.Generator, mean: float, start: int,
@@ -612,10 +646,10 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     exact, see the module docstring), samples their positions and detects
     them.  ``pairs_generated`` still counts every tuple the source
     emitted: the detected ones plus a Poisson count of the undetected ones,
-    drawn after the block's events.  Frame blocks carry hash-derived child
-    seeds and are merged in block order into one stream, so the result does
-    not depend on ``n_threads`` and reruns with the same inputs are
-    byte-identical.
+    drawn after the block's events.  Frame blocks, sized by their expected
+    events and not by ``n_threads``, carry hash-derived child seeds and are
+    merged in block order into one stream, so the result does not depend on
+    ``n_threads`` and reruns with the same inputs are byte-identical.
     """
     n_frames = int(round(wall_time * cfg.frame_rate))
     if n_frames < 1:
@@ -624,10 +658,11 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     n_ph = source.photons_per_event()
     seen = 1.0 - (1.0 - cfg.pde) ** n_ph    # P(tuple leaves a detection)
     draw = source.sampler(cfg)
+    block_frames = _block_frames(source, cfg)
 
     def run_block(block: int) -> tuple[_Detected, int]:
-        start = block * _BLOCK_FRAMES
-        stop = min(start + _BLOCK_FRAMES, n_frames)
+        start = block * block_frames
+        stop = min(start + block_frames, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
         frame_ids = _tuple_frames(rng, mean_pairs * seen, start, stop)
         total = frame_ids.size
@@ -637,7 +672,7 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
         unseen = rng.poisson(mean_pairs * (1.0 - seen) * (stop - start))
         return events, total + int(unseen)
 
-    n_blocks = (n_frames + _BLOCK_FRAMES - 1) // _BLOCK_FRAMES
+    n_blocks = (n_frames + block_frames - 1) // block_frames
     if n_threads > 1 and n_blocks > 1:
         from concurrent.futures import ThreadPoolExecutor
 

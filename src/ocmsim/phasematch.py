@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -41,15 +42,26 @@ class SellmeierModel:
 
     @classmethod
     def from_file(cls, path=None, temperature_c: float = 25.0) -> "SellmeierModel":
-        """Load from a YAML data file; defaults to the shipped ppKTP z-axis."""
-        if path is None:
-            src = resources.files("ocmsim.data").joinpath("ppktp_z.yaml")
-            raw = yaml.safe_load(src.read_text())
-        else:
-            with open(path) as fh:
-                raw = yaml.safe_load(fh)
-        th = raw.get("thermal", {})
-        return cls(coefficients=dict(raw["sellmeier"]),
+        """Load from a YAML data file; defaults to the shipped ppKTP z-axis.
+        A file that does not map ``sellmeier`` to the numbers A-F (and
+        ``thermal``, if given, to a mapping) raises ValueError naming it."""
+        source = (resources.files("ocmsim.data").joinpath("ppktp_z.yaml")
+                  if path is None else Path(path))
+        try:
+            raw = yaml.safe_load(source.read_text())
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{source}: not YAML: {exc}") from None
+        raw = raw if isinstance(raw, dict) else {}
+        coefficients, th = raw.get("sellmeier"), raw.get("thermal", {})
+        if not (isinstance(coefficients, dict) and isinstance(th, dict)):
+            raise ValueError(f"{source}: needs a `sellmeier` mapping (and "
+                             "`thermal`, if given, a mapping)")
+        missing = [c for c in "ABCDEF"
+                   if type(coefficients.get(c)) not in (int, float)]
+        if missing:
+            raise ValueError(f"{source}: sellmeier coefficients {missing} "
+                             "are missing or not numbers")
+        return cls(coefficients=dict(coefficients),
                    n1_thermal=tuple(th.get("n1", (0.0,))),
                    n2_thermal=tuple(th.get("n2", (0.0,))),
                    reference_temperature_c=float(

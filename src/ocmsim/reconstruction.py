@@ -111,19 +111,39 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     each same-frame pair once, in (i, j) order.  Admissible pairs lie within
     ``window`` in time and more than ``min_xi`` pixels apart (Chebyshev);
     ``n_cut`` counts the in-window pairs that the separation cut rejects.
-    ``EventStream`` keeps frame ids sorted and below n_frames <= 2**63.
+    The work follows the frame runs (an ``EventStream`` keeps frame ids
+    sorted, below n_frames <= 2**63): offset 0 visits only runs of two or
+    more events, and an offset k > 0 finds each run's partner run by one
+    search over the run frames.
     """
     cfg = events.detector
     frames = events.frame
-    target = frames + np.uint64(offset)
-    # partners lie past i: from i + 1 at offset 0, else in a later frame
-    lo = (np.searchsorted(frames, target, side="left") if offset
-          else np.arange(1, frames.size + 1))
-    reps = np.searchsorted(frames, target, side="right") - lo
+    # frame runs: run r holds events bounds[r] to bounds[r + 1] - 1
+    edge = np.ones(frames.size + 1, dtype=bool)
+    edge[1:-1] = frames[1:] != frames[:-1]
+    bounds = np.flatnonzero(edge)
+    starts, ends = bounds[:-1], bounds[1:]
+    if offset:
+        run_frames = frames[starts]
+        partner = np.searchsorted(run_frames, run_frames + np.uint64(offset))
+        np.minimum(partner, run_frames.size - 1, out=partner)
+        gap = run_frames[partner]
+        gap -= run_frames
+        runs = np.flatnonzero(gap == offset)
+        partner = partner[runs]
+        del run_frames, gap
+    else:
+        runs = partner = np.flatnonzero(np.diff(bounds) > 1)
+    # the events of the visited runs, each with its partners' span [lo, hi)
+    sizes = ends[runs] - starts[runs]
+    ev = np.arange(sizes.sum()) + np.repeat(starts[runs] - (np.cumsum(sizes)
+                                                            - sizes), sizes)
+    lo = np.repeat(starts[partner], sizes) if offset else ev + 1
+    reps = np.repeat(ends[partner], sizes) - lo
     # i repeats once per partner; j runs from lo[i] through each segment
-    i = np.repeat(np.arange(reps.size), reps)
+    i = np.repeat(ev, reps)
     j = np.arange(i.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
-    del target, lo, reps        # free per-event arrays before per-pair peaks
+    del bounds, starts, ends, ev, lo, reps  # free them before per-pair peaks
 
     in_window = np.abs(events.t_bin[i].astype(np.int64) - events.t_bin[j]) \
         <= _window_bins(window, cfg)

@@ -6,7 +6,9 @@ from nested direct summation, the N-photon correlation from explicit
 2N-dimensional quadrature, the centroid PSF from the pupil side (powers of
 the pupil function and an inverse Fourier transform, where the library
 self-convolves the PSF), coincidence and accidental pairs from plain loops
-over every event pair, crosstalk from one draw per neighbour side, and
+over every event pair, first hits from the earliest time bin kept per
+(frame, pixel), density samples from one CDF search of the uniforms in
+their drawn order, crosstalk from one draw per neighbour side, and
 configuration values from the nested-tree loader that the flat overlay
 replaced.  Five references reuse library parts because
 each checks one shortcut alone: the unthinned acquisition (the library's
@@ -407,6 +409,25 @@ def coincidence_pairs_loop(frame, ix, iy, t_bin, window_bins: int,
     return pairs, n_cut, n_multi
 
 
+def pair_indices_loop(frame, ix, iy, t_bin, window_bins: int, min_xi: int,
+                      offset: int):
+    """``(pairs, n_cut)``: every event i met with every event j of frame
+    f_i + offset (j > i at offset 0), in (i, j) order, by a double loop."""
+    pairs, n_cut = [], 0
+    for i in range(len(frame)):
+        for j in range(len(frame)):
+            if int(frame[j]) != int(frame[i]) + offset or (not offset
+                                                          and j <= i):
+                continue
+            in_window, apart = _admissible(t_bin[i], t_bin[j], ix[i], iy[i],
+                                           ix[j], iy[j], window_bins, min_xi)
+            if in_window and apart:
+                pairs.append((i, j))
+            elif in_window:
+                n_cut += 1
+    return pairs, n_cut
+
+
 def accidental_histogram_loop(frame, ix, iy, t_bin, n_pixels, window_bins: int,
                               min_xi: int, offset: int) -> np.ndarray:
     """Unnormalised centroid histogram of every event of frame f paired with
@@ -422,6 +443,28 @@ def accidental_histogram_loop(frame, ix, iy, t_bin, n_pixels, window_bins: int,
             if in_window and apart:
                 hist[int(ix[i]) + int(ix[j]), int(iy[i]) + int(iy[j])] += 1
     return hist
+
+
+def first_hit_loop(records) -> list[tuple[int, int, int, int]]:
+    """Sorted (frame, ix, iy, t_bin) of each (frame, pixel)'s earliest event
+    among the records (rows of four integers)."""
+    earliest: dict[tuple[int, int, int], int] = {}
+    for f, x, y, t in records:
+        pixel = (int(f), int(x), int(y))
+        earliest[pixel] = min(int(t), earliest.get(pixel, int(t)))
+    return sorted((*pixel, t) for pixel, t in earliest.items())
+
+
+def density_samples_plain(grid, rng, count: int) -> np.ndarray:
+    """``count`` positions from a piecewise-constant density ``grid``: one
+    CDF search of the uniforms as drawn, then uniform jitter in the cell."""
+    cdf = np.cumsum(np.asarray(grid.values, dtype=float).ravel())
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, rng.random(count), side="right")
+    ix, iy = idx // grid.ny, idx % grid.ny
+    x = grid.origin[0] + ix * grid.dx + (rng.random(count) - 0.5) * grid.dx
+    y = grid.origin[1] + iy * grid.dy + (rng.random(count) - 0.5) * grid.dy
+    return np.stack([x, y], axis=-1)
 
 
 def per_frame_counts(rng, mean: float, n_frames: int) -> np.ndarray:
@@ -441,14 +484,15 @@ def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
     ``pairs_generated`` is the number of tuples drawn.
     """
     from ocmsim import EventStream
-    from ocmsim.detector import _BLOCK_FRAMES, _detect, child_seed
+    from ocmsim.detector import _block_frames, _detect, child_seed
 
     n_frames = int(round(wall_time * cfg.frame_rate))
     mean_pairs = source.pair_rate * cfg.frame_duration
     draw = source.sampler(cfg)
+    block_frames = _block_frames(source, cfg)
     parts, generated = [], 0
-    for block, start in enumerate(range(0, n_frames, _BLOCK_FRAMES)):
-        stop = min(start + _BLOCK_FRAMES, n_frames)
+    for block, start in enumerate(range(0, n_frames, block_frames)):
+        stop = min(start + block_frames, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
         total = rng.poisson(mean_pairs * (stop - start))
         frame_ids = start + np.sort(rng.integers(0, stop - start, total,

@@ -421,6 +421,27 @@ def test_custom_sellmeier_file_gives_the_shipped_poling_period(tmp_path):
     assert custom.poling_period == shipped.poling_period
 
 
+@pytest.mark.parametrize("text, named", [
+    ("foo: 1\n", "`sellmeier` mapping"),
+    ("- A\n- B\n", "`sellmeier` mapping"),
+    ("sellmeier: {A: 2.1, B: 1.2, C: 0.05, D: 0.66, F: 0.01}\n", "['E']"),
+    ("sellmeier: {A: x, B: 1.2, C: 0.05, D: true, E: 100.0, F: 0.01}\n",
+     "['A', 'D']"),
+    ("sellmeier: [\n", "not YAML"),
+], ids=["no_sellmeier_key", "yaml_list", "missing_coefficient",
+        "coefficient_not_a_number", "not_yaml"])
+def test_malformed_sellmeier_file_exits_2(tmp_path, capsys, text, named):
+    data = tmp_path / "index.yaml"
+    data.write_text(text)
+    code = run_cli(["--config", CONFIG, *FAST, "--set",
+                    f"phase_matching.sellmeier.data_file={data}",
+                    "--out", tmp_path / "o", "simulate"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: phase_matching: " in err
+    assert str(data) in err and named in err
+
+
 def test_cli_import_leaves_heavy_scipy_unloaded():
     heavy = ("scipy.signal", "scipy.stats", "scipy.optimize")
     proc = run_python("-c", "import sys, ocmsim.cli; "

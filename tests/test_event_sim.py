@@ -1,12 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import (crosstalk_per_side, per_frame_counts,
-                     unthinned_acquisition)
+from oracles import (crosstalk_per_side, density_samples_plain,
+                     first_hit_loop, per_frame_counts, unthinned_acquisition)
 from scipy import stats
 
 from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
@@ -17,8 +18,10 @@ from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
                     sample_event_positions, write_events)
 from ocmsim.cli import cmd_simulate
 from ocmsim.config import load_config
-from ocmsim.detector import (_BLOCK_FRAMES, _crosstalk, _DensitySampler,
-                             _pack, _tuple_frames)
+from ocmsim.detector import (_MAX_BLOCK_FRAMES, _MIN_BLOCK_FRAMES,
+                             _block_frames, _crosstalk, _DensitySampler,
+                             _first_hit, _key_widths, _pack, _tuple_frames,
+                             _unpack)
 from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
 from ocmsim.events_io import stable_hash
 
@@ -159,6 +162,20 @@ def test_delta_density_sampling():
     cell_y = grid.origin[1] + 9 * grid.dy
     assert np.all(np.abs(pts[:, 0] - cell_x) <= grid.dx / 2)
     assert np.all(np.abs(pts[:, 1] - cell_y) <= grid.dy / 2)
+
+
+@given(st.integers(2, 8), st.integers(2, 8), st.data(), st.integers(0, 300),
+       st.integers(0, 2**32))
+def test_density_sampler_equals_a_plain_cdf_search(nx, ny, data, count, seed):
+    """The sorted search gives the positions of a search in drawn order;
+    zero cells make CDF ties."""
+    values = data.draw(st.lists(st.just(0.0) | st.floats(1e-300, 1e3),
+                                min_size=nx * ny, max_size=nx * ny)
+                       .filter(lambda v: sum(v) > 0))
+    grid = FieldGrid(np.reshape(values, (nx, ny)), 1e-5, 2e-5, (-3e-5, 1e-5))
+    got = _DensitySampler(grid).sample(np.random.default_rng(seed), count)
+    want = density_samples_plain(grid, np.random.default_rng(seed), count)
+    assert np.array_equal(got, want)
 
 
 def test_zero_density_rejected():
@@ -383,11 +400,19 @@ def test_manifest_duty_cycle(tmp_path):
 
 
 def test_thread_count_does_not_change_stream(point_pair_source, ideal_detector):
+    # 3.5 blocks of each config's own length; the real sensor's are sized by
+    # its sparse events, longer than the shortest block
     noisy = DetectorConfig(pde=0.3, dark_count_rate=1e3, crosstalk_prob=0.01)
-    for cfg in (ideal_detector, noisy):
-        a = run_acquisition(point_pair_source, cfg, 0.2, 31, n_threads=1)
-        b = run_acquisition(point_pair_source, cfg, 0.2, 31, n_threads=4)
-        assert_same_stream(a, b)
+    real = DetectorConfig()
+    assert _block_frames(point_pair_source, real) > _MIN_BLOCK_FRAMES
+    for cfg in (ideal_detector, noisy, real):
+        block = _block_frames(point_pair_source, cfg)
+        wall = 3.5 * block / cfg.frame_rate
+        a = run_acquisition(point_pair_source, cfg, wall, 31, n_threads=1)
+        assert a.n_frames > 3 * block and len(a) > 0
+        for n_threads in (2, 4):
+            assert_same_stream(a, run_acquisition(point_pair_source, cfg,
+                                                  wall, 31, n_threads))
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
@@ -400,7 +425,7 @@ def test_acquired_streams_are_in_readout_order(point_pair_source, n_threads):
     for seed in (1, 2, 3):
         ev = run_acquisition(point_pair_source, cfg, 0.1, seed,
                              n_threads=n_threads)
-        assert ev.n_frames > _BLOCK_FRAMES
+        assert ev.n_frames > _block_frames(point_pair_source, cfg)
         key = (ev.frame.astype(np.int64) * 4 + ev.ix) * 3 + ev.iy
         assert np.all(np.diff(key) > 0)
 
@@ -457,20 +482,30 @@ def test_thinned_acquisition_matches_unthinned_in_distribution(
 # emission: one Poisson total per frame block, placed on uniform frames
 # ---------------------------------------------------------------------------
 
-def placed_counts(seed: int, mean: float, n_frames: int) -> np.ndarray:
+def placed_counts(seed: int, mean: float, n_frames: int,
+                  block: int) -> np.ndarray:
     """Tuples per frame from ``_tuple_frames``, block by block."""
     rng = np.random.default_rng(seed)
     ids = np.concatenate([
-        _tuple_frames(rng, mean, start, min(start + _BLOCK_FRAMES, n_frames))
-        for start in range(0, n_frames, _BLOCK_FRAMES)])
+        _tuple_frames(rng, mean, start, min(start + block, n_frames))
+        for start in range(0, n_frames, block)])
     return np.bincount(ids.astype(np.int64), minlength=n_frames)
 
 
-@pytest.mark.parametrize("mean", [0.0072, 1.0], ids=["real_sensor", "ideal"])
-def test_block_total_placement_gives_poisson_counts_per_frame(mean):
-    # 0.0072 tuples per frame: real-sensor rate after thinning; 16 blocks
-    n = 16 * _BLOCK_FRAMES
-    placed = placed_counts(3, mean, n)
+@pytest.mark.parametrize("pair_rate, cfg", [
+    (1e7, DetectorConfig()),
+    (1 / 45e-9, DetectorConfig(pde=1.0, dark_count_rate=0.0,
+                               crosstalk_prob=0.0)),
+], ids=["real_sensor", "ideal"])
+def test_block_total_placement_gives_poisson_counts_per_frame(
+        point_pair_source, pair_rate, cfg):
+    # the thinned tuple rate per frame (0.0072 at the real sensor, 1 at the
+    # ideal one), over 16 blocks of the acquisition's own length
+    source = replace(point_pair_source, pair_rate=pair_rate)
+    mean = pair_rate * cfg.frame_duration * (1 - (1 - cfg.pde) ** 2)
+    block = _block_frames(source, cfg)
+    n = 16 * block
+    placed = placed_counts(3, mean, n, block)
     reference = per_frame_counts(np.random.default_rng(4), mean, n)
 
     def histogram(counts):                 # frames with 0, 1, 2, 3, 4, 5+
@@ -489,15 +524,19 @@ def test_block_total_placement_gives_poisson_counts_per_frame(mean):
                                                       / n)
 
 
-def test_block_total_placement_is_uniform_within_each_block():
+def test_block_total_placement_is_uniform_within_each_block(
+        point_pair_source, ideal_detector):
     # 2.5 blocks at 20 tuples per frame; the first and the last frame of the
     # full blocks and of the partial final block are bins of their own, so
     # a frame that an off-by-one leaves empty adds 40 or 20 to the chi-square
-    mean, n_frames = 20.0, 2 * _BLOCK_FRAMES + _BLOCK_FRAMES // 2
+    mean = 20.0
+    block = _block_frames(replace(point_pair_source, pair_rate=mean / 45e-9),
+                          ideal_detector)
+    n_frames = 2 * block + block // 2
     rng = np.random.default_rng(12)
-    offsets = {_BLOCK_FRAMES: [], _BLOCK_FRAMES // 2: []}
-    for start in range(0, n_frames, _BLOCK_FRAMES):
-        stop = min(start + _BLOCK_FRAMES, n_frames)
+    offsets = {block: [], block // 2: []}
+    for start in range(0, n_frames, block):
+        stop = min(start + block, n_frames)
         ids = _tuple_frames(rng, mean, start, stop)
         assert ids.dtype == np.uint64 and np.all(ids[:-1] <= ids[1:])
         assert ids.min() >= start and ids.max() < stop
@@ -538,10 +577,12 @@ def test_acquisition_draws_no_per_frame_poisson(monkeypatch, reference_system,
                         lambda seed=None: CountingGenerator(make_rng(seed)))
     cfg = DetectorConfig()                     # pde 0.008, 1 kHz darks
     source = OcmPairSource(triple_slit, reference_system, pm_params, 1e7)
-    stream = run_acquisition(source, cfg, 3 * _BLOCK_FRAMES / cfg.frame_rate,
-                             7)
-    assert stream.n_frames == 3 * _BLOCK_FRAMES and len(stream) > 0
-    assert len(sizes) == 3 * 3                 # total, unseen, darks per block
+    block = _block_frames(source, cfg)
+    stream = run_acquisition(source, cfg, 3 * block / cfg.frame_rate, 7)
+    n_blocks = -(-stream.n_frames // block)
+    assert stream.n_frames == 3 * block and len(stream) > 0
+    assert n_blocks >= 2
+    assert len(sizes) == 3 * n_blocks          # total, unseen, darks per block
     assert max(sizes) == 1
 
 
@@ -569,6 +610,101 @@ def test_packed_key_order_equals_lexsort(case):
     fields, widths = case
     order = np.argsort(_pack(fields, widths), kind="stable")
     np.testing.assert_array_equal(order, np.lexsort(fields[::-1]))
+
+
+@given(packed_fields())
+def test_unpack_inverts_pack(case):
+    fields, widths = case
+    back = _unpack(_pack(fields, widths), widths, 4 * (np.uint64,))
+    for field, value in zip(fields, back):
+        np.testing.assert_array_equal(value, field)
+
+
+@st.composite
+def photon_records(draw):
+    """(records, first frame, n_frames, cfg): detections on a 1-6 x 1-6
+    sensor over up to 5 frames, with repeated records, a hot pixel that
+    fires again and again in one frame, and crosstalk copies (a neighbour
+    in the source's time bin), in random order."""
+    cfg = DetectorConfig(n_pixels_x=draw(st.integers(1, 6)),
+                         n_pixels_y=draw(st.integers(1, 6)))
+    first, n_frames = draw(st.integers(0, 2**40)), draw(st.integers(1, 5))
+    frame = st.integers(first, first + n_frames - 1)
+    t_bin = st.integers(0, cfg.n_time_bins - 1)
+    record = st.tuples(frame, st.integers(0, cfg.n_pixels_x - 1),
+                       st.integers(0, cfg.n_pixels_y - 1), t_bin)
+    rows = draw(st.lists(record, max_size=40))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+        for f, x, y, t in draw(st.lists(st.sampled_from(rows), max_size=10)):
+            dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+            if 0 <= x + dx < cfg.n_pixels_x and 0 <= y + dy < cfg.n_pixels_y:
+                rows.append((f, x + dx, y + dy, t))
+    hot = draw(record)
+    rows += [(*hot[:3], t) for t in draw(st.lists(t_bin, max_size=12))]
+    return draw(st.permutations(rows)), first, n_frames, cfg
+
+
+@given(photon_records())
+def test_first_hit_keeps_each_pixels_earliest_event(case):
+    rows, first, n_frames, cfg = case
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    records = (columns[0].astype(np.uint64), columns[1], columns[2],
+               columns[3].astype(np.uint16))
+    hits = _first_hit(*records, first, _key_widths(n_frames, cfg))
+    assert [a.dtype for a in hits] == [np.uint64] + 3 * [np.uint16]
+    assert list(zip(*(a.tolist() for a in hits))) == first_hit_loop(rows)
+
+
+#: pixel or time-bin counts, half of them at the top of their bit widths
+COUNTS = st.integers(1, 1 << 16) | st.integers(10, 16).map(lambda w: 1 << w)
+
+
+@given(COUNTS, COUNTS, COUNTS, st.sampled_from([0.0, 1e-3, 1e3, 1e9]),
+       st.sampled_from([0.0, 0.008, 1.0]),
+       st.sampled_from([1e-3, 1e3, 1e7, 1e12]))
+def test_block_length_is_the_shortest_that_holds_the_work(nx, ny, n_bins,
+                                                          dark, pde, rate):
+    """A power of two from 2**16 frames, doubled until the expected events
+    reach 2**14 or the cap (2**22, or 64 key bits) stops it; the wide
+    sensors make the key-bit cap the shorter one."""
+    cfg = DetectorConfig(n_pixels_x=nx, n_pixels_y=ny, time_bin=1e-9,
+                         frame_duration=n_bins * 1e-9, frame_rate=1e3,
+                         pde=pde, dark_count_rate=dark)
+    source = PointSource(waist=1e-4, rate=rate)
+    block = _block_frames(source, cfg)
+    cap = min(_MAX_BLOCK_FRAMES, 1 << (64 - sum(_key_widths(1, cfg))))
+    assert sum(_key_widths(block, cfg)) <= 64
+    assert block & (block - 1) == 0 and _MIN_BLOCK_FRAMES <= block <= cap
+    per_frame = cfg.frame_duration * (rate * pde + dark * nx * ny)
+    if block < cap:
+        assert block * per_frame >= 1 << 14
+    if block > _MIN_BLOCK_FRAMES:
+        assert block // 2 * per_frame < 1 << 14
+
+
+def test_block_length_at_the_widest_sort_key(point_pair_source):
+    """65536 x 65536 pixels and 65536 time bins leave 16 frame bits: with
+    no expected events, the block grows to the cap, the shortest block.
+    Only the function runs: an acquisition on this sensor would need a
+    sampler grid far too large."""
+    widest = DetectorConfig(n_pixels_x=1 << 16, n_pixels_y=1 << 16,
+                            time_bin=1e-9, frame_duration=(1 << 16) * 1e-9,
+                            frame_rate=1e3, pde=0.0, dark_count_rate=0.0)
+    assert _block_frames(point_pair_source, widest) == _MIN_BLOCK_FRAMES
+    assert sum(_key_widths(_MIN_BLOCK_FRAMES, widest)) == 64
+
+
+def test_block_length_follows_the_expected_events(point_pair_source):
+    """The real sensor (0.053 events per frame) gets 2**19 frames, dense
+    runs (1 or 20 pairs per frame, an ideal detector) the shortest block."""
+    real = replace(point_pair_source, pair_rate=1e7)
+    assert _block_frames(real, DetectorConfig()) == 1 << 19
+    ideal = DetectorConfig(pde=1.0, dark_count_rate=0.0, crosstalk_prob=0.0)
+    for pairs_per_frame in (1.0, 20.0):
+        dense = replace(point_pair_source,
+                        pair_rate=pairs_per_frame / ideal.frame_duration)
+        assert _block_frames(dense, ideal) == _MIN_BLOCK_FRAMES
 
 
 def test_sort_key_wider_than_64_bits_is_a_typed_error(ideal_detector):

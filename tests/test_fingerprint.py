@@ -53,3 +53,23 @@ def test_order_within_a_frame_changes_only_the_exact_hash(tmp_path):
                                                    read_events))
     assert prints[0]["e.ocme"] != prints[1]["e.ocme"]
     assert prints[0]["e.ocme records"] == prints[1]["e.ocme records"]
+
+
+def test_library_streams_print_equal_on_rerun():
+    """Both library workloads at 0.01 s and two seeds: equal prints on a
+    rerun, an exact and a records entry per stream, and seeds that differ."""
+    from ocmsim import run_acquisition
+    from ocmsim.config import load_config
+
+    small = {name: (overrides, 0.01) for name, (overrides, _)
+             in fingerprint_tool.LIBRARY.items()}
+    prints = [fingerprint_tool.library_prints(small, (1, 2), CONFIG,
+                                              load_config, run_acquisition)
+              for _ in range(2)]
+    assert prints[0] == prints[1]
+    assert sorted(prints[0]) == sorted(
+        f"library/{name}/seed_{seed}{suffix}" for name in small
+        for seed in (1, 2) for suffix in ("", " records"))
+    for name in small:
+        assert prints[0][f"library/{name}/seed_1"] != \
+            prints[0][f"library/{name}/seed_2"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (accidental_histogram_loop, coincidence_pairs_loop,
-                     coverage_table_per_pair)
+                     coverage_table_per_pair, pair_indices_loop)
 from scipy import stats
 
 from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
@@ -16,6 +16,7 @@ from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
 from ocmsim.config import RunConfig, load_config
 from ocmsim.errors import (EventOutOfRange, GridMismatch, TooFewFrames,
                            UnsortedInput)
+from ocmsim.reconstruction import _pairs, _window_bins
 
 
 def joint_histogram_x(pairs) -> np.ndarray:
@@ -304,6 +305,33 @@ def test_accidentals_match_cross_frame_loop(ev, k, min_xi, offset):
                                     k, min_xi, offset)
     norm = ev.n_frames / (2.0 * (ev.n_frames - offset))
     assert np.array_equal(acc.values, ref * norm)
+
+
+@given(small_streams(), st.integers(0, 5), st.integers(0, 6),
+       st.integers(-1, 3))
+def test_pair_enumeration_equals_double_loop(ev, offset, k, min_xi):
+    """Same (i, j) in the same order and the same n_cut, at offsets where
+    frame + offset lands inside, on the last frame or past it."""
+    _, i, j, n_cut = _pairs(ev, k * DetectorConfig().time_bin, min_xi, offset)
+    ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin, k,
+                                     min_xi, offset)
+    assert list(zip(i.tolist(), j.tolist())) == ref and n_cut == ref_cut
+
+
+@pytest.mark.parametrize("offset", [1, 2, 3, 4, 5])
+def test_pairs_reaching_the_last_frame_and_past_it(offset):
+    """Frames 0, 1, 3 and 5 of 6, two events each but frame 3: frame 5 is
+    the last, reached from frame 3, 1 and 0 at offsets 2, 4 and 5; frame 5's
+    partners lie past the stream at every offset, frame 3's from 3 on."""
+    rows = [(0, 0, 0, 5), (0, 4, 4, 5), (1, 2, 0, 5), (1, 0, 4, 5),
+            (3, 4, 0, 5), (5, 0, 2, 5), (5, 4, 2, 5)]
+    ev = make_stream(rows, 6, DetectorConfig(n_pixels_x=5, n_pixels_y=5))
+    _, i, j, n_cut = _pairs(ev, 1e-9, 1, offset)
+    ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin,
+                                     _window_bins(1e-9, ev.detector), 1,
+                                     offset)
+    assert list(zip(i.tolist(), j.tolist())) == ref and n_cut == ref_cut
+    assert len(ref) == {1: 4, 2: 4, 3: 2, 4: 4, 5: 4}[offset]
 
 
 def _pixel_pairs(pairs) -> list:

@@ -1,4 +1,5 @@
-"""Output fingerprints: SHA-256 of every file a fixed set of CLI flows writes.
+"""Output fingerprints: SHA-256 of every file a fixed set of CLI flows writes
+and of a fixed set of library event streams.
 
     python tools/fingerprint.py [CHECKOUT] > fingerprint.json
 
@@ -7,9 +8,12 @@ of CHECKOUT (by default the checkout holding this file), each flow in its
 own folder of one temporary directory, and prints sorted JSON: {output path:
 SHA-256}.  Each event file also gets an entry ``<path> records``, the
 SHA-256 of its records sorted by (frame, ix, iy, t_bin), which stays equal
-when only the order of events within a frame changes.  Two checkouts write
-bit-identical outputs exactly when their JSON is equal, so ``diff`` names
-the outputs that differ.
+when only the order of events within a frame changes.  The ``run_acquisition``
+streams of the benchmark's two library workloads, at seeds 1-3 and a fifth
+of their wall time, get the entries ``library/<workload>/seed_<n>`` (the
+stream's arrays, frame count and ``pairs_generated``) and ``... records``.
+Two checkouts write bit-identical outputs exactly when their JSON is equal,
+so ``diff`` names the outputs that differ.
 
 The hashes hold for one host: NumPy may pick other SIMD kernels on another
 CPU, so they are compared between checkouts, never stored as golden values.
@@ -33,6 +37,18 @@ CLI_PIPELINE = ["--set", "acquisition.wall_time_s=0.05", "--seed", "41"]
 #: the real sensor (pde 0.008, 1 kHz darks) for 2 s on two threads
 REAL_SENSOR = ["--set", "detector={pde: auto, dark_count_rate_hz: 1e3}",
                "--set", "acquisition.wall_time_s=2.0", "--threads", "2"]
+#: the benchmark's library workloads: overrides, then a fifth of their
+#: wall time (copied, so that the tool runs any checkout's package)
+LIBRARY = {
+    "ideal_triple_slit": (["detector.pde=1.0",
+                           "detector.dark_count_rate_hz=0.0",
+                           "detector.crosstalk_prob=0.0",
+                           "acquisition.pair_rate_hz=22222222.222222224"],
+                          0.05),
+    "real_sensor": (["detector.pde=auto",
+                     "detector.dark_count_rate_hz=1000.0"], 2.0),
+}
+LIBRARY_SEEDS = (1, 2, 3)
 SIMULATE = ("simulate", ["simulate"])
 RECONSTRUCT = ("reconstruct", ["reconstruct", "@simulate/events.ocme"])
 
@@ -72,6 +88,16 @@ def run_flows(root: Path, flows: dict, config: Path, main) -> None:
                 raise RuntimeError(f"{name}/{stage} exited {code}: {argv}")
 
 
+def records_hash(stream) -> str:
+    """SHA-256 of the stream's records sorted by (frame, ix, iy, t_bin)."""
+    fields = (stream.frame, stream.ix, stream.iy, stream.t_bin)
+    order = np.lexsort(fields[::-1])
+    digest = hashlib.sha256()
+    for a in fields:
+        digest.update(a[order].tobytes())
+    return digest.hexdigest()
+
+
 def fingerprint(root: Path, read_events) -> dict:
     """{path under ``root``: SHA-256} for every file, plus for each event
     file the hash of its records sorted by (frame, ix, iy, t_bin)."""
@@ -80,13 +106,28 @@ def fingerprint(root: Path, read_events) -> dict:
         name = path.relative_to(root).as_posix()
         out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         if path.suffix == ".ocme":
-            s = read_events(path)
-            fields = (s.frame, s.ix, s.iy, s.t_bin)
-            order = np.lexsort(fields[::-1])
+            out[f"{name} records"] = records_hash(read_events(path))
+    return out
+
+
+def library_prints(library: dict, seeds, config: Path, load_config,
+                   run_acquisition) -> dict:
+    """{``library/<workload>/seed_<n>``: SHA-256} of each ``run_acquisition``
+    stream (arrays in order, frame count, ``pairs_generated``), plus the
+    hash of its sorted records."""
+    out = {}
+    for name, (overrides, wall_time) in library.items():
+        cfg = load_config(config, overrides)
+        source, detector = cfg.source(), cfg.detector()
+        for seed in seeds:
+            s = run_acquisition(source, detector, wall_time, seed)
             digest = hashlib.sha256()
-            for a in fields:
-                digest.update(a[order].tobytes())
-            out[f"{name} records"] = digest.hexdigest()
+            for a in (s.frame, s.ix, s.iy, s.t_bin):
+                digest.update(a.tobytes())
+            digest.update(f"{s.n_frames}:{s.meta['pairs_generated']}".encode())
+            key = f"library/{name}/seed_{seed}"
+            out[key] = digest.hexdigest()
+            out[f"{key} records"] = records_hash(s)
     return out
 
 
@@ -95,12 +136,16 @@ def main() -> int:
     checkout = Path(args[0] if args else Path(__file__).parents[1]).resolve()
     sys.path.insert(0, str(checkout / "src"))
     from ocmsim.cli import main as cli_main
+    from ocmsim.config import load_config
+    from ocmsim.detector import run_acquisition
     from ocmsim.events_io import read_events
 
+    config = checkout / "configs" / "default.yaml"
     with tempfile.TemporaryDirectory() as tmp:
-        run_flows(Path(tmp), FLOWS, checkout / "configs" / "default.yaml",
-                  cli_main)
+        run_flows(Path(tmp), FLOWS, config, cli_main)
         prints = fingerprint(Path(tmp), read_events)
+    prints.update(library_prints(LIBRARY, LIBRARY_SEEDS, config, load_config,
+                                 run_acquisition))
     print(json.dumps(prints, indent=1, sort_keys=True))
     return 0
 

@@ -288,10 +288,14 @@ class OcmPairSource(_Source):
         half = 1.6 * max(detector.active_extent)
         n = 256
         spec = GridSpec.centered(n, 2.0 * half / n)
-        X, Y = np.meshgrid(spec.x_axis(), spec.y_axis(), indexing="ij")
-        xi = np.stack([X, Y], axis=-1)
-        env = deviation_envelope(xi, self.phase_matching)
-        return FieldGrid.from_spec(spec, np.abs(env) ** 2)
+        # the envelope depends on |xi| alone: evaluate it once per distinct
+        # (|kx|, |ky|) of the whole-sample offsets kx, ky in [-n/2, n/2)
+        k = np.arange(n // 2 + 1)
+        X, Y = np.meshgrid(k * spec.dx, k * spec.dy, indexing="ij")
+        env = deviation_envelope(np.stack([X, Y], axis=-1), self.phase_matching)
+        gather = np.abs(np.arange(n) - n // 2)
+        return FieldGrid.from_spec(spec, np.abs(env.take(gather, axis=0)
+                                                .take(gather, axis=1)) ** 2)
 
     def sampler(self, detector: DetectorConfig):
         centroid = _DensitySampler(self.centroid_density(detector))

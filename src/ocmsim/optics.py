@@ -4,9 +4,13 @@ One function, ``image``, forms every image: the coherent |A * H_N|^2 or the
 incoherent |A|^2 * |H_N|^2 with the order-N PSF H_N.  Order 1 is classical
 imaging (``coherent_image``, ``incoherent_image``); order N > 1 is the
 N-photon centroid image (``ocm.ocm_image``).  Its cost follows the object's
-size, not the grid's: only the aperture's nonzero box is convolved.  PSFs
-and convolutions need NumPy alone: ``somb`` is a port of the Cephes J1 and
-the convolution runs on ``numpy.fft``, both bit-identical to SciPy's.
+size, not the grid's: only the aperture's nonzero box is convolved, with a
+kernel sampled once per distinct (|k|, |l|) of its whole-sample offsets.
+The convolution is circular at the kernel's 5-smooth lengths, not padded to
+the full linear length; the kept window never wraps, because the kernel
+already spans every offset from the box to the output.  PSFs and
+convolutions need NumPy alone: ``somb`` is a port of the Cephes J1 and the
+convolution runs on ``numpy.fft``, both bit-identical to SciPy's.
 
 Conventions
 -----------
@@ -336,14 +340,17 @@ def _fast_len(n: int, primes: tuple[int, ...] = (2, 3, 5)) -> int:
         m += 1
 
 
-def _linear_convolution(f: np.ndarray, g: np.ndarray,
+def _linear_convolution(f: np.ndarray, g: np.ndarray, lengths: tuple,
                         rows: slice = slice(None)) -> np.ndarray:
-    """``rows`` of the full linear convolution sum of two real arrays by a
-    zero-padded spectral product, bit for bit that of ``scipy.fft``'s
-    rfftn/irfftn: axis 1, then 0, and back, and the factor 1/(n0 n1) last,
-    as pocketfft's n-d c2r.  Only the kept rows are inverted along axis 1."""
+    """``rows`` of the convolution sum of two real arrays by a zero-padded
+    spectral product, bit for bit that of ``scipy.fft``'s rfftn/irfftn at
+    the same transform ``lengths``: axis 1, then 0, and back, and the factor
+    1/(n0 n1) last, as pocketfft's n-d c2r.  Only the kept rows are inverted
+    along axis 1.  Lengths that hold the full linear convolution give it;
+    shorter lengths L (at least each input's) give the circular sum, whose
+    index p also holds index p + L of the linear one."""
     shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
-    n0, n1 = (_fast_len(n) for n in shape)
+    n0, n1 = lengths
     s, t = (np.zeros((n0, n1 // 2 + 1), complex) for _ in range(2))
     for a, spectrum in ((f, s), (g, t)):
         np.fft.rfft(a, n1, axis=1, out=spectrum[:len(a)])
@@ -365,25 +372,37 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     alone, so for N > 1 this is the complete centroid-image prediction.
     ``spec`` is the object-plane grid; the returned axes are scaled by the
     magnification.  Nonnegative everywhere.  Only the bounding box of the
-    aperture's nonzero samples is convolved; the rest adds nothing.
+    aperture's nonzero samples (B x C) is convolved; the rest adds nothing.
+    The kernel, n + B - 1 by n' + C - 1 samples on an n x n' grid, runs
+    circularly at its own 5-smooth lengths L >= n + B - 1: output p sits at
+    index p + B - 1, and its wrapped copy at p + B - 1 + L lies past the
+    linear sum's last index n + 2B - 3, so the kept window never wraps.
     """
     a = aperture.rasterize(spec).values
     nonzero = [np.flatnonzero(np.any(a != 0, axis=k)) for k in (1, 0)]
     # the box of nonzero samples; an empty aperture keeps its first sample
     (i0, i1), (j0, j1) = ((n[0], n[-1]) if n.size else (0, 0) for n in nonzero)
     box = a[i0:i1 + 1, j0:j1 + 1]
-    # the kernel holds every offset from a box sample to an output sample
-    kernel = GridSpec(spec.nx + i1 - i0, spec.ny + j1 - j0, spec.dx, spec.dy,
-                      (-i1 * spec.dx, -j1 * spec.dy))
-    h = single_lens_psf(system, kernel, order).values   # real for every pupil
+    # the kernel holds every whole-sample offset (k, l) from a box sample to
+    # an output sample, k from -i1 to nx - 1 - i0; h depends on the radius
+    # alone, so its value there is the sample (|k|, |l|) of h on the offsets
+    # >= 0, and +-k share one value to the last bit
+    kx = np.abs(np.arange(-i1, spec.nx - i0))
+    ky = np.abs(np.arange(-j1, spec.ny - j0))
+    quadrant = GridSpec(kx.max() + 1, ky.max() + 1, spec.dx, spec.dy,
+                        (0.0, 0.0))
+    h = single_lens_psf(system, quadrant, order).values   # real for every pupil
     if not coherent:
         box = np.abs(box) ** 2
         h = np.abs(h) ** 2
-    # output sample p sits at index p + i1 - i0 of the full convolution
+    h = h.take(kx, axis=0).take(ky, axis=1)
+    # output sample p sits at index p + B - 1, B = i1 - i0 + 1, of the
+    # circular convolution at the kernel's lengths (see above)
     rows = slice(i1 - i0, i1 - i0 + spec.nx)
-    conv = _linear_convolution(box.real, h, rows)
+    lengths = tuple(_fast_len(n) for n in h.shape)
+    conv = _linear_convolution(box.real, h, lengths, rows)
     if np.iscomplexobj(box):
-        conv = conv + 1j * _linear_convolution(box.imag, h, rows)
+        conv = conv + 1j * _linear_convolution(box.imag, h, lengths, rows)
     conv = conv[:, j1 - j0:j1 - j0 + spec.ny] * spec.dx * spec.dy
     m = system.magnification
     values = np.abs(conv) ** 2 if coherent else conv.clip(min=0.0)

@@ -44,7 +44,9 @@ class SellmeierModel:
     def from_file(cls, path=None, temperature_c: float = 25.0) -> "SellmeierModel":
         """Load from a YAML data file; defaults to the shipped ppKTP z-axis.
         A file that does not map ``sellmeier`` to the numbers A-F (and
-        ``thermal``, if given, to a mapping) raises ValueError naming it."""
+        ``thermal``, if given, to a mapping whose ``n1`` and ``n2`` are lists
+        of numbers and whose ``reference_temperature_C`` is a number) raises
+        ValueError naming it."""
         source = (resources.files("ocmsim.data").joinpath("ppktp_z.yaml")
                   if path is None else Path(path))
         try:
@@ -61,11 +63,19 @@ class SellmeierModel:
         if missing:
             raise ValueError(f"{source}: sellmeier coefficients {missing} "
                              "are missing or not numbers")
+        n1, n2 = th.get("n1", [0.0]), th.get("n2", [0.0])
+        reference = th.get("reference_temperature_C", 25.0)
+        bad = [name for name, value in (("n1", n1), ("n2", n2))
+               if not (isinstance(value, list)
+                       and all(type(a) in (int, float) for a in value))]
+        if type(reference) not in (int, float):
+            bad.append("reference_temperature_C")
+        if bad:
+            raise ValueError(f"{source}: thermal values {bad} are not "
+                             "numbers (n1 and n2 take lists of them)")
         return cls(coefficients=dict(coefficients),
-                   n1_thermal=tuple(th.get("n1", (0.0,))),
-                   n2_thermal=tuple(th.get("n2", (0.0,))),
-                   reference_temperature_c=float(
-                       th.get("reference_temperature_C", 25.0)),
+                   n1_thermal=tuple(n1), n2_thermal=tuple(n2),
+                   reference_temperature_c=float(reference),
                    temperature_c=float(temperature_c))
 
     def index_at_wavelength(self, wavelength_m):

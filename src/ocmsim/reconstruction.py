@@ -113,8 +113,8 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     ``n_cut`` counts the in-window pairs that the separation cut rejects.
     The work follows the frame runs (an ``EventStream`` keeps frame ids
     sorted, below n_frames <= 2**63): offset 0 visits only runs of two or
-    more events, and an offset k > 0 finds each run's partner run by one
-    search over the run frames.
+    more events, and an offset k > 0 searches the run frames for the
+    partner run only of the runs whose next run lies within k frames.
     """
     cfg = events.detector
     frames = events.frame
@@ -125,13 +125,14 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     starts, ends = bounds[:-1], bounds[1:]
     if offset:
         run_frames = frames[starts]
-        partner = np.searchsorted(run_frames, run_frames + np.uint64(offset))
+        # a partner lies at most offset frames on, so the next run must too
+        runs = np.flatnonzero(np.diff(run_frames) <= offset)
+        target = run_frames[runs] + np.uint64(offset)
+        partner = np.searchsorted(run_frames, target)
         np.minimum(partner, run_frames.size - 1, out=partner)
-        gap = run_frames[partner]
-        gap -= run_frames
-        runs = np.flatnonzero(gap == offset)
-        partner = partner[runs]
-        del run_frames, gap
+        found = run_frames[partner] == target
+        runs, partner = runs[found], partner[found]
+        del run_frames, target, found
     else:
         runs = partner = np.flatnonzero(np.diff(bounds) > 1)
     # the events of the visited runs, each with its partners' span [lo, hi)

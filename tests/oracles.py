@@ -66,13 +66,16 @@ def somb_scipy(x) -> np.ndarray:
     return out
 
 
-def linear_convolution_scipy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def linear_convolution_scipy(f: np.ndarray, g: np.ndarray,
+                             lengths=None) -> np.ndarray:
     """Full linear convolution of two real arrays by ``scipy.fft``: the
-    5-smooth padded ``rfftn`` product and its ``irfftn``."""
+    5-smooth padded ``rfftn`` product and its ``irfftn``.  Transform
+    ``lengths`` shorter than the linear convolution give the circular one,
+    of those lengths."""
     from scipy import fft as sp_fft
 
     shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
-    fshape = [sp_fft.next_fast_len(n, True) for n in shape]
+    fshape = lengths or [sp_fft.next_fast_len(n, True) for n in shape]
     spectrum = (sp_fft.rfftn(f, fshape, axes=(0, 1))
                 * sp_fft.rfftn(g, fshape, axes=(0, 1)))
     return sp_fft.irfftn(spectrum, fshape, axes=(0, 1))[:shape[0], :shape[1]]

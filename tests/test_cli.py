@@ -421,6 +421,10 @@ def test_custom_sellmeier_file_gives_the_shipped_poling_period(tmp_path):
     assert custom.poling_period == shipped.poling_period
 
 
+SELLMEIER = ("sellmeier: {A: 2.12725, B: 1.18431, C: 0.0514852, D: 0.6603,"
+             " E: 100.00507, F: 9.68956e-3}\n")
+
+
 @pytest.mark.parametrize("text, named", [
     ("foo: 1\n", "`sellmeier` mapping"),
     ("- A\n- B\n", "`sellmeier` mapping"),
@@ -428,13 +432,21 @@ def test_custom_sellmeier_file_gives_the_shipped_poling_period(tmp_path):
     ("sellmeier: {A: x, B: 1.2, C: 0.05, D: true, E: 100.0, F: 0.01}\n",
      "['A', 'D']"),
     ("sellmeier: [\n", "not YAML"),
+    (f"{SELLMEIER}thermal: {{n1: [x]}}\n", "['n1']"),
+    (f"{SELLMEIER}thermal: {{n1: abc}}\n", "['n1']"),
+    (f"{SELLMEIER}thermal: {{reference_temperature_C: warm}}\n",
+     "['reference_temperature_C']"),
 ], ids=["no_sellmeier_key", "yaml_list", "missing_coefficient",
-        "coefficient_not_a_number", "not_yaml"])
+        "coefficient_not_a_number", "not_yaml", "thermal_not_a_number",
+        "thermal_a_string", "reference_temperature_not_a_number"])
 def test_malformed_sellmeier_file_exits_2(tmp_path, capsys, text, named):
+    # at 30 C the thermal terms are evaluated, so a value that loaded
+    # unchecked would end in a NumPy traceback
     data = tmp_path / "index.yaml"
     data.write_text(text)
     code = run_cli(["--config", CONFIG, *FAST, "--set",
                     f"phase_matching.sellmeier.data_file={data}",
+                    "--set", "phase_matching.sellmeier.temperature_C=30.0",
                     "--out", tmp_path / "o", "simulate"])
     assert code == 2
     err = capsys.readouterr().err

@@ -57,7 +57,8 @@ def test_order_within_a_frame_changes_only_the_exact_hash(tmp_path):
 
 def test_library_streams_print_equal_on_rerun():
     """Both library workloads at 0.01 s and two seeds: equal prints on a
-    rerun, an exact and a records entry per stream, and seeds that differ."""
+    rerun, an exact and a records entry per stream, one entry per sampler
+    density, and seeds that differ."""
     from ocmsim import run_acquisition
     from ocmsim.config import load_config
 
@@ -68,8 +69,10 @@ def test_library_streams_print_equal_on_rerun():
               for _ in range(2)]
     assert prints[0] == prints[1]
     assert sorted(prints[0]) == sorted(
-        f"library/{name}/seed_{seed}{suffix}" for name in small
-        for seed in (1, 2) for suffix in ("", " records"))
+        [f"library/{name}/seed_{seed}{suffix}" for name in small
+         for seed in (1, 2) for suffix in ("", " records")]
+        + [f"library/{name}/{density}" for name in small
+           for density in ("centroid_density", "deviation_density")])
     for name in small:
         assert prints[0][f"library/{name}/seed_1"] != \
             prints[0][f"library/{name}/seed_2"]

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
-                    PupilProfile, coherent_image, fourier_transform_2d, image,
-                    incoherent_image, single_lens_psf, somb)
+                    PupilProfile, coherent_image, deviation_envelope,
+                    fourier_transform_2d, image, incoherent_image,
+                    single_lens_psf, somb)
 from ocmsim.config import load_config
 from ocmsim.errors import GridTooCoarse
 from ocmsim.optics import J1_FIRST_ZERO, _fast_len, _linear_convolution
@@ -145,16 +146,20 @@ def test_psf_on_axes_equals_direct_evaluation(spec, order, gaussian):
     assert np.array_equal(got.values, sys_.psf_amplitude(X, Y, order))
 
 
-@pytest.mark.parametrize("overrides", [
+#: the benchmark's two library workloads, as ``load_config`` overrides
+BENCHMARK_SETTINGS = pytest.mark.parametrize("overrides", [
     ["detector.pde=auto", "detector.dark_count_rate_hz=1000.0"],
     ["detector.pde=1.0", "detector.dark_count_rate_hz=0.0",
      "detector.crosstalk_prob=0.0", "acquisition.pair_rate_hz=22222222.2"],
 ], ids=["real_sensor", "ideal_triple_slit"])
+CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
+
+
+@BENCHMARK_SETTINGS
 def test_centroid_density_unchanged_by_psf_gather(monkeypatch, overrides):
     # the sampler's density, with the PSF kernel gathered and evaluated
     # directly on full grids, is the same to the last bit
-    config = Path(__file__).parent.parent / "configs" / "default.yaml"
-    cfg = load_config(config, overrides)
+    cfg = load_config(CONFIG, overrides)
     source, detector = cfg.source(), cfg.detector()
 
     def digest():
@@ -167,6 +172,19 @@ def test_centroid_density_unchanged_by_psf_gather(monkeypatch, overrides):
                         lambda self, x, y, order=1:
                         direct(self, *np.broadcast_arrays(x, y), order))
     assert digest() == gathered
+
+
+@BENCHMARK_SETTINGS
+def test_deviation_density_equals_direct_evaluation(overrides):
+    # the envelope, evaluated per distinct (|kx|, |ky|) and gathered, is its
+    # direct evaluation on the full 256 x 256 grid to the last bit
+    cfg = load_config(CONFIG, overrides)
+    source = cfg.source()
+    got = source.deviation_density(cfg.detector())
+    X, Y = np.meshgrid(got.x_axis(), got.y_axis(), indexing="ij")
+    env = deviation_envelope(np.stack([X, Y], axis=-1), source.phase_matching)
+    assert got.values.shape == (256, 256)
+    assert np.array_equal(got.values, np.abs(env) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +206,33 @@ def test_linear_convolution_equals_scipy_fft_bit_for_bit(nf0, nf1, ng0, ng1,
     rng = np.random.default_rng(seed)
     f, g = rng.normal(size=(nf0, nf1)), rng.normal(size=(ng0, ng1))
     ref = linear_convolution_scipy(f, g)
-    assert np.array_equal(_linear_convolution(f, g), ref)
+    full = tuple(_fast_len(n) for n in ref.shape)
+    assert np.array_equal(_linear_convolution(f, g, full), ref)
     start = data.draw(st.integers(0, ref.shape[0] - 1))
     stop = data.draw(st.integers(start + 1, ref.shape[0]))
-    rows = _linear_convolution(f, g, slice(start, stop))
+    rows = _linear_convolution(f, g, full, slice(start, stop))
     assert np.array_equal(rows, ref[start:stop])
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(2, 30),
+       st.integers(2, 30), st.integers(0, 2 ** 32 - 1), st.data())
+def test_convolution_at_the_kernel_length_keeps_the_linear_window(
+        b0, b1, n0, n1, seed, data):
+    # as ``image`` runs it: a box of B samples, a kernel of n + B - 1 and a
+    # circular length from the kernel's own up, so output p at index
+    # p + B - 1 does not wrap
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(b0, b1))
+    g = rng.normal(size=(n0 + b0 - 1, n1 + b1 - 1))
+    lengths = tuple(data.draw(st.sampled_from((n, _fast_len(n))))
+                    for n in g.shape)
+    rows, cols = slice(b0 - 1, b0 - 1 + n0), slice(b1 - 1, b1 - 1 + n1)
+    got = _linear_convolution(f, g, lengths, rows)[:, cols]
+    ref = direct_convolution(f, g, 1.0, 1.0).real[rows, cols]
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    circular = linear_convolution_scipy(f, g, lengths)
+    assert np.array_equal(_linear_convolution(f, g, lengths), circular)
+    assert np.array_equal(got, circular[rows, cols])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,37 @@ def test_temperature_shifts_index():
     assert hot.index_at_wavelength(810e-9) != cold.index_at_wavelength(810e-9)
 
 
+SELLMEIER = ("sellmeier: {A: 2.12725, B: 1.18431, C: 0.0514852, D: 0.6603,"
+             " E: 100.00507, F: 9.68956e-3}\n")
+
+
+@pytest.mark.parametrize("thermal, named", [
+    ("{n1: [x]}", "['n1']"),
+    ("{n1: abc}", "['n1']"),
+    ("{n2: [1.0e-8, true]}", "['n2']"),
+    ("{n1: 1.0e-5, n2: [.nan, null]}", "['n1', 'n2']"),
+    ("{reference_temperature_C: warm}", "['reference_temperature_C']"),
+    ("{reference_temperature_C: false}", "['reference_temperature_C']"),
+], ids=["n1_text", "n1_string", "n2_bool", "n1_scalar_n2_null",
+        "reference_text", "reference_bool"])
+def test_thermal_values_are_checked_on_load(tmp_path, thermal, named):
+    data = tmp_path / "index.yaml"
+    data.write_text(SELLMEIER + f"thermal: {thermal}\n")
+    with pytest.raises(ValueError) as exc:
+        SellmeierModel.from_file(data, temperature_c=30.0)
+    assert str(data) in str(exc.value) and named in str(exc.value)
+
+
+def test_thermal_lists_of_ints_and_floats_load(tmp_path):
+    data = tmp_path / "index.yaml"
+    data.write_text(SELLMEIER + "thermal: {reference_temperature_C: 20, "
+                    "n1: [1.0e-5, 0], n2: []}\n")
+    model = SellmeierModel.from_file(data, temperature_c=30.0)
+    assert (model.n1_thermal, model.n2_thermal) == ((1.0e-5, 0), ())
+    assert model.reference_temperature_c == 20.0
+    assert np.isfinite(model.index_at_wavelength(810e-9))
+
+
 def test_pump_frequency_is_derived(reference_params):
     p = reference_params
     assert p.omega_p == p.omega_s + p.omega_i

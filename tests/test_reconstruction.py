@@ -234,9 +234,11 @@ def small_streams(draw):
     n = draw(st.integers(0, 60))
     column = lambda hi: np.array(draw(st.lists(st.integers(0, hi), min_size=n,
                                                max_size=n)), dtype=np.int64)
-    # half the events share their predecessor's frame; the rest leave gaps
-    gaps = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 3)), min_size=n,
-                         max_size=n))
+    # half the events share their predecessor's frame; the rest leave gaps,
+    # one of them (7) beyond every drawn offset, so that a run's next run
+    # can lie too far on for any partner
+    gaps = draw(st.lists(st.sampled_from((0, 0, 0, 0, 1, 2, 3, 7)),
+                         min_size=n, max_size=n))
     frame = np.cumsum(np.array(gaps, dtype=np.int64))
     ix, iy = column(cfg.n_pixels_x - 1), column(cfg.n_pixels_y - 1)
     t_bin = column(30)

@@ -11,9 +11,11 @@ SHA-256 of its records sorted by (frame, ix, iy, t_bin), which stays equal
 when only the order of events within a frame changes.  The ``run_acquisition``
 streams of the benchmark's two library workloads, at seeds 1-3 and a fifth
 of their wall time, get the entries ``library/<workload>/seed_<n>`` (the
-stream's arrays, frame count and ``pairs_generated``) and ``... records``.
-Two checkouts write bit-identical outputs exactly when their JSON is equal,
-so ``diff`` names the outputs that differ.
+stream's arrays, frame count and ``pairs_generated``) and ``... records``,
+and the sampler's two densities get ``library/<workload>/centroid_density``
+and ``.../deviation_density`` (samples and geometry).  Two checkouts write
+bit-identical outputs exactly when their JSON is equal, so ``diff`` names
+the outputs that differ.
 
 The hashes hold for one host: NumPy may pick other SIMD kernels on another
 CPU, so they are compared between checkouts, never stored as golden values.
@@ -110,15 +112,27 @@ def fingerprint(root: Path, read_events) -> dict:
     return out
 
 
+def grid_hash(grid) -> str:
+    """SHA-256 of a ``FieldGrid``'s samples, shape, spacing and origin."""
+    digest = hashlib.sha256(np.ascontiguousarray(grid.values).tobytes())
+    digest.update(f"{grid.values.shape}:{grid.dx!r}:{grid.dy!r}:"
+                  f"{grid.origin!r}".encode())
+    return digest.hexdigest()
+
+
 def library_prints(library: dict, seeds, config: Path, load_config,
                    run_acquisition) -> dict:
     """{``library/<workload>/seed_<n>``: SHA-256} of each ``run_acquisition``
     stream (arrays in order, frame count, ``pairs_generated``), plus the
-    hash of its sorted records."""
+    hash of its sorted records, and of the workload's centroid and
+    deviation densities."""
     out = {}
     for name, (overrides, wall_time) in library.items():
         cfg = load_config(config, overrides)
         source, detector = cfg.source(), cfg.detector()
+        for density in ("centroid_density", "deviation_density"):
+            out[f"library/{name}/{density}"] = grid_hash(
+                getattr(source, density)(detector))
         for seed in seeds:
             s = run_acquisition(source, detector, wall_time, seed)
             digest = hashlib.sha256()

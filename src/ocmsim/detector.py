@@ -25,6 +25,13 @@ is what uniform placement gives, so the per-frame counts are exactly i.i.d.
 Poisson(m).  The cost follows the tuples, not the frames, most of which are
 empty at real-sensor efficiency.
 
+Crosstalk fires each (neighbour side, detection) slot with probability p.
+Its 4 N draws are made sparsely: a Binomial(4 N, p) count K, then a uniform
+K-subset of the slots.  Given K, the fired slots of i.i.d. Bernoulli draws
+are a uniform K-subset, so this is their exact law (Devroye, Non-Uniform
+Random Variate Generation, 1986), at a cost that follows K, not N.  Detected
+photons and dark counts become packed uint64 keys as they are drawn.
+
 Determinism contract: every public entry point takes a seed; identical
 (seed, config, source) produce identical event streams.  Acquisition runs are
 split into frame blocks sized by their expected events (``_block_frames``),
@@ -440,7 +447,7 @@ def _detected_masks(u: np.ndarray, pde: float) -> np.ndarray:
     hits = bits.sum(axis=1)
     cdf = np.cumsum(pde ** hits * (1.0 - pde) ** (n_ph - hits))
     pick = np.searchsorted(cdf / cdf[-1], u[:, 0], side="right")
-    return bits[pick].astype(bool)
+    return bits.astype(bool).take(pick, axis=0)
 
 
 def _key_widths(n_frames: int,
@@ -491,19 +498,24 @@ def _arrival_bins(rng: np.random.Generator, count: int,
 _NEIGHBOURS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
 
 
-def _crosstalk(rng: np.random.Generator, cfg: DetectorConfig, frame, ix, iy,
-               t_bin):
-    """Detections, then crosstalk: each fires each on-sensor ``_NEIGHBOURS``
-    pixel at most once, in its time bin; one draw per (side, detection)."""
-    side, src = np.nonzero(rng.random((4, frame.size)) < cfg.crosstalk_prob)
-    nx_ = ix[src] + _NEIGHBOURS[side, 0]
-    ny_ = iy[src] + _NEIGHBOURS[side, 1]
-    ok = ((nx_ >= 0) & (nx_ < cfg.n_pixels_x)
-          & (ny_ >= 0) & (ny_ < cfg.n_pixels_y))
-    src = src[ok]
-    return (np.concatenate([frame, frame[src]]),
-            np.concatenate([ix, nx_[ok]]), np.concatenate([iy, ny_[ok]]),
-            np.concatenate([t_bin, t_bin[src]]))
+def _crosstalk(rng: np.random.Generator, cfg: DetectorConfig, key, widths):
+    """Detection keys, then a key per fired (side, detection) slot whose
+    ``_NEIGHBOURS`` pixel is on the sensor, in its time bin, slots in side-
+    major order: a Binomial(4 N, p) count of slots and a uniform subset of
+    that size, the exact law of 4 N Bernoulli draws (see the module
+    docstring).  Only the fired slots' sources are unpacked."""
+    n = key.size
+    slots = rng.choice(4 * n, rng.binomial(4 * n, cfg.crosstalk_prob),
+                       replace=False, shuffle=False)
+    slots.sort()
+    side, src = np.divmod(slots, n)
+    frame, ix, iy, t_bin = _unpack(key[src], widths, (np.uint64, np.int64,
+                                                      np.int64, np.uint64))
+    ix += _NEIGHBOURS[side, 0]
+    iy += _NEIGHBOURS[side, 1]
+    ok = (ix >= 0) & (ix < cfg.n_pixels_x) & (iy >= 0) & (iy < cfg.n_pixels_y)
+    return np.concatenate([key, _pack((frame[ok], ix[ok], iy[ok], t_bin[ok]),
+                                      widths)])
 
 
 _Detected = namedtuple("_Detected", "frame ix iy t_bin")
@@ -515,13 +527,14 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     """Vectorized detector model; see apply_detector_model.
 
     With ``thinned``, every tuple is known to leave at least one detected
-    photon, and its detection mask is drawn conditional on that.
+    photon, and its detection mask is drawn conditional on that.  Events
+    are keys (``_pack``) with frames relative to the range's first.
     """
     positions = np.asarray(positions, dtype=float)
     n_tuples, n_ph = positions.shape[0], positions.shape[1]
     frame_ids = np.asarray(frame_ids, dtype=np.uint64)
-    n_frames = frame_range[1] - frame_range[0]
-    if frame_ids.size and (frame_ids.min() < frame_range[0]
+    first, n_frames = frame_range[0], frame_range[1] - frame_range[0]
+    if frame_ids.size and (frame_ids.min() < first
                            or frame_ids.max() >= frame_range[1]):
         raise ValueError("frame ids must lie in frame_range")
     widths = _key_widths(n_frames, cfg)
@@ -529,46 +542,38 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     # one arrival time bin per tuple (pair photons are simultaneous)
     tuple_tbin = _arrival_bins(rng, n_tuples, cfg)
 
-    # detection efficiency per photon: Bernoulli, or given a detection
+    # detection efficiency per photon: Bernoulli, or given a detection;
+    # only the detected photons are binned
     u = rng.random((n_tuples, n_ph))
     survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
-
-    ix, iy, inside = cfg.pixel_index(positions)
-    keep = survive & inside
-    ph_frame = np.repeat(frame_ids, n_ph).reshape(n_tuples, n_ph)[keep]
-    ph_tbin = np.repeat(tuple_tbin, n_ph).reshape(n_tuples, n_ph)[keep]
-    ph_ix = ix[keep]
-    ph_iy = iy[keep]
+    photon = np.flatnonzero(survive)
+    ix, iy, inside = cfg.pixel_index(positions.reshape(-1, 2).take(photon, 0))
+    tup = photon[inside] // n_ph
+    keys = [_pack((frame_ids[tup] - np.uint64(first), ix[inside], iy[inside],
+                   tuple_tbin[tup]), widths)]
 
     # dark counts: Poisson per (pixel, frame), sampled sparsely
     total_mean = (cfg.dark_count_rate * cfg.frame_duration
                   * cfg.n_pixels_x * cfg.n_pixels_y * n_frames)
     n_dark = rng.poisson(total_mean) if total_mean > 0 else 0
     if n_dark > 0:
-        d_frame = (rng.integers(0, n_frames, n_dark).astype(np.uint64)
-                   + frame_range[0])
+        d_frame = rng.integers(0, n_frames, n_dark, dtype=np.uint64)
         cell = rng.integers(0, cfg.n_pixels_x * cfg.n_pixels_y, n_dark)
-        d_ix = cell // cfg.n_pixels_y
-        d_iy = cell % cfg.n_pixels_y
-        d_tbin = _arrival_bins(rng, n_dark, cfg)
-        ph_frame = np.concatenate([ph_frame, d_frame])
-        ph_ix = np.concatenate([ph_ix, d_ix.astype(np.int64)])
-        ph_iy = np.concatenate([ph_iy, d_iy.astype(np.int64)])
-        ph_tbin = np.concatenate([ph_tbin, d_tbin])
+        keys.append(_pack((d_frame, *np.divmod(cell, cfg.n_pixels_y),
+                           _arrival_bins(rng, n_dark, cfg)), widths))
+    key = np.concatenate(keys)
 
-    if cfg.crosstalk_prob > 0 and ph_frame.size:
-        ph_frame, ph_ix, ph_iy, ph_tbin = _crosstalk(
-            rng, cfg, ph_frame, ph_ix, ph_iy, ph_tbin)
-
-    return _first_hit(ph_frame, ph_ix, ph_iy, ph_tbin, frame_range[0], widths)
+    if cfg.crosstalk_prob > 0 and key.size:
+        key = _crosstalk(rng, cfg, key, widths)
+    return _first_hit(key, first, widths)
 
 
-def _first_hit(frame, ix, iy, t_bin, first_frame: int, widths) -> _Detected:
+def _first_hit(key, first_frame: int, widths) -> _Detected:
     """Each (frame, pixel)'s earliest event, in the sensor's readout order
-    (frame, ix, iy): sorted keys packed from (frame - first frame, ix, iy,
-    t_bin), the first of each pixel kept.  A key holds its whole record, so
-    equal keys are equal events and no stable sort is needed."""
-    key = _pack((frame - np.uint64(first_frame), ix, iy, t_bin), widths)
+    (frame, ix, iy): the keys packed from (frame - first frame, ix, iy,
+    t_bin), sorted in place, the first of each pixel kept.  A key holds its
+    whole record, so equal keys are equal events and no stable sort is
+    needed."""
     key.sort()
     pixel = key >> np.uint64(widths[-1])
     key = key[np.r_[True, pixel[1:] != pixel[:-1]][:key.size]]

@@ -40,6 +40,11 @@ class SellmeierModel:
     reference_temperature_c: float = 25.0
     temperature_c: float = 25.0
 
+    def __post_init__(self) -> None:
+        if not self.temperature_c >= -273.15:
+            raise ValueError(f"temperature_C = {self.temperature_c} lies "
+                             "below absolute zero, -273.15 C")
+
     @classmethod
     def from_file(cls, path=None, temperature_c: float = 25.0) -> "SellmeierModel":
         """Load from a YAML data file; defaults to the shipped ppKTP z-axis.
@@ -84,7 +89,7 @@ class SellmeierModel:
         n_sq = (c["A"] + c["B"] / (1.0 - c["C"] / u ** 2)
                 + c["D"] / (1.0 - c["E"] / u ** 2) - c["F"] * u ** 2)
         n = np.sqrt(n_sq)
-        dt = self.temperature_c - self.reference_temperature_c
+        dt = np.float64(self.temperature_c - self.reference_temperature_c)
         if dt != 0.0:
             n = n + dt * sum(a / u ** k for k, a in enumerate(self.n1_thermal))
             n = n + dt ** 2 * sum(b / u ** k for k, b in enumerate(self.n2_thermal))
@@ -108,10 +113,14 @@ class PhaseMatchingParams:
     index_model: SellmeierModel = field(default_factory=SellmeierModel.from_file)
 
     def __post_init__(self) -> None:
-        if self.crystal_length <= 0 or self.poling_period <= 0:
-            raise ValueError("crystal length and poling period must be > 0")
-        if self.focal_length <= 0:
-            raise ValueError("focal length must be > 0")
+        for name in ("crystal_length", "poling_period", "focal_length"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            collinear = wavevector_mismatch(np.zeros(2), np.zeros(2), self)
+        if not np.isfinite(collinear):
+            raise ValueError("collinear wavevector mismatch not finite at "
+                             f"temperature_C = {self.index_model.temperature_c}")
 
     @property
     def omega_p(self) -> float:
@@ -146,13 +155,15 @@ def solve_poling_period(omega_s: float, omega_i: float,
                         index_model: SellmeierModel) -> float:
     """Poling period G giving Delta_k = 0 for collinear emission (q = 0)."""
     n = index_model
-    k_s = omega_s * n(omega_s) / SPEED_OF_LIGHT
-    k_i = omega_i * n(omega_i) / SPEED_OF_LIGHT
-    omega_p = omega_s + omega_i
-    k_p = omega_p * n(omega_p) / SPEED_OF_LIGHT
-    residual = k_p - k_s - k_i
-    if residual <= 0:
-        raise ValueError("no positive poling period: k_p <= k_s + k_i")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_s = omega_s * n(omega_s) / SPEED_OF_LIGHT
+        k_i = omega_i * n(omega_i) / SPEED_OF_LIGHT
+        omega_p = omega_s + omega_i
+        k_p = omega_p * n(omega_p) / SPEED_OF_LIGHT
+        residual = float(k_p - k_s - k_i)
+    if not 0 < residual < np.inf:
+        raise ValueError(f"no finite positive poling period: k_p - k_s - k_i "
+                         f"= {residual} at temperature_C = {n.temperature_c}")
     return float(2.0 * np.pi / residual)
 
 

@@ -8,13 +8,15 @@ the pupil function and an inverse Fourier transform, where the library
 self-convolves the PSF), coincidence and accidental pairs from plain loops
 over every event pair, first hits from the earliest time bin kept per
 (frame, pixel), density samples from one CDF search of the uniforms in
-their drawn order, crosstalk from one draw per neighbour side, and
-configuration values from the nested-tree loader that the flat overlay
-replaced.  Five references reuse library parts because
-each checks one shortcut alone: the unthinned acquisition (the library's
-sampler and detector model, without thinning), the doubled-kernel image
-(the library's PSF sampling, convolved by SciPy's ``fftconvolve`` on the
-whole grid instead of the aperture's box), the per-pair coverage table (the
+their drawn order, crosstalk from one draw per neighbour side or from a
+loop over the drawn slots, and configuration values from the nested-tree
+loader that the flat overlay replaced.  Six references reuse library parts
+because each checks one shortcut alone: the unthinned acquisition (the
+library's sampler and detector model, without thinning), the field-by-field
+detection (the library's arrival bins, detection masks and pixel binning,
+on field arrays instead of packed keys), the doubled-kernel image (the
+library's PSF sampling, convolved by SciPy's ``fftconvolve`` on the whole
+grid instead of the aperture's box), the per-pair coverage table (the
 library's weight, evaluated on every pixel pair instead of once per pixel
 offset), the biphoton amplitude (the library's wavevector mismatch at two
 free photon positions, where the pair source evaluates it at +-xi) and the
@@ -577,3 +579,78 @@ def crosstalk_per_side(rng, cfg, frame, ix, iy, t_bin):
                     column.append(value)
     return tuple(np.array(column, dtype=a.dtype)
                  for column, a in zip(out, (frame, ix, iy, t_bin)))
+
+
+def crosstalk_slots(rng, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(side, detection) of the fired crosstalk slots among the 4 n, side
+    major: a Binomial(4 n, p) count, then that many distinct slots drawn
+    uniformly and sorted; the draw the library's ``_crosstalk`` makes."""
+    slots = rng.choice(4 * n, rng.binomial(4 * n, p), replace=False,
+                       shuffle=False)
+    return np.divmod(np.sort(slots), n)
+
+
+def crosstalk_slot_loop(rng, cfg, frame, ix, iy, t_bin):
+    """Field arrays of the detections, then one neighbour event per fired
+    slot whose neighbour lies on the sensor, appended in a Python loop."""
+    out = [list(a) for a in (frame, ix, iy, t_bin)]
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    for side, i in zip(*crosstalk_slots(rng, len(frame),
+                                        cfg.crosstalk_prob)):
+        x, y = int(ix[i]) + steps[side][0], int(iy[i]) + steps[side][1]
+        if 0 <= x < cfg.n_pixels_x and 0 <= y < cfg.n_pixels_y:
+            for column, value in zip(out, (frame[i], x, y, t_bin[i])):
+                column.append(value)
+    return tuple(np.array(column, dtype=a.dtype)
+                 for column, a in zip(out, (frame, ix, iy, t_bin)))
+
+
+def detect_by_fields(positions, cfg, rng, frame_ids, frame_range,
+                     thinned: bool = False):
+    """``_detect`` as four field arrays: every photon binned, the detected
+    and on-sensor ones gathered, int64 dark frames shifted to the range,
+    four-array concatenations, crosstalk on the fields from the slots of
+    ``crosstalk_slots``, and the first hit of each (frame, pixel) from a
+    ``np.lexsort``.  The draws are the library's, in its order."""
+    from ocmsim.detector import _arrival_bins, _detected_masks
+
+    positions = np.asarray(positions, dtype=float)
+    n_tuples, n_ph = positions.shape[:2]
+    n_frames = frame_range[1] - frame_range[0]
+    tuple_tbin = _arrival_bins(rng, n_tuples, cfg)
+    u = rng.random((n_tuples, n_ph))
+    survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
+    ix, iy, inside = cfg.pixel_index(positions)
+    keep = survive & inside
+    frame = np.repeat(np.asarray(frame_ids, np.uint64), n_ph).reshape(
+        n_tuples, n_ph)[keep]
+    t_bin = np.repeat(tuple_tbin, n_ph).reshape(n_tuples, n_ph)[keep]
+    ix, iy = ix[keep], iy[keep]
+    mean = (cfg.dark_count_rate * cfg.frame_duration
+            * cfg.n_pixels_x * cfg.n_pixels_y * n_frames)
+    n_dark = rng.poisson(mean) if mean > 0 else 0
+    if n_dark > 0:
+        d_frame = (rng.integers(0, n_frames, n_dark).astype(np.uint64)
+                   + np.uint64(frame_range[0]))
+        cell = rng.integers(0, cfg.n_pixels_x * cfg.n_pixels_y, n_dark)
+        frame = np.concatenate([frame, d_frame])
+        ix = np.concatenate([ix, cell // cfg.n_pixels_y])
+        iy = np.concatenate([iy, cell % cfg.n_pixels_y])
+        t_bin = np.concatenate([t_bin, _arrival_bins(rng, n_dark, cfg)])
+    if cfg.crosstalk_prob > 0 and frame.size:
+        side, src = crosstalk_slots(rng, frame.size, cfg.crosstalk_prob)
+        steps = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+        nx, ny = ix[src] + steps[side, 0], iy[src] + steps[side, 1]
+        ok = ((nx >= 0) & (nx < cfg.n_pixels_x)
+              & (ny >= 0) & (ny < cfg.n_pixels_y))
+        src = src[ok]
+        frame = np.concatenate([frame, frame[src]])
+        ix = np.concatenate([ix, nx[ok]])
+        iy = np.concatenate([iy, ny[ok]])
+        t_bin = np.concatenate([t_bin, t_bin[src]])
+    order = np.lexsort((t_bin, iy, ix, frame))
+    frame, ix, iy, t_bin = (a[order] for a in (frame, ix, iy, t_bin))
+    first = np.r_[True, (frame[1:] != frame[:-1]) | (ix[1:] != ix[:-1])
+                  | (iy[1:] != iy[:-1])][:frame.size]
+    return (frame[first], ix[first].astype(np.uint16),
+            iy[first].astype(np.uint16), t_bin[first])

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -452,6 +453,24 @@ def test_malformed_sellmeier_file_exits_2(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert "configuration error: phase_matching: " in err
     assert str(data) in err and named in err
+
+
+@pytest.mark.parametrize("temperature", ["1e300", "1e150", "1e100",
+                                         "-274.0"])
+def test_unphysical_crystal_temperature_exits_2(tmp_path, capsys,
+                                                temperature):
+    """A temperature below absolute zero, or one whose index or wavevectors
+    are not finite, is a configuration error naming the temperature, with
+    no NumPy warning on the way."""
+    setting = f"phase_matching.sellmeier.temperature_C={temperature}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["--config", CONFIG, *FAST, "--set", setting,
+                        "--out", tmp_path / "o", "simulate"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: phase_matching: " in err
+    assert "temperature_C = " in err
 
 
 def test_cli_import_leaves_heavy_scipy_unloaded():

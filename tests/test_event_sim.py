@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import (crosstalk_per_side, density_samples_plain,
-                     first_hit_loop, per_frame_counts, unthinned_acquisition)
+from oracles import (crosstalk_per_side, crosstalk_slot_loop,
+                     density_samples_plain, detect_by_fields, first_hit_loop,
+                     per_frame_counts, unthinned_acquisition)
 from scipy import stats
 
 from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
@@ -20,8 +21,8 @@ from ocmsim.cli import cmd_simulate
 from ocmsim.config import load_config
 from ocmsim.detector import (_MAX_BLOCK_FRAMES, _MIN_BLOCK_FRAMES,
                              _block_frames, _crosstalk, _DensitySampler,
-                             _first_hit, _key_widths, _pack, _tuple_frames,
-                             _unpack)
+                             _detect, _first_hit, _key_widths, _pack,
+                             _tuple_frames, _unpack)
 from ocmsim.errors import SortKeyOverflow, UnnormalizableDensity
 from ocmsim.events_io import stable_hash
 
@@ -280,25 +281,65 @@ def test_crosstalk_spawns_neighbors():
     assert all(len(bins) == 1 for bins in by_frame.values())
 
 
+def detection_fields(rng, cfg, n_det, n_frames):
+    """(frame, ix, iy, t_bin) of ``n_det`` random detections on ``cfg``."""
+    return (rng.integers(0, n_frames, n_det).astype(np.uint64),
+            rng.integers(0, cfg.n_pixels_x, n_det),
+            rng.integers(0, cfg.n_pixels_y, n_det),
+            rng.integers(0, cfg.n_time_bins, n_det).astype(np.uint16))
+
+
 @given(n_x=st.integers(1, 5), n_y=st.integers(1, 5),
        prob=st.sampled_from([0.01, 0.3, 1.0]), n_det=st.integers(0, 40),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_crosstalk_draw_equals_per_side_draws(n_x, n_y, prob, n_det, seed):
-    """One (side, detection) draw gives the events, their order and the
-    generator state of four per-side draws."""
+def test_crosstalk_equals_a_loop_over_the_drawn_slots(n_x, n_y, prob, n_det,
+                                                      seed):
+    """The detections' keys, then one key per fired on-sensor slot in slot
+    order: the events, their order and their dtype of a Python loop over
+    the same draw, and the same generator state after it."""
     cfg = DetectorConfig(n_pixels_x=n_x, n_pixels_y=n_y, crosstalk_prob=prob)
-    fields = np.random.default_rng(seed)
-    frame = fields.integers(0, 9, n_det).astype(np.uint64)
-    ix = fields.integers(0, n_x, n_det)
-    iy = fields.integers(0, n_y, n_det)
-    t_bin = fields.integers(0, 200, n_det).astype(np.uint16)
+    fields = detection_fields(np.random.default_rng(seed), cfg, n_det, 9)
+    widths = _key_widths(9, cfg)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _crosstalk(rng, cfg, frame, ix, iy, t_bin)
-    want = crosstalk_per_side(ref, cfg, frame, ix, iy, t_bin)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    got = _crosstalk(rng, cfg, _pack(fields, widths), widths)
+    want = _pack(crosstalk_slot_loop(ref, cfg, *fields), widths)
+    assert got.dtype == want.dtype == np.uint64
+    assert np.array_equal(got, want)
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("prob", [0.01, 0.3, 1.0])
+def test_crosstalk_law_equals_per_side_draws(prob):
+    """Against four Bernoulli draws per detection (independent seeds): the
+    fired count per side and the neighbour events per (side, pixel) pass a
+    chi-square test of equal law.  One detection per frame names each
+    neighbour event's source, so its side."""
+    cfg = DetectorConfig(n_pixels_x=5, n_pixels_y=4, crosstalk_prob=prob)
+    n_det = 20_000
+    _, ix, iy, t_bin = detection_fields(np.random.default_rng(7), cfg, n_det,
+                                        1)
+    frame = np.arange(n_det, dtype=np.uint64)
+    widths = _key_widths(n_det, cfg)
+    key = _crosstalk(np.random.default_rng(8), cfg,
+                     _pack((frame, ix, iy, t_bin), widths), widths)
+    sparse = _unpack(key, widths, (np.int64,) * 4)
+    dense = crosstalk_per_side(np.random.default_rng(9), cfg, frame, ix, iy,
+                               t_bin)
+
+    def counts(fields):
+        src, x, y = (np.asarray(a[n_det:], np.int64) for a in fields[:3])
+        dx, dy = x - ix[src], y - iy[src]
+        side = (dx == -1) + 2 * (dy == 1) + 3 * (dy == -1)   # +x -x +y -y
+        per_pixel = np.bincount((side * 5 + x) * 4 + y, minlength=4 * 20)
+        return np.bincount(side, minlength=4), per_pixel
+
+    (side_a, pixel_a), (side_b, pixel_b) = counts(sparse), counts(dense)
+    for a, b in ((side_a, side_b), (pixel_a, pixel_b)):
+        if prob == 1.0:                 # every on-sensor neighbour fires
+            assert np.array_equal(a, b)
+        else:
+            seen = a + b > 0
+            assert stats.chi2_contingency([a[seen], b[seen]])[1] > 1e-3
 
 
 def test_detected_singles_scale_with_pde(reference_system, pm_params):
@@ -649,11 +690,62 @@ def photon_records(draw):
 def test_first_hit_keeps_each_pixels_earliest_event(case):
     rows, first, n_frames, cfg = case
     columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    records = (columns[0].astype(np.uint64), columns[1], columns[2],
-               columns[3].astype(np.uint16))
-    hits = _first_hit(*records, first, _key_widths(n_frames, cfg))
+    widths = _key_widths(n_frames, cfg)
+    key = _pack((columns[0] - first, *columns[1:]), widths)
+    hits = _first_hit(key, first, widths)
     assert [a.dtype for a in hits] == [np.uint64] + 3 * [np.uint16]
     assert list(zip(*(a.tolist() for a in hits))) == first_hit_loop(rows)
+
+
+@st.composite
+def detector_inputs(draw):
+    """(positions, cfg, frame ids, frame range, thinned) on a 1-6 x 1-6
+    sensor: 0-30 tuples of 1-3 photons, some off the sensor, over 1-6
+    frames from up to 2**40, with pde, crosstalk and dark rates from 0 to
+    the top (hot darks fire a pixel several times in a frame)."""
+    thinned = draw(st.booleans())
+    pde = draw(st.sampled_from([0.008, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    cfg = DetectorConfig(
+        n_pixels_x=draw(st.integers(1, 6)), n_pixels_y=draw(st.integers(1, 6)),
+        pde=pde if pde > 0 or not thinned else 1.0,
+        crosstalk_prob=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        dark_count_rate=draw(st.sampled_from([0.0, 1e5, 1e8])))
+    first, n_frames = draw(st.integers(0, 2**40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tuples, n_ph = draw(st.integers(0, 30)), draw(st.integers(1, 3))
+    half = 0.65 * np.array(cfg.active_extent)
+    positions = rng.uniform(-half, half, (n_tuples, n_ph, 2))
+    frame_ids = rng.integers(first, first + n_frames, n_tuples,
+                             dtype=np.uint64)
+    return positions, cfg, frame_ids, (first, first + n_frames), thinned
+
+
+@given(detector_inputs(), st.integers(0, 2**32 - 1))
+def test_detect_equals_the_field_by_field_flow(case, seed):
+    """Keys packed as photons and darks are drawn give the events and dtypes
+    of the field arrays, fed the same draws."""
+    positions, cfg, frame_ids, frame_range, thinned = case
+    got = _detect(positions, cfg, np.random.default_rng(seed), frame_ids,
+                  frame_range, thinned)
+    want = detect_by_fields(positions, cfg, np.random.default_rng(seed),
+                            frame_ids, frame_range, thinned)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@given(st.integers(1, 2**20) | st.integers(1, 2**63 - 1)
+       | st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]),
+       st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_uint64_frame_draw_equals_the_int64_draw(n, count, seed):
+    """Dark frames drawn as uint64 are the values, and leave the generator
+    state, of the default int64 draw."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    wide = a.integers(0, n, count, dtype=np.uint64)
+    signed = b.integers(0, n, count)
+    assert wide.dtype == np.uint64
+    assert np.array_equal(wide, signed.astype(np.uint64))
+    assert a.random() == b.random()
 
 
 #: pixel or time-bin counts, half of them at the top of their bit widths

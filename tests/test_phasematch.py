@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,38 @@ def test_temperature_shifts_index():
     cold = SellmeierModel.from_file(temperature_c=20.0)
     hot = SellmeierModel.from_file(temperature_c=60.0)
     assert hot.index_at_wavelength(810e-9) != cold.index_at_wavelength(810e-9)
+
+
+@pytest.mark.parametrize("temperature", [1e300, 1e150, 1e100, -273.16,
+                                         float("nan")])
+@pytest.mark.parametrize("poling", [None, 1e-5], ids=["solved", "given"])
+def test_unphysical_crystal_temperature_is_refused(temperature, poling):
+    """Below absolute zero, or where the index or the collinear wavevectors
+    stop being finite, a ValueError names the temperature, without a NumPy
+    warning or an OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="temperature_C = "):
+            model = SellmeierModel.from_file(temperature_c=temperature)
+            PhaseMatchingParams.from_wavelengths(
+                5e-3, 810e-9, 810e-9, 50e-3, poling_period=poling,
+                index_model=model)
+
+
+def test_absolute_zero_and_a_hot_crystal_are_accepted():
+    for temperature in (-273.15, 200.0):
+        params = PhaseMatchingParams.from_wavelengths(
+            5e-3, 810e-9, 810e-9, 50e-3,
+            index_model=SellmeierModel.from_file(temperature_c=temperature))
+        assert 0 < params.poling_period < 1e-4
+
+
+@pytest.mark.parametrize("name", ["crystal_length", "poling_period",
+                                  "focal_length"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_lengths_must_be_finite_and_positive(reference_params, name, value):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        replace(reference_params, **{name: value})
 
 
 SELLMEIER = ("sellmeier: {A: 2.12725, B: 1.18431, C: 0.0514852, D: 0.6603,"

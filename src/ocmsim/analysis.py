@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
-                     PeaksNotFound)
+                     PeaksNotFound, SinkWriteError)
 from .grid import FieldGrid
 from .optics import J1_FIRST_ZERO, somb
 
@@ -127,7 +127,7 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
         raise NoPeak("profile peak is not positive")
     amp0 = float(y[peak_idx])
     x0_0 = float(x[peak_idx])
-    width0 = max(_safe_initial_width(x, y, peak_idx), profile.step)
+    width0 = max(_safe_initial_width(x, y), profile.step)
 
     if model is FitModel.SOMB_SQUARED:
         def f(xv, amp, x0, scale):
@@ -158,7 +158,7 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
     return WidthReport(GAUSSIAN_FWHM_FACTOR * sigma, None, model, residual)
 
 
-def _safe_initial_width(x, y, peak_idx) -> float:
+def _safe_initial_width(x, y) -> float:
     try:
         return _fwhm_by_crossings(x, y) / 2.0
     except NoPeak:
@@ -245,9 +245,12 @@ def slit_contrast(profile: Profile1D, n_slits: int, expected_pitch: float
 
 
 def export_profile_csv(profile: Profile1D, path) -> None:
-    """CSV export (position, value) with # header lines."""
-    with open(path, "w") as fh:
-        fh.write("# ocmsim profile export\n")
-        fh.write("# columns: position_m,value\n")
-        for p, v in zip(profile.positions, profile.values):
-            fh.write(f"{float(p)!r},{float(v)!r}\n")
+    """CSV export (position, value) with # header lines, or SinkWriteError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("# ocmsim profile export\n")
+            fh.write("# columns: position_m,value\n")
+            for p, v in zip(profile.positions, profile.values):
+                fh.write(f"{float(p)!r},{float(v)!r}\n")
+    except OSError as exc:
+        raise SinkWriteError(f"cannot write profile CSV {path}: {exc}") from exc

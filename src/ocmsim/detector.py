@@ -51,7 +51,8 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import SortKeyOverflow, UnnormalizableDensity
+from .errors import (SortKeyOverflow, UnnormalizableDensity, finite_real,
+                     require_finite_positive)
 from .events_io import EventStream, stable_hash
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
@@ -92,13 +93,8 @@ class DetectorConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             integer = f.name.startswith("n_pixels")
-            kind = numbers.Integral if integer else numbers.Real
-            try:
-                ok = (isinstance(value, kind) and not isinstance(value, bool)
-                      and math.isfinite(value))
-            except OverflowError:               # an int beyond float range
-                ok = False
-            if not ok:
+            if not (isinstance(value, numbers.Integral if integer
+                               else numbers.Real) and finite_real(value)):
                 raise ValueError(f"{f.name} = {value!r} is not a finite "
                                  + ("integer" if integer else "number"))
             object.__setattr__(self, f.name, (int if integer else float)(value))
@@ -106,9 +102,8 @@ class DetectorConfig:
                    for n in (self.n_pixels_x, self.n_pixels_y)):
             raise ValueError(f"pixel counts must lie in [1, {_UINT16_VALUES}]"
                              ", the range of a uint16 pixel index")
-        for name in ("pixel_pitch", "time_bin", "frame_duration", "frame_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        require_finite_positive(self, "pixel_pitch", "time_bin",
+                                "frame_duration", "frame_rate")
         for name in ("pde", "crosstalk_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -252,16 +247,10 @@ class _Source:
     _positive = ("pair_rate",)
 
     def __post_init__(self) -> None:
-        for name in self._positive:
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} = {value!r} must be finite and > 0")
+        require_finite_positive(self, *self._positive)
 
     def describe(self) -> dict:
         return {"kind": self.kind, **_record(self)}
-
-    def photons_per_event(self) -> int:
-        return self.n_photons
 
 
 @dataclass(frozen=True)
@@ -524,19 +513,14 @@ _Detected = namedtuple("_Detected", "frame ix iy t_bin")
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
             rng: np.random.Generator, frame_ids: np.ndarray,
             frame_range: tuple[int, int], thinned: bool = False) -> _Detected:
-    """Vectorized detector model; see apply_detector_model.
-
-    With ``thinned``, every tuple is known to leave at least one detected
+    """The detector model of one frame block, on inputs that keep
+    ``apply_detector_model``'s contract (uint64 ids in ``frame_range``).  With
+    ``thinned``, every tuple is known to leave at least one detected
     photon, and its detection mask is drawn conditional on that.  Events
     are keys (``_pack``) with frames relative to the range's first.
     """
-    positions = np.asarray(positions, dtype=float)
     n_tuples, n_ph = positions.shape[0], positions.shape[1]
-    frame_ids = np.asarray(frame_ids, dtype=np.uint64)
     first, n_frames = frame_range[0], frame_range[1] - frame_range[0]
-    if frame_ids.size and (frame_ids.min() < first
-                           or frame_ids.max() >= frame_range[1]):
-        raise ValueError("frame ids must lie in frame_range")
     widths = _key_widths(n_frames, cfg)
 
     # one arrival time bin per tuple (pair photons are simultaneous)
@@ -586,19 +570,31 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
                          frame_ids=None, frame_range=None) -> EventStream:
     """Detect photon tuples: efficiency, binning, darks, crosstalk, first-hit.
 
-    ``positions`` has shape (n_tuples, N, 2); tuple i lands in frame
-    ``frame_ids[i]`` of the stream's ``frame_range`` = (0, n_frames), by
-    default frame i of (0, max(n_tuples, 1)).  Events come back in readout
+    ``positions`` holds finite numbers in shape (n_tuples, N, 2); tuple i
+    lands in frame ``frame_ids[i]``, an integer in the stream's
+    ``frame_range`` = (0, n_frames), by default frame i of (0, max(n_tuples,
+    1)); anything else raises ValueError.  Events come back in readout
     order: by frame, then pixel (ix, iy), at most one per pixel and frame.
     """
+    positions = np.asarray(positions, dtype=float)
+    if not (positions.ndim == 3 and positions.shape[2] == 2
+            and np.isfinite(positions).all()):
+        raise ValueError(f"positions of shape {positions.shape} are not "
+                         "finite numbers of shape (n_tuples, N, 2)")
     if frame_ids is None:
         frame_ids = np.arange(len(positions), dtype=np.uint64)
         frame_range = frame_range or (0, max(len(positions), 1))
     if frame_range is None or frame_range[0] != 0:
         raise ValueError("frame_range must be (0, n_frames), got "
                          f"{frame_range}")
-    rng = np.random.default_rng(rng_seed)
-    return EventStream(*_detect(positions, cfg, rng, frame_ids, frame_range),
+    ids = np.asarray(frame_ids)
+    in_range = ids.size == 0 or (ids.dtype.kind in "iu" and ids.min() >= 0
+                                 and ids.max() < frame_range[1])
+    if ids.shape != (len(positions),) or not in_range:
+        raise ValueError(f"frame_ids must hold one integer in [0, "
+                         f"{frame_range[1]}) per tuple, {len(positions)} in all")
+    return EventStream(*_detect(positions, cfg, np.random.default_rng(rng_seed),
+                                ids.astype(np.uint64), frame_range),
                        n_frames=int(frame_range[1]), detector=cfg)
 
 
@@ -617,7 +613,7 @@ def _block_frames(source, cfg: DetectorConfig) -> int:
     maximum and the frame bits left in a 64-bit sort key.  Dense runs keep
     the shortest blocks, which bound their memory."""
     per_frame = cfg.frame_duration * (
-        source.pair_rate * source.photons_per_event() * cfg.pde
+        source.pair_rate * source.n_photons * cfg.pde
         + cfg.dark_count_rate * cfg.n_pixels_x * cfg.n_pixels_y)
     cap = min(_MAX_BLOCK_FRAMES, 1 << (64 - sum(_key_widths(1, cfg))))
     frames = _MIN_BLOCK_FRAMES
@@ -664,7 +660,7 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     if n_frames < 1:
         raise ValueError("wall_time too short for a single frame")
     mean_pairs = source.pair_rate * cfg.frame_duration
-    n_ph = source.photons_per_event()
+    n_ph = source.n_photons
     seen = 1.0 - (1.0 - cfg.pde) ** n_ph    # P(tuple leaves a detection)
     draw = source.sampler(cfg)
     block_frames = _block_frames(source, cfg)

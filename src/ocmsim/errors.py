@@ -1,4 +1,25 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and checks of record values."""
+
+import math
+import numbers
+
+
+def finite_real(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    try:
+        return (isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:                   # an int beyond float range
+        return False
+
+
+def require_finite_positive(record, *names: str) -> None:
+    """Raise ValueError unless each named field is a finite real > 0."""
+    for name in names:
+        value = getattr(record, name)
+        items = value if isinstance(value, tuple) else (value,)  # itemwise
+        if not all(finite_real(v) and v > 0 for v in items):
+            raise ValueError(f"{name} = {value!r} must be finite and > 0")
 
 
 class OcmsimError(Exception):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptGridFile, GridMismatch, SinkWriteError
+from .errors import (CorruptGridFile, GridMismatch, SinkWriteError,
+                     require_finite_positive)
 
 OCMG_MAGIC = b"OCMG"
 OCMG_VERSION = 1
@@ -65,8 +66,7 @@ class FieldGrid:
             raise ValueError("values must be a 2-D array")
         if self.values.shape[0] < 2 or self.values.shape[1] < 2:
             raise ValueError("grid needs nx, ny >= 2")
-        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):
-            raise ValueError("sample spacing must be positive and finite")
+        require_finite_positive(self, "dx", "dy")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
         if not np.all(np.isfinite(self.origin)):
             raise ValueError("origin must be finite")

@@ -28,20 +28,19 @@ from .optics import (Aperture, ImagingSystem, PupilProfile,
                      fourier_transform_2d, image)
 
 
-def _first_zero_spacing_check(h: FieldGrid, min_samples: int = 4) -> None:
-    """Reject grids with fewer than ``min_samples`` per first-zero radius.
+def _first_zero_spacing_check(h: FieldGrid) -> None:
+    """Reject grids with fewer than 4 samples per first-zero radius.
 
     Only applies when the sampled PSF actually crosses zero along the central
     row; zero-free profiles (Gaussians) pass.
     """
-    ix = int(np.argmax(np.abs(h.values))) // h.ny
-    iy = int(np.argmax(np.abs(h.values))) % h.ny
+    ix, iy = divmod(int(np.argmax(np.abs(h.values))), h.ny)
     row = np.real(h.values[ix:, iy])
     sign_change = np.where(np.diff(np.signbit(row)))[0]
-    if sign_change.size and sign_change[0] + 1 < min_samples:
+    if sign_change.size and sign_change[0] + 1 < 4:
         raise GridTooCoarse(
             f"only {sign_change[0] + 1} samples inside the first PSF zero; "
-            f"need >= {min_samples}")
+            "need >= 4")
 
 
 def _periodic_self_convolution(values: np.ndarray, d_area: float,

@@ -25,11 +25,12 @@ Conventions
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridTooCoarse, WrongPupilProfile
+from .errors import GridTooCoarse, WrongPupilProfile, require_finite_positive
 from .grid import FieldGrid, GridSpec
 
 #: first positive root of the Bessel function J1
@@ -125,7 +126,8 @@ class PupilProfile(enum.Enum):
 
 @dataclass(frozen=True)
 class ImagingSystem:
-    """Single-lens imaging geometry: pupil, object distance, wavelength."""
+    """Single-lens imaging geometry: pupil, object distance, wavelength.
+    Its lengths, magnification and Gaussian sigma are finite and > 0."""
 
     pupil_radius: float          # R, meters
     object_distance: float       # s_o, meters
@@ -135,17 +137,13 @@ class ImagingSystem:
     pupil_sigma: float | None = None   # Gaussian pupil std in the pupil plane, meters
 
     def __post_init__(self) -> None:
-        for name in ("pupil_radius", "object_distance", "wavelength"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.magnification <= 0:
-            raise ValueError("magnification must be > 0")
-        if self.pupil_profile is PupilProfile.GAUSSIAN and not self.pupil_sigma:
-            raise ValueError("Gaussian pupil needs pupil_sigma")
+        require_finite_positive(self, "pupil_radius", "object_distance",
+                                "wavelength", "magnification")
+        if self.pupil_profile is PupilProfile.GAUSSIAN:
+            require_finite_positive(self, "pupil_sigma")
 
     def with_wavelength(self, wavelength: float) -> "ImagingSystem":
-        return ImagingSystem(self.pupil_radius, self.object_distance, wavelength,
-                             self.magnification, self.pupil_profile, self.pupil_sigma)
+        return replace(self, wavelength=wavelength)
 
     @property
     def first_zero_radius(self) -> float:
@@ -206,7 +204,8 @@ class Aperture:
 
     Analytic primitives rasterize by pixel-center sampling; slit patterns run
     along y with the pattern axis along x.  ``mask`` holds an arbitrary grid
-    aperture instead.
+    aperture instead.  The constructor checks the fields its ``kind`` reads
+    (lengths finite and > 0, pitch > line width) or raises ValueError.
     """
 
     kind: str                       # point|slits|rectangle|gaussian_spot|uniform|mask
@@ -219,6 +218,26 @@ class Aperture:
     center: tuple[float, float] = (0.0, 0.0)
     mask: FieldGrid | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind == "slits":
+            if not (isinstance(self.n_slits, numbers.Integral)
+                    and self.n_slits >= 1):
+                raise ValueError(f"n_slits = {self.n_slits!r} is not >= 1")
+            require_finite_positive(self, "line_width")
+            if self.slit_length is not None:
+                require_finite_positive(self, "slit_length")
+            if self.n_slits > 1 and not self.line_width < self.pitch < np.inf:
+                raise ValueError("pitch must be finite and exceed line width")
+        elif self.kind in ("rectangle", "gaussian_spot"):
+            require_finite_positive(self, "size" if self.kind == "rectangle"
+                                    else "waist")
+        elif self.kind == "mask":
+            if not (isinstance(self.mask, FieldGrid)
+                    and np.all(np.abs(self.mask.values) <= 1 + 1e-12)):
+                raise ValueError("mask amplitude must satisfy |A| <= 1")
+        elif self.kind not in ("point", "uniform"):
+            raise ValueError(f"unknown aperture kind {self.kind!r}")
+
     # -- constructors ---------------------------------------------------------
     @classmethod
     def point(cls, center=(0.0, 0.0)) -> "Aperture":
@@ -227,10 +246,6 @@ class Aperture:
     @classmethod
     def slits(cls, n_slits: int, line_width: float, pitch: float = 0.0,
               slit_length: float | None = None, center=(0.0, 0.0)) -> "Aperture":
-        if n_slits < 1:
-            raise ValueError("n_slits >= 1")
-        if n_slits > 1 and pitch <= line_width:
-            raise ValueError("pitch must exceed line width")
         return cls("slits", line_width=line_width, pitch=pitch, n_slits=n_slits,
                    slit_length=slit_length, center=center)
 
@@ -248,8 +263,6 @@ class Aperture:
 
     @classmethod
     def from_mask(cls, mask: FieldGrid) -> "Aperture":
-        if np.abs(mask.values).max() > 1 + 1e-12:
-            raise ValueError("mask amplitude must satisfy |A| <= 1")
         return cls("mask", mask=mask)
 
     def slit_centers(self) -> np.ndarray:
@@ -290,7 +303,7 @@ class Aperture:
             iy = int(np.argmin(np.abs(spec.y_axis() - self.center[1])))
             values[ix, iy] = 1.0
             return FieldGrid.from_spec(spec, values)
-        if self.kind == "mask" and self.mask is not None and self.mask.spec == spec:
+        if self.kind == "mask" and self.mask.spec == spec:
             return self.mask.copy()
         return FieldGrid.sample(spec, self.amplitude)
 
@@ -326,13 +339,12 @@ def single_lens_psf(system: ImagingSystem, spec: GridSpec,
     return FieldGrid.sample(spec, lambda x, y: system.psf_amplitude(x, y, order))
 
 
-def _fast_len(n: int, primes: tuple[int, ...] = (2, 3, 5)) -> int:
-    """Smallest m >= n with no prime factor outside ``primes``: 5-smooth for
-    real FFTs, 11-smooth for complex, as ``scipy.fft.next_fast_len``."""
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth m >= n, as ``scipy.fft.next_fast_len(n, True)``."""
     m = n
     while True:
         k = m
-        for p in primes:
+        for p in (2, 3, 5):
             while k % p == 0:
                 k //= p
         if k == 1:

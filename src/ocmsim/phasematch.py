@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import EvanescentInput
+from .errors import EvanescentInput, finite_real, require_finite_positive
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -32,7 +32,9 @@ _FWHM_SAMPLES = 20001
 
 @dataclass(frozen=True)
 class SellmeierModel:
-    """Dispersion n(omega) with quadratic thermal correction."""
+    """Dispersion n(omega) with quadratic thermal correction.  Coefficients
+    A-F, thermal lists (kept as tuples) and temperatures (kept as floats) are
+    finite numbers, the crystal's >= -273.15 C, or ValueError is raised."""
 
     coefficients: dict
     n1_thermal: tuple
@@ -41,17 +43,29 @@ class SellmeierModel:
     temperature_c: float = 25.0
 
     def __post_init__(self) -> None:
-        if not self.temperature_c >= -273.15:
-            raise ValueError(f"temperature_C = {self.temperature_c} lies "
-                             "below absolute zero, -273.15 C")
+        c = self.coefficients if isinstance(self.coefficients, dict) else {}
+        lists = {**{k: (c.get(k),) for k in "ABCDEF"}, "n1": self.n1_thermal,
+                 "n2": self.n2_thermal,
+                 "reference_temperature_C": (self.reference_temperature_c,)}
+        bad = [k for k, v in lists.items() if not (
+            isinstance(v, (list, tuple)) and all(map(finite_real, v)))]
+        if bad:
+            raise ValueError(f"sellmeier values {bad} are missing or not "
+                             "finite numbers (n1 and n2 take lists of them)")
+        t = self.temperature_c
+        if not (finite_real(t) and t >= -273.15):
+            raise ValueError(f"temperature_C = {t!r} is not a finite number "
+                             "at or above absolute zero, -273.15 C")
+        for name, cast in (("coefficients", dict), ("n1_thermal", tuple),
+                           ("n2_thermal", tuple), ("temperature_c", float),
+                           ("reference_temperature_c", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     @classmethod
     def from_file(cls, path=None, temperature_c: float = 25.0) -> "SellmeierModel":
         """Load from a YAML data file; defaults to the shipped ppKTP z-axis.
-        A file that does not map ``sellmeier`` to the numbers A-F (and
-        ``thermal``, if given, to a mapping whose ``n1`` and ``n2`` are lists
-        of numbers and whose ``reference_temperature_C`` is a number) raises
-        ValueError naming it."""
+        A ValueError names the file if it is not YAML, lacks a ``sellmeier``
+        mapping (or ``thermal``, if any) or holds values the model refuses."""
         source = (resources.files("ocmsim.data").joinpath("ppktp_z.yaml")
                   if path is None else Path(path))
         try:
@@ -63,25 +77,11 @@ class SellmeierModel:
         if not (isinstance(coefficients, dict) and isinstance(th, dict)):
             raise ValueError(f"{source}: needs a `sellmeier` mapping (and "
                              "`thermal`, if given, a mapping)")
-        missing = [c for c in "ABCDEF"
-                   if type(coefficients.get(c)) not in (int, float)]
-        if missing:
-            raise ValueError(f"{source}: sellmeier coefficients {missing} "
-                             "are missing or not numbers")
-        n1, n2 = th.get("n1", [0.0]), th.get("n2", [0.0])
-        reference = th.get("reference_temperature_C", 25.0)
-        bad = [name for name, value in (("n1", n1), ("n2", n2))
-               if not (isinstance(value, list)
-                       and all(type(a) in (int, float) for a in value))]
-        if type(reference) not in (int, float):
-            bad.append("reference_temperature_C")
-        if bad:
-            raise ValueError(f"{source}: thermal values {bad} are not "
-                             "numbers (n1 and n2 take lists of them)")
-        return cls(coefficients=dict(coefficients),
-                   n1_thermal=tuple(n1), n2_thermal=tuple(n2),
-                   reference_temperature_c=float(reference),
-                   temperature_c=float(temperature_c))
+        try:
+            return cls(coefficients, th.get("n1", [0.0]), th.get("n2", [0.0]),
+                       th.get("reference_temperature_C", 25.0), temperature_c)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def index_at_wavelength(self, wavelength_m):
         u = np.asarray(wavelength_m, dtype=float) * 1e6
@@ -113,9 +113,8 @@ class PhaseMatchingParams:
     index_model: SellmeierModel = field(default_factory=SellmeierModel.from_file)
 
     def __post_init__(self) -> None:
-        for name in ("crystal_length", "poling_period", "focal_length"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        require_finite_positive(self, "crystal_length", "poling_period",
+                                "focal_length")
         with np.errstate(over="ignore", invalid="ignore"):
             collinear = wavevector_mismatch(np.zeros(2), np.zeros(2), self)
         if not np.isfinite(collinear):

@@ -105,7 +105,7 @@ def _window_bins(window: float, cfg: DetectorConfig) -> int:
 
 
 def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
-    """(cfg, i, j, n_cut): admissible pairs of events in frames f, f + offset.
+    """(i, j, n_cut): admissible pairs of events in frames f, f + offset.
 
     Event i meets every event j > i of frame f_i + offset, so offset 0 gives
     each same-frame pair once, in (i, j) order.  Admissible pairs lie within
@@ -116,7 +116,6 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     more events, and an offset k > 0 searches the run frames for the
     partner run only of the runs whose next run lies within k frames.
     """
-    cfg = events.detector
     frames = events.frame
     # frame runs: run r holds events bounds[r] to bounds[r + 1] - 1
     edge = np.ones(frames.size + 1, dtype=bool)
@@ -147,13 +146,13 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     del bounds, starts, ends, ev, lo, reps  # free them before per-pair peaks
 
     in_window = np.abs(events.t_bin[i].astype(np.int64) - events.t_bin[j]) \
-        <= _window_bins(window, cfg)
+        <= _window_bins(window, events.detector)
     near = np.maximum(np.abs(events.ix[i].astype(np.int64) - events.ix[j]),
                       np.abs(events.iy[i].astype(np.int64) - events.iy[j])) \
         <= min_xi
     n_cut = int(np.count_nonzero(in_window & near))
     ok = in_window & ~near
-    return cfg, i[ok], j[ok], n_cut
+    return i[ok], j[ok], n_cut
 
 
 def extract_coincidences(events: EventStream, window: float = 1e-9,
@@ -169,8 +168,8 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     """
     if order != 2:
         raise ValueError("coincidence extraction is specified for pairs")
-    cfg, i, j, n_cut = _pairs(events, window, min_xi, 0)
-    frames = events.frame
+    i, j, n_cut = _pairs(events, window, min_xi, 0)
+    cfg, frames = events.detector, events.frame
     _, inverse, counts = np.unique(frames[i], return_inverse=True,
                                    return_counts=True)
     if one_pair_per_frame:
@@ -188,10 +187,9 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         n_multi_pair_frames=int((counts > 1).sum()))
 
 
-def _histogram(cx, cy, shape, weights=None) -> np.ndarray:
+def _histogram(cx, cy, shape) -> np.ndarray:
     flat = cx * shape[1] + cy
-    return np.bincount(flat, weights=weights,
-                       minlength=shape[0] * shape[1]).reshape(shape)
+    return np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def estimate_accidentals(events: EventStream, window: float = 1e-9,
@@ -209,12 +207,12 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
         raise ValueError(f"accidental offset must be >= 1, got {offset}")
     if events.n_frames < 2 or events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
-    cfg, i, j, _ = _pairs(events, window, min_xi, offset)
+    i, j, _ = _pairs(events, window, min_xi, offset)
     image = _histogram(events.ix[i].astype(np.int64) + events.ix[j],
                        events.iy[i].astype(np.int64) + events.iy[j],
-                       cfg.centroid_shape).astype(float)
+                       events.detector.centroid_shape).astype(float)
     norm = events.n_frames / (2.0 * (events.n_frames - offset))
-    return CentroidImage(image * norm, cfg)
+    return CentroidImage(image * norm, events.detector)
 
 
 def coverage_table(cfg: DetectorConfig, min_xi: int,

@@ -503,7 +503,7 @@ def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
         frame_ids = start + np.sort(rng.integers(0, stop - start, total,
                                                  dtype=np.uint64))
         positions = (draw(rng, total) if total else
-                     np.empty((0, source.photons_per_event(), 2)))
+                     np.empty((0, source.n_photons, 2)))
         parts.append(_detect(positions, cfg, rng, frame_ids, (start, stop)))
         generated += int(total)
     return EventStream(

@@ -7,8 +7,9 @@ from ocmsim import (Aperture, FieldGrid, FitModel, GridSpec, ImagingSystem,
                     classical_centroid_psf, cross_section, ocm_image,
                     coherent_image, incoherent_image, scaling_fit,
                     single_lens_psf, slit_contrast, somb, width_metrics)
+from ocmsim.analysis import export_profile_csv
 from ocmsim.errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
-                           PeaksNotFound)
+                           PeaksNotFound, SinkWriteError)
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +231,13 @@ def test_mode_ordering_on_analytic_images(reference_system, triple_slit):
         resolved[name] = slit_contrast(prof, 3, pitch_img)[1]
     assert resolved == {"ocm": True, "coh810": False, "coh405": True,
                         "inc810": False}
+
+
+def test_profile_csv_to_a_missing_directory_is_a_sink_error(tmp_path):
+    """Like every other writer, the profile export reports an unwritable
+    path as ``SinkWriteError``, not as a bare ``OSError``."""
+    profile = Profile1D(np.arange(3.0), np.ones(3))
+    path = tmp_path / "missing" / "profile.csv"
+    with pytest.raises(SinkWriteError, match="missing"):
+        export_profile_csv(profile, path)
+    assert not path.parent.exists()

@@ -22,6 +22,7 @@ from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
 from ocmsim.analysis import cross_section, export_profile_csv
 from ocmsim.cli import main
 from ocmsim.config import SCHEMA, _check_type, load_config
+from ocmsim.detector import _block_frames
 from ocmsim.errors import ConfigError, CorruptEventFile
 from ocmsim.events_io import stable_hash
 from oracles import nested_config_values
@@ -362,13 +363,24 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     ("system.pupil_radius_m=.nan", "psf", "system.pupil_radius_m"),
     ("grid.nx=1" + "0" * 400, "psf", "grid.nx"),
     ("phase_matching.crystal_length_m=-1.0", "reconstruct", "phase_matching"),
+    # each record refuses what it cannot use before any density is built
+    ("system={pupil_profile: gaussian, pupil_sigma_m: -1}", "simulate",
+     "system"),
+    ("aperture.line_width_m=-1e-6", "simulate", "aperture"),
+    ("aperture.slit_length_m=-1e-6", "simulate", "aperture"),
+    ("aperture={kind: rectangle, width_m: -1e-6}", "simulate", "aperture"),
+    ("aperture={kind: gaussian_spot, waist_m: -1e-6}", "simulate",
+     "aperture"),
+    ("aperture={kind: gaussian_spot, waist_m: 0}", "simulate", "aperture"),
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
         "zero_photons", "negative_photons", "zero_wall_time",
         "wall_time_below_one_frame", "negative_far_field_correlation",
         "infinite_window", "nan_pupil", "grid_nx_beyond_float_range",
-        "negative_crystal_length"])
+        "negative_crystal_length", "gaussian_sigma_negative",
+        "negative_line_width", "negative_slit_length",
+        "negative_rectangle_width", "negative_waist", "zero_waist"])
 def test_out_of_range_value_exits_2(tmp_path, capsys, two_frame_events,
                                     setting, command, named):
     args = ["--config", CONFIG, *FAST, "--set", setting,
@@ -660,6 +672,30 @@ def test_simulate_determinism(tmp_path):
         assert run_cli(["--config", CONFIG, *FAST, "--out", out,
                         "simulate"]) == 0
     assert (a / "events.ocme").read_bytes() == (b / "events.ocme").read_bytes()
+
+
+def test_simulate_writes_the_same_files_on_two_threads(tmp_path):
+    """A 2 s real-sensor run is four 2**19-frame blocks; two threads share
+    them out and write every file byte for byte as one thread does."""
+    settings = ["detector={pde: auto, dark_count_rate_hz: 1e3}",
+                "acquisition.wall_time_s=2.0"]
+    cfg = load_config(CONFIG, settings)
+    n_frames = cfg["acquisition.wall_time_s"] * cfg["detector.frame_rate_hz"]
+    assert 3 << 19 < n_frames <= 4 << 19
+    assert _block_frames(cfg.source(), cfg.detector()) == 1 << 19
+    outs = {}
+    for threads in ("2", "1"):
+        outs[threads] = tmp_path / threads
+        assert run_cli(["--config", CONFIG,
+                        *(a for s in settings for a in ("--set", s)),
+                        "--threads", threads, "--out", outs[threads],
+                        "simulate"]) == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert "events.ocme" in names
+    assert sorted(p.name for p in outs["2"].iterdir()) == names
+    for name in names:
+        assert (outs["2"] / name).read_bytes() == \
+            (outs["1"] / name).read_bytes(), name
 
 
 def test_seed_flag_changes_stream(tmp_path):

@@ -812,6 +812,41 @@ def test_frame_ids_outside_frame_range_rejected(ideal_detector):
                              frame_ids=[5], frame_range=(0, 3))
 
 
+@pytest.mark.parametrize("positions, frame_ids", [
+    (np.zeros((3, 2, 2)), np.arange(5)),
+    (np.zeros((3, 2, 2)), np.arange(1)),
+    (np.zeros((3, 2, 2)), np.array([[0, 1, 2]])),
+    (np.zeros((3, 2)), None),
+    (np.zeros((1, 2, 2)), np.array([1.7])),
+    (np.zeros((1, 2, 2)), np.array([True])),
+    (np.zeros((1, 2, 2)), np.array([-1])),
+    (np.full((3, 2, 2), np.nan), None),
+    (np.array([[[0.0, 0.0], [np.inf, 0.0]]]), None),
+], ids=["more_ids_than_tuples", "fewer_ids_than_tuples", "ids_2d",
+        "positions_without_photon_axis", "fractional_id", "bool_id",
+        "negative_id", "nan_positions", "infinite_position"])
+def test_tuples_breaking_the_contract_are_refused(ideal_detector, positions,
+                                                  frame_ids):
+    """``apply_detector_model`` owns the tuple contract: finite positions of
+    shape (n_tuples, N, 2) and one integer frame id in range per tuple."""
+    with pytest.raises(ValueError):
+        apply_detector_model(positions, ideal_detector, 1, frame_ids,
+                             None if frame_ids is None else (0, 5))
+
+
+def test_any_integer_frame_ids_are_accepted(ideal_detector):
+    pos = np.array([[[-0.3e-3, -0.3e-3], [0.3e-3, 0.3e-3]]] * 2)
+    want = apply_detector_model(pos, ideal_detector, 4,
+                                np.array([3, 1], np.uint64), (0, 4))
+    for ids in ([3, 1], np.array([3, 1], np.int8)):
+        got = apply_detector_model(pos, ideal_detector, 4, ids, (0, 4))
+        for name in ("frame", "ix", "iy", "t_bin"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    empty = apply_detector_model(np.empty((0, 2, 2)), ideal_detector, 4, [],
+                                 (0, 4))
+    assert (len(empty), empty.n_frames) == (0, 4)
+
+
 def test_frame_range_starts_at_frame_0(tmp_path, ideal_detector):
     """A range from frame 5 gave a stream of frame 5 in 1 frame, which
     its own event file could not hold; from frame 0 it reads back."""

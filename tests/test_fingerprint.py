@@ -8,10 +8,16 @@ from ocmsim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "default.yaml"
-SPEC = importlib.util.spec_from_file_location(
-    "fingerprint", ROOT / "tools" / "fingerprint.py")
-fingerprint_tool = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(fingerprint_tool)
+
+
+def load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fingerprint_tool = load_module("fingerprint", ROOT / "tools" / "fingerprint.py")
 
 #: one small simulate -> reconstruct flow
 SMALL = {"small": (["--set", "acquisition.wall_time_s=0.002",
@@ -76,3 +82,21 @@ def test_library_streams_print_equal_on_rerun():
     for name in small:
         assert prints[0][f"library/{name}/seed_1"] != \
             prints[0][f"library/{name}/seed_2"]
+
+
+def test_hand_copies_of_the_benchmark_overrides_follow_its_spec():
+    """``tools/fingerprint.py`` and ``tests/test_optics.py`` copy the library
+    workloads' overrides from ``perfbench/spec.py`` (plain data) and the
+    tool runs a fifth of their wall time; a drifted copy would hash or test
+    a workload the benchmark does not run."""
+    from test_optics import BENCHMARK_SETTINGS
+
+    workloads = load_module("perfbench_spec",
+                            ROOT / "perfbench" / "spec.py").WORKLOADS
+    library = {name: w for name, w in workloads.items()
+               if w["kind"] == "library"}
+    assert {name: (w["overrides"], w["wall_time_s"] / 5)
+            for name, w in library.items()} == fingerprint_tool.LIBRARY
+    _, settings = BENCHMARK_SETTINGS.args
+    assert dict(zip(BENCHMARK_SETTINGS.kwargs["ids"], settings)) == \
+        {name: w["overrides"] for name, w in library.items()}

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ocmsim import (Aperture, PhaseMatchingParams, SellmeierModel,
                     deviation_envelope, deviation_envelope_fwhm,
@@ -93,6 +96,82 @@ def test_thermal_lists_of_ints_and_floats_load(tmp_path):
     assert (model.n1_thermal, model.n2_thermal) == ((1.0e-5, 0), ())
     assert model.reference_temperature_c == 20.0
     assert np.isfinite(model.index_at_wavelength(810e-9))
+
+
+COEFFICIENTS = {"A": 2.12725, "B": 1.18431, "C": 0.0514852, "D": 0.6603,
+                "E": 100.00507, "F": 9.68956e-3}
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"coefficients": {}}, "['A', 'B', 'C', 'D', 'E', 'F']"),
+    ({"coefficients": {**COEFFICIENTS, "C": "x"}}, "['C']"),
+    ({"n1_thermal": (1e-5, None)}, "['n1']"),
+    ({"n2_thermal": 1e-8}, "['n2']"),
+    ({"reference_temperature_c": float("nan")}, "['reference_temperature_C']"),
+    ({"temperature_c": float("inf")}, "temperature_C = inf"),
+    ({"temperature_c": "30"}, "temperature_C = '30'"),
+], ids=["no_coefficients", "coefficient_text", "n1_null", "n2_scalar",
+        "reference_nan", "temperature_inf", "temperature_text"])
+def test_in_memory_crystal_is_checked_where_it_is_built(fields, named):
+    """A model built in memory refuses what a data file may not hold, as a
+    ValueError naming the value, before any index is computed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            model = SellmeierModel(**{"coefficients": COEFFICIENTS,
+                                      "n1_thermal": (1e-5,),
+                                      "n2_thermal": (), "temperature_c": 30.0,
+                                      **fields})
+            model.index_at_wavelength(810e-9)
+    assert named in str(exc.value)
+
+
+def test_the_constructor_keeps_tuples_and_floats():
+    """``describe`` and ``source_hash`` see the fields a file load gives."""
+    model = SellmeierModel(COEFFICIENTS, [1e-5, 0], [], 20, 30)
+    assert (model.n1_thermal, model.n2_thermal) == ((1e-5, 0), ())
+    assert type(model.reference_temperature_c) is type(model.temperature_c) \
+        is float
+    assert model.coefficients == COEFFICIENTS
+    assert model.coefficients is not COEFFICIENTS
+
+
+#: values no crystal field, and no thermal list, may hold
+MALFORMED = st.sampled_from(["x", "", True, False, None, float("nan"),
+                             float("inf"), -float("inf"), 10 ** 400,
+                             {"a": 1.0}])
+
+
+@given(st.sampled_from([*"ABCDEF", "n1", "n2", "reference_temperature_C"]),
+       MALFORMED, st.booleans())
+def test_malformed_crystal_value_is_refused_alike_in_memory_and_from_file(
+        tmp_path_factory, name, value, other_form):
+    """One malformed value raises the same ValueError, naming it, whether
+    the model is built in memory or loaded from a data file; the file load
+    only prefixes the file name.  ``other_form`` drops a coefficient instead
+    or appends the value to a thermal list."""
+    coefficients, thermal = dict(COEFFICIENTS), {
+        "n1": [9.9587e-6, 9.9228e-6], "n2": [-1.1882e-8],
+        "reference_temperature_C": 25.0}
+    if name in COEFFICIENTS:
+        if other_form:
+            del coefficients[name]
+        else:
+            coefficients[name] = value
+    elif name == "reference_temperature_C" or not other_form:
+        thermal[name] = value
+    else:
+        thermal[name] = [*thermal[name], value]
+    data = tmp_path_factory.mktemp("crystal") / "index.yaml"
+    data.write_text(yaml.safe_dump({"sellmeier": coefficients,
+                                    "thermal": thermal}))
+    with pytest.raises(ValueError) as in_memory:
+        SellmeierModel(coefficients, thermal["n1"], thermal["n2"],
+                       thermal["reference_temperature_C"], 30.0)
+    with pytest.raises(ValueError) as from_file:
+        SellmeierModel.from_file(data, temperature_c=30.0)
+    assert f"['{name}']" in str(in_memory.value)
+    assert str(from_file.value) == f"{data}: {in_memory.value}"
 
 
 def test_pump_frequency_is_derived(reference_params):

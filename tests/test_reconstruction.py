@@ -314,7 +314,7 @@ def test_accidentals_match_cross_frame_loop(ev, k, min_xi, offset):
 def test_pair_enumeration_equals_double_loop(ev, offset, k, min_xi):
     """Same (i, j) in the same order and the same n_cut, at offsets where
     frame + offset lands inside, on the last frame or past it."""
-    _, i, j, n_cut = _pairs(ev, k * DetectorConfig().time_bin, min_xi, offset)
+    i, j, n_cut = _pairs(ev, k * DetectorConfig().time_bin, min_xi, offset)
     ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin, k,
                                      min_xi, offset)
     assert list(zip(i.tolist(), j.tolist())) == ref and n_cut == ref_cut
@@ -328,7 +328,7 @@ def test_pairs_reaching_the_last_frame_and_past_it(offset):
     rows = [(0, 0, 0, 5), (0, 4, 4, 5), (1, 2, 0, 5), (1, 0, 4, 5),
             (3, 4, 0, 5), (5, 0, 2, 5), (5, 4, 2, 5)]
     ev = make_stream(rows, 6, DetectorConfig(n_pixels_x=5, n_pixels_y=5))
-    _, i, j, n_cut = _pairs(ev, 1e-9, 1, offset)
+    i, j, n_cut = _pairs(ev, 1e-9, 1, offset)
     ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin,
                                      _window_bins(1e-9, ev.detector), 1,
                                      offset)

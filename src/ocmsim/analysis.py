@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
-                     PeaksNotFound, SinkWriteError)
+                     PeaksNotFound, sink)
 from .grid import FieldGrid
 from .optics import J1_FIRST_ZERO, somb
 
@@ -246,11 +246,8 @@ def slit_contrast(profile: Profile1D, n_slits: int, expected_pitch: float
 
 def export_profile_csv(profile: Profile1D, path) -> None:
     """CSV export (position, value) with # header lines, or SinkWriteError."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("# ocmsim profile export\n")
-            fh.write("# columns: position_m,value\n")
-            for p, v in zip(profile.positions, profile.values):
-                fh.write(f"{float(p)!r},{float(v)!r}\n")
-    except OSError as exc:
-        raise SinkWriteError(f"cannot write profile CSV {path}: {exc}") from exc
+    with sink(path, "w", "profile CSV") as fh:
+        fh.write("# ocmsim profile export\n")
+        fh.write("# columns: position_m,value\n")
+        for p, v in zip(profile.positions, profile.values):
+            fh.write(f"{float(p)!r},{float(v)!r}\n")

@@ -18,8 +18,8 @@ from .analysis import (FitModel, cross_section, export_profile_csv,
 from .config import RunConfig, load_config, schema_help
 from .detector import child_seed, run_acquisition
 from .errors import ConfigError, OcmsimError
-from .events_io import (EventStream, canonical_json, read_events,
-                        stable_hash, write_events, write_manifest)
+from .events_io import (EventStream, read_events, stable_hash, write_events,
+                        write_manifest)
 from .grid import FieldGrid, GridSpec
 from .ocm import classical_centroid_psf
 from .optics import PupilProfile, single_lens_psf
@@ -108,7 +108,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> None:
         "n_frames": stream.n_frames,
         "duty_cycle": detector.duty_cycle,
         "detector_hash": stable_hash(detector.to_dict()),
-        "source": canonical_json(source.describe()),
+        "source": source.describe(),
         "source_hash": stream.source_hash,
         "pairs_generated": meta["pairs_generated"],
         "events_written": len(stream)})
@@ -149,7 +149,7 @@ def cmd_reconstruct(cfg: RunConfig, events_path, out_dir: Path) -> dict:
         "accidental_sum": n_acc,
         "accidental_fraction": n_acc / max(len(pairs), 1),
         "mode": cfg["reconstruction.mode"],
-        "grid_shape": f"{image.shape[0]}x{image.shape[1]}",
+        "grid_shape": list(image.shape),
     }
     write_manifest(out_dir / "reconstruct_report.txt", report)
     return report
@@ -228,7 +228,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
         if slits.get(f"{name}_resolved"):
             resolved_modes.append(name)
     if cfg["analysis.n_slits"] >= 2:
-        report["resolved_modes"] = ",".join(resolved_modes)
+        report["resolved_modes"] = resolved_modes
     write_manifest(out_dir / "compare_report.txt", report)
     return report
 

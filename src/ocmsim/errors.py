@@ -1,5 +1,6 @@
-"""Exception types raised across the package, and checks of record values."""
+"""Exception types, checks of record values, and ``sink``, the file writer."""
 
+import contextlib
 import math
 import numbers
 
@@ -20,6 +21,16 @@ def require_finite_positive(record, *names: str) -> None:
         items = value if isinstance(value, tuple) else (value,)  # itemwise
         if not all(finite_real(v) and v > 0 for v in items):
             raise ValueError(f"{name} = {value!r} must be finite and > 0")
+
+
+@contextlib.contextmanager
+def sink(path, mode: str, what: str):
+    """Open ``path`` to write ``what``; an OSError becomes SinkWriteError."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise SinkWriteError(f"cannot write {what} {path}: {exc}") from exc
 
 
 class OcmsimError(Exception):

@@ -12,8 +12,9 @@ stream has a sensor.  Only ``read_events`` parses it, with
 ``EventStream`` checks the rest of the contract when a stream is made, in
 memory or from a file, and freezes it, so ``read_events`` reads it back.
 
-The manifest is a deterministic key: value text file written alongside a run;
-it never contains wall-clock timestamps so reruns are byte-identical.
+Run manifests and command reports are one line of ``canonical_json`` (sorted
+keys) that ``read_manifest`` reads back typed; they never contain wall-clock
+timestamps, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (CorruptEventFile, EventOutOfRange, SinkWriteError,
-                     UnsortedInput)
+from .errors import CorruptEventFile, EventOutOfRange, UnsortedInput, sink
 
 if TYPE_CHECKING:
     from .detector import DetectorConfig
@@ -106,13 +106,10 @@ def write_events(path, stream: EventStream) -> None:
     records = np.empty(len(stream), dtype=_RECORD)
     for name in _RECORD.names:
         records[name] = getattr(stream, name)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_PREFIX.pack(OCME_MAGIC, OCME_VERSION, len(blob)))
-            fh.write(blob)
-            records.tofile(fh)
-    except OSError as exc:
-        raise SinkWriteError(f"cannot write event file {path}: {exc}") from exc
+    with sink(path, "wb", "event file") as fh:
+        fh.write(_PREFIX.pack(OCME_MAGIC, OCME_VERSION, len(blob)))
+        fh.write(blob)
+        records.tofile(fh)
 
 
 def read_events(path) -> EventStream:
@@ -162,20 +159,11 @@ def read_events(path) -> EventStream:
 
 
 def write_manifest(path, entries: dict) -> None:
-    """Deterministic `key: value` text file (insertion order preserved)."""
-    try:
-        with open(path, "w") as fh:
-            for key, value in entries.items():
-                fh.write(f"{key}: {value}\n")
-    except OSError as exc:
-        raise SinkWriteError(f"cannot write manifest {path}: {exc}") from exc
+    """One line of ``canonical_json``: the record ``read_manifest`` reads."""
+    with sink(path, "w", "manifest") as fh:
+        fh.write(canonical_json(entries) + "\n")
 
 
 def read_manifest(path) -> dict:
-    out = {}
     with open(path) as fh:
-        for line in fh:
-            if ":" in line:
-                key, value = line.split(":", 1)
-                out[key.strip()] = value.strip()
-    return out
+        return json.load(fh)

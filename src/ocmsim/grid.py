@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CorruptGridFile, GridMismatch, SinkWriteError,
-                     require_finite_positive)
+from .errors import (CorruptGridFile, GridMismatch, require_finite_positive,
+                     sink)
 
 OCMG_MAGIC = b"OCMG"
 OCMG_VERSION = 1
@@ -150,12 +150,9 @@ class FieldGrid:
                 self.values.astype(np.complex128)).view(np.float64)
         else:
             payload = np.ascontiguousarray(self.values.astype(np.float64))
-        try:
-            with open(path, "wb") as fh:
-                fh.write(header)
-                fh.write(payload.astype("<f8", copy=False).tobytes())
-        except OSError as exc:
-            raise SinkWriteError(f"cannot write grid file {path}: {exc}") from exc
+        with sink(path, "wb", "grid file") as fh:
+            fh.write(header)
+            fh.write(payload.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path) -> "FieldGrid":
@@ -189,22 +186,19 @@ class FieldGrid:
 
     def export_csv(self, path) -> None:
         """Plain-text export: `#`-prefixed header lines, then one row per x."""
-        try:
-            with open(path, "w") as fh:
-                fh.write("# ocmsim field grid export\n")
-                fh.write(f"# nx={self.nx} ny={self.ny}\n")
-                fh.write(f"# dx={self.dx!r} dy={self.dy!r}\n")
-                fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r}\n")
-                fh.write(f"# kind={'complex' if self.is_complex else 'real'}\n")
-                if self.is_complex:
-                    fh.write("# each row: re,im pairs along y\n")
-                    for row in self.values:
-                        fh.write(",".join(f"{float(v.real)!r},{float(v.imag)!r}"
-                                          for v in row))
-                        fh.write("\n")
-                else:
-                    for row in self.values:
-                        fh.write(",".join(repr(float(v)) for v in row))
-                        fh.write("\n")
-        except OSError as exc:
-            raise SinkWriteError(f"cannot write CSV {path}: {exc}") from exc
+        with sink(path, "w", "CSV") as fh:
+            fh.write("# ocmsim field grid export\n")
+            fh.write(f"# nx={self.nx} ny={self.ny}\n")
+            fh.write(f"# dx={self.dx!r} dy={self.dy!r}\n")
+            fh.write(f"# origin_x={self.origin[0]!r} origin_y={self.origin[1]!r}\n")
+            fh.write(f"# kind={'complex' if self.is_complex else 'real'}\n")
+            if self.is_complex:
+                fh.write("# each row: re,im pairs along y\n")
+                for row in self.values:
+                    fh.write(",".join(f"{float(v.real)!r},{float(v.imag)!r}"
+                                      for v in row))
+                    fh.write("\n")
+            else:
+                for row in self.values:
+                    fh.write(",".join(repr(float(v)) for v in row))
+                    fh.write("\n")

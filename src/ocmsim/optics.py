@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridTooCoarse, WrongPupilProfile, require_finite_positive
+from .errors import (GridTooCoarse, WrongPupilProfile, finite_real,
+                     require_finite_positive)
 from .grid import FieldGrid, GridSpec
 
 #: first positive root of the Bessel function J1
@@ -127,7 +128,7 @@ class PupilProfile(enum.Enum):
 @dataclass(frozen=True)
 class ImagingSystem:
     """Single-lens imaging geometry: pupil, object distance, wavelength.
-    Its lengths, magnification and Gaussian sigma are finite and > 0."""
+    Lengths, magnification, Gaussian sigma finite and > 0; a PupilProfile."""
 
     pupil_radius: float          # R, meters
     object_distance: float       # s_o, meters
@@ -139,6 +140,9 @@ class ImagingSystem:
     def __post_init__(self) -> None:
         require_finite_positive(self, "pupil_radius", "object_distance",
                                 "wavelength", "magnification")
+        if not isinstance(self.pupil_profile, PupilProfile):
+            raise ValueError(f"pupil_profile = {self.pupil_profile!r} is not "
+                             "a PupilProfile")
         if self.pupil_profile is PupilProfile.GAUSSIAN:
             require_finite_positive(self, "pupil_sigma")
 
@@ -204,8 +208,9 @@ class Aperture:
 
     Analytic primitives rasterize by pixel-center sampling; slit patterns run
     along y with the pattern axis along x.  ``mask`` holds an arbitrary grid
-    aperture instead.  The constructor checks the fields its ``kind`` reads
-    (lengths finite and > 0, pitch > line width) or raises ValueError.
+    aperture instead.  The constructor checks ``center``, a pair of finite
+    reals, and the fields its ``kind`` reads (lengths finite and > 0, pitch >
+    line width), or raises ValueError.
     """
 
     kind: str                       # point|slits|rectangle|gaussian_spot|uniform|mask
@@ -219,6 +224,10 @@ class Aperture:
     mask: FieldGrid | None = None
 
     def __post_init__(self) -> None:
+        c = self.center
+        if not (isinstance(c, (tuple, list)) and len(c) == 2
+                and all(map(finite_real, c))):
+            raise ValueError(f"center = {c!r} is not a pair of finite reals")
         if self.kind == "slits":
             if not (isinstance(self.n_slits, numbers.Integral)
                     and self.n_slits >= 1):

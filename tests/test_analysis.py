@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ocmsim import (Aperture, FieldGrid, FitModel, GridSpec, ImagingSystem,
-                    Profile1D, PupilProfile, analytic_centroid_psf_circular,
-                    classical_centroid_psf, cross_section, ocm_image,
-                    coherent_image, incoherent_image, scaling_fit,
-                    single_lens_psf, slit_contrast, somb, width_metrics)
+from ocmsim import (Aperture, DetectorConfig, EventStream, FieldGrid, FitModel,
+                    GridSpec, ImagingSystem, Profile1D, PupilProfile,
+                    analytic_centroid_psf_circular, classical_centroid_psf,
+                    coherent_image, cross_section, incoherent_image,
+                    ocm_image, scaling_fit, single_lens_psf, slit_contrast,
+                    somb, width_metrics, write_events)
 from ocmsim.analysis import export_profile_csv
 from ocmsim.errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
                            PeaksNotFound, SinkWriteError)
+from ocmsim.events_io import write_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +235,24 @@ def test_mode_ordering_on_analytic_images(reference_system, triple_slit):
                         "inc810": False}
 
 
-def test_profile_csv_to_a_missing_directory_is_a_sink_error(tmp_path):
-    """Like every other writer, the profile export reports an unwritable
-    path as ``SinkWriteError``, not as a bare ``OSError``."""
-    profile = Profile1D(np.arange(3.0), np.ones(3))
-    path = tmp_path / "missing" / "profile.csv"
+_GRID = FieldGrid(np.ones((2, 2)), 1e-6, 1e-6, (0.0, 0.0))
+_NO_EVENTS = EventStream(*(np.zeros(0, t) for t in ("<u8", "<u2", "<u2", "<u2")),
+                         n_frames=0, detector=DetectorConfig())
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: export_profile_csv(Profile1D(np.arange(3.0), np.ones(3)),
+                                    path),
+    lambda path: write_events(path, _NO_EVENTS),
+    lambda path: write_manifest(path, {"command": "psf"}),
+    _GRID.save,
+    _GRID.export_csv,
+], ids=["export_profile_csv", "write_events", "write_manifest",
+        "FieldGrid.save", "FieldGrid.export_csv"])
+def test_every_writer_to_a_missing_directory_is_a_sink_error(tmp_path, write):
+    """Every writer reports an unwritable path as ``SinkWriteError``, not as
+    a bare ``OSError``."""
+    path = tmp_path / "missing" / "out"
     with pytest.raises(SinkWriteError, match="missing"):
-        export_profile_csv(profile, path)
+        write(path)
     assert not path.parent.exists()

@@ -20,11 +20,12 @@ from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
                     estimate_accidentals, extract_coincidences, read_events,
                     read_manifest, write_events)
 from ocmsim.analysis import cross_section, export_profile_csv
-from ocmsim.cli import main
+from ocmsim.cli import (cmd_analyze, cmd_compare, cmd_psf, cmd_reconstruct,
+                        cmd_simulate, main)
 from ocmsim.config import SCHEMA, _check_type, load_config
 from ocmsim.detector import _block_frames
 from ocmsim.errors import ConfigError, CorruptEventFile
-from ocmsim.events_io import stable_hash
+from ocmsim.events_io import canonical_json, stable_hash
 from oracles import nested_config_values
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -550,8 +551,8 @@ def test_simulate_then_reconstruct(tmp_path):
     assert run_cli(["--config", CONFIG, *FAST, "--out", out, "simulate"]) == 0
     events = out / "events.ocme"
     assert events.exists()
-    manifest = (out / "events.ocme.manifest.txt").read_text()
-    assert "duty_cycle: 0.036" in manifest
+    manifest = read_manifest(out / "events.ocme.manifest.txt")
+    assert manifest["duty_cycle"] == 0.036
 
     rec = tmp_path / "rec"
     assert run_cli(["--config", CONFIG, "--out", rec,
@@ -593,7 +594,7 @@ def short_events(tmp_path_factory):
 def test_simulate_manifest_reads_back(short_events):
     manifest = read_manifest(str(short_events) + ".manifest.txt")
     source = load_config(CONFIG, FAST[1::2]).source()
-    assert json.loads(manifest["source"]) == source.describe()
+    assert manifest["source"] == source.describe()
     assert manifest["detector_hash"] == stable_hash(
         read_events(short_events).detector.to_dict())
 
@@ -605,8 +606,9 @@ def test_reconstruct_mode_selects_the_normalisation(tmp_path, short_events,
     weighted by the phase-matching-weighted pair count."""
     assert run_cli(["--config", CONFIG, "--set", f"reconstruction.mode={mode}",
                     "--out", tmp_path, "reconstruct", short_events]) == 0
-    report = (tmp_path / "reconstruct_report.txt").read_text()
-    assert f"\nmode: {mode}\n" in report and "vignetting" not in report
+    report = read_manifest(tmp_path / "reconstruct_report.txt")
+    assert report["mode"] == mode
+    assert not any("vignetting" in key for key in report)
 
     cfg = load_config(CONFIG, [f"reconstruction.mode={mode}"])
     events = read_events(short_events)
@@ -654,6 +656,36 @@ def test_reconstruct_takes_geometry_from_the_event_file(tmp_path):
                     "reconstruct", out / "events.ocme"]) == 0
     grid = FieldGrid.load(rec / "centroid_image.ocmg")
     assert grid.values.shape == (31, 31)
+
+
+def test_every_record_is_canonical_json_that_reads_back_typed(tmp_path):
+    """Each command's report and the simulate manifest is one line of
+    ``canonical_json``; ``read_manifest`` gives back the report the command
+    returned, numbers, booleans, lists and the source object typed."""
+    cfg = load_config(CONFIG, FAST[1::2] + ["acquisition.wall_time_s=0.005"])
+    out = {name: tmp_path / name for name in
+           ("psf", "simulate", "reconstruct", "analyze", "compare")}
+    for path in out.values():
+        path.mkdir()
+    reports = {"psf": cmd_psf(cfg, out["psf"])}
+    cmd_simulate(cfg, out["simulate"])
+    reports["reconstruct"] = cmd_reconstruct(
+        cfg, out["simulate"] / "events.ocme", out["reconstruct"])
+    reports["analyze"] = cmd_analyze(
+        cfg, [out["reconstruct"] / "centroid_image.ocmg"], out["analyze"])
+    reports["compare"] = cmd_compare(cfg, out["compare"])
+    files = {name: out[name] / f"{name}_report.txt" for name in reports}
+    files["simulate"] = out["simulate"] / "events.ocme.manifest.txt"
+    records = {name: read_manifest(path) for name, path in files.items()}
+    for name, path in files.items():
+        assert path.read_text() == canonical_json(records[name]) + "\n"
+    for name, report in reports.items():    # JSON tells True, 1 and 1.0 apart
+        assert canonical_json(records[name]) == canonical_json(report), name
+    assert records["simulate"]["source"] == cfg.source().describe()
+    assert records["reconstruct"]["grid_shape"] == [63, 63]
+    assert records["analyze"]["centroid_image_resolved"] is True
+    assert set(records["compare"]["resolved_modes"]) <= {
+        "ocm", "coherent", "coherent_half", "incoherent"}
 
 
 def test_compare_writes_only_what_it_reports(tmp_path):
@@ -732,10 +764,8 @@ def test_psf_report(tmp_path):
     out = tmp_path / "psf"
     assert run_cli(["--config", CONFIG, "--set", "grid.nx=384",
                     "--out", out, "psf"]) == 0
-    report = dict(line.split(": ", 1)
-                  for line in (out / "psf_report.txt").read_text().splitlines())
-    ratio = float(report["ocm_vs_half_wavelength_fwhm_ratio"])
-    assert abs(ratio - 1.0) < 0.05
+    report = read_manifest(out / "psf_report.txt")
+    assert abs(report["ocm_vs_half_wavelength_fwhm_ratio"] - 1.0) < 0.05
     for stem in ("psf_classical", "psf_classical_half", "psf_ocm",
                  "psf_classical_pairs"):
         assert (out / f"{stem}.ocmg").exists()
@@ -764,10 +794,8 @@ def test_profile_csvs_load_back_exactly(psf_out):
 
 
 def test_analyze_psf_without_slit_scoring(psf_out):
-    report = dict(line.split(": ", 1) for line in
-                  (psf_out / "analyze" / "analyze_report.txt").read_text()
-                  .splitlines())
-    assert float(report["psf_ocm_fwhm_m"]) > 0
+    report = read_manifest(psf_out / "analyze" / "analyze_report.txt")
+    assert report["psf_ocm_fwhm_m"] > 0
     assert not any(key.endswith("_slit_contrast") for key in report)
 
 
@@ -777,10 +805,9 @@ def test_psf_gaussian_pupil_flags_sql(tmp_path):
                     "--set", "system.pupil_profile=gaussian",
                     "--set", "system.pupil_sigma_m=0.5e-3",
                     "--out", out, "psf"]) == 0
-    report = dict(line.split(": ", 1)
-                  for line in (out / "psf_report.txt").read_text().splitlines())
-    assert report["sql_scaling"] == "True"
-    assert abs(float(report["quantum_scaling_alpha"]) - 0.5) < 0.03
+    report = read_manifest(out / "psf_report.txt")
+    assert report["sql_scaling"] is True
+    assert abs(report["quantum_scaling_alpha"] - 0.5) < 0.03
 
 
 def test_analyze_reconstructed_image(tmp_path):
@@ -814,8 +841,8 @@ def test_analyze_records_an_unscorable_image_and_goes_on(tmp_path):
     report = read_manifest(an / "analyze_report.txt")
     assert report["empty_slit_error"] == "PeaksNotFound"
     assert report["empty_width_error"] == "NoPeak"
-    assert report["good_resolved"] == "True"
-    assert float(report["good_slit_contrast"]) > 0.5
+    assert report["good_resolved"] is True
+    assert report["good_slit_contrast"] > 0.5
 
 
 def test_analyze_projects_the_configured_band(tmp_path):

@@ -555,6 +555,12 @@ def test_imaging_system_refuses_lengths_that_are_not_finite_and_positive(
         ImagingSystem(**args)
 
 
+def test_imaging_system_refuses_a_pupil_profile_that_is_not_a_pupil_profile():
+    """A string is refused at construction, not later in ``psf_sigma``."""
+    with pytest.raises(ValueError, match="not a PupilProfile"):
+        ImagingSystem(1.38e-3, 0.355, 810e-9, 2.4, pupil_profile="hard")
+
+
 def test_a_new_wavelength_is_checked_too(reference_system):
     assert reference_system.with_wavelength(405e-9).wavelength == 405e-9
     with pytest.raises(ValueError, match="wavelength"):
@@ -582,13 +588,21 @@ def _mask(value):
     lambda: Aperture.from_mask(_mask(NAN)),
     lambda: Aperture("mask"),
     lambda: Aperture("annulus"),
+    lambda: Aperture.point((NAN, 0.0)),
+    lambda: Aperture.slits(3, 70e-6, 110e-6, center=(INF, 0.0)),
+    lambda: Aperture.point((1.0,)),
+    lambda: Aperture.gaussian_spot(25e-6, center=None),
+    lambda: Aperture("uniform", center=(0.0, 0.0, 0.0)),
 ], ids=["line_width_nan", "line_width_negative", "slit_length_negative",
         "pitch_inf", "pitch_at_line_width", "no_slits", "fractional_slits",
         "width_negative", "height_nan", "waist_negative", "waist_zero",
-        "mask_above_1", "mask_nan", "mask_missing", "unknown_kind"])
+        "mask_above_1", "mask_nan", "mask_missing", "unknown_kind",
+        "center_nan", "center_inf", "center_one_value", "center_none",
+        "center_three_values"])
 def test_aperture_refuses_what_its_kind_cannot_draw(build):
     """The constructor checks every kind; ``slits`` and ``from_mask`` only
-    pass their arguments on."""
+    pass their arguments on.  Every kind checks that ``center`` is a pair of
+    finite reals."""
     with pytest.raises(ValueError):
         build()
 

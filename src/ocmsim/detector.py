@@ -204,12 +204,11 @@ class _DensitySampler:
 
     def __init__(self, grid: FieldGrid):
         weights = np.asarray(grid.values, dtype=float).ravel()
-        if not np.all(np.isfinite(weights)) or weights.min() < 0:
-            raise UnnormalizableDensity("density must be finite and nonnegative")
-        total = weights.sum()
-        if total <= 0.0:
-            raise UnnormalizableDensity("density has zero total mass")
-        self._cdf = np.cumsum(weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._cdf = np.cumsum(weights)
+        # nan or inf weights, or a sum that overflows, make the total non-finite
+        if not 0.0 < self._cdf[-1] < np.inf or weights.min() < 0:
+            raise UnnormalizableDensity("negative, non-finite or zero density")
         self._cdf /= self._cdf[-1]
         self._grid = grid
 

@@ -54,7 +54,7 @@ class EvanescentInput(OcmsimError):
 
 
 class UnnormalizableDensity(OcmsimError):
-    """Probability density has zero total mass."""
+    """Density with a negative weight, or without a finite positive mass."""
 
 
 class SinkWriteError(OcmsimError):

@@ -5,12 +5,12 @@ incoherent |A|^2 * |H_N|^2 with the order-N PSF H_N.  Order 1 is classical
 imaging (``coherent_image``, ``incoherent_image``); order N > 1 is the
 N-photon centroid image (``ocm.ocm_image``).  Its cost follows the object's
 size, not the grid's: only the aperture's nonzero box is convolved, with a
-kernel sampled once per distinct (|k|, |l|) of its whole-sample offsets.
-The convolution is circular at the kernel's 5-smooth lengths, not padded to
-the full linear length; the kept window never wraps, because the kernel
-already spans every offset from the box to the output.  PSFs and
-convolutions need NumPy alone: ``somb`` is a port of the Cephes J1 and the
-convolution runs on ``numpy.fft``, both bit-identical to SciPy's.
+kernel sampled once per unordered pair {|k|, |l|} of its offsets, each
+distinct row transformed once.  The convolution is circular at the kernel's
+5-smooth lengths, not the full linear ones; the kept window never wraps,
+because the kernel already spans every offset from the box to the output.
+PSFs and convolutions need NumPy alone: ``somb`` is a port of the Cephes J1
+and the convolution runs on ``numpy.fft``, both bit-identical to SciPy's.
 
 Conventions
 -----------
@@ -176,15 +176,22 @@ class ImagingSystem:
         ``order`` scales the argument (order N gives the N-photon centroid
         PSF shape for this pupil).  On an x column and a y row, as
         ``FieldGrid.sample`` passes its axes, h is evaluated once per
-        distinct (|x|, |y|) pair and gathered: h depends on hypot(x, y)
-        alone, which ignores signs bit for bit, so the values are those of
-        direct evaluation.
+        unordered pair {|x|, |y|} and gathered: h depends on hypot(x, y)
+        alone, which ignores signs and order bit for bit, so the values are
+        those of direct evaluation.
         """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.ndim == y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1:
+        if (x.ndim == y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1
+                and x.size and y.size):
             ux, ix = np.unique(np.abs(x[:, 0]), return_inverse=True)
             uy, iy = np.unique(np.abs(y[0]), return_inverse=True)
-            h = self._psf_of_radius(np.hypot(ux[:, None], uy), order)
+            # (a, b) with a > b repeats (b, a) where b is an |x|, a an |y|
+            row = np.searchsorted(ux, uy).clip(max=ux.size - 1)
+            col = np.searchsorted(uy, ux).clip(max=uy.size - 1)
+            new = (ux[:, None] <= uy) | ~np.outer(uy[col] == ux, ux[row] == uy)
+            h = np.hypot(ux[:, None], uy)
+            h[new] = self._psf_of_radius(h[new], order)
+            np.copyto(h, h[row].take(col, axis=1).T, where=~new)
             return h[ix].take(iy, axis=1)
         return self._psf_of_radius(np.hypot(x, y), order)
 
@@ -362,19 +369,23 @@ def _fast_len(n: int) -> int:
 
 
 def _linear_convolution(f: np.ndarray, g: np.ndarray, lengths: tuple,
-                        rows: slice = slice(None)) -> np.ndarray:
+                        rows: slice = slice(None), g_rows=None) -> np.ndarray:
     """``rows`` of the convolution sum of two real arrays by a zero-padded
     spectral product, bit for bit that of ``scipy.fft``'s rfftn/irfftn at
     the same transform ``lengths``: axis 1, then 0, and back, and the factor
     1/(n0 n1) last, as pocketfft's n-d c2r.  Only the kept rows are inverted
     along axis 1.  Lengths that hold the full linear convolution give it;
     shorter lengths L (at least each input's) give the circular sum, whose
-    index p also holds index p + L of the linear one."""
-    shape = [n + k - 1 for n, k in zip(f.shape, g.shape)]
+    index p also holds index p + L of the linear one.  Given ``g_rows``, it
+    convolves ``g[g_rows]``, transforming each row of ``g`` once."""
+    g_rows = np.arange(len(g)) if g_rows is None else g_rows
+    shape = [len(f) + len(g_rows) - 1, f.shape[1] + g.shape[1] - 1]
     n0, n1 = lengths
     s, t = (np.zeros((n0, n1 // 2 + 1), complex) for _ in range(2))
-    for a, spectrum in ((f, s), (g, t)):
-        np.fft.rfft(a, n1, axis=1, out=spectrum[:len(a)])
+    np.fft.rfft(f, n1, axis=1, out=s[:len(f)])
+    # mode "clip" takes straight into t ("raise" buffers); no row is clipped
+    np.fft.rfft(g, n1, axis=1).take(g_rows, 0, t[:len(g_rows)], "clip")
+    for spectrum in (s, t):
         np.fft.fft(spectrum, axis=0, out=spectrum)
     s *= t
     s = np.fft.ifft(s, axis=0, norm="forward", out=s)[:shape[0]][rows]
@@ -416,17 +427,20 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     if not coherent:
         box = np.abs(box) ** 2
         h = np.abs(h) ** 2
-    h = h.take(kx, axis=0).take(ky, axis=1)
+    h = h.take(ky, axis=1)     # kernel row k is quadrant row kx[k]
     # output sample p sits at index p + B - 1, B = i1 - i0 + 1, of the
     # circular convolution at the kernel's lengths (see above)
     rows = slice(i1 - i0, i1 - i0 + spec.nx)
-    lengths = tuple(_fast_len(n) for n in h.shape)
-    conv = _linear_convolution(box.real, h, lengths, rows)
+    lengths = (_fast_len(kx.size), _fast_len(ky.size))
+    conv = _linear_convolution(box.real, h, lengths, rows, kx)
     if np.iscomplexobj(box):
-        conv = conv + 1j * _linear_convolution(box.imag, h, lengths, rows)
-    conv = conv[:, j1 - j0:j1 - j0 + spec.ny] * spec.dx * spec.dy
+        conv = conv + 1j * _linear_convolution(box.imag, h, lengths, rows, kx)
+    conv = conv[:, j1 - j0:j1 - j0 + spec.ny] * spec.dx
+    conv *= spec.dy
+    conv = np.abs(conv) if np.iscomplexobj(conv) else conv
     m = system.magnification
-    values = np.abs(conv) ** 2 if coherent else conv.clip(min=0.0)
+    values = (np.square(conv, out=conv) if coherent
+              else conv.clip(min=0.0, out=conv))
     return FieldGrid(values, spec.dx * m, spec.dy * m,
                      (spec.origin[0] * m, spec.origin[1] * m))
 

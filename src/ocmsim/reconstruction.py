@@ -104,6 +104,11 @@ def _window_bins(window: float, cfg: DetectorConfig) -> int:
     return int(np.floor(window / cfg.time_bin + 1e-9))
 
 
+def _run_bounds(a: np.ndarray) -> np.ndarray:
+    """Bounds b of the runs of equal values in a: run r is a[b[r]:b[r + 1]]."""
+    return np.flatnonzero(np.r_[True, a[1:] != a[:-1], True][:a.size + 1])
+
+
 def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     """(i, j, n_cut): admissible pairs of events in frames f, f + offset.
 
@@ -118,9 +123,7 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
     """
     frames = events.frame
     # frame runs: run r holds events bounds[r] to bounds[r + 1] - 1
-    edge = np.ones(frames.size + 1, dtype=bool)
-    edge[1:-1] = frames[1:] != frames[:-1]
-    bounds = np.flatnonzero(edge)
+    bounds = _run_bounds(frames)
     starts, ends = bounds[:-1], bounds[1:]
     if offset:
         run_frames = frames[starts]
@@ -170,10 +173,9 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         raise ValueError("coincidence extraction is specified for pairs")
     i, j, n_cut = _pairs(events, window, min_xi, 0)
     cfg, frames = events.detector, events.frame
-    _, inverse, counts = np.unique(frames[i], return_inverse=True,
-                                   return_counts=True)
+    counts = np.diff(_run_bounds(frames[i]))    # the pairs come by frame
     if one_pair_per_frame:
-        single = counts[inverse] == 1
+        single = np.repeat(counts == 1, counts)
         i, j = i[single], j[single]
 
     return CoincidenceSet(
@@ -223,11 +225,12 @@ def coverage_table(cfg: DetectorConfig, min_xi: int,
     Chebyshev cut on its centroid bin, with weight 1 (or
     ``deviation_weight(xi_x, xi_y)``, xi the physical pair half-separation).
     This is the exact combinatorial vignetting profile of the summed image.
-    Each pixel offset (dx, dy) meets every bin of one strided sub-grid once,
-    so the weight is evaluated once per offset and added to that sub-grid.
-    Offsets run in the order (dx, then dy, ascending, with dx * ny + dy < 0)
-    in which a pair enumeration by ascending flat pixel index meets a bin's
-    pairs, so the weighted sums come out bit for bit as such a pair loop's.
+    The weight is evaluated once per pixel offset (dx, dy).  Bin (cx, cy)
+    meets the offsets of its parity with |dx| <= min(cx, 2 nx - 2 - cx) and
+    |dy| <= min(cy, 2 ny - 2 - cy), so only the nx x ny mirror quadrant is
+    summed.  One ``np.add.at`` per dx, ascending, adds each bin's terms in
+    ascending dy: the order in which a pair loop by ascending flat pixel
+    index meets them, so the weighted sums are such a loop's bit for bit.
     """
     nx, ny = cfg.n_pixels_x, cfg.n_pixels_y
     if deviation_weight is None:
@@ -238,14 +241,18 @@ def coverage_table(cfg: DetectorConfig, min_xi: int,
         table = np.asarray(deviation_weight(dx * cfg.pixel_pitch / 2.0,
                                             dy * cfg.pixel_pitch / 2.0),
                            dtype=float)
-    out = np.zeros(cfg.centroid_shape)
+    # (my, dy): quadrant column my meets each |dy| <= my of its parity
+    m, k = np.arange(ny)[:, None], np.arange(1 - ny, ny)
+    my, dy = np.nonzero((np.abs(k) <= m) & ((k + m) % 2 == 0))
+    dy += 1 - ny
+    quadrant = np.zeros(nx * ny)
     for dx in range(1 - nx, 1):
-        for dy in range(1 - ny, ny if dx else 0):
-            if max(-dx, abs(dy)) > min_xi:
-                # pairs (i + dx, i) centre on bins 2i + dx along each axis
-                out[-dx:2 * nx - 1 + dx:2, abs(dy):2 * ny - 1 - abs(dy):2] \
-                    += table[dx + nx - 1, dy + ny - 1]
-    return out
+        keep = (np.maximum(-dx, np.abs(dy)) > min_xi) & ((dx < 0) | (dy < 0))
+        mx = np.arange(-dx, nx, 2)
+        np.add.at(quadrant, (mx[:, None] * ny + my[keep]).ravel(),
+                  np.tile(table[dx + nx - 1, dy[keep] + ny - 1], mx.size))
+    fx, fy = (n - 1 - np.abs(np.arange(1 - n, n)) for n in (nx, ny))
+    return quadrant.reshape(nx, ny)[fx][:, fy]
 
 
 def centroid_image(pairs: CoincidenceSet,

@@ -184,6 +184,20 @@ def test_zero_density_rejected():
         _DensitySampler(FieldGrid(np.zeros((8, 8)), 1e-5, 1e-5))
 
 
+def test_density_whose_total_overflows_rejected():
+    # every weight is finite, but their sum is not: no CDF can be built
+    with pytest.raises(UnnormalizableDensity):
+        _DensitySampler(FieldGrid(np.full((2, 2), 1e308), 1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_nonfinite_or_negative_density_rejected(bad):
+    values = np.ones((4, 4))
+    values[2, 1] = bad
+    with pytest.raises(UnnormalizableDensity):
+        _DensitySampler(FieldGrid(values, 1e-5, 1e-5))
+
+
 def test_sampled_deviation_width(reference_system, point_pair_source,
                                  ideal_detector):
     pos = sample_event_positions(point_pair_source, 9, 200_000, ideal_detector)

@@ -146,6 +146,34 @@ def test_psf_on_axes_equals_direct_evaluation(spec, order, gaussian):
     assert np.array_equal(got.values, sys_.psf_amplitude(X, Y, order))
 
 
+@st.composite
+def psf_axes(draw):
+    """An x column and a y row of whole multiples of two spacings (dy a
+    multiple or a fraction of dx, or unrelated), each shifted by a fraction
+    of its spacing or not, of unequal lengths and with repeated and shared
+    |values|, so that the pairs (a, b) and (b, a) of the mirror both occur."""
+    dx = draw(st.floats(0.025, 0.5)) * 127e-6
+    dy = dx * draw(st.sampled_from([1.0, 2.0, 0.5, 3.0]) | st.floats(0.2, 5.0))
+    axes = []
+    for d in (dx, dy):
+        k = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=30))
+        shift = draw(st.sampled_from([0.0, 0.5, -0.25]) | st.floats(-1.0, 1.0))
+        axes.append((np.array(k) + shift) * d)
+    return axes[0][:, None], axes[1][None, :]
+
+
+@given(psf_axes(), st.integers(1, 3), st.booleans())
+def test_psf_on_axes_equals_hypot_evaluation(axes, order, gaussian):
+    # each unordered pair {|x|, |y|} is evaluated once and mirrored: a
+    # transposed or misplaced mirror changes values where |x| != |y|
+    sys_ = (ImagingSystem(1.38e-3, 0.355, 810e-9, 2.4,
+                          PupilProfile.GAUSSIAN, pupil_sigma=0.5e-3)
+            if gaussian else ImagingSystem(1.38e-3, 0.355, 810e-9, 2.4))
+    x, y = axes
+    want = sys_._psf_of_radius(np.hypot(x, y), order)
+    assert np.array_equal(sys_.psf_amplitude(x, y, order), want)
+
+
 #: the benchmark's two library workloads, as ``load_config`` overrides
 BENCHMARK_SETTINGS = pytest.mark.parametrize("overrides", [
     ["detector.pde=auto", "detector.dark_count_rate_hz=1000.0"],
@@ -233,6 +261,25 @@ def test_convolution_at_the_kernel_length_keeps_the_linear_window(
     circular = linear_convolution_scipy(f, g, lengths)
     assert np.array_equal(_linear_convolution(f, g, lengths), circular)
     assert np.array_equal(got, circular[rows, cols])
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 20),
+       st.integers(2, 40), st.integers(0, 2 ** 32 - 1), st.data())
+def test_convolution_of_gathered_kernel_rows_equals_scipy(b0, b1, q0, k0,
+                                                          seed, data):
+    # ``image`` passes the PSF quadrant and the kernel's rows into it: the
+    # distinct rows' spectra, gathered, are those of the gathered kernel
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(b0, b1))
+    quadrant = rng.normal(size=(q0, data.draw(st.integers(1, 30))))
+    g_rows = rng.integers(0, q0, size=k0)
+    g = quadrant[g_rows]
+    lengths = tuple(data.draw(st.sampled_from((n, _fast_len(n))))
+                    for n in (b0 + k0 - 1, b1 + g.shape[1] - 1))
+    start = data.draw(st.integers(0, b0 + k0 - 2))
+    rows = slice(start, data.draw(st.integers(start + 1, b0 + k0 - 1)))
+    got = _linear_convolution(f, quadrant, lengths, rows, g_rows)
+    assert np.array_equal(got, linear_convolution_scipy(f, g, lengths)[rows])
 
 
 # ---------------------------------------------------------------------------

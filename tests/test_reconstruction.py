@@ -280,6 +280,16 @@ def test_coverage_table_equals_per_pair_oracle(nx, ny, min_xi, pitch,
                               coverage_table_per_pair(cfg, min_xi, w))
 
 
+@pytest.mark.parametrize("min_xi", [1, 2])
+def test_coverage_table_equals_per_pair_oracle_on_the_sensor(min_xi):
+    # the production 32 x 32 geometry, above the Hypothesis test's 24 pixels
+    cfg = DetectorConfig()
+    assert (cfg.n_pixels_x, cfg.n_pixels_y) == (32, 32)
+    for w in (None, load_config().deviation_weight()):
+        assert np.array_equal(coverage_table(cfg, min_xi, w),
+                              coverage_table_per_pair(cfg, min_xi, w))
+
+
 def test_coverage_table_memory_follows_the_offsets_not_the_pairs():
     """A 64 x 64 sensor has 8.4e6 pixel pairs but only 127 x 127 offsets."""
     weight = load_config().deviation_weight()

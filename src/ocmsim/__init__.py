@@ -12,11 +12,11 @@ analysis.
 
 from .analysis import (FitModel, Profile1D, ScalingFit, WidthReport,
                        cross_section, scaling_fit, slit_contrast, width_metrics)
-from .detector import (DEFAULT_PDE, ClassicalSource, DetectorConfig,
-                       FarFieldPairSource, OcmPairSource, PointSource,
-                       apply_detector_model, run_acquisition,
-                       sample_event_positions)
-from .events_io import EventStream, read_events, read_manifest, write_events
+from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
+                       OcmPairSource, PointSource, apply_detector_model,
+                       run_acquisition, sample_event_positions)
+from .events_io import (DetectorConfig, EventStream, read_events,
+                        read_manifest, write_events)
 from .grid import FieldGrid, GridSpec
 from .ocm import (analytic_centroid_psf_circular, centroid_psf,
                   classical_centroid_psf, far_field_pattern, ocm_image)

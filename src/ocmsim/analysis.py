@@ -52,7 +52,6 @@ class FitModel(enum.Enum):
 class WidthReport:
     fwhm: float
     first_zero: float | None
-    fit_model: FitModel
     fit_residual: float
 
     def __post_init__(self) -> None:
@@ -120,7 +119,7 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
         runs = np.flatnonzero(np.diff(high.astype(int)) == 1).size + int(high[0])
         if runs > 1:
             raise AmbiguousPeak("multi-modal profile needs a fit model")
-        return WidthReport(_fwhm_by_crossings(x, y), None, model, 0.0)
+        return WidthReport(_fwhm_by_crossings(x, y), None, 0.0)
 
     peak_idx = int(np.argmax(y))
     if y[peak_idx] <= 0:
@@ -153,9 +152,9 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
         first_zero = J1_FIRST_ZERO / scale
         # FWHM of somb^2: half max at argument 1.61633...
         fwhm = 2.0 * 1.6163374338205507 / scale
-        return WidthReport(fwhm, first_zero, model, residual)
+        return WidthReport(fwhm, first_zero, residual)
     sigma = abs(popt[2])
-    return WidthReport(GAUSSIAN_FWHM_FACTOR * sigma, None, model, residual)
+    return WidthReport(GAUSSIAN_FWHM_FACTOR * sigma, None, residual)
 
 
 def _safe_initial_width(x, y) -> float:
@@ -169,7 +168,6 @@ def _safe_initial_width(x, y) -> float:
 class ScalingFit:
     alpha: float          # width ∝ N^(-alpha)
     ci95: float           # half-width of the 95% confidence interval
-    residual: float
 
 
 def scaling_fit(widths) -> ScalingFit:
@@ -188,11 +186,9 @@ def scaling_fit(widths) -> ScalingFit:
     r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
     dof = x.size - 2
     stderr = np.sqrt((1 - r ** 2) * syy / sxx / dof)
-    pred = np.mean(y) - slope * np.mean(x) + slope * x
     from scipy.special import stdtrit
 
-    return ScalingFit(alpha=-slope, ci95=stdtrit(dof, 0.975) * stderr,
-                      residual=float(np.sqrt(np.mean((pred - y) ** 2))))
+    return ScalingFit(alpha=-slope, ci95=stdtrit(dof, 0.975) * stderr)
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:

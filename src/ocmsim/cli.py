@@ -155,11 +155,12 @@ def cmd_reconstruct(cfg: RunConfig, events_path, out_dir: Path) -> dict:
     return report
 
 
-def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str):
-    """x profile of ``grid`` over the configured band, written to
-    ``<stem>_profile.csv``, and its slit-contrast report entries: none unless
-    ``analysis.n_slits`` >= 2, the error's name if scoring fails."""
-    prof = cross_section(grid, "x", cfg["analysis.band"])
+def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str,
+             band):
+    """x profile of ``grid`` over ``band``, written to ``<stem>_profile.csv``,
+    and its slit-contrast report entries: none unless ``analysis.n_slits``
+    >= 2, the error's name if scoring fails."""
+    prof = cross_section(grid, "x", band)
     export_profile_csv(prof, out_dir / f"{stem}_profile.csv")
     n_slits = cfg["analysis.n_slits"]
     if n_slits < 2:
@@ -179,7 +180,8 @@ def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
     model = FitModel(cfg["analysis.model"])
     for path in map(Path, image_paths):
         stem = path.stem
-        prof, slits = _profile(cfg, FieldGrid.load(path), out_dir, stem)
+        prof, slits = _profile(cfg, FieldGrid.load(path), out_dir, stem,
+                               cfg["analysis.band"])
         try:
             wm = width_metrics(prof, model)
             report[f"{stem}_fwhm_m"] = wm.fwhm
@@ -192,38 +194,37 @@ def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
     return report
 
 
-def cmd_compare(cfg: RunConfig, out_dir: Path) -> dict:
+def cmd_compare(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
     """Image the configured object with all four illumination modes; only
     the images, profiles and report are written, not the event streams."""
     seed = cfg["acquisition.seed"]
     wall_time = cfg["acquisition.wall_time_s"]
     wavelength = cfg["system.wavelength_m"]
+    band = cfg["analysis.band"]
     report: dict = {"command": "compare", "wall_time_s": wall_time}
     resolved_modes = []
 
-    # quantum pairs at the base wavelength
-    events = run_acquisition(cfg.source("ocm"), cfg.detector(wavelength),
-                             wall_time, child_seed(seed, "ocm"))
-    pairs, _, image = _reconstruct(cfg, events)
-    grids = {"ocm": image.to_field_grid()}
-    report["ocm_n_pairs"] = len(pairs)
-
-    # classical singles: coherent at lambda, coherent at lambda/N, incoherent
+    # quantum pairs at the base wavelength; classical singles: coherent at
+    # lambda, coherent at lambda/N, incoherent
     half = wavelength / cfg["ocm.n_photons"]
-    classical_runs = [
-        ("coherent", "coherent", wavelength),
-        ("coherent_half", "coherent", half),
-        ("incoherent", "incoherent", wavelength),
-    ]
-    for name, kind, lam in classical_runs:
+    runs = [("ocm", "ocm", wavelength), ("coherent", "coherent", wavelength),
+            ("coherent_half", "coherent", half),
+            ("incoherent", "incoherent", wavelength)]
+    for name, kind, lam in runs:
         stream = run_acquisition(cfg.source(kind, lam), cfg.detector(lam),
-                                 wall_time, child_seed(seed, name))
-        grids[name] = singles_image(stream)
-        report[f"{name}_n_events"] = len(stream)
-
-    for name, grid in grids.items():
+                                 wall_time, child_seed(seed, name),
+                                 n_threads=n_threads)
+        if kind == "ocm":
+            pairs, _, image = _reconstruct(cfg, stream)
+            grid, rows = image.to_field_grid(), band
+            report["ocm_n_pairs"] = len(pairs)
+        else:
+            # the band counts centroid rows; pixel row i is centroid row 2i
+            grid = singles_image(stream)
+            rows = None if band is None else (-(-band[0] // 2), band[1] // 2)
+            report[f"{name}_n_events"] = len(stream)
         grid.save(out_dir / f"{name}_image.ocmg")
-        _, slits = _profile(cfg, grid, out_dir, name)
+        _, slits = _profile(cfg, grid, out_dir, name, rows)
         report.update(slits)
         if slits.get(f"{name}_resolved"):
             resolved_modes.append(name)
@@ -275,10 +276,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set + seed)
         out_dir = Path(args.out or cfg["io.output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "psf":
             cmd_psf(cfg, out_dir)
         elif args.command == "simulate":
@@ -288,7 +285,7 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             cmd_analyze(cfg, args.images, out_dir)
         elif args.command == "compare":
-            cmd_compare(cfg, out_dir)
+            cmd_compare(cfg, out_dir, n_threads=args.threads)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,10 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .detector import (DEFAULT_PDE, ClassicalSource, DetectorConfig,
-                       FarFieldPairSource, OcmPairSource, PointSource)
+from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
+                       OcmPairSource, PointSource)
 from .errors import ConfigError
+from .events_io import DetectorConfig
 from .grid import GridSpec
 from .optics import Aperture, ImagingSystem, PupilProfile
 from .phasematch import PhaseMatchingParams, SellmeierModel
@@ -91,7 +92,8 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
     ("reconstruction.one_pair_per_frame", "bool", False,
      "drop frames that yield more than one admissible pair"),
     ("analysis.band", "pair<int>|null", None,
-     "inclusive index band projected over the other axis; null = all"),
+     "inclusive index band projected over the other axis; null = all; compare "
+     "projects singles over the pixel rows inside it (pixel i = centroid 2i)"),
     ("analysis.model", "choice:none,somb2,gaussian", "none",
      "width fit model for profiles"),
     ("analysis.n_slits", "int>=0", 3,

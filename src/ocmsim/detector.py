@@ -5,7 +5,8 @@ efficiency, pixel binning on the active region, per-tuple arrival time
 (photons of a tuple share one time bin; true pair correlation times are far
 below the bin width), Poissonian dark counts, nearest-neighbor crosstalk, and
 first-hit semantics (each pixel timestamps only its earliest event per
-frame).
+frame).  The sensor and event records, ``DetectorConfig`` and
+``EventStream``, belong to the recording format in ``events_io``.
 
 Acquisitions thin by detection efficiency before sampling.  Efficiency does
 not depend on position, so a tuple leaves at least one detected photon with
@@ -44,16 +45,14 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
-import numbers
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import (SortKeyOverflow, UnnormalizableDensity, finite_real,
+from .errors import (SortKeyOverflow, UnnormalizableDensity,
                      require_finite_positive)
-from .events_io import EventStream, stable_hash
+from .events_io import DetectorConfig, EventStream, stable_hash
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
@@ -62,120 +61,8 @@ from .phasematch import PhaseMatchingParams, deviation_envelope
 #: detection efficiency of the reference sensor by wavelength
 DEFAULT_PDE = {810e-9: 0.008, 405e-9: 0.05}
 
-#: OCME stores ``ix``, ``iy`` and ``t_bin`` as uint16
-_UINT16_VALUES = 1 << 16
-
 #: source density samples per pixel pitch, in detector coordinates
 _OVERSAMPLE = 8
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Geometry, timing and noise of the sensor array.
-
-    One dark count rate applies to every pixel.  The constructor owns the
-    contract or raises ValueError: ``int`` pixel counts, ``float`` others,
-    all finite and in range, no bool.  ``from_dict`` is the one parser of a
-    stored record (an event file's header too): the inverse of ``to_dict``.
-    """
-
-    n_pixels_x: int = 32
-    n_pixels_y: int = 32
-    pixel_pitch: float = 43.75e-6          # meters
-    time_bin: float = 205e-12              # seconds
-    frame_duration: float = 45e-9          # seconds
-    frame_rate: float = 800e3              # frames per second
-    pde: float = 0.008                     # photon detection efficiency
-    dark_count_rate: float = 1e3           # Hz, the same for every pixel
-    crosstalk_prob: float = 0.01           # per nearest neighbor per detection
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            integer = f.name.startswith("n_pixels")
-            if not (isinstance(value, numbers.Integral if integer
-                               else numbers.Real) and finite_real(value)):
-                raise ValueError(f"{f.name} = {value!r} is not a finite "
-                                 + ("integer" if integer else "number"))
-            object.__setattr__(self, f.name, (int if integer else float)(value))
-        if not all(1 <= n <= _UINT16_VALUES
-                   for n in (self.n_pixels_x, self.n_pixels_y)):
-            raise ValueError(f"pixel counts must lie in [1, {_UINT16_VALUES}]"
-                             ", the range of a uint16 pixel index")
-        require_finite_positive(self, "pixel_pitch", "time_bin",
-                                "frame_duration", "frame_rate")
-        for name in ("pde", "crosstalk_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError("duty cycle must lie in (0, 1]")
-        if not self.dark_count_rate >= 0:
-            raise ValueError("dark_count_rate must be >= 0")
-        if self.frame_duration / self.time_bin > _UINT16_VALUES:
-            raise ValueError(f"more than {_UINT16_VALUES} time bins per "
-                             "frame do not fit a uint16 t_bin")
-
-    @property
-    def active_extent(self) -> tuple[float, float]:
-        """Physical size of the sensitive region (pitch times pixel count)."""
-        return (self.n_pixels_x * self.pixel_pitch,
-                self.n_pixels_y * self.pixel_pitch)
-
-    @property
-    def duty_cycle(self) -> float:
-        return self.frame_duration * self.frame_rate
-
-    @property
-    def n_time_bins(self) -> int:
-        """Number of time bins in a frame; every ``t_bin`` lies below it."""
-        return math.ceil(self.frame_duration / self.time_bin)
-
-    def pixel_index(self, positions: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Map (..., 2) positions (region centered at 0) to pixel indices.
-
-        Returns (ix, iy, inside-mask); indices are meaningless outside.
-        """
-        ex, ey = self.active_extent
-        fx = (positions[..., 0] + ex / 2.0) / self.pixel_pitch
-        fy = (positions[..., 1] + ey / 2.0) / self.pixel_pitch
-        ix = np.floor(fx).astype(np.int64)
-        iy = np.floor(fy).astype(np.int64)
-        inside = ((ix >= 0) & (ix < self.n_pixels_x)
-                  & (iy >= 0) & (iy < self.n_pixels_y))
-        return ix, iy, inside
-
-    @property
-    def centroid_shape(self) -> tuple[int, int]:
-        """Shape of the half-pixel centroid grid that ``bin_center`` maps."""
-        return 2 * self.n_pixels_x - 1, 2 * self.n_pixels_y - 1
-
-    def bin_center(self, cx, cy) -> tuple[np.ndarray, np.ndarray]:
-        """Physical position of half-pixel centroid bin (cx, cy)."""
-        ex, ey = self.active_extent
-        x = -ex / 2.0 + (np.asarray(cx) + 1) * self.pixel_pitch / 2.0
-        y = -ey / 2.0 + (np.asarray(cy) + 1) * self.pixel_pitch / 2.0
-        return x, y
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        """Inverse of ``to_dict``; raises ValueError for any other record.
-
-        The record must be an object holding exactly the dataclass fields;
-        the constructor checks their values.
-        """
-        if not isinstance(d, dict):
-            raise ValueError(f"detector record {d!r} is not an object")
-        names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in d]
-        unknown = [k for k in d if k not in names]
-        if missing or unknown:
-            raise ValueError(f"detector record keys: missing {missing}, "
-                             f"unknown {unknown}")
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Binary event container ("OCME") and run manifests.
+"""The recording format: sensor record, event stream, OCME file, manifests.
 
-Layout: magic ``OCME``, version u16, u32 JSON header length, a UTF-8 JSON
-header (detector configuration, source hash, frame count, seed, counters),
-then repeated little-endian records ``{frame_id u64, ix u16, iy u16,
-t_bin u16}`` sorted by frame_id, the one order reconstruction needs
-(``ocmsim`` writes each frame in pixel order, one event per pixel; files in
-(frame_id, t_bin) order read alike).  The header's ``detector`` object
-holds exactly the fields of ``DetectorConfig`` (its ``to_dict``): every
-stream has a sensor.  Only ``read_events`` parses it, with
-``DetectorConfig.from_dict``; the stream then carries the parsed object.
-``EventStream`` checks the rest of the contract when a stream is made, in
-memory or from a file, and freezes it, so ``read_events`` reads it back.
+``DetectorConfig`` bounds the records (its pixel and time-bin counts fit
+their uint16 fields) and ``EventStream`` checks each event against it; the
+Monte Carlo model that makes streams is ``detector``.  OCME layout: magic
+``OCME``, version u16, u32 JSON header length, a UTF-8 JSON header
+(detector configuration, source hash, frame count, seed, counters), then
+repeated little-endian records ``{frame_id u64, ix u16, iy u16, t_bin u16}``
+sorted by frame_id, the one order reconstruction needs (``ocmsim`` writes
+each frame in pixel order, one event per pixel; files in (frame_id, t_bin)
+order read alike).  The header's ``detector`` object holds exactly the
+fields of ``DetectorConfig`` (its ``to_dict``): every stream has a sensor.
+Only ``read_events`` parses it, with ``DetectorConfig.from_dict``; the
+stream then carries the parsed object.  ``EventStream`` checks the rest of
+the contract when a stream is made, in memory or from a file, and freezes
+it, so ``read_events`` reads it back.
 
 Run manifests and command reports are one line of ``canonical_json`` (sorted
 keys) that ``read_manifest`` reads back typed; they never contain wall-clock
@@ -21,16 +24,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import CorruptEventFile, EventOutOfRange, UnsortedInput, sink
-
-if TYPE_CHECKING:
-    from .detector import DetectorConfig
+from .errors import (CorruptEventFile, EventOutOfRange, UnsortedInput,
+                     finite_real, require_finite_positive, sink)
 
 OCME_MAGIC = b"OCME"
 OCME_VERSION = 1
@@ -38,6 +40,118 @@ OCME_VERSION = 1
 _RECORD = np.dtype([("frame", "<u8"), ("ix", "<u2"), ("iy", "<u2"),
                     ("t_bin", "<u2")])
 _PREFIX = struct.Struct("<4sHI")
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    """Geometry, timing and noise of the sensor array.
+
+    One dark count rate applies to every pixel.  The constructor owns the
+    contract or raises ValueError: ``int`` pixel counts, ``float`` others,
+    all finite and in range, no bool.  ``from_dict`` is the one parser of a
+    stored record (an event file's header too): the inverse of ``to_dict``.
+    """
+
+    n_pixels_x: int = 32
+    n_pixels_y: int = 32
+    pixel_pitch: float = 43.75e-6          # meters
+    time_bin: float = 205e-12              # seconds
+    frame_duration: float = 45e-9          # seconds
+    frame_rate: float = 800e3              # frames per second
+    pde: float = 0.008                     # photon detection efficiency
+    dark_count_rate: float = 1e3           # Hz, the same for every pixel
+    crosstalk_prob: float = 0.01           # per nearest neighbor per detection
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integer = f.name.startswith("n_pixels")
+            if not (isinstance(value, numbers.Integral if integer
+                               else numbers.Real) and finite_real(value)):
+                raise ValueError(f"{f.name} = {value!r} is not a finite "
+                                 + ("integer" if integer else "number"))
+            object.__setattr__(self, f.name, (int if integer else float)(value))
+        # pixel indices and time bins must fit the record's uint16 fields
+        limit = np.iinfo(_RECORD["ix"]).max + 1
+        if not all(1 <= n <= limit
+                   for n in (self.n_pixels_x, self.n_pixels_y)):
+            raise ValueError(f"pixel counts must lie in [1, {limit}], the "
+                             "range of a uint16 pixel index")
+        require_finite_positive(self, "pixel_pitch", "time_bin",
+                                "frame_duration", "frame_rate")
+        for name in ("pde", "crosstalk_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 < self.duty_cycle <= 1.0:
+            raise ValueError("duty cycle must lie in (0, 1]")
+        if not self.dark_count_rate >= 0:
+            raise ValueError("dark_count_rate must be >= 0")
+        if self.frame_duration / self.time_bin > limit:
+            raise ValueError(f"more than {limit} time bins per frame do not "
+                             "fit a uint16 t_bin")
+
+    @property
+    def active_extent(self) -> tuple[float, float]:
+        """Physical size of the sensitive region (pitch times pixel count)."""
+        return (self.n_pixels_x * self.pixel_pitch,
+                self.n_pixels_y * self.pixel_pitch)
+
+    @property
+    def duty_cycle(self) -> float:
+        return self.frame_duration * self.frame_rate
+
+    @property
+    def n_time_bins(self) -> int:
+        """Number of time bins in a frame; every ``t_bin`` lies below it."""
+        return math.ceil(self.frame_duration / self.time_bin)
+
+    def pixel_index(self, positions: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Map (..., 2) positions (region centered at 0) to pixel indices.
+
+        Returns (ix, iy, inside-mask); indices are meaningless outside.
+        """
+        ex, ey = self.active_extent
+        fx = (positions[..., 0] + ex / 2.0) / self.pixel_pitch
+        fy = (positions[..., 1] + ey / 2.0) / self.pixel_pitch
+        ix = np.floor(fx).astype(np.int64)
+        iy = np.floor(fy).astype(np.int64)
+        inside = ((ix >= 0) & (ix < self.n_pixels_x)
+                  & (iy >= 0) & (iy < self.n_pixels_y))
+        return ix, iy, inside
+
+    @property
+    def centroid_shape(self) -> tuple[int, int]:
+        """Shape of the half-pixel centroid grid that ``bin_center`` maps."""
+        return 2 * self.n_pixels_x - 1, 2 * self.n_pixels_y - 1
+
+    def bin_center(self, cx, cy) -> tuple[np.ndarray, np.ndarray]:
+        """Physical position of half-pixel centroid bin (cx, cy)."""
+        ex, ey = self.active_extent
+        x = -ex / 2.0 + (np.asarray(cx) + 1) * self.pixel_pitch / 2.0
+        y = -ey / 2.0 + (np.asarray(cy) + 1) * self.pixel_pitch / 2.0
+        return x, y
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DetectorConfig":
+        """Inverse of ``to_dict``; raises ValueError for any other record.
+
+        The record must be an object holding exactly the dataclass fields;
+        the constructor checks their values.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"detector record {d!r} is not an object")
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in d]
+        unknown = [k for k in d if k not in names]
+        if missing or unknown:
+            raise ValueError(f"detector record keys: missing {missing}, "
+                             f"unknown {unknown}")
+        return cls(**d)
+
 
 
 @dataclass(frozen=True)
@@ -142,8 +256,6 @@ def read_events(path) -> EventStream:
                                f"bytes is not whole {_RECORD.itemsize}-byte "
                                "records")
     records = np.frombuffer(data, dtype=_RECORD, offset=body)
-    from .detector import DetectorConfig        # detector imports this module
-
     try:
         cfg = DetectorConfig.from_dict(header.get("detector"))
     except ValueError as exc:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DetectorConfig
 from .errors import GridMismatch, TooFewFrames
-from .events_io import EventStream
+from .events_io import DetectorConfig, EventStream
 from .grid import FieldGrid
 
 
@@ -37,10 +36,8 @@ class CoincidenceSet:
     iy2: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
-    window_bins: int
     min_xi: int
     detector: DetectorConfig
-    n_frames: int
     n_cut: int = 0                    # pairs rejected by the min_xi cut
     n_multi_pair_frames: int = 0      # frames contributing more than one pair
 
@@ -172,7 +169,7 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     if order != 2:
         raise ValueError("coincidence extraction is specified for pairs")
     i, j, n_cut = _pairs(events, window, min_xi, 0)
-    cfg, frames = events.detector, events.frame
+    frames = events.frame
     counts = np.diff(_run_bounds(frames[i]))    # the pairs come by frame
     if one_pair_per_frame:
         single = np.repeat(counts == 1, counts)
@@ -184,8 +181,7 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         ix2=events.ix[j].astype(np.int64), iy2=events.iy[j].astype(np.int64),
         t1=events.t_bin[i].astype(np.int64),
         t2=events.t_bin[j].astype(np.int64),
-        window_bins=_window_bins(window, cfg), min_xi=min_xi, detector=cfg,
-        n_frames=events.n_frames, n_cut=n_cut,
+        min_xi=min_xi, detector=events.detector, n_cut=n_cut,
         n_multi_pair_frames=int((counts > 1).sum()))
 
 

@@ -321,6 +321,16 @@ def test_exit_code_3_on_runtime_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("below, error", [("sub", "NotADirectoryError"),
+                                          ("", "FileExistsError")])
+def test_exit_code_3_when_the_output_directory_cannot_be_made(
+        tmp_path, capsys, below, error):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run_cli(["--config", CONFIG, "--out", afile / below, "psf"]) == 3
+    assert f"psf: {error}: " in capsys.readouterr().err
+
+
 def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     events = tmp_path / "bare.ocme"
     write_events(events, EventStream(
@@ -696,6 +706,35 @@ def test_compare_writes_only_what_it_reports(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["compare_report.txt"] + [f"{m}_image.ocmg" for m in modes]
         + [f"{m}_profile.csv" for m in modes])
+
+
+def test_compare_runs_every_acquisition_on_the_given_threads(tmp_path,
+                                                            monkeypatch):
+    threads = []
+
+    def recording(*args, n_threads=1):
+        threads.append(n_threads)
+        return ocmsim.run_acquisition(*args, n_threads=n_threads)
+
+    monkeypatch.setattr("ocmsim.cli.run_acquisition", recording)
+    assert run_cli(["--config", CONFIG, *FAST, "--threads", "2",
+                    "--out", tmp_path, "compare"]) == 0
+    assert threads == [2, 2, 2, 2]
+
+
+def test_compare_projects_singles_over_the_pixel_rows_of_the_band(tmp_path):
+    """``analysis.band`` counts centroid rows; pixel row i is centroid row
+    2i, so centroid rows 30-34 hold pixel rows 15-17."""
+    out, expected = tmp_path / "out", tmp_path / "expected"
+    expected.mkdir()
+    assert run_cli(["--config", CONFIG, *FAST, "--set",
+                    "analysis.band=[30, 34]", "--out", out, "compare"]) == 0
+    for name, band in [("ocm", (30, 34)), ("coherent", (15, 17))]:
+        grid = FieldGrid.load(out / f"{name}_image.ocmg")
+        export_profile_csv(cross_section(grid, "x", band),
+                           expected / f"{name}_profile.csv")
+        assert (out / f"{name}_profile.csv").read_bytes() == \
+            (expected / f"{name}_profile.csv").read_bytes(), name
 
 
 def test_simulate_determinism(tmp_path):

@@ -95,3 +95,13 @@ def test_every_config_key_is_read_and_every_read_key_exists():
     lookups = dotted_lookups()
     assert sorted(schema - lookups) == []
     assert sorted(lookups - schema) == []
+
+
+def test_only_the_pipeline_ends_import_the_monte_carlo_model():
+    """The recording format and reconstruction stand without the sensor
+    model: ``DetectorConfig`` lives with the records it bounds."""
+    importers = {path.stem for path in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and (node.level, node.module)
+                 in {(0, "ocmsim.detector"), (1, "detector")}}
+    assert importers == {"cli", "config", "__init__"}

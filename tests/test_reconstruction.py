@@ -262,8 +262,7 @@ def test_extraction_matches_per_frame_loop(ev, k, min_xi, one_pair_per_frame):
                 "t2": ev.t_bin[j]}
     for name, values in expected.items():
         assert np.array_equal(getattr(pairs, name), values), name
-    assert (pairs.window_bins, pairs.n_cut, pairs.n_multi_pair_frames) == \
-        (k, n_cut, n_multi)
+    assert (pairs.n_cut, pairs.n_multi_pair_frames) == (n_cut, n_multi)
 
 
 @given(st.integers(1, 24), st.integers(1, 24),
@@ -421,7 +420,7 @@ def _uniform_pair_set(rng, n_pairs, cfg, min_xi=1):
         ix1=ix[:, 0].astype(np.int64), iy1=iy[:, 0].astype(np.int64),
         ix2=ix[:, 1].astype(np.int64), iy2=iy[:, 1].astype(np.int64),
         t1=np.zeros(n, dtype=np.int64), t2=np.zeros(n, dtype=np.int64),
-        window_bins=4, min_xi=min_xi, detector=cfg, n_frames=n)
+        min_xi=min_xi, detector=cfg)
 
 
 def test_uniform_pairs_show_pyramid_then_flat():

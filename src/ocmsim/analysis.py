@@ -73,7 +73,9 @@ def cross_section(image: FieldGrid, axis: str = "x", band=None) -> Profile1D:
     values = np.abs(image.values) if image.is_complex else image.values
     n_y = values.shape[1]
     lo, hi = (0, n_y - 1) if band is None else band
-    if not (0 <= lo <= hi < n_y):
+    if lo > hi:
+        raise EmptyBand(f"band ({lo}, {hi}) is empty")
+    if lo < 0 or hi >= n_y:
         raise EmptyBand(f"band ({lo}, {hi}) outside image of size {n_y}")
     return Profile1D(image.x_axis(), values[:, lo:hi + 1].sum(axis=1))
 

@@ -48,14 +48,14 @@ def cmd_psf(cfg: RunConfig, out_dir: Path) -> dict:
     spec = cfg.object_grid(system)
     half_system = system.with_wavelength(system.wavelength / n)
 
+    h = single_lens_psf(system, spec)
     grids = {
-        "psf_classical": single_lens_psf(system, spec),
+        "psf_classical": h.copy(),
         "psf_classical_half": single_lens_psf(half_system, spec),
         "psf_ocm": single_lens_psf(system, spec, order=n),
     }
     for g in grids.values():
         g.values = np.abs(g.values) ** 2
-    h = single_lens_psf(system, spec)
     grids["psf_classical_pairs"] = classical_centroid_psf(h, n)
 
     report: dict = {"command": "psf", "n_photons": n,
@@ -201,6 +201,13 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
     wall_time = cfg["acquisition.wall_time_s"]
     wavelength = cfg["system.wavelength_m"]
     band = cfg["analysis.band"]
+    # the band counts centroid rows; pixel row i is centroid row 2i
+    n_rows = 2 * cfg["detector.n_pixels_y"] - 1
+    pixel_rows = None if band is None else (-(-band[0] // 2), band[1] // 2)
+    if pixel_rows and (pixel_rows[0] > pixel_rows[1] or band[1] >= n_rows):
+        raise ConfigError(f"analysis.band: compare needs centroid rows in [0, "
+                          f"{n_rows}) holding a pixel row (an even centroid "
+                          f"row), got {list(band)}")
     report: dict = {"command": "compare", "wall_time_s": wall_time}
     resolved_modes = []
 
@@ -219,9 +226,7 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
             grid, rows = image.to_field_grid(), band
             report["ocm_n_pairs"] = len(pairs)
         else:
-            # the band counts centroid rows; pixel row i is centroid row 2i
-            grid = singles_image(stream)
-            rows = None if band is None else (-(-band[0] // 2), band[1] // 2)
+            grid, rows = singles_image(stream), pixel_rows
             report[f"{name}_n_events"] = len(stream)
         grid.save(out_dir / f"{name}_image.ocmg")
         _, slits = _profile(cfg, grid, out_dir, name, rows)

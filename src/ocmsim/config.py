@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .events_io import DetectorConfig
 from .grid import GridSpec
 from .optics import Aperture, ImagingSystem, PupilProfile
-from .phasematch import PhaseMatchingParams, SellmeierModel
+from .phasematch import PhaseMatchingParams, SellmeierModel, deviation_density
 
 # (path, type, default, help) — the single source of truth for keys and units.
 # type tags: see _check_type
@@ -282,13 +282,8 @@ class RunConfig:
         if self["reconstruction.mode"] != "weighted":
             return None
         params = self.phase_matching()
-        from .phasematch import deviation_envelope
-
-        def weight(xi_x, xi_y):
-            xi = np.stack([np.asarray(xi_x), np.asarray(xi_y)], axis=-1)
-            return np.abs(deviation_envelope(xi, params)) ** 2
-
-        return weight
+        return lambda xi_x, xi_y: deviation_density(
+            np.stack([np.asarray(xi_x), np.asarray(xi_y)], axis=-1), params)
 
 
 _KINDS = {path: kind for path, kind, _, _ in SCHEMA}
@@ -355,6 +350,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     if flat["acquisition.wall_time_s"] * flat["detector.frame_rate_hz"] < 1:
         raise ConfigError("acquisition.wall_time_s: shorter than one frame "
                           "period of detector.frame_rate_hz")
+    band = flat["analysis.band"]
+    if band is not None and not 0 <= band[0] <= band[1]:
+        raise ConfigError(f"analysis.band: expected 0 <= lo <= hi, got "
+                          f"{list(band)}")
     return RunConfig(flat)
 
 

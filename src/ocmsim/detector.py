@@ -38,14 +38,14 @@ Determinism contract: every public entry point takes a seed; identical
 split into frame blocks sized by their expected events (``_block_frames``),
 never by the thread count, with child seeds derived by hashing (master seed,
 block index), so the output is independent of any worker parallelism and
-reruns are byte-identical.
+reruns are byte-identical.  Each block numbers its own frames from 0, and
+``run_acquisition`` places it in the run with one add to its frame array.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from collections import namedtuple
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -56,7 +56,7 @@ from .events_io import DetectorConfig, EventStream, stable_hash
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
-from .phasematch import PhaseMatchingParams, deviation_envelope
+from .phasematch import PhaseMatchingParams, deviation_density
 
 #: detection efficiency of the reference sensor by wavelength
 DEFAULT_PDE = {810e-9: 0.008, 405e-9: 0.05}
@@ -174,10 +174,10 @@ class OcmPairSource(_Source):
         # (|kx|, |ky|) of the whole-sample offsets kx, ky in [-n/2, n/2)
         k = np.arange(n // 2 + 1)
         X, Y = np.meshgrid(k * spec.dx, k * spec.dy, indexing="ij")
-        env = deviation_envelope(np.stack([X, Y], axis=-1), self.phase_matching)
+        w = deviation_density(np.stack([X, Y], axis=-1), self.phase_matching)
         gather = np.abs(np.arange(n) - n // 2)
-        return FieldGrid.from_spec(spec, np.abs(env.take(gather, axis=0)
-                                                .take(gather, axis=1)) ** 2)
+        return FieldGrid.from_spec(spec, w.take(gather, axis=0)
+                                   .take(gather, axis=1))
 
     def sampler(self, detector: DetectorConfig):
         centroid = _DensitySampler(self.centroid_density(detector))
@@ -393,20 +393,17 @@ def _crosstalk(rng: np.random.Generator, cfg: DetectorConfig, key, widths):
                                       widths)])
 
 
-_Detected = namedtuple("_Detected", "frame ix iy t_bin")
-
-
 def _detect(positions: np.ndarray, cfg: DetectorConfig,
-            rng: np.random.Generator, frame_ids: np.ndarray,
-            frame_range: tuple[int, int], thinned: bool = False) -> _Detected:
+            rng: np.random.Generator, frame_ids: np.ndarray, n_frames: int,
+            thinned: bool = False) -> list[np.ndarray]:
     """The detector model of one frame block, on inputs that keep
-    ``apply_detector_model``'s contract (uint64 ids in ``frame_range``).  With
-    ``thinned``, every tuple is known to leave at least one detected
-    photon, and its detection mask is drawn conditional on that.  Events
-    are keys (``_pack``) with frames relative to the range's first.
+    ``apply_detector_model``'s contract (uint64 ids in [0, n_frames)): the
+    (frame, ix, iy, t_bin) arrays of its events, frames numbered from the
+    block's first.  With ``thinned``, every tuple is known to leave at least
+    one detected photon, and its detection mask is drawn conditional on
+    that.  Events are keys (``_pack``) until their first hits are read.
     """
     n_tuples, n_ph = positions.shape[0], positions.shape[1]
-    first, n_frames = frame_range[0], frame_range[1] - frame_range[0]
     widths = _key_widths(n_frames, cfg)
 
     # one arrival time bin per tuple (pair photons are simultaneous)
@@ -419,8 +416,8 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     photon = np.flatnonzero(survive)
     ix, iy, inside = cfg.pixel_index(positions.reshape(-1, 2).take(photon, 0))
     tup = photon[inside] // n_ph
-    keys = [_pack((frame_ids[tup] - np.uint64(first), ix[inside], iy[inside],
-                   tuple_tbin[tup]), widths)]
+    keys = [_pack((frame_ids[tup], ix[inside], iy[inside], tuple_tbin[tup]),
+                  widths)]
 
     # dark counts: Poisson per (pixel, frame), sampled sparsely
     total_mean = (cfg.dark_count_rate * cfg.frame_duration
@@ -435,21 +432,19 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
 
     if cfg.crosstalk_prob > 0 and key.size:
         key = _crosstalk(rng, cfg, key, widths)
-    return _first_hit(key, first, widths)
+    return _first_hit(key, widths)
 
 
-def _first_hit(key, first_frame: int, widths) -> _Detected:
+def _first_hit(key, widths) -> list[np.ndarray]:
     """Each (frame, pixel)'s earliest event, in the sensor's readout order
-    (frame, ix, iy): the keys packed from (frame - first frame, ix, iy,
-    t_bin), sorted in place, the first of each pixel kept.  A key holds its
-    whole record, so equal keys are equal events and no stable sort is
-    needed."""
+    (frame, ix, iy): the keys packed from (frame, ix, iy, t_bin), sorted in
+    place, the first of each pixel kept and unpacked to uint64 frames and
+    uint16 pixels and bins.  A key holds its whole record, so equal keys
+    are equal events and no stable sort is needed."""
     key.sort()
     pixel = key >> np.uint64(widths[-1])
     key = key[np.r_[True, pixel[1:] != pixel[:-1]][:key.size]]
-    frame, ix, iy, t_bin = _unpack(key, widths, (np.uint64, *3 * (np.uint16,)))
-    frame += np.uint64(first_frame)
-    return _Detected(frame, ix, iy, t_bin)
+    return _unpack(key, widths, (np.uint64, *3 * (np.uint16,)))
 
 
 def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
@@ -480,7 +475,7 @@ def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,
         raise ValueError(f"frame_ids must hold one integer in [0, "
                          f"{frame_range[1]}) per tuple, {len(positions)} in all")
     return EventStream(*_detect(positions, cfg, np.random.default_rng(rng_seed),
-                                ids.astype(np.uint64), frame_range),
+                                ids.astype(np.uint64), frame_range[1]),
                        n_frames=int(frame_range[1]), detector=cfg)
 
 
@@ -508,16 +503,14 @@ def _block_frames(source, cfg: DetectorConfig) -> int:
     return frames
 
 
-def _tuple_frames(rng: np.random.Generator, mean: float, start: int,
-                  stop: int) -> np.ndarray:
-    """Sorted frame ids of the tuples of frames [start, stop), at Poisson
+def _tuple_frames(rng: np.random.Generator, mean: float,
+                  n_frames: int) -> np.ndarray:
+    """Sorted frame ids in [0, n_frames) of a block's tuples, at Poisson
     counts of ``mean`` per frame: one Poisson total for the block, each
     tuple on a uniform random frame (exact, see the module docstring)."""
-    n_frames = stop - start
     ids = rng.integers(0, n_frames, rng.poisson(mean * n_frames),
                        dtype=np.uint64)
     ids.sort()
-    ids += np.uint64(start)
     return ids
 
 
@@ -551,16 +544,16 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     draw = source.sampler(cfg)
     block_frames = _block_frames(source, cfg)
 
-    def run_block(block: int) -> tuple[_Detected, int]:
+    def run_block(block: int) -> tuple[list[np.ndarray], int]:
         start = block * block_frames
-        stop = min(start + block_frames, n_frames)
+        length = min(block_frames, n_frames - start)
         rng = np.random.default_rng(child_seed(seed, block))
-        frame_ids = _tuple_frames(rng, mean_pairs * seen, start, stop)
+        frame_ids = _tuple_frames(rng, mean_pairs * seen, length)
         total = frame_ids.size
         positions = draw(rng, total) if total else np.empty((0, n_ph, 2))
-        events = _detect(positions, cfg, rng, frame_ids, (start, stop),
-                         thinned=True)
-        unseen = rng.poisson(mean_pairs * (1.0 - seen) * (stop - start))
+        events = _detect(positions, cfg, rng, frame_ids, length, thinned=True)
+        events[0] += np.uint64(start)      # the block's place in the run
+        unseen = rng.poisson(mean_pairs * (1.0 - seen) * length)
         return events, total + int(unseen)
 
     n_blocks = (n_frames + block_frames - 1) // block_frames

@@ -11,6 +11,9 @@ Centroid images come from ``optics.image`` with ``order=N``: it samples the
 closed-form order-N PSF and is the classical image at N = 1.  ``ocm_image``
 remains as the coherent alias of it.
 
+``centroid_psf`` (h, gain N^2) and ``classical_centroid_psf`` (|h|^2, then
+normalized) share one N-fold route, ``_n_fold``.
+
 Numerical note: self-convolutions here use the periodic spectral method
 (no zero padding).  For kernels with slowly decaying tails, the periodization
 error (set by the kernel tail at the full grid period) is far below the
@@ -43,20 +46,24 @@ def _first_zero_spacing_check(h: FieldGrid) -> None:
             "need >= 4")
 
 
-def _periodic_self_convolution(values: np.ndarray, d_area: float,
-                               n_fold: int) -> np.ndarray:
-    """n-fold self-convolution on a periodic domain, continuum-weighted."""
+def _n_fold(values: np.ndarray, h: FieldGrid, n: int,
+            gain: float) -> FieldGrid:
+    """gain * values^{*n}(n X) for ``values`` on the grid of the PSF ``h``:
+    the continuum-weighted n-fold periodic self-convolution, axes relabelled
+    by 1/n.  The one N-fold route of both centroid PSFs, after the checks
+    they share: n >= 1 and a grid that resolves ``h``'s first zero."""
+    if n < 1:
+        raise ValueError("photon number must be >= 1")
+    _first_zero_spacing_check(h)
+    if n == 1:
+        return FieldGrid(values.copy(), h.dx, h.dy, h.origin)
+    d_area = h.dx * h.dy
     spec = np.fft.fft2(np.fft.ifftshift(values)) * d_area
-    conv = np.fft.fftshift(np.fft.ifft2(spec ** n_fold / d_area))
+    conv = np.fft.fftshift(np.fft.ifft2(spec ** n / d_area))
     if not np.iscomplexobj(values):
         conv = conv.real
-    return conv
-
-
-def _rescale_axes(grid: FieldGrid, n: int, gain: float) -> FieldGrid:
-    """Relabel axes by 1/n and scale values: g(X) -> gain * g(n X)."""
-    return FieldGrid(grid.values * gain, grid.dx / n, grid.dy / n,
-                     (grid.origin[0] / n, grid.origin[1] / n))
+    return FieldGrid(conv * gain, h.dx / n, h.dy / n,
+                     (h.origin[0] / n, h.origin[1] / n))
 
 
 def centroid_psf(h: FieldGrid, n: int) -> FieldGrid:
@@ -67,14 +74,7 @@ def centroid_psf(h: FieldGrid, n: int) -> FieldGrid:
     reconstruction of a pair measurement).  The PSF peak should sit near the
     grid center; extent well beyond the PSF core controls the accuracy.
     """
-    if n < 1:
-        raise ValueError("photon number must be >= 1")
-    _first_zero_spacing_check(h)
-    if n == 1:
-        return h.copy()
-    conv = _periodic_self_convolution(h.values, h.dx * h.dy, n)
-    out = FieldGrid(conv, h.dx, h.dy, h.origin)
-    return _rescale_axes(out, n, float(n * n))
+    return _n_fold(h.values, h, n, float(n * n))
 
 
 def analytic_centroid_psf_circular(system: ImagingSystem, n: int,
@@ -101,15 +101,7 @@ def classical_centroid_psf(h: FieldGrid, n: int) -> FieldGrid:
     blurred independently by the PSF, so the centroid spread only shrinks as
     1/sqrt(N): the standard quantum limit.
     """
-    if n < 1:
-        raise ValueError("photon number must be >= 1")
-    _first_zero_spacing_check(h)
-    intensity = np.abs(h.values) ** 2
-    if n == 1:
-        out = FieldGrid(intensity, h.dx, h.dy, h.origin)
-    else:
-        conv = _periodic_self_convolution(intensity, h.dx * h.dy, n)
-        out = _rescale_axes(FieldGrid(conv, h.dx, h.dy, h.origin), n, 1.0)
+    out = _n_fold(np.abs(h.values) ** 2, h, n, 1.0)
     total = out.values.sum() * out.dx * out.dy
     out.values = out.values / total
     return out

@@ -370,28 +370,35 @@ def _fast_len(n: int) -> int:
 
 def _linear_convolution(f: np.ndarray, g: np.ndarray, lengths: tuple,
                         rows: slice = slice(None), g_rows=None) -> np.ndarray:
-    """``rows`` of the convolution sum of two real arrays by a zero-padded
-    spectral product, bit for bit that of ``scipy.fft``'s rfftn/irfftn at
-    the same transform ``lengths``: axis 1, then 0, and back, and the factor
-    1/(n0 n1) last, as pocketfft's n-d c2r.  Only the kept rows are inverted
-    along axis 1.  Lengths that hold the full linear convolution give it;
-    shorter lengths L (at least each input's) give the circular sum, whose
-    index p also holds index p + L of the linear one.  Given ``g_rows``, it
-    convolves ``g[g_rows]``, transforming each row of ``g`` once."""
+    """``rows`` of the convolution sum of a real or complex array ``f`` and a
+    real ``g`` by a zero-padded spectral product, bit for bit that of
+    ``scipy.fft``'s rfftn/irfftn at the same transform ``lengths``: axis 1,
+    then 0, and back, and the factor 1/(n0 n1) last, as pocketfft's n-d c2r.
+    Only the kept rows are inverted along axis 1.  Lengths that hold the
+    full linear convolution give it; shorter lengths L (at least each
+    input's) give the circular sum, whose index p also holds index p + L of
+    the linear one.  Given ``g_rows``, it convolves ``g[g_rows]``,
+    transforming each row of ``g`` once.  A complex ``f``'s real and
+    imaginary planes are convolved one after the other with the one kernel
+    spectrum and returned as re + 1j * im."""
     g_rows = np.arange(len(g)) if g_rows is None else g_rows
     shape = [len(f) + len(g_rows) - 1, f.shape[1] + g.shape[1] - 1]
     n0, n1 = lengths
-    s, t = (np.zeros((n0, n1 // 2 + 1), complex) for _ in range(2))
-    np.fft.rfft(f, n1, axis=1, out=s[:len(f)])
+    t = np.zeros((n0, n1 // 2 + 1), complex)
     # mode "clip" takes straight into t ("raise" buffers); no row is clipped
     np.fft.rfft(g, n1, axis=1).take(g_rows, 0, t[:len(g_rows)], "clip")
-    for spectrum in (s, t):
-        np.fft.fft(spectrum, axis=0, out=spectrum)
-    s *= t
-    s = np.fft.ifft(s, axis=0, norm="forward", out=s)[:shape[0]][rows]
-    out = np.fft.irfft(s, n1, axis=1, norm="forward")
-    out *= 1.0 / (n0 * n1)
-    return out[:, :shape[1]]
+    np.fft.fft(t, axis=0, out=t)
+    planes = []
+    for plane in (f.real, f.imag) if np.iscomplexobj(f) else (f,):
+        s = np.zeros_like(t)
+        np.fft.rfft(plane, n1, axis=1, out=s[:len(f)])
+        np.fft.fft(s, axis=0, out=s)
+        s *= t
+        s = np.fft.ifft(s, axis=0, norm="forward", out=s)[:shape[0]][rows]
+        out = np.fft.irfft(s, n1, axis=1, norm="forward")
+        out *= 1.0 / (n0 * n1)
+        planes.append(out[:, :shape[1]])
+    return planes[0] if len(planes) == 1 else planes[0] + 1j * planes[1]
 
 
 def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
@@ -432,9 +439,7 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     # circular convolution at the kernel's lengths (see above)
     rows = slice(i1 - i0, i1 - i0 + spec.nx)
     lengths = (_fast_len(kx.size), _fast_len(ky.size))
-    conv = _linear_convolution(box.real, h, lengths, rows, kx)
-    if np.iscomplexobj(box):
-        conv = conv + 1j * _linear_convolution(box.imag, h, lengths, rows, kx)
+    conv = _linear_convolution(box, h, lengths, rows, kx)
     conv = conv[:, j1 - j0:j1 - j0 + spec.ny] * spec.dx
     conv *= spec.dy
     conv = np.abs(conv) if np.iscomplexobj(conv) else conv

@@ -5,7 +5,8 @@ conservation fixes omega_p = omega_s + omega_i.  Collinear emission is
 phase-matched by choosing the poling period G so that the longitudinal
 mismatch vanishes at q = 0; off-axis emission is weighted by
 sinc(Delta_k L / 2), which restricts the otherwise unbounded photon
-separation in the source output plane.
+separation in the source output plane.  Its square, ``deviation_density``,
+is the one law pair sources draw from and weighted reconstruction divides by.
 
 Refractive-index dispersion is a data-file input (ppKTP z-axis shipped, see
 ``data/ppktp_z.yaml`` for the functional form and literature sources); the
@@ -204,12 +205,18 @@ def deviation_envelope(xi, params: PhaseMatchingParams):
     return _sinc(dk * params.crystal_length / 2.0)
 
 
+def deviation_density(xi, params: PhaseMatchingParams):
+    """|deviation_envelope|^2: the law a pair source samples its deviations
+    from and the weight that weighted reconstruction divides by."""
+    return np.abs(deviation_envelope(xi, params)) ** 2
+
+
 def deviation_envelope_fwhm(params: PhaseMatchingParams) -> float:
-    """FWHM of |deviation_envelope|^2 along a radial cut, by bisection-free
+    """FWHM of ``deviation_density`` along a radial cut, by bisection-free
     linear interpolation on a dense grid out to ``_FWHM_MAX_RADIUS``."""
     r = np.linspace(0.0, _FWHM_MAX_RADIUS, _FWHM_SAMPLES)
     xi = np.stack([r, np.zeros_like(r)], axis=-1)
-    env = deviation_envelope(xi, params) ** 2
+    env = deviation_density(xi, params)
     below = np.where(env < 0.5)[0]
     if below.size == 0:
         raise ValueError("envelope does not fall below half maximum in range")

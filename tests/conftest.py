@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -14,6 +15,27 @@ from ocmsim import Aperture, GridSpec, ImagingSystem
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("tier1")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(name: str, path: Path):
+    """The module ``name`` run from the file at ``path``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: ``WORKLOADS`` of perfbench/spec.py, a data module that imports no ocmsim
+WORKLOADS = load_module("perfbench_spec",
+                        ROOT / "perfbench" / "spec.py").WORKLOADS
+_LIBRARY = {name: w["overrides"] for name, w in WORKLOADS.items()
+            if w["kind"] == "library"}
+#: one case per library workload of the benchmark: its ``load_config``
+#: overrides as ``overrides``
+BENCHMARK_SETTINGS = pytest.mark.parametrize(
+    "overrides", list(_LIBRARY.values()), ids=list(_LIBRARY))
 
 
 @pytest.fixture

@@ -500,16 +500,15 @@ def unthinned_acquisition(source, cfg, wall_time: float, seed: int):
         stop = min(start + block_frames, n_frames)
         rng = np.random.default_rng(child_seed(seed, block))
         total = rng.poisson(mean_pairs * (stop - start))
-        frame_ids = start + np.sort(rng.integers(0, stop - start, total,
-                                                 dtype=np.uint64))
+        frame_ids = np.sort(rng.integers(0, stop - start, total,
+                                         dtype=np.uint64))
         positions = (draw(rng, total) if total else
                      np.empty((0, source.n_photons, 2)))
-        parts.append(_detect(positions, cfg, rng, frame_ids, (start, stop)))
+        frame, *pixels = _detect(positions, cfg, rng, frame_ids, stop - start)
+        parts.append((frame + np.uint64(start), *pixels))
         generated += int(total)
     return EventStream(
-        *(np.concatenate([getattr(p, k) for p in parts])
-          for k in ("frame", "ix", "iy", "t_bin")),
-        n_frames=n_frames, detector=cfg,
+        *map(np.concatenate, zip(*parts)), n_frames=n_frames, detector=cfg,
         meta={"pairs_generated": generated})
 
 
@@ -605,10 +604,10 @@ def crosstalk_slot_loop(rng, cfg, frame, ix, iy, t_bin):
                  for column, a in zip(out, (frame, ix, iy, t_bin)))
 
 
-def detect_by_fields(positions, cfg, rng, frame_ids, frame_range,
+def detect_by_fields(positions, cfg, rng, frame_ids, n_frames: int,
                      thinned: bool = False):
     """``_detect`` as four field arrays: every photon binned, the detected
-    and on-sensor ones gathered, int64 dark frames shifted to the range,
+    and on-sensor ones gathered, int64 dark frames cast to uint64,
     four-array concatenations, crosstalk on the fields from the slots of
     ``crosstalk_slots``, and the first hit of each (frame, pixel) from a
     ``np.lexsort``.  The draws are the library's, in its order."""
@@ -616,7 +615,6 @@ def detect_by_fields(positions, cfg, rng, frame_ids, frame_range,
 
     positions = np.asarray(positions, dtype=float)
     n_tuples, n_ph = positions.shape[:2]
-    n_frames = frame_range[1] - frame_range[0]
     tuple_tbin = _arrival_bins(rng, n_tuples, cfg)
     u = rng.random((n_tuples, n_ph))
     survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
@@ -630,8 +628,7 @@ def detect_by_fields(positions, cfg, rng, frame_ids, frame_range,
             * cfg.n_pixels_x * cfg.n_pixels_y * n_frames)
     n_dark = rng.poisson(mean) if mean > 0 else 0
     if n_dark > 0:
-        d_frame = (rng.integers(0, n_frames, n_dark).astype(np.uint64)
-                   + np.uint64(frame_range[0]))
+        d_frame = rng.integers(0, n_frames, n_dark).astype(np.uint64)
         cell = rng.integers(0, cfg.n_pixels_x * cfg.n_pixels_y, n_dark)
         frame = np.concatenate([frame, d_frame])
         ix = np.concatenate([ix, cell // cfg.n_pixels_y])

@@ -38,6 +38,13 @@ def test_cross_section_separable():
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
 
+def test_cross_section_names_an_empty_band_as_empty(reference_system,
+                                                   psf_grid):
+    h = single_lens_psf(reference_system, psf_grid)
+    with pytest.raises(EmptyBand, match=r"band \(2, 1\) is empty"):
+        cross_section(h, "x", band=(2, 1))
+
+
 def test_cross_section_band_errors(reference_system, psf_grid):
     h = single_lens_psf(reference_system, psf_grid)
     with pytest.raises(EmptyBand):

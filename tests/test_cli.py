@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import re
@@ -26,6 +25,7 @@ from ocmsim.config import SCHEMA, _check_type, load_config
 from ocmsim.detector import _block_frames
 from ocmsim.errors import ConfigError, CorruptEventFile
 from ocmsim.events_io import canonical_json, stable_hash
+from conftest import WORKLOADS
 from oracles import nested_config_values
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,19 +91,6 @@ def test_set_override():
 def test_bad_override_choice():
     with pytest.raises(ConfigError, match="reconstruction.mode"):
         load_config(CONFIG, overrides=["reconstruction.mode=sideways"])
-
-
-def load_perfbench_workloads() -> dict:
-    """``WORKLOADS`` of perfbench/spec.py, a data module that imports no
-    ``ocmsim``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spec", ROOT / "perfbench" / "spec.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = load_perfbench_workloads()
 
 
 @pytest.fixture
@@ -735,6 +722,28 @@ def test_compare_projects_singles_over_the_pixel_rows_of_the_band(tmp_path):
                            expected / f"{name}_profile.csv")
         assert (out / f"{name}_profile.csv").read_bytes() == \
             (expected / f"{name}_profile.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize("band", ["[3, 3]", "[62, 70]"])
+def test_compare_refuses_a_band_without_a_pixel_row_before_writing(
+        tmp_path, band, capsys):
+    """Centroid row 3 lies between pixel rows 1 and 2, and row 70 is past
+    the 63 centroid rows: exit 2 before the first acquisition, no file."""
+    out = tmp_path / "out"
+    assert run_cli(["--config", CONFIG, *FAST, "--set",
+                    f"analysis.band={band}", "--out", out, "compare"]) == 2
+    assert "analysis.band" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("band", ["[5, 2]", "[-3, 2]"])
+@pytest.mark.parametrize("command", [["compare"], ["analyze", "x.ocmg"]])
+def test_band_below_zero_or_reversed_is_a_configuration_error(
+        tmp_path, band, command, capsys):
+    assert run_cli(["--config", CONFIG, *FAST, "--set",
+                    f"analysis.band={band}", "--out", tmp_path / "out",
+                    *command]) == 2
+    assert "analysis.band: expected 0 <= lo <= hi" in capsys.readouterr().err
 
 
 def test_simulate_determinism(tmp_path):

@@ -1,4 +1,6 @@
-import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,17 +8,9 @@ import numpy as np
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, load_module
+
 CONFIG = ROOT / "configs" / "default.yaml"
-
-
-def load_module(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 fingerprint_tool = load_module("fingerprint", ROOT / "tools" / "fingerprint.py")
 
 #: one small simulate -> reconstruct flow
@@ -84,19 +78,21 @@ def test_library_streams_print_equal_on_rerun():
             prints[0][f"library/{name}/seed_2"]
 
 
-def test_hand_copies_of_the_benchmark_overrides_follow_its_spec():
-    """``tools/fingerprint.py`` and ``tests/test_optics.py`` copy the library
-    workloads' overrides from ``perfbench/spec.py`` (plain data) and the
-    tool runs a fifth of their wall time; a drifted copy would hash or test
-    a workload the benchmark does not run."""
-    from test_optics import BENCHMARK_SETTINGS
-
-    workloads = load_module("perfbench_spec",
-                            ROOT / "perfbench" / "spec.py").WORKLOADS
-    library = {name: w for name, w in workloads.items()
-               if w["kind"] == "library"}
-    assert {name: (w["overrides"], w["wall_time_s"] / 5)
-            for name, w in library.items()} == fingerprint_tool.LIBRARY
-    _, settings = BENCHMARK_SETTINGS.args
-    assert dict(zip(BENCHMARK_SETTINGS.kwargs["ids"], settings)) == \
-        {name: w["overrides"] for name, w in library.items()}
+def test_diff_counts_equal_entries_and_names_the_rest(tmp_path):
+    """A changed hash and a key on either side only each get a line; an
+    equal entry counts and is not named."""
+    base = {"a": "1", "b": "2", "gone": "3"}
+    change = {"a": "1", "b": "9", "new": "4"}
+    assert fingerprint_tool.diff_report(base, change) == (
+        "Fingerprint against the base commit: 1 of 4 entries equal\n\n"
+        "- differs: `b`\n- differs: `gone`\n- differs: `new`\n")
+    assert fingerprint_tool.diff_report(base, dict(base)) == (
+        "Fingerprint against the base commit: 3 of 3 entries equal\n\n")
+    paths = []
+    for name, prints in (("base", base), ("change", change)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(prints))
+    run = subprocess.run([sys.executable, ROOT / "tools" / "fingerprint.py",
+                          "--diff", *paths], capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout == fingerprint_tool.diff_report(base, change)

@@ -15,7 +15,7 @@ from ocmsim.config import load_config
 from ocmsim.errors import GridTooCoarse
 from ocmsim.optics import J1_FIRST_ZERO, _fast_len, _linear_convolution
 
-from conftest import first_zero_of
+from conftest import BENCHMARK_SETTINGS, first_zero_of
 from oracles import (SpacingMismatch, coherent_image_quadrature, convolve2d,
                      direct_convolution, image_doubled_kernel,
                      j1_first_root_bisect, linear_convolution_scipy,
@@ -174,13 +174,6 @@ def test_psf_on_axes_equals_hypot_evaluation(axes, order, gaussian):
     assert np.array_equal(sys_.psf_amplitude(x, y, order), want)
 
 
-#: the benchmark's two library workloads, as ``load_config`` overrides
-BENCHMARK_SETTINGS = pytest.mark.parametrize("overrides", [
-    ["detector.pde=auto", "detector.dark_count_rate_hz=1000.0"],
-    ["detector.pde=1.0", "detector.dark_count_rate_hz=0.0",
-     "detector.crosstalk_prob=0.0",
-     "acquisition.pair_rate_hz=22222222.222222224"],
-], ids=["real_sensor", "ideal_triple_slit"])
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
 
@@ -214,6 +207,16 @@ def test_deviation_density_equals_direct_evaluation(overrides):
     env = deviation_envelope(np.stack([X, Y], axis=-1), source.phase_matching)
     assert got.values.shape == (256, 256)
     assert np.array_equal(got.values, np.abs(env) ** 2)
+
+
+@BENCHMARK_SETTINGS
+def test_weighted_reconstruction_divides_by_the_sampled_law(overrides):
+    # the weight of ``weighted`` mode, at the sample points of the pair
+    # source's deviation grid, is that grid to the last bit: one law
+    cfg = load_config(CONFIG, overrides)
+    grid = cfg.source().deviation_density(cfg.detector())
+    X, Y = np.meshgrid(grid.x_axis(), grid.y_axis(), indexing="ij")
+    assert np.array_equal(cfg.deviation_weight()(X, Y), grid.values)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +421,30 @@ def test_coherent_image_nonnegative_and_phase_invariant(reference_system):
         reference_system, spec)
     assert img1.values.min() >= 0
     np.testing.assert_allclose(img1.values, img2.values, rtol=1e-10)
+
+
+def test_complex_aperture_transforms_its_kernel_once(monkeypatch,
+                                                    reference_system):
+    # a complex mask's real and imaginary planes share one kernel spectrum:
+    # one forward rfft more than a real mask's two (box and kernel), not two
+    spec = GridSpec.centered(64, 10e-6)
+    vals = np.zeros((64, 64), complex)
+    vals[28:36, 30:34] = 0.5 * np.exp(0.4j * np.arange(4))
+    rfft, shapes = np.fft.rfft, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    counts = []
+    for values in (vals.real, vals):
+        shapes.clear()
+        image(Aperture.from_mask(FieldGrid.from_spec(spec, values)),
+              reference_system, spec)
+        counts.append(len(shapes))
+    assert counts == [2, 3]
+    assert shapes.count((8, 4)) == 2     # the box's two planes
 
 
 def test_incoherent_point_and_uniform(reference_system, psf_grid):

@@ -14,8 +14,14 @@ of their wall time, get the entries ``library/<workload>/seed_<n>`` (the
 stream's arrays, frame count and ``pairs_generated``) and ``... records``,
 and the sampler's two densities get ``library/<workload>/centroid_density``
 and ``.../deviation_density`` (samples and geometry).  Two checkouts write
-bit-identical outputs exactly when their JSON is equal, so ``diff`` names
-the outputs that differ.
+bit-identical outputs exactly when their JSON is equal, and
+
+    python tools/fingerprint.py --diff BASE.json CHANGE.json
+
+prints how many entries of two such files are equal and names each entry
+that differs or is in one file only.  The workloads' settings are read from
+``perfbench/spec.py`` next to this tool, so both sides of a comparison run
+the same workloads whatever checkout they import.
 
 The hashes hold for one host: NumPy may pick other SIMD kernels on another
 CPU, so they are compared between checkouts, never stored as golden values.
@@ -24,6 +30,7 @@ CPU, so they are compared between checkouts, never stored as golden values.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 import tempfile
@@ -31,25 +38,31 @@ from pathlib import Path
 
 import numpy as np
 
+
+def load_workloads() -> dict:
+    """``WORKLOADS`` of the benchmark's ``perfbench/spec.py``: plain data
+    that imports nothing from ``ocmsim``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = load_workloads()
 #: the acceptance suite's fast overrides (criterion 9)
 FAST = ["--set", "acquisition.wall_time_s=0.02",
         "--set", "acquisition.pair_rate_hz=4.0e+6", "--set", "grid.nx=256"]
 #: the benchmark's cli_pipeline workload at one seed
-CLI_PIPELINE = ["--set", "acquisition.wall_time_s=0.05", "--seed", "41"]
+CLI_PIPELINE = ["--set", "acquisition.wall_time_s="
+                f"{WORKLOADS['cli_pipeline']['wall_time_s']}", "--seed", "41"]
 #: the real sensor (pde 0.008, 1 kHz darks) for 2 s on two threads
 REAL_SENSOR = ["--set", "detector={pde: auto, dark_count_rate_hz: 1e3}",
                "--set", "acquisition.wall_time_s=2.0", "--threads", "2"]
 #: the benchmark's library workloads: overrides, then a fifth of their
-#: wall time (copied, so that the tool runs any checkout's package)
-LIBRARY = {
-    "ideal_triple_slit": (["detector.pde=1.0",
-                           "detector.dark_count_rate_hz=0.0",
-                           "detector.crosstalk_prob=0.0",
-                           "acquisition.pair_rate_hz=22222222.222222224"],
-                          0.05),
-    "real_sensor": (["detector.pde=auto",
-                     "detector.dark_count_rate_hz=1000.0"], 2.0),
-}
+#: wall time
+LIBRARY = {name: (w["overrides"], w["wall_time_s"] / 5)
+           for name, w in WORKLOADS.items() if w["kind"] == "library"}
 LIBRARY_SEEDS = (1, 2, 3)
 SIMULATE = ("simulate", ["simulate"])
 RECONSTRUCT = ("reconstruct", ["reconstruct", "@simulate/events.ocme"])
@@ -145,8 +158,24 @@ def library_prints(library: dict, seeds, config: Path, load_config,
     return out
 
 
+def diff_report(base: dict, change: dict) -> str:
+    """How many entries of two fingerprints are equal, then one ``- differs:``
+    line per key whose hashes differ or that only one of them holds."""
+    keys = sorted(base.keys() | change.keys())
+    differ = [k for k in keys if base.get(k) != change.get(k)]
+    return (f"Fingerprint against the base commit: {len(keys) - len(differ)} "
+            f"of {len(keys)} entries equal\n\n"
+            + "".join(f"- differs: `{k}`\n" for k in differ))
+
+
 def main() -> int:
     args = sys.argv[1:]
+    if args[:1] == ["--diff"]:
+        if len(args) != 3:
+            sys.exit("usage: fingerprint.py --diff BASE.json CHANGE.json")
+        base, change = (json.loads(Path(a).read_text()) for a in args[1:])
+        print(diff_report(base, change), end="")
+        return 0
     checkout = Path(args[0] if args else Path(__file__).parents[1]).resolve()
     sys.path.insert(0, str(checkout / "src"))
     from ocmsim.cli import main as cli_main

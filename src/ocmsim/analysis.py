@@ -86,10 +86,7 @@ def _interp_crossing(x0, y0, x1, y1, level) -> float:
 
 def _fwhm_by_crossings(x: np.ndarray, y: np.ndarray) -> float:
     peak_idx = int(np.argmax(y))
-    peak = y[peak_idx]
-    if peak <= 0:
-        raise NoPeak("profile peak is not positive")
-    half = peak / 2.0
+    half = y[peak_idx] / 2.0
     left = np.flatnonzero(y[:peak_idx] < half)
     right = np.flatnonzero(y[peak_idx:] < half)
     if left.size == 0 or right.size == 0:
@@ -111,22 +108,20 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
     """
     x = profile.positions
     y = profile.values.astype(float)
+    peak_idx = int(np.argmax(y))
+    peak = y[peak_idx]
+    if peak <= 0:
+        raise NoPeak("profile peak is not positive")
 
     if model is FitModel.NONE:
         # ambiguity check: several well-separated peaks near the maximum
-        peak = y.max()
-        if peak <= 0:
-            raise NoPeak("profile peak is not positive")
         high = y > 0.8 * peak
         runs = np.flatnonzero(np.diff(high.astype(int)) == 1).size + int(high[0])
         if runs > 1:
             raise AmbiguousPeak("multi-modal profile needs a fit model")
         return WidthReport(_fwhm_by_crossings(x, y), None, 0.0)
 
-    peak_idx = int(np.argmax(y))
-    if y[peak_idx] <= 0:
-        raise NoPeak("profile peak is not positive")
-    amp0 = float(y[peak_idx])
+    amp0 = float(peak)
     x0_0 = float(x[peak_idx])
     width0 = max(_safe_initial_width(x, y), profile.step)
 

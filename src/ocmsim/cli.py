@@ -45,7 +45,7 @@ def cmd_psf(cfg: RunConfig, out_dir: Path) -> dict:
     """PSF grids, profiles and width reports for the four imaging modes."""
     system = cfg.system()
     n = cfg["ocm.n_photons"]
-    spec = cfg.object_grid(system)
+    spec = cfg.object_grid()
     half_system = system.with_wavelength(system.wavelength / n)
 
     h = single_lens_psf(system, spec)
@@ -176,10 +176,13 @@ def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str,
 
 def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
     """Profiles, widths and slit contrast for stored images."""
+    stems = [Path(path).stem for path in image_paths]
+    for stem in stems:      # a stem names an image's outputs
+        if stems.count(stem) > 1:
+            raise ConfigError(f"analyze: two images share the stem {stem!r}")
     report: dict = {"command": "analyze"}
     model = FitModel(cfg["analysis.model"])
-    for path in map(Path, image_paths):
-        stem = path.stem
+    for path, stem in zip(image_paths, stems):
         prof, slits = _profile(cfg, FieldGrid.load(path), out_dir, stem,
                                cfg["analysis.band"])
         try:
@@ -211,16 +214,17 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
     report: dict = {"command": "compare", "wall_time_s": wall_time}
     resolved_modes = []
 
-    # quantum pairs at the base wavelength; classical singles: coherent at
-    # lambda, coherent at lambda/N, incoherent
+    # each run is the config with its source and wavelength: quantum pairs at
+    # lambda; classical singles coherent at lambda and lambda/N, incoherent
     half = wavelength / cfg["ocm.n_photons"]
     runs = [("ocm", "ocm", wavelength), ("coherent", "coherent", wavelength),
             ("coherent_half", "coherent", half),
             ("incoherent", "incoherent", wavelength)]
     for name, kind, lam in runs:
-        stream = run_acquisition(cfg.source(kind, lam), cfg.detector(lam),
-                                 wall_time, child_seed(seed, name),
-                                 n_threads=n_threads)
+        run = RunConfig({**cfg.values, "acquisition.source": kind,
+                         "system.wavelength_m": lam})
+        stream = run_acquisition(run.source(), run.detector(), wall_time,
+                                 child_seed(seed, name), n_threads=n_threads)
         if kind == "ocm":
             pairs, _, image = _reconstruct(cfg, stream)
             grid, rows = image.to_field_grid(), band

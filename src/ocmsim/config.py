@@ -4,11 +4,12 @@ One structured file drives every pipeline stage.  All dimensional keys carry
 SI units in their names (``_m``, ``_s``, ``_hz``).  Parsing is total: unknown
 keys, wrong types and inconsistent values are reported with a dotted path
 (and file/line for YAML syntax errors); nothing is silently defaulted away.
+A ``RunConfig`` is one run: its builders take no arguments, so each of
+``compare``'s four illuminations is a config of its own.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ import yaml
 
 from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
                        OcmPairSource, PointSource)
-from .errors import ConfigError
+from .errors import ConfigError, finite_real
 from .events_io import DetectorConfig
 from .grid import GridSpec
 from .optics import Aperture, ImagingSystem, PupilProfile
@@ -45,7 +46,9 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "slit length along y [m]; null = unbounded"),
     ("aperture.width_m", "float", 200e-6, "rectangle width [m]"),
     ("aperture.height_m", "float", 300e-6, "rectangle height [m]"),
-    ("aperture.waist_m", "float", 25e-6, "Gaussian spot waist radius [m]"),
+    ("aperture.waist_m", "float", 25e-6,
+     "1/e amplitude radius [m]: gaussian_spot in the object plane; source "
+     "point on the sensor, centred, no optics"),
     ("aperture.center_m", "pair<float>", (0.0, 0.0), "aperture center (x, y) [m]"),
     ("ocm.n_photons", "int>=1", 2, "photon number N of the centroid state [-]"),
     ("phase_matching.crystal_length_m", "float", 5e-3, "crystal length L [m]"),
@@ -140,11 +143,7 @@ def _check_type(path: str, kind: str, value):
     if not isinstance(value, accepted) or (isinstance(value, bool)
                                            and cast is not bool):
         fail(expected)
-    try:
-        finite = cast not in (int, float) or math.isfinite(value)
-    except OverflowError:                   # an int beyond float range
-        finite = False
-    if not finite:
+    if cast in (int, float) and not finite_real(value):
         fail("a finite number" if cast is float
              else f"{expected} within float range")
     if op and not (value >= int(low) if op == ">=" else value > int(low)):
@@ -171,12 +170,12 @@ class RunConfig:
         return self.values[path]
 
     # -- object builders ------------------------------------------------------
-    def system(self, wavelength: float | None = None) -> ImagingSystem:
+    def system(self) -> ImagingSystem:
         with _config_errors("system"):
             return ImagingSystem(
                 pupil_radius=self["system.pupil_radius_m"],
                 object_distance=self["system.object_distance_m"],
-                wavelength=wavelength or self["system.wavelength_m"],
+                wavelength=self["system.wavelength_m"],
                 magnification=self["system.magnification"],
                 pupil_profile=PupilProfile(self["system.pupil_profile"]),
                 pupil_sigma=self["system.pupil_sigma_m"])
@@ -213,19 +212,17 @@ class RunConfig:
                     self["phase_matching.sellmeier.data_file"],
                     temperature_c=temperature))
 
-    def pde_for(self, wavelength: float) -> float:
+    def detector(self) -> DetectorConfig:
         pde = self["detector.pde"]
-        if pde != "auto":
-            return float(pde)
-        for lam, value in DEFAULT_PDE.items():
-            if abs(wavelength - lam) < 0.05 * lam:
-                return value
-        raise ConfigError(
-            f"detector.pde: no default efficiency for wavelength "
-            f"{wavelength:.3e} m; set a number")
-
-    def detector(self, wavelength: float | None = None) -> DetectorConfig:
-        wavelength = wavelength or self["system.wavelength_m"]
+        if pde == "auto":
+            wavelength = self["system.wavelength_m"]
+            for lam, pde in DEFAULT_PDE.items():
+                if abs(wavelength - lam) < 0.05 * lam:
+                    break
+            else:
+                raise ConfigError(
+                    f"detector.pde: no default efficiency for wavelength "
+                    f"{wavelength:.3e} m; set a number")
         with _config_errors("detector"):
             return DetectorConfig(
                 n_pixels_x=self["detector.n_pixels_x"],
@@ -234,25 +231,24 @@ class RunConfig:
                 time_bin=self["detector.time_bin_s"],
                 frame_duration=self["detector.frame_duration_s"],
                 frame_rate=self["detector.frame_rate_hz"],
-                pde=self.pde_for(wavelength),
+                pde=pde,
                 dark_count_rate=self["detector.dark_count_rate_hz"],
                 crosstalk_prob=self["detector.crosstalk_prob"])
 
-    def source(self, kind: str | None = None,
-               wavelength: float | None = None):
-        kind = kind or self["acquisition.source"]
+    def source(self):
+        kind = self["acquisition.source"]
         rate = self["acquisition.pair_rate_hz"]
         with _config_errors("acquisition.source"):
             if kind == "ocm":
-                return OcmPairSource(self.aperture(), self.system(wavelength),
+                return OcmPairSource(self.aperture(), self.system(),
                                      self.phase_matching(), rate,
                                      n_photons=self["ocm.n_photons"])
             if kind in ("coherent", "incoherent"):
-                return ClassicalSource(self.aperture(), self.system(wavelength),
+                return ClassicalSource(self.aperture(), self.system(),
                                        rate, coherent=(kind == "coherent"))
             if kind == "point":
                 return PointSource(self["aperture.waist_m"], rate)
-            sys_ = self.system(wavelength)                      # far_field
+            sys_ = self.system()                      # far_field
             scale = sys_.object_distance * sys_.wavelength / (2.0 * np.pi)
             sigma = (self["acquisition.far_field_correlation_px"]
                      * self["detector.pixel_pitch_m"])
@@ -260,10 +256,10 @@ class RunConfig:
                                       n_photons=self["ocm.n_photons"],
                                       correlation_sigma=sigma)
 
-    def object_grid(self, system: ImagingSystem | None = None) -> GridSpec:
+    def object_grid(self) -> GridSpec:
         """Object-plane grid: covers the object and >= 8 PSF zeros, refined
         to sample the order-N PSF and the PSF at the wavelength / N."""
-        system = system or self.system()
+        system = self.system()
         r0 = system.first_zero_radius
         half = max(3.0 * self.aperture().typical_extent(), 8.0 * r0)
         n = self["ocm.n_photons"]

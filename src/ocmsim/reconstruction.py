@@ -203,7 +203,7 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
     """
     if offset < 1:
         raise ValueError(f"accidental offset must be >= 1, got {offset}")
-    if events.n_frames < 2 or events.n_frames <= offset:
+    if events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
     i, j, _ = _pairs(events, window, min_xi, offset)
     image = _histogram(events.ix[i].astype(np.int64) + events.ix[j],

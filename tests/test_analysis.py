@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from ocmsim import (Aperture, DetectorConfig, EventStream, FieldGrid, FitModel,
-                    GridSpec, ImagingSystem, Profile1D, PupilProfile,
+from ocmsim import (DetectorConfig, EventStream, FieldGrid, FitModel, GridSpec,
+                    ImagingSystem, Profile1D, PupilProfile,
                     analytic_centroid_psf_circular, classical_centroid_psf,
                     coherent_image, cross_section, incoherent_image,
                     ocm_image, scaling_fit, single_lens_psf, slit_contrast,

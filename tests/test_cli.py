@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import ocmsim
 from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
                     estimate_accidentals, extract_coincidences, read_events,
-                    read_manifest, write_events)
+                    read_manifest, singles_image, write_events)
 from ocmsim.analysis import cross_section, export_profile_csv
 from ocmsim.cli import (cmd_analyze, cmd_compare, cmd_psf, cmd_reconstruct,
                         cmd_simulate, main)
 from ocmsim.config import SCHEMA, _check_type, load_config
-from ocmsim.detector import _block_frames
+from ocmsim.detector import _block_frames, child_seed
 from ocmsim.errors import ConfigError, CorruptEventFile
 from ocmsim.events_io import canonical_json, stable_hash
 from conftest import WORKLOADS
@@ -414,12 +414,16 @@ def test_threads_below_one_is_rejected_by_the_parser(tmp_path, threads):
     assert not any(tmp_path.iterdir())
 
 
+def detector_at(lam):
+    return load_config(CONFIG, ["detector.pde=auto",
+                                f"system.wavelength_m={lam!r}"]).detector()
+
+
 def test_pde_auto_looks_up_the_wavelength():
-    cfg = load_config(CONFIG, ["detector.pde=auto"])
-    assert cfg.detector(810e-9).pde == 0.008
-    assert cfg.detector(405e-9).pde == 0.05
+    assert detector_at(810e-9).pde == 0.008
+    assert detector_at(405e-9).pde == 0.05
     with pytest.raises(ConfigError, match="detector.pde"):
-        cfg.detector(532e-9)
+        detector_at(532e-9)
 
 
 def test_custom_sellmeier_file_gives_the_shipped_poling_period(tmp_path):
@@ -724,6 +728,34 @@ def test_compare_projects_singles_over_the_pixel_rows_of_the_band(tmp_path):
             (expected / f"{name}_profile.csv").read_bytes(), name
 
 
+def test_each_compare_run_is_a_simulate_run_of_its_own_config(tmp_path):
+    """The OCM image is ``reconstruct`` of ``simulate`` at the run's seed,
+    and the lambda/N image is the singles of a coherent ``simulate`` at
+    405 nm, whose ``pde: auto`` is 0.05, not the 0.008 of 810 nm."""
+    base = [*FAST, "--set", "detector.pde=auto"]
+    seed = load_config(CONFIG)["acquisition.seed"]
+    out = {name: tmp_path / name for name in ("compare", "ocm", "rec", "half")}
+    assert run_cli(["--config", CONFIG, *base, "--out", out["compare"],
+                    "compare"]) == 0
+    assert run_cli(["--config", CONFIG, *base, "--seed",
+                    child_seed(seed, "ocm"), "--out", out["ocm"],
+                    "simulate"]) == 0
+    assert run_cli(["--config", CONFIG, *base, "--out", out["rec"],
+                    "reconstruct", out["ocm"] / "events.ocme"]) == 0
+    assert (out["compare"] / "ocm_image.ocmg").read_bytes() == \
+        (out["rec"] / "centroid_image.ocmg").read_bytes()
+    assert run_cli(["--config", CONFIG, *base,
+                    "--set", "acquisition.source=coherent",
+                    "--set", "system.wavelength_m=4.05e-07", "--seed",
+                    child_seed(seed, "coherent_half"), "--out", out["half"],
+                    "simulate"]) == 0
+    events = read_events(out["half"] / "events.ocme")
+    assert events.detector.pde == 0.05
+    singles_image(events).save(out["half"] / "singles.ocmg")
+    assert (out["compare"] / "coherent_half_image.ocmg").read_bytes() == \
+        (out["half"] / "singles.ocmg").read_bytes()
+
+
 @pytest.mark.parametrize("band", ["[3, 3]", "[62, 70]"])
 def test_compare_refuses_a_band_without_a_pixel_row_before_writing(
         tmp_path, band, capsys):
@@ -891,6 +923,21 @@ def test_analyze_records_an_unscorable_image_and_goes_on(tmp_path):
     assert report["empty_width_error"] == "NoPeak"
     assert report["good_resolved"] is True
     assert report["good_slit_contrast"] > 0.5
+
+
+def test_analyze_refuses_two_images_with_one_file_stem(tmp_path, capsys):
+    """Each image's outputs are named by its file stem, so two images with
+    one stem are refused before anything is read or written."""
+    for folder in ("sum", "weighted"):
+        (tmp_path / folder).mkdir()
+        FieldGrid(np.ones((4, 3)), 1e-6, 1e-6, (0.0, 0.0)).save(
+            tmp_path / folder / "centroid_image.ocmg")
+    an = tmp_path / "an"
+    assert run_cli(["--config", CONFIG, "--out", an, "analyze",
+                    tmp_path / "sum" / "centroid_image.ocmg",
+                    tmp_path / "weighted" / "centroid_image.ocmg"]) == 2
+    assert "'centroid_image'" in capsys.readouterr().err
+    assert list(an.iterdir()) == []
 
 
 def test_analyze_projects_the_configured_band(tmp_path):

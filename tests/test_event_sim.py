@@ -14,9 +14,9 @@ from scipy import stats
 from ocmsim import (Aperture, ClassicalSource, DetectorConfig,
                     FarFieldPairSource, FieldGrid, GridSpec, ImagingSystem,
                     OcmPairSource, PhaseMatchingParams, PointSource,
-                    apply_detector_model, extract_coincidences, ocm_image,
-                    read_events, read_manifest, run_acquisition,
-                    sample_event_positions, write_events)
+                    apply_detector_model, extract_coincidences, read_events,
+                    read_manifest, run_acquisition, sample_event_positions,
+                    write_events)
 from ocmsim.cli import cmd_simulate
 from ocmsim.config import load_config
 from ocmsim.detector import (_MAX_BLOCK_FRAMES, _MIN_BLOCK_FRAMES,

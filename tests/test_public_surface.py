@@ -1,5 +1,6 @@
-"""The public surface: what the acceptance suite and the benchmark import
-keeps resolving, and ``ocmsim.__all__`` lists exactly the public names."""
+"""The public surface: what the acceptance suite, the benchmark and the
+fingerprint tool import keeps resolving, and ``ocmsim.__all__`` lists
+exactly the public names."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ import ocmsim
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ocmsim"
 CONSUMERS = [ROOT / "tests" / "test_acceptance.py",
-             ROOT / "perfbench" / "worker.py"]
+             ROOT / "perfbench" / "worker.py",
+             ROOT / "tools" / "fingerprint.py"]
 
 
 def ocmsim_imports(path: Path) -> list[tuple[str, str]]:
@@ -47,6 +49,41 @@ def test_all_lists_exactly_the_public_names():
     assert len(ocmsim.__all__) == len(set(ocmsim.__all__))
     assert set(ocmsim.__all__) == public
 
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_module_reads_every_name_it_imports():
+    """``__init__.py`` re-exports (the ``__all__`` test covers them) and
+    the acceptance suite's imports are the public surface it checks."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "tools").glob("*.py")]
+    unused = {path.name: names for path in sorted(paths)
+              if path.name not in ("__init__.py", "test_acceptance.py")
+              and (names := unused_imports(path))}
+    assert unused == {}
+
+
+def test_run_config_builders_take_no_arguments():
+    """A run is described by its configuration alone: no public
+    ``RunConfig`` method but ``__getitem__`` takes a parameter."""
+    tree = ast.parse((SRC / "config.py").read_text())
+    cls, = [node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig"]
+    taking = [node.name for node in cls.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")
+              and ast.unparse(node.args) != "self"]
+    assert taking == []
 
 
 def from_dict_calls(tree: ast.AST) -> int:

@@ -8,7 +8,7 @@ from oracles import (accidental_histogram_loop, coincidence_pairs_loop,
                      coverage_table_per_pair, pair_indices_loop)
 from scipy import stats
 
-from ocmsim import (Aperture, DetectorConfig, EventStream, OcmPairSource,
+from ocmsim import (DetectorConfig, EventStream, OcmPairSource,
                     PhaseMatchingParams, XiMode, apply_detector_model,
                     centroid_image, coverage_table, estimate_accidentals,
                     extract_coincidences, sample_event_positions,

@@ -13,8 +13,8 @@ analysis.
 from .analysis import (FitModel, Profile1D, ScalingFit, WidthReport,
                        cross_section, scaling_fit, slit_contrast, width_metrics)
 from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
-                       OcmPairSource, PointSource, apply_detector_model,
-                       run_acquisition, sample_event_positions)
+                       OcmPairSource, apply_detector_model, run_acquisition,
+                       sample_event_positions)
 from .events_io import (DetectorConfig, EventStream, read_events,
                         read_manifest, write_events)
 from .grid import FieldGrid, GridSpec
@@ -37,8 +37,8 @@ __all__ = [
     "Aperture", "CentroidImage", "ClassicalSource", "CoincidenceSet",
     "DEFAULT_PDE", "DetectorConfig", "EventStream", "FarFieldPairSource",
     "FieldGrid", "FitModel", "GridSpec", "ImagingSystem", "J1_FIRST_ZERO",
-    "OcmPairSource", "PhaseMatchingParams", "PointSource", "Profile1D",
-    "PupilProfile", "ScalingFit", "SellmeierModel", "WidthReport", "XiMode",
+    "OcmPairSource", "PhaseMatchingParams", "Profile1D", "PupilProfile",
+    "ScalingFit", "SellmeierModel", "WidthReport", "XiMode",
     "analytic_centroid_psf_circular", "apply_detector_model",
     "centroid_image", "centroid_psf", "classical_centroid_psf",
     "coherent_image", "coverage_table", "cross_section", "deviation_envelope",

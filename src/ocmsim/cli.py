@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a configuration key (repeatable); "
                         "KEY may name a section, whose mapping merges key by "
                         "key, and VALUE is YAML, where 1e-3 is a number")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="out",
+                        help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed (as --set "
                         "acquisition.seed=N)")
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
     try:
         seed = [] if args.seed is None else [f"acquisition.seed={args.seed}"]
         cfg = load_config(args.config, args.set + seed)
-        out_dir = Path(args.out or cfg["io.output_dir"])
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "psf":
             cmd_psf(cfg, out_dir)

@@ -19,14 +19,14 @@ import numpy as np
 import yaml
 
 from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
-                       OcmPairSource, PointSource)
+                       OcmPairSource)
 from .errors import ConfigError, finite_real
 from .events_io import DetectorConfig
 from .grid import GridSpec
 from .optics import Aperture, ImagingSystem, PupilProfile
 from .phasematch import PhaseMatchingParams, SellmeierModel, deviation_density
 
-# (path, type, default, help) — the single source of truth for keys and units.
+# (path, type, default, help) — the one table of keys, units and defaults.
 # type tags: see _check_type
 SCHEMA: list[tuple[str, str, Any, str]] = [
     ("system.pupil_radius_m", "float", 1.38e-3, "pupil radius R [m]"),
@@ -47,8 +47,7 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
     ("aperture.width_m", "float", 200e-6, "rectangle width [m]"),
     ("aperture.height_m", "float", 300e-6, "rectangle height [m]"),
     ("aperture.waist_m", "float", 25e-6,
-     "1/e amplitude radius [m]: gaussian_spot in the object plane; source "
-     "point on the sensor, centred, no optics"),
+     "gaussian_spot 1/e amplitude radius in the object plane [m]"),
     ("aperture.center_m", "pair<float>", (0.0, 0.0), "aperture center (x, y) [m]"),
     ("ocm.n_photons", "int>=1", 2, "photon number N of the centroid state [-]"),
     ("phase_matching.crystal_length_m", "float", 5e-3, "crystal length L [m]"),
@@ -70,17 +69,18 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
     ("detector.time_bin_s", "float", 205e-12, "TDC time-bin width [s]"),
     ("detector.frame_duration_s", "float", 45e-9, "frame duration [s]"),
     ("detector.frame_rate_hz", "float", 800e3, "frame (observation) rate [Hz]"),
-    ("detector.pde", "float|auto", "auto",
-     "photon detection efficiency [-]; auto looks up the wavelength"),
-    ("detector.dark_count_rate_hz", "float", 1000.0,
-     "dark count rate per pixel [Hz]"),
+    ("detector.pde", "float|auto", 1.0,
+     "photon detection efficiency [-]; the real sensor's is auto, a lookup "
+     "by wavelength (0.008 at 810 nm)"),
+    ("detector.dark_count_rate_hz", "float", 0.0,
+     "dark count rate per pixel [Hz]; the real sensor's is 1e3"),
     ("detector.crosstalk_prob", "float", 0.01,
      "nearest-neighbor crosstalk probability per detection [-]"),
-    ("acquisition.source", "choice:ocm,coherent,incoherent,point,far_field",
+    ("acquisition.source", "choice:ocm,coherent,incoherent,far_field",
      "ocm", "light source for simulate/compare"),
     ("acquisition.wall_time_s", "float>0", 1.0, "acquisition wall time [s]"),
     ("acquisition.seed", "int", 12345, "master random seed [-]"),
-    ("acquisition.pair_rate_hz", "float", 2e6,
+    ("acquisition.pair_rate_hz", "float", 1e7,
      "mean photon tuples per second reaching the detector [Hz]"),
     ("acquisition.far_field_correlation_px", "float>=0", 0.5,
      "far-field per-photon correlation jitter [pixels]"),
@@ -102,7 +102,6 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
     ("analysis.n_slits", "int>=0", 3,
      "slit count for contrast scoring; 0 disables [-]"),
     ("grid.nx", "int>=2", 512, "object-plane grid samples per axis [-]"),
-    ("io.output_dir", "str", "out", "output directory"),
 ]
 
 
@@ -246,8 +245,6 @@ class RunConfig:
             if kind in ("coherent", "incoherent"):
                 return ClassicalSource(self.aperture(), self.system(),
                                        rate, coherent=(kind == "coherent"))
-            if kind == "point":
-                return PointSource(self["aperture.waist_m"], rate)
             sys_ = self.system()                      # far_field
             scale = sys_.object_distance * sys_.wavelength / (2.0 * np.pi)
             sigma = (self["acquisition.far_field_correlation_px"]

@@ -127,13 +127,12 @@ def _sampling_spec(detector: DetectorConfig, system: ImagingSystem,
 
 class _Source:
     """Shared by the sources: ``kind``, ``n_photons`` per tuple, ``describe``
-    (what ``source_hash`` hashes) and ``_positive`` values: finite, > 0."""
+    (what ``source_hash`` hashes) and a ``pair_rate`` finite and > 0."""
 
     n_photons = 1
-    _positive = ("pair_rate",)
 
     def __post_init__(self) -> None:
-        require_finite_positive(self, *self._positive)
+        require_finite_positive(self, "pair_rate")
 
     def describe(self) -> dict:
         return {"kind": self.kind, **_record(self)}
@@ -212,28 +211,6 @@ class ClassicalSource(_Source):
 
         def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             return sampler.sample(rng, count)[:, None, :]
-
-        return draw
-
-
-@dataclass(frozen=True)
-class PointSource(_Source):
-    """Gaussian calibration spot of given waist radius (single photons)."""
-
-    kind = "point"
-    _positive = ("pair_rate", "waist")
-    waist: float                           # 1/e amplitude radius, meters
-    rate: float
-
-    @property
-    def pair_rate(self) -> float:
-        return self.rate
-
-    def sampler(self, detector: DetectorConfig):
-        sigma = self.waist / 2.0           # intensity std of exp(-2 r^2 / w^2)
-
-        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-            return rng.normal(0.0, sigma, size=(count, 1, 2))
 
         return draw
 

@@ -97,8 +97,9 @@ def _geometry(detector: DetectorConfig, *claimed) -> DetectorConfig:
 
 
 def _window_bins(window: float, cfg: DetectorConfig) -> int:
-    """Whole time bins inside the window; k * time_bin keeps k bins."""
-    return int(np.floor(window / cfg.time_bin + 1e-9))
+    """Whole time bins inside the window, k * time_bin keeping k bins, at
+    most a frame's: that admits every same-frame pair, however long."""
+    return int(np.floor(min(window / cfg.time_bin, cfg.n_time_bins) + 1e-9))
 
 
 def _run_bounds(a: np.ndarray) -> np.ndarray:

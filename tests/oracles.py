@@ -10,7 +10,9 @@ over every event pair, first hits from the earliest time bin kept per
 (frame, pixel), density samples from one CDF search of the uniforms in
 their drawn order, crosstalk from one draw per neighbour side or from a
 loop over the drawn slots, and configuration values from the nested-tree
-loader that the flat overlay replaced.  Six references reuse library parts
+loader that the flat overlay replaced.  ``PointSource`` is no reference
+but a calibration source: a Gaussian spot drawn straight onto the sensor,
+with no optics, for the detector tests.  Six references reuse library parts
 because each checks one shortcut alone: the unthinned acquisition (the
 library's sampler and detector model, without thinning), the field-by-field
 detection (the library's arrival bins, detection masks and pixel binning,
@@ -27,6 +29,8 @@ Two SciPy routines are bit-exact references for NumPy ports in ``optics``:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
@@ -476,6 +480,28 @@ def per_frame_counts(rng, mean: float, n_frames: int) -> np.ndarray:
     """Tuples per frame as one Poisson draw per frame: the emission step
     that block-total placement replaced, kept as its reference."""
     return rng.poisson(mean, n_frames)
+
+
+@dataclass(frozen=True)
+class PointSource:
+    """Single photons in a Gaussian spot of 1/e amplitude radius ``waist``,
+    centred on the sensor, with no optics: a source as ``run_acquisition``
+    reads one (``pair_rate``, ``n_photons``, ``sampler``, ``describe``)."""
+
+    waist: float                           # meters
+    rate: float                            # photons/s
+    n_photons = 1
+
+    @property
+    def pair_rate(self) -> float:
+        return self.rate
+
+    def describe(self) -> dict:
+        return {"kind": "point", "waist": self.waist, "rate": self.rate}
+
+    def sampler(self, detector):
+        sigma = self.waist / 2.0           # intensity std of exp(-2 r^2 / w^2)
+        return lambda rng, count: rng.normal(0.0, sigma, size=(count, 1, 2))
 
 
 def unthinned_acquisition(source, cfg, wall_time: float, seed: int):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ocmsim
@@ -58,6 +58,12 @@ def test_default_config_parses():
     cfg = load_config(CONFIG)
     assert cfg["system.wavelength_m"] == 810e-9
     assert cfg["detector.pixel_pitch_m"] == 43.75e-6
+
+
+def test_schema_defaults_are_the_shipped_file():
+    """One table of defaults: the shipped file restates every schema
+    default, so a run loads the same values with it as without it."""
+    assert load_config().values == load_config(CONFIG).values
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -175,10 +181,14 @@ KINDS = {key: kind for key, kind, _, _ in SCHEMA}
 @given(drawn=st.sets(st.sampled_from(sorted(KINDS))).flatmap(
     lambda keys: st.fixed_dictionaries(
         {key: tag_values(KINDS[key]) for key in sorted(keys)})))
+@example(drawn={"acquisition.wall_time_s": 1e-7})
+@example(drawn={"analysis.band": [0, -1]})
+@example(drawn={"analysis.band": [-2, 3], "detector.frame_rate_hz": 0.5})
 def test_file_leaf_sets_and_section_sets_load_alike(tmp_path_factory, drawn):
     """A random subset of keys, written as a YAML file, as one ``--set``
-    per key and as one section mapping per section, loads one set of
-    values, in which every drawn key holds its checked value."""
+    per key and as one section mapping per section, loads one outcome: the
+    defaults with every drawn key at its checked value, or, exactly when
+    those values break a load-level rule, that rule's error."""
     nested: dict = {}
     for key, value in drawn.items():
         *sections, leaf = key.split(".")
@@ -201,11 +211,18 @@ def test_file_leaf_sets_and_section_sets_load_alike(tmp_path_factory, drawn):
     loaded = outcome(path, [])
     assert outcome(None, leaf_sets) == loaded
     assert outcome(None, section_sets) == loaded
-    if isinstance(loaded, str):       # only a run shorter than one frame
-        assert loaded.startswith("acquisition.wall_time_s: shorter than")
+    values = {**load_config().values,
+              **{key: _check_type(key, KINDS[key], value)
+                 for key, value in drawn.items()}}
+    band = values["analysis.band"]
+    if values["acquisition.wall_time_s"] * values["detector.frame_rate_hz"] < 1:
+        assert loaded == ("acquisition.wall_time_s: shorter than one frame "
+                          "period of detector.frame_rate_hz")
+    elif band is not None and not 0 <= band[0] <= band[1]:
+        assert loaded == (f"analysis.band: expected 0 <= lo <= hi, got "
+                          f"{list(band)}")
     else:
-        assert all(loaded[key] == _check_type(key, KINDS[key], value)
-                   for key, value in drawn.items())
+        assert loaded == values
 
 
 EXPONENTS = {"reconstruction.window_s": ("2e-9", "2.0e-9"),
@@ -236,13 +253,14 @@ def test_exponent_without_dot_is_a_number_in_file_and_set(tmp_path):
 
 
 @pytest.mark.parametrize("setting, outcome", [
-    ("io.output_dir=1e3x", "1e3x"),
-    ("io.output_dir='1e3'", "1e3"),
-    ("io.output_dir=auto", "auto"),
+    ("phase_matching.sellmeier.data_file=1e3x", "1e3x"),
+    ("phase_matching.sellmeier.data_file='1e3'", "1e3"),
+    ("phase_matching.sellmeier.data_file=auto", "auto"),
     ("grid.nx=1_000", 1000),
     ("analysis.band=[1_0, 2E1]", ConfigError("expected an integer, got 20.0")),
     # an unquoted exponent is a number, so a string key needs it quoted
-    ("io.output_dir=1e3", ConfigError("expected a string, got 1000.0")),
+    ("phase_matching.sellmeier.data_file=1e3",
+     ConfigError("expected a string or null, got 1000.0")),
 ])
 def test_only_exponent_numbers_change_reading(setting, outcome):
     key = setting.split("=")[0]
@@ -389,14 +407,12 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, two_frame_events,
 
 
 @pytest.mark.parametrize("kind, setting", [
-    *((kind, f"acquisition.pair_rate_hz={rate}")
-      for kind in ("ocm", "coherent", "incoherent", "point", "far_field")
-      for rate in ("-5.0", "0.0")),
-    ("point", "aperture.waist_m=-1.0"),
-])
+    (kind, f"acquisition.pair_rate_hz={rate}")
+    for kind in ("ocm", "coherent", "incoherent", "far_field")
+    for rate in ("-5.0", "0.0")])
 def test_refused_source_exits_2(tmp_path, capsys, kind, setting):
-    """Every source kind refuses a rate that is not > 0 when it is built,
-    and the point source a waist that is not; NumPy never sees them."""
+    """Every source kind refuses a rate that is not > 0 when it is built;
+    NumPy never sees it."""
     code = run_cli(["--config", CONFIG, *FAST, "--set",
                     f"acquisition.source={kind}", "--set", setting,
                     "--out", tmp_path / "o", "simulate"])
@@ -564,7 +580,7 @@ def test_simulate_then_reconstruct(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "source", ["ocm", "coherent", "incoherent", "point", "far_field"])
+    "source", ["ocm", "coherent", "incoherent", "far_field"])
 def test_every_source_simulates_and_reconstructs(tmp_path, source):
     sim = ["--config", CONFIG, *FAST, "--set", "acquisition.wall_time_s=0.005",
            "--set", f"acquisition.source={source}"]
@@ -776,6 +792,39 @@ def test_band_below_zero_or_reversed_is_a_configuration_error(
                     f"analysis.band={band}", "--out", tmp_path / "out",
                     *command]) == 2
     assert "analysis.band: expected 0 <= lo <= hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "compare"])
+def test_window_beyond_a_frame_writes_what_a_frame_window_writes(
+        tmp_path, short_events, command):
+    """A window of one frame (45 ns) admits every same-frame pair, so one
+    of 1e300 s, whose time-bin count overflows any integer, writes the
+    same files, byte for byte."""
+    outputs = []
+    for window in ("4.5e-8", "1e300"):
+        out = tmp_path / window
+        assert run_cli(["--config", CONFIG, *FAST,
+                        "--set", "acquisition.wall_time_s=0.002",
+                        "--set", f"reconstruction.window_s={window}",
+                        "--out", out, command]
+                       + ([short_events] if command == "reconstruct"
+                          else [])) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_out_is_the_one_output_directory(tmp_path, monkeypatch, capsys,
+                                         two_frame_events):
+    """Without ``--out`` a run writes to ``out`` in the working directory;
+    an ``io`` section, which once named it too, is an unknown key."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["--config", CONFIG, "reconstruct", two_frame_events]) == 0
+    assert (tmp_path / "out" / "reconstruct_report.txt").is_file()
+    assert run_cli(["--config", CONFIG, "--set", "io.output_dir=elsewhere",
+                    "reconstruct", two_frame_events]) == 2
+    assert "configuration error: io.output_dir: unknown configuration key" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_simulate_determinism(tmp_path):

@@ -106,6 +106,24 @@ def test_window_of_whole_bins_keeps_its_last_bin(k):
         window=window).values.sum() == 0
 
 
+def test_window_beyond_a_frame_admits_what_a_frame_window_does():
+    """A window of one frame admits every same-frame pair already; a longer
+    one, even past int range in time bins, finds the same pairs and the
+    same accidentals."""
+    window, cfg = 1e300, DetectorConfig()
+    ev = _poisson_singles_stream(np.random.default_rng(3), 500, 3.0, cfg)
+    frame = cfg.frame_duration
+    wide, one = (extract_coincidences(ev, w, min_xi=1) for w in (window, frame))
+    assert len(one) == len(coincidence_pairs_loop(
+        ev.frame, ev.ix, ev.iy, ev.t_bin, cfg.n_time_bins, 1, False)[0]) > 0
+    for name in ("frame", "ix1", "iy1", "ix2", "iy2", "t1", "t2"):
+        assert np.array_equal(getattr(wide, name), getattr(one, name)), name
+    assert (wide.n_cut, wide.n_multi_pair_frames) == \
+        (one.n_cut, one.n_multi_pair_frames)
+    assert np.array_equal(estimate_accidentals(ev, window).values,
+                          estimate_accidentals(ev, frame).values)
+
+
 def test_unsorted_input_rejected():
     with pytest.raises(UnsortedInput):
         make_stream([(1, 5, 5, 0), (0, 9, 9, 0)], 2)

@@ -85,7 +85,7 @@ FLOWS = {
                      [("psf", ["psf"])]),
     **{f"simulate_{kind}": (FAST + ["--set", f"acquisition.source={kind}"],
                             [SIMULATE])
-       for kind in ("point", "far_field", "coherent")},
+       for kind in ("far_field", "coherent")},
 }
 
 

@@ -2,7 +2,7 @@
 
 Every command is a pure function of (config file, input files, seed); reruns
 produce byte-identical outputs.  Exit codes: 0 success, 2 configuration
-error, 3 runtime error.
+error, 3 runtime error (a failed allocation included).
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (OcmsimError, OSError, ValueError) as exc:
+    except (OcmsimError, OSError, ValueError, MemoryError) as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -31,7 +31,8 @@ from .phasematch import PhaseMatchingParams, SellmeierModel, deviation_density
 SCHEMA: list[tuple[str, str, Any, str]] = [
     ("system.pupil_radius_m", "float", 1.38e-3, "pupil radius R [m]"),
     ("system.object_distance_m", "float", 0.355, "object-to-lens distance s_o [m]"),
-    ("system.wavelength_m", "float", 810e-9, "illumination wavelength [m]"),
+    ("system.wavelength_m", "float", 810e-9,
+     "illumination wavelength; both pair photons' too (pump at half) [m]"),
     ("system.magnification", "float", 2.4, "lateral magnification m [-]"),
     ("system.pupil_profile", "choice:hard,gaussian", "hard",
      "pupil transmission profile"),
@@ -51,10 +52,6 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
     ("aperture.center_m", "pair<float>", (0.0, 0.0), "aperture center (x, y) [m]"),
     ("ocm.n_photons", "int>=1", 2, "photon number N of the centroid state [-]"),
     ("phase_matching.crystal_length_m", "float", 5e-3, "crystal length L [m]"),
-    ("phase_matching.signal_wavelength_m", "float", 810e-9,
-     "signal vacuum wavelength [m]"),
-    ("phase_matching.idler_wavelength_m", "float", 810e-9,
-     "idler vacuum wavelength [m]"),
     ("phase_matching.focal_length_m", "float", 50e-3,
      "state-preparation lens focal length f [m]"),
     ("phase_matching.poling_period_m", "float|auto", "auto",
@@ -200,11 +197,11 @@ class RunConfig:
     def phase_matching(self) -> PhaseMatchingParams:
         poling = self["phase_matching.poling_period_m"]
         temperature = self["phase_matching.sellmeier.temperature_C"]
+        wavelength = self["system.wavelength_m"]
         with _config_errors("phase_matching"):
             return PhaseMatchingParams.from_wavelengths(
                 crystal_length=self["phase_matching.crystal_length_m"],
-                lambda_s=self["phase_matching.signal_wavelength_m"],
-                lambda_i=self["phase_matching.idler_wavelength_m"],
+                lambda_s=wavelength, lambda_i=wavelength,
                 focal_length=self["phase_matching.focal_length_m"],
                 poling_period=None if poling == "auto" else poling,
                 index_model=SellmeierModel.from_file(
@@ -340,9 +337,13 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         _overlay(values, key.strip(), value)
     flat = {key: _check_type(key, _KINDS[key], value)
             for key, value in values.items()}
-    if flat["acquisition.wall_time_s"] * flat["detector.frame_rate_hz"] < 1:
+    frames = flat["acquisition.wall_time_s"] * flat["detector.frame_rate_hz"]
+    if frames < 1:
         raise ConfigError("acquisition.wall_time_s: shorter than one frame "
                           "period of detector.frame_rate_hz")
+    if frames > 2 ** 63:
+        raise ConfigError("acquisition.wall_time_s: more than 2**63 frame "
+                          "periods of detector.frame_rate_hz")
     band = flat["analysis.band"]
     if band is not None and not 0 <= band[0] <= band[1]:
         raise ConfigError(f"analysis.band: expected 0 <= lo <= hi, got "

@@ -56,7 +56,7 @@ from .events_io import DetectorConfig, EventStream, stable_hash
 from .grid import FieldGrid, GridSpec
 from .ocm import far_field_pattern
 from .optics import Aperture, ImagingSystem, image
-from .phasematch import PhaseMatchingParams, deviation_density
+from .phasematch import SPEED_OF_LIGHT, PhaseMatchingParams, deviation_density
 
 #: detection efficiency of the reference sensor by wavelength
 DEFAULT_PDE = {810e-9: 0.008, 405e-9: 0.05}
@@ -159,6 +159,13 @@ class OcmPairSource(_Source):
         super().__post_init__()
         if self.n_photons != 2:
             raise ValueError("the event pipeline is specified for photon pairs")
+        # the centroid law images at the system wavelength, the deviation
+        # law maps both photons with the signal frequency
+        omega = 2.0 * np.pi * SPEED_OF_LIGHT / self.system.wavelength
+        pm = self.phase_matching
+        if not np.allclose([pm.omega_s, pm.omega_i], omega, 1e-12, 0.0):
+            raise ValueError("signal and idler must both be at the system "
+                             f"wavelength {self.system.wavelength!r} m")
 
     def centroid_density(self, detector: DetectorConfig) -> FieldGrid:
         spec = _sampling_spec(detector, self.system, self.aperture)
@@ -512,7 +519,10 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     merged in block order into one stream, so the result does not depend on
     ``n_threads`` and reruns with the same inputs are byte-identical.
     """
-    n_frames = int(round(wall_time * cfg.frame_rate))
+    frames = wall_time * cfg.frame_rate
+    if frames > 2 ** 63:                   # the limit of EventStream.n_frames
+        raise ValueError("wall_time too long: more than 2**63 frames")
+    n_frames = int(round(frames))
     if n_frames < 1:
         raise ValueError("wall_time too short for a single frame")
     mean_pairs = source.pair_rate * cfg.frame_duration

@@ -25,6 +25,7 @@ from ocmsim.config import SCHEMA, _check_type, load_config
 from ocmsim.detector import _block_frames, child_seed
 from ocmsim.errors import ConfigError, CorruptEventFile
 from ocmsim.events_io import canonical_json, stable_hash
+from ocmsim.phasematch import SPEED_OF_LIGHT
 from conftest import WORKLOADS
 from oracles import nested_config_values
 
@@ -184,6 +185,7 @@ KINDS = {key: kind for key, kind, _, _ in SCHEMA}
 @example(drawn={"acquisition.wall_time_s": 1e-7})
 @example(drawn={"analysis.band": [0, -1]})
 @example(drawn={"analysis.band": [-2, 3], "detector.frame_rate_hz": 0.5})
+@example(drawn={"acquisition.wall_time_s": 1e300, "analysis.band": [0, -1]})
 def test_file_leaf_sets_and_section_sets_load_alike(tmp_path_factory, drawn):
     """A random subset of keys, written as a YAML file, as one ``--set``
     per key and as one section mapping per section, loads one outcome: the
@@ -215,9 +217,14 @@ def test_file_leaf_sets_and_section_sets_load_alike(tmp_path_factory, drawn):
               **{key: _check_type(key, KINDS[key], value)
                  for key, value in drawn.items()}}
     band = values["analysis.band"]
-    if values["acquisition.wall_time_s"] * values["detector.frame_rate_hz"] < 1:
+    frames = (values["acquisition.wall_time_s"]
+              * values["detector.frame_rate_hz"])
+    if frames < 1:
         assert loaded == ("acquisition.wall_time_s: shorter than one frame "
                           "period of detector.frame_rate_hz")
+    elif frames > 2 ** 63:
+        assert loaded == ("acquisition.wall_time_s: more than 2**63 frame "
+                          "periods of detector.frame_rate_hz")
     elif band is not None and not 0 <= band[0] <= band[1]:
         assert loaded == (f"analysis.band: expected 0 <= lo <= hi, got "
                           f"{list(band)}")
@@ -373,6 +380,8 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     ("ocm.n_photons=-2", "psf", "ocm.n_photons"),
     ("acquisition.wall_time_s=0.0", "simulate", "acquisition.wall_time_s"),
     ("acquisition.wall_time_s=1.0e-7", "simulate", "acquisition.wall_time_s"),
+    ("acquisition.wall_time_s=1e300", "simulate", "acquisition.wall_time_s"),
+    ("acquisition.wall_time_s=1e300", "compare", "acquisition.wall_time_s"),
     ("acquisition.far_field_correlation_px=-1.0", "simulate",
      "acquisition.far_field_correlation_px"),
     ("reconstruction.window_s=.inf", "reconstruct", "reconstruction.window_s"),
@@ -392,7 +401,8 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
         "zero_photons", "negative_photons", "zero_wall_time",
-        "wall_time_below_one_frame", "negative_far_field_correlation",
+        "wall_time_below_one_frame", "simulate_past_2_63_frames",
+        "compare_past_2_63_frames", "negative_far_field_correlation",
         "infinite_window", "nan_pupil", "grid_nx_beyond_float_range",
         "negative_crystal_length", "gaussian_sigma_negative",
         "negative_line_width", "negative_slit_length",
@@ -811,6 +821,43 @@ def test_window_beyond_a_frame_writes_what_a_frame_window_writes(
                           else [])) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outputs[0] == outputs[1]
+
+
+def test_frame_limit_is_2_63_frames():
+    """A run may hold 2**63 frames, the most an event stream numbers, and
+    no more."""
+    def run(wall_time):
+        return load_config(CONFIG, ["detector.frame_rate_hz=1",
+                                    f"acquisition.wall_time_s={wall_time!r}"])
+
+    assert run(2.0 ** 63)["acquisition.wall_time_s"] == 2 ** 63
+    with pytest.raises(ConfigError, match="more than 2\\*\\*63 frame"):
+        run(float(np.nextafter(2.0 ** 63, np.inf)))
+
+
+def test_an_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """A run too large for memory ends in a one-line report, no
+    traceback."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.56 PiB")
+
+    monkeypatch.setattr("ocmsim.cli.cmd_simulate", too_large)
+    assert run_cli(["--config", CONFIG, "--out", tmp_path, "simulate"]) == 3
+    assert capsys.readouterr().err == \
+        "simulate: MemoryError: Unable to allocate 2.56 PiB\n"
+
+
+def test_the_pair_photons_take_the_system_wavelength():
+    """Phase matching reads ``system.wavelength_m`` for signal and idler;
+    the keys that once set them apart are unknown."""
+    cfg = load_config(CONFIG, ["system.wavelength_m=700e-9"])
+    omega = 2.0 * np.pi * SPEED_OF_LIGHT / 700e-9
+    for pm in (cfg.phase_matching(), cfg.source().phase_matching):
+        assert (pm.omega_s, pm.omega_i) == (omega, omega)
+    for key in ("signal", "idler"):
+        with pytest.raises(ConfigError, match=f"^phase_matching.{key}_"
+                           "wavelength_m: unknown configuration key$"):
+            load_config(CONFIG, [f"phase_matching.{key}_wavelength_m=810e-9"])
 
 
 def test_out_is_the_one_output_directory(tmp_path, monkeypatch, capsys,

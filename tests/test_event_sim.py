@@ -421,9 +421,34 @@ def test_sources_refuse_a_rate_not_finite_and_positive(reference_system,
             build()
 
 
+@pytest.mark.parametrize("system_nm, signal_nm, idler_nm", [
+    (700, 810, 810), (810, 790, 830)], ids=["system_off", "non_degenerate"])
+def test_pair_source_refuses_photons_off_the_system_wavelength(
+        reference_system, triple_slit, system_nm, signal_nm, idler_nm):
+    """The centroid law images at the system wavelength and the deviation
+    law maps both photons with the signal frequency, so each pair photon
+    must be at the system wavelength."""
+    system = reference_system.with_wavelength(system_nm * 1e-9)
+    pm = PhaseMatchingParams.from_wavelengths(5e-3, signal_nm * 1e-9,
+                                              idler_nm * 1e-9, 50e-3)
+    with pytest.raises(ValueError, match="both be at the system wavelength"):
+        OcmPairSource(triple_slit, system, pm, 1e6)
+
+
 def test_frame_count_exact(point_pair_source, ideal_detector):
     stream = run_acquisition(point_pair_source, ideal_detector, 0.01, 3)
     assert stream.n_frames == 8000
+
+
+@pytest.mark.parametrize("wall_time", [1e300, float("inf")])
+def test_wall_time_past_the_frame_limit_is_refused_before_any_block(
+        point_pair_source, ideal_detector, monkeypatch, wall_time):
+    """An event stream holds at most 2**63 frames; a longer run is refused
+    before its source density is built or its first block is drawn."""
+    monkeypatch.setattr(OcmPairSource, "sampler",
+                        lambda *args: pytest.fail("sampler built"))
+    with pytest.raises(ValueError, match="more than 2\\*\\*63 frames"):
+        run_acquisition(point_pair_source, ideal_detector, wall_time, 3)
 
 
 def test_acquisition_file_determinism(tmp_path):

@@ -208,7 +208,7 @@ def slit_contrast(profile: Profile1D, n_slits: int, expected_pitch: float
         raise ValueError("need at least two slits to score a contrast")
     x = profile.positions
     y = profile.values.astype(float)
-    if x.size < 5 or not np.any(y > 0):
+    if x.size < 5 or not y.sum() > 0:
         raise PeaksNotFound("profile too short or empty")
 
     if x[0] > -expected_pitch * (n_slits - 1) / 2.0 or \

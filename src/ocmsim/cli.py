@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum centroid-measurement imaging simulator",
         epilog=schema_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument("--config", help="YAML run configuration (default: "
+                        "the schema defaults below)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a configuration key (repeatable); "
                         "KEY may name a section, whose mapping merges key by "

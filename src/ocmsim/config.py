@@ -18,8 +18,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
-                       OcmPairSource)
+from .detector import DEFAULT_PDE, ClassicalSource, OcmPairSource
 from .errors import ConfigError, finite_real
 from .events_io import DetectorConfig
 from .grid import GridSpec
@@ -60,8 +59,8 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "refractive-index data file; null = shipped ppKTP z-axis"),
     ("phase_matching.sellmeier.temperature_C", "float", 25.0,
      "crystal temperature [C]"),
-    ("detector.n_pixels_x", "int", 32, "pixel count along x [-]"),
-    ("detector.n_pixels_y", "int", 32, "pixel count along y [-]"),
+    ("detector.n_pixels_x", "int>=2", 32, "pixel count along x [-]"),
+    ("detector.n_pixels_y", "int>=2", 32, "pixel count along y [-]"),
     ("detector.pixel_pitch_m", "float", 43.75e-6, "pixel pitch [m]"),
     ("detector.time_bin_s", "float", 205e-12, "TDC time-bin width [s]"),
     ("detector.frame_duration_s", "float", 45e-9, "frame duration [s]"),
@@ -73,14 +72,12 @@ SCHEMA: list[tuple[str, str, Any, str]] = [
      "dark count rate per pixel [Hz]; the real sensor's is 1e3"),
     ("detector.crosstalk_prob", "float", 0.01,
      "nearest-neighbor crosstalk probability per detection [-]"),
-    ("acquisition.source", "choice:ocm,coherent,incoherent,far_field",
-     "ocm", "light source for simulate/compare"),
+    ("acquisition.source", "choice:ocm,coherent,incoherent", "ocm",
+     "light source for simulate/compare"),
     ("acquisition.wall_time_s", "float>0", 1.0, "acquisition wall time [s]"),
     ("acquisition.seed", "int", 12345, "master random seed [-]"),
     ("acquisition.pair_rate_hz", "float", 1e7,
      "mean photon tuples per second reaching the detector [Hz]"),
-    ("acquisition.far_field_correlation_px", "float>=0", 0.5,
-     "far-field per-photon correlation jitter [pixels]"),
     ("reconstruction.window_s", "float>=0", 1e-9, "coincidence window [s]"),
     ("reconstruction.min_xi_pixels", "int>=0", 1,
      "crosstalk cut: required Chebyshev pixel separation (exclusive) [-]"),
@@ -236,19 +233,13 @@ class RunConfig:
         rate = self["acquisition.pair_rate_hz"]
         with _config_errors("acquisition.source"):
             if kind == "ocm":
+                if self["ocm.n_photons"] != OcmPairSource.n_photons:
+                    raise ValueError(
+                        "the event pipeline is specified for photon pairs")
                 return OcmPairSource(self.aperture(), self.system(),
-                                     self.phase_matching(), rate,
-                                     n_photons=self["ocm.n_photons"])
-            if kind in ("coherent", "incoherent"):
-                return ClassicalSource(self.aperture(), self.system(),
-                                       rate, coherent=(kind == "coherent"))
-            sys_ = self.system()                      # far_field
-            scale = sys_.object_distance * sys_.wavelength / (2.0 * np.pi)
-            sigma = (self["acquisition.far_field_correlation_px"]
-                     * self["detector.pixel_pitch_m"])
-            return FarFieldPairSource(self.aperture(), scale, rate,
-                                      n_photons=self["ocm.n_photons"],
-                                      correlation_sigma=sigma)
+                                     self.phase_matching(), rate)
+            return ClassicalSource(self.aperture(), self.system(), rate,
+                                   coherent=(kind == "coherent"))
 
     def object_grid(self) -> GridSpec:
         """Object-plane grid: covers the object and >= 8 PSF zeros, refined

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class _Source:
 
 @dataclass(frozen=True)
 class OcmPairSource(_Source):
-    """Entangled N-photon centroid source imaged onto the detector.
+    """Entangled photon-pair centroid source imaged onto the detector.
 
     The joint density factorizes into the centroid image (the N-photon
     correlation depends on the centroid only) and the pair-separation
@@ -152,13 +152,13 @@ class OcmPairSource(_Source):
     system: ImagingSystem
     phase_matching: PhaseMatchingParams
     pair_rate: float                       # mean pairs/s reaching the detector
-    n_photons: int = 2
+    # a pair by construction; a field only so that describe() and every
+    # source_hash keep their bytes
+    n_photons: int = field(default=2, init=False)
     coherent: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.n_photons != 2:
-            raise ValueError("the event pipeline is specified for photon pairs")
         # the centroid law images at the system wavelength, the deviation
         # law maps both photons with the signal frequency
         omega = 2.0 * np.pi * SPEED_OF_LIGHT / self.system.wavelength
@@ -236,7 +236,7 @@ class FarFieldPairSource(_Source):
     aperture: Aperture
     scale: float                           # position per wavevector, s_o*lambda/2pi
     pair_rate: float
-    n_photons: int = 2
+    n_photons: int = field(default=2, init=False)   # as in OcmPairSource
     correlation_sigma: float = 0.5 * 43.75e-6
 
     def pattern(self, detector: DetectorConfig) -> FieldGrid:

@@ -219,6 +219,15 @@ def test_contrast_errors():
     with pytest.raises(PeaksNotFound):
         # profile does not span the expected pattern
         slit_contrast(Profile1D(x, np.ones_like(x)), 3, 150e-6)
+    # no positive mass, so no centre to place the slits around
+    x = np.linspace(-300e-6, 300e-6, 601)
+    zero_sum = np.zeros_like(x)
+    zero_sum[[150, 300, 450]] = [1.0, -2.0, 1.0]
+    peaks = sum(np.exp(-(x - c) ** 2 / (2 * (30e-6) ** 2))
+                for c in (-150e-6, 0.0, 150e-6))
+    for y in (zero_sum, peaks - 1.0):
+        with pytest.raises(PeaksNotFound):
+            slit_contrast(Profile1D(x, y), 3, 150e-6)
 
 
 def test_mode_ordering_on_analytic_images(reference_system, triple_slit):

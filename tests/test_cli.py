@@ -67,6 +67,17 @@ def test_schema_defaults_are_the_shipped_file():
     assert load_config().values == load_config(CONFIG).values
 
 
+def test_config_file_is_optional(tmp_path):
+    """Without ``--config`` a run loads the schema defaults, which the
+    shipped file restates, so simulate writes the same bytes either way."""
+    for name, config in (("with", ["--config", CONFIG]), ("without", [])):
+        assert run_cli([*config, *FAST, "--out", tmp_path / name,
+                        "simulate"]) == 0
+    for name in ("events.ocme", "events.ocme.manifest.txt"):
+        assert (tmp_path / "with" / name).read_bytes() == \
+            (tmp_path / "without" / name).read_bytes()
+
+
 def test_unknown_key_rejected(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("system:\n  pupil_radius_m: 1.0e-3\n  bogus_key: 3\n")
@@ -378,12 +389,18 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
      "reconstruction.min_xi_pixels"),
     ("ocm.n_photons=0", "psf", "ocm.n_photons"),
     ("ocm.n_photons=-2", "psf", "ocm.n_photons"),
+    # psf takes any N; the event pipeline only pairs
+    ("ocm.n_photons=3", "simulate", "acquisition.source"),
+    ("ocm.n_photons=3", "compare", "acquisition.source"),
     ("acquisition.wall_time_s=0.0", "simulate", "acquisition.wall_time_s"),
     ("acquisition.wall_time_s=1.0e-7", "simulate", "acquisition.wall_time_s"),
     ("acquisition.wall_time_s=1e300", "simulate", "acquisition.wall_time_s"),
     ("acquisition.wall_time_s=1e300", "compare", "acquisition.wall_time_s"),
-    ("acquisition.far_field_correlation_px=-1.0", "simulate",
+    ("acquisition.source=far_field", "simulate", "acquisition.source"),
+    ("acquisition.far_field_correlation_px=0.5", "simulate",
      "acquisition.far_field_correlation_px"),
+    ("detector.n_pixels_x=1", "simulate", "detector.n_pixels_x"),
+    ("detector.n_pixels_y=1", "reconstruct", "detector.n_pixels_y"),
     ("reconstruction.window_s=.inf", "reconstruct", "reconstruction.window_s"),
     ("system.pupil_radius_m=.nan", "psf", "system.pupil_radius_m"),
     ("grid.nx=1" + "0" * 400, "psf", "grid.nx"),
@@ -400,9 +417,11 @@ def test_exit_code_3_on_event_file_without_geometry(tmp_path):
 ], ids=["grid_nx_0", "pde_above_1", "negative_rate", "negative_offset",
         "negative_pupil", "zero_magnification", "pitch_below_line_width",
         "gaussian_pupil_without_sigma", "negative_window", "negative_min_xi",
-        "zero_photons", "negative_photons", "zero_wall_time",
+        "zero_photons", "negative_photons", "simulate_three_photons",
+        "compare_three_photons", "zero_wall_time",
         "wall_time_below_one_frame", "simulate_past_2_63_frames",
-        "compare_past_2_63_frames", "negative_far_field_correlation",
+        "compare_past_2_63_frames", "far_field_source",
+        "far_field_correlation_key", "one_pixel_x", "one_pixel_y",
         "infinite_window", "nan_pupil", "grid_nx_beyond_float_range",
         "negative_crystal_length", "gaussian_sigma_negative",
         "negative_line_width", "negative_slit_length",
@@ -414,11 +433,12 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, two_frame_events,
     assert run_cli(args + ([two_frame_events] if command == "reconstruct"
                            else [])) == 2
     assert f"configuration error: {named}: " in capsys.readouterr().err
+    assert not list((tmp_path / "o").rglob("*"))
 
 
 @pytest.mark.parametrize("kind, setting", [
     (kind, f"acquisition.pair_rate_hz={rate}")
-    for kind in ("ocm", "coherent", "incoherent", "far_field")
+    for kind in ("ocm", "coherent", "incoherent")
     for rate in ("-5.0", "0.0")])
 def test_refused_source_exits_2(tmp_path, capsys, kind, setting):
     """Every source kind refuses a rate that is not > 0 when it is built;
@@ -589,8 +609,7 @@ def test_simulate_then_reconstruct(tmp_path):
     assert (rec / "centroid_image.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "source", ["ocm", "coherent", "incoherent", "far_field"])
+@pytest.mark.parametrize("source", ["ocm", "coherent", "incoherent"])
 def test_every_source_simulates_and_reconstructs(tmp_path, source):
     sim = ["--config", CONFIG, *FAST, "--set", "acquisition.wall_time_s=0.005",
            "--set", f"acquisition.source={source}"]
@@ -934,6 +953,15 @@ def test_psf_refines_a_coarse_grid_to_the_order_n_psf(tmp_path):
     # so the default psf outputs keep their bytes
     cfg = load_config(CONFIG)
     assert cfg.object_grid().nx == cfg["grid.nx"]
+
+
+def test_psf_takes_any_photon_number(tmp_path):
+    """Only the event pipeline needs pairs: psf images at N = 3 too."""
+    assert run_cli(["--config", CONFIG, "--set", "grid.nx=256",
+                    "--set", "ocm.n_photons=3", "--out", tmp_path, "psf"]) == 0
+    report = read_manifest(tmp_path / "psf_report.txt")
+    assert report["n_photons"] == 3
+    assert abs(report["ocm_vs_half_wavelength_fwhm_ratio"] - 1.0) < 0.05
 
 
 def test_psf_report(tmp_path):

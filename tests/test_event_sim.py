@@ -421,6 +421,29 @@ def test_sources_refuse_a_rate_not_finite_and_positive(reference_system,
             build()
 
 
+def test_pair_sources_are_pairs_by_construction(reference_system,
+                                                pm_params):
+    """Neither pair source takes a photon number; each keeps its
+    ``n_photons: 2`` entry, so ``describe()`` and every ``source_hash``
+    keep their bytes."""
+    with pytest.raises(TypeError):
+        OcmPairSource(Aperture.point(), reference_system, pm_params, 1e6,
+                      n_photons=2)
+    with pytest.raises(TypeError):
+        FarFieldPairSource(Aperture.point(), 4.6e-8, 1e6, n_photons=2)
+    ocm = OcmPairSource(Aperture.point(), reference_system, pm_params, 1e6)
+    assert ocm.n_photons == ocm.describe()["n_photons"] == 2
+    far = FarFieldPairSource(Aperture.point(), 4.6e-8, 1e6)
+    assert far.n_photons == 2
+    assert far.describe() == {
+        "kind": "far_field_pairs",
+        "aperture": {"kind": "point", "line_width": 0.0, "pitch": 0.0,
+                     "n_slits": 0, "slit_length": None, "size": [0.0, 0.0],
+                     "waist": 0.0, "center": [0.0, 0.0], "mask": None},
+        "scale": 4.6e-8, "pair_rate": 1e6, "n_photons": 2,
+        "correlation_sigma": 0.5 * 43.75e-6}
+
+
 @pytest.mark.parametrize("system_nm, signal_nm, idler_nm", [
     (700, 810, 810), (810, 790, 830)], ids=["system_off", "non_degenerate"])
 def test_pair_source_refuses_photons_off_the_system_wavelength(

@@ -83,9 +83,8 @@ FLOWS = {
     "psf_gaussian": (FAST + ["--set", "system.pupil_profile=gaussian",
                              "--set", "system.pupil_sigma_m=0.5e-3"],
                      [("psf", ["psf"])]),
-    **{f"simulate_{kind}": (FAST + ["--set", f"acquisition.source={kind}"],
-                            [SIMULATE])
-       for kind in ("far_field", "coherent")},
+    "simulate_coherent": (FAST + ["--set", "acquisition.source=coherent"],
+                          [SIMULATE]),
 }
 
 

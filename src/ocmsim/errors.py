@@ -66,7 +66,8 @@ class UnsortedInput(OcmsimError):
 
 
 class EventOutOfRange(OcmsimError):
-    """Event stream whose arrays, frame count or ids break its bounds."""
+    """Event stream whose arrays, frame count, ids, source hash or meta
+    break its contract."""
 
 
 class SortKeyOverflow(OcmsimError):

@@ -2,18 +2,20 @@
 
 ``DetectorConfig`` bounds the records (its pixel and time-bin counts fit
 their uint16 fields) and ``EventStream`` checks each event against it; the
-Monte Carlo model that makes streams is ``detector``.  OCME layout: magic
-``OCME``, version u16, u32 JSON header length, a UTF-8 JSON header
-(detector configuration, source hash, frame count, seed, counters), then
-repeated little-endian records ``{frame_id u64, ix u16, iy u16, t_bin u16}``
-sorted by frame_id, the one order reconstruction needs (``ocmsim`` writes
-each frame in pixel order, one event per pixel; files in (frame_id, t_bin)
-order read alike).  The header's ``detector`` object holds exactly the
-fields of ``DetectorConfig`` (its ``to_dict``): every stream has a sensor.
-Only ``read_events`` parses it, with ``DetectorConfig.from_dict``; the
-stream then carries the parsed object.  ``EventStream`` checks the rest of
-the contract when a stream is made, in memory or from a file, and freezes
-it, so ``read_events`` reads it back.
+Monte Carlo model that makes streams is ``detector``.  Event (OCME) and
+image (OCMG, ``grid``) files share one framing, ``write_framed`` and
+``read_framed``: magic, version u16, payload, a JSON header that records the
+payload's length and SHA-256, and the header's u32 length as the last 4
+bytes.  The header comes last, so a writer can record counts it knows only
+at the end without seeking back.  OCME holds little-endian records
+``{frame_id u64, ix u16, iy u16, t_bin u16}`` sorted by frame_id, the one
+order reconstruction needs (``ocmsim`` writes each frame in pixel order, one
+event per pixel; files in (frame_id, t_bin) order read alike).  The header's ``detector``
+object holds exactly the fields of ``DetectorConfig`` (its ``to_dict``):
+every stream has a sensor.  Only ``read_events`` parses it, with
+``DetectorConfig.from_dict``; the stream then carries the parsed object.
+``EventStream`` checks the rest of the contract when a stream is made, in
+memory or from a file, and freezes it, so ``read_events`` reads it back.
 
 Run manifests and command reports are one line of ``canonical_json`` (sorted
 keys) that ``read_manifest`` reads back typed; they never contain wall-clock
@@ -35,11 +37,12 @@ from .errors import (CorruptEventFile, EventOutOfRange, UnsortedInput,
                      finite_real, require_finite_positive, sink)
 
 OCME_MAGIC = b"OCME"
-OCME_VERSION = 1
+FRAMED_VERSION = 2
 
 _RECORD = np.dtype([("frame", "<u8"), ("ix", "<u2"), ("iy", "<u2"),
                     ("t_bin", "<u2")])
-_PREFIX = struct.Struct("<4sHI")
+_PREFIX = struct.Struct("<4sH")         # magic, version
+_TAIL = struct.Struct("<I")             # header length, the last 4 bytes
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,11 @@ class EventStream:
     """Detected events plus the acquisition context they came from.
 
     Valid by construction: an int ``n_frames`` in [0, 2**63] (so frame id
-    + offset < n_frames cannot wrap); 1-D record-dtype arrays, one value per
-    event; ids below ``n_frames``, pixel counts, ``n_time_bins``.  Frame ids
-    that decrease raise ``UnsortedInput``, other breaches ``EventOutOfRange``.
-    It takes over its arrays, uncopied, and makes them read-only.
+    + offset < n_frames cannot wrap); a str ``source_hash`` and a dict
+    ``meta``; 1-D record-dtype arrays, one value per event; ids below
+    ``n_frames``, pixel counts, ``n_time_bins``.  Frame ids that decrease
+    raise ``UnsortedInput``, other breaches ``EventOutOfRange``.  It takes
+    over its arrays, uncopied, and makes them read-only.
     """
 
     frame: np.ndarray            # u8 frame ids, never decreasing
@@ -178,6 +182,10 @@ class EventStream:
         n, cfg, frame = self.n_frames, self.detector, self.frame
         if type(n) is not int or not 0 <= n <= 2 ** 63:
             raise EventOutOfRange(f"n_frames = {n!r} not an int in [0, 2**63]")
+        if not (isinstance(self.source_hash, str)
+                and isinstance(self.meta, dict)):
+            raise EventOutOfRange(f"source_hash {self.source_hash!r} is not a "
+                                  f"str or meta {self.meta!r} not a dict")
         for name, key, limit in [
                 ("frame", "n_frames", n), ("ix", "n_pixels_x", cfg.n_pixels_x),
                 ("iy", "n_pixels_y", cfg.n_pixels_y),
@@ -212,61 +220,82 @@ def stable_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+def write_framed(path, magic: bytes, header: dict, payload: np.ndarray,
+                 what: str) -> None:
+    """Write ``magic``, the version, ``payload``'s bytes (a C-contiguous
+    array, uncopied), ``header`` with their length and SHA-256 added, and
+    the header's length."""
+    raw = payload.reshape(-1).view(np.uint8)
+    header = {**header, "payload_bytes": raw.size,
+              "payload_sha256": hashlib.sha256(raw).hexdigest()}
+    blob = canonical_json(header).encode()
+    with sink(path, "wb", what) as fh:
+        fh.write(_PREFIX.pack(magic, FRAMED_VERSION))
+        raw.tofile(fh)
+        fh.write(blob + _TAIL.pack(len(blob)))
+
+
+def read_framed(path, magic: bytes, error: type) -> tuple[dict, memoryview]:
+    """The header and payload of a ``write_framed`` file; ``error`` for a
+    file too short, of another magic or version, whose header is not a
+    JSON object, or whose payload's length or SHA-256 differs from it."""
+    with open(path, "rb") as fh:
+        data = memoryview(fh.read())
+    kind, end = magic.decode(), len(data) - _TAIL.size
+    if end < _PREFIX.size:
+        raise error(f"{path}: {len(data)} bytes, too short for an {kind} file")
+    found, version = _PREFIX.unpack_from(data)
+    if found != magic:
+        raise error(f"{path}: not an {kind} file")
+    if version != FRAMED_VERSION:
+        raise error(f"{path}: unsupported {kind} version {version}")
+    start = end - _TAIL.unpack_from(data, end)[0]
+    if start < _PREFIX.size:
+        raise error(f"{path}: header runs past the start of the file")
+    try:
+        header = json.loads(bytes(data[start:end]).decode())
+    except ValueError as exc:       # also UnicodeDecodeError
+        raise error(f"{path}: header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise error(f"{path}: header is not an object")
+    payload = data[_PREFIX.size:start]
+    if (header.get("payload_bytes"), header.get("payload_sha256")) != (
+            len(payload), hashlib.sha256(payload).hexdigest()):
+        raise error(f"{path}: payload of {len(payload)} bytes differs from "
+                    "the header's length or SHA-256")
+    return header, payload
+
+
 def write_events(path, stream: EventStream) -> None:
-    header = {"version": OCME_VERSION, "detector": stream.detector.to_dict(),
+    header = {"detector": stream.detector.to_dict(),
               "source_hash": stream.source_hash, "n_frames": stream.n_frames,
               "meta": stream.meta}
-    blob = canonical_json(header).encode()
     records = np.empty(len(stream), dtype=_RECORD)
     for name in _RECORD.names:
         records[name] = getattr(stream, name)
-    with sink(path, "wb", "event file") as fh:
-        fh.write(_PREFIX.pack(OCME_MAGIC, OCME_VERSION, len(blob)))
-        fh.write(blob)
-        records.tofile(fh)
+    write_framed(path, OCME_MAGIC, header, records, "event file")
 
 
 def read_events(path) -> EventStream:
     """Load an OCME file; any malformed part raises ``CorruptEventFile``.
 
-    The header's ``detector`` must parse with ``DetectorConfig.from_dict``,
-    and header and records must make a valid ``EventStream``.
+    The framing must hold (``read_framed``), the payload be whole records,
+    the header's ``detector`` parse with ``DetectorConfig.from_dict``, and
+    header and records make a valid ``EventStream``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _PREFIX.size:
-        raise CorruptEventFile(f"{path}: {len(data)} bytes, shorter than "
-                               f"the {_PREFIX.size}-byte OCME prefix")
-    magic, version, blob_len = _PREFIX.unpack_from(data)
-    if magic != OCME_MAGIC:
-        raise CorruptEventFile(f"{path}: not an OCME event file")
-    if version != OCME_VERSION:
-        raise CorruptEventFile(f"{path}: unsupported OCME version {version}")
-    body = _PREFIX.size + blob_len
-    if len(data) < body:
-        raise CorruptEventFile(f"{path}: header runs past the end of the file")
-    try:
-        header = json.loads(data[_PREFIX.size:body].decode())
-    except ValueError as exc:       # also UnicodeDecodeError
-        raise CorruptEventFile(f"{path}: header is not JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise CorruptEventFile(f"{path}: header is not an object")
-    if (len(data) - body) % _RECORD.itemsize:
-        raise CorruptEventFile(f"{path}: record area of {len(data) - body} "
-                               f"bytes is not whole {_RECORD.itemsize}-byte "
-                               "records")
-    records = np.frombuffer(data, dtype=_RECORD, offset=body)
+    header, payload = read_framed(path, OCME_MAGIC, CorruptEventFile)
     try:
         cfg = DetectorConfig.from_dict(header.get("detector"))
     except ValueError as exc:
         raise CorruptEventFile(f"{path}: bad detector: {exc}") from None
-    try:
+    try:        # a payload of part records is a ValueError
+        records = np.frombuffer(payload, dtype=_RECORD)
         return EventStream(
             **{name: records[name].copy() for name in _RECORD.names},
             n_frames=header.get("n_frames"), detector=cfg,
             source_hash=header.get("source_hash", ""),
             meta=header.get("meta", {}))
-    except (EventOutOfRange, UnsortedInput) as exc:
+    except (ValueError, EventOutOfRange, UnsortedInput) as exc:
         raise CorruptEventFile(f"{path}: {exc}") from None
 
 

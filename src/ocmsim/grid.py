@@ -4,26 +4,23 @@ A :class:`FieldGrid` carries complex or real sample values together with the
 physical geometry: sample (i, j) sits at ``origin + (i*dx, j*dy)`` (meters).
 Axis 0 is x, axis 1 is y throughout the package.
 
-The binary container ("OCMG") stores a self-describing header followed by the
-row-major little-endian float64 payload (complex data is stored as
-interleaved re/im pairs per sample).  A lossless CSV export with ``#`` header
-comment lines is provided for external plotting.
+An image (OCMG) file is framed like an event file (``events_io``): samples
+row-major as little-endian float64 or complex128, under a JSON header of
+``shape``, ``dx``, ``dy``, ``origin`` and ``complex``.  A lossless CSV
+export with ``#`` header comment lines is provided for external plotting.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CorruptGridFile, GridMismatch, require_finite_positive,
-                     sink)
+from .errors import (CorruptGridFile, GridMismatch, finite_real,
+                     require_finite_positive, sink)
+from .events_io import read_framed, write_framed
 
 OCMG_MAGIC = b"OCMG"
-OCMG_VERSION = 1
-
-_HEADER = struct.Struct("<4sHIIddddB")  # magic, version, nx, ny, dx, dy, ox, oy, kind
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,9 @@ class FieldGrid:
         if self.values.shape[0] < 2 or self.values.shape[1] < 2:
             raise ValueError("grid needs nx, ny >= 2")
         require_finite_positive(self, "dx", "dy")
+        if len(self.origin) != 2 or not all(map(finite_real, self.origin)):
+            raise ValueError(f"origin = {self.origin!r} is not two finite reals")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
-        if not np.all(np.isfinite(self.origin)):
-            raise ValueError("origin must be finite")
 
     # -- geometry -----------------------------------------------------------
     @property
@@ -140,48 +137,26 @@ class FieldGrid:
 
     # -- file formats ---------------------------------------------------------
     def save(self, path) -> None:
-        """Write the OCMG binary container."""
-        kind = 1 if self.is_complex else 0
-        header = _HEADER.pack(OCMG_MAGIC, OCMG_VERSION, self.nx, self.ny,
-                              self.dx, self.dy, self.origin[0], self.origin[1],
-                              kind)
-        if kind:
-            payload = np.ascontiguousarray(
-                self.values.astype(np.complex128)).view(np.float64)
-        else:
-            payload = np.ascontiguousarray(self.values.astype(np.float64))
-        with sink(path, "wb", "grid file") as fh:
-            fh.write(header)
-            fh.write(payload.astype("<f8", copy=False).tobytes())
+        """Write the OCMG file."""
+        header = {"shape": list(self.values.shape), "dx": float(self.dx),
+                  "dy": float(self.dy), "origin": list(self.origin),
+                  "complex": self.is_complex}
+        samples = np.ascontiguousarray(
+            self.values, "<c16" if self.is_complex else "<f8")
+        write_framed(path, OCMG_MAGIC, header, samples, "grid file")
 
     @classmethod
     def load(cls, path) -> "FieldGrid":
         """Read an OCMG file; any malformed part raises ``CorruptGridFile``."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < _HEADER.size:
-            raise CorruptGridFile(f"{path}: {len(data)} bytes, shorter than "
-                                  f"the {_HEADER.size}-byte OCMG header")
-        magic, version, nx, ny, dx, dy, ox, oy, kind = \
-            _HEADER.unpack_from(data)
-        if magic != OCMG_MAGIC:
-            raise CorruptGridFile(f"{path}: not an OCMG grid file")
-        if version != OCMG_VERSION:
-            raise CorruptGridFile(
-                f"{path}: unsupported OCMG version {version}")
-        if kind not in (0, 1):
-            raise CorruptGridFile(f"{path}: kind {kind} is neither 0 (real) "
-                                  "nor 1 (complex)")
-        count = nx * ny * (2 if kind else 1)
-        if len(data) != _HEADER.size + count * 8:
-            raise CorruptGridFile(
-                f"{path}: payload of {len(data) - _HEADER.size} bytes, "
-                f"expected {count * 8} for {nx} x {ny} samples")
-        data = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-        values = (data.view(np.complex128) if kind else data).reshape(nx, ny)
+        header, payload = read_framed(path, OCMG_MAGIC, CorruptGridFile)
+        kind = header.get("complex")
+        if type(kind) is not bool:
+            raise CorruptGridFile(f"{path}: complex = {kind!r} is not a bool")
+        samples = np.frombuffer(payload, "<c16" if kind else "<f8")
         try:
-            return cls(values.copy(), dx, dy, (ox, oy))
-        except ValueError as exc:
+            return cls(samples.reshape(header.get("shape")).copy(),
+                       header.get("dx"), header.get("dy"), header.get("origin"))
+        except (TypeError, ValueError) as exc:
             raise CorruptGridFile(f"{path}: {exc}") from None
 
     def export_csv(self, path) -> None:

@@ -24,7 +24,8 @@ from ocmsim.cli import (cmd_analyze, cmd_compare, cmd_psf, cmd_reconstruct,
 from ocmsim.config import SCHEMA, _check_type, load_config
 from ocmsim.detector import _block_frames, child_seed
 from ocmsim.errors import ConfigError, CorruptEventFile
-from ocmsim.events_io import canonical_json, stable_hash
+from ocmsim.events_io import (_RECORD, OCME_MAGIC, canonical_json, stable_hash,
+                             write_framed)
 from ocmsim.phasematch import SPEED_OF_LIGHT
 from conftest import WORKLOADS
 from oracles import nested_config_values
@@ -356,16 +357,10 @@ def test_exit_code_3_when_the_output_directory_cannot_be_made(
 
 def test_exit_code_3_on_event_file_without_geometry(tmp_path):
     events = tmp_path / "bare.ocme"
-    write_events(events, EventStream(
-        frame=np.array([0, 0], np.uint64), ix=np.array([3, 9], np.uint16),
-        iy=np.array([3, 9], np.uint16), t_bin=np.array([0, 0], np.uint16),
-        n_frames=2, detector=DetectorConfig()))
-    # OCME: 6-byte magic and version, u32 header length, header, records
-    data = events.read_bytes()
-    body = 10 + int.from_bytes(data[6:10], "little")
-    blob = json.dumps({**json.loads(data[10:body]), "detector": {}}).encode()
-    events.write_bytes(data[:6] + len(blob).to_bytes(4, "little") + blob
-                       + data[body:])
+    records = np.zeros(2, _RECORD)
+    records["ix"] = records["iy"] = [3, 9]
+    write_framed(events, OCME_MAGIC, {"n_frames": 2, "detector": {}}, records,
+                 "event file")
     with pytest.raises(CorruptEventFile, match="bad detector"):
         read_events(events)
     code = run_cli(["--config", CONFIG, "--out", tmp_path / "o",

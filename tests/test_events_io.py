@@ -1,4 +1,3 @@
-import json
 import math
 import struct
 import tempfile
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
 from ocmsim.errors import CorruptEventFile, EventOutOfRange, UnsortedInput
-from ocmsim.events_io import _RECORD
+from ocmsim.events_io import _RECORD, OCME_MAGIC, write_framed
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
@@ -38,17 +37,21 @@ def file_bytes(tmp_path) -> bytes:
     return path.read_bytes()
 
 
-def with_header(blob: bytes) -> bytes:
-    return struct.pack("<4sHI", b"OCME", 1, len(blob)) + blob
+def framed(header: dict, records=np.zeros(0, _RECORD)) -> bytes:
+    """The OCME file the one writer frames for ``header`` and ``records``,
+    which it does not check against the stream contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.ocme"
+        write_framed(path, OCME_MAGIC, header, records, "event file")
+        return path.read_bytes()
 
 
 def with_detector(**change) -> bytes:
-    """Header-only file whose default detector record has keys changed;
+    """Record-less file whose default detector record has keys changed;
     a value of None drops the key."""
     detector = {**DetectorConfig().to_dict(), **change}
     detector = {k: v for k, v in detector.items() if v is not None}
-    return with_header(json.dumps({"n_frames": 2,
-                                   "detector": detector}).encode())
+    return framed({"n_frames": 2, "detector": detector})
 
 
 def with_records(n_frames, **fields) -> bytes:
@@ -58,9 +61,16 @@ def with_records(n_frames, **fields) -> bytes:
     records = np.zeros(len(next(iter(fields.values()))), dtype=_RECORD)
     for name, values in fields.items():
         records[name] = values
-    return with_header(json.dumps({"n_frames": n_frames, "detector":
-                                   DetectorConfig().to_dict()}).encode()
-                       ) + records.tobytes()
+    return framed({"n_frames": n_frames,
+                   "detector": DetectorConfig().to_dict()}, records)
+
+
+def with_header_bytes(good: bytes, edit) -> bytes:
+    """``good`` with its header bytes (the last 4 bytes hold their count)
+    replaced by ``edit(header)`` of the same length."""
+    end = len(good) - 4
+    start = end - int.from_bytes(good[end:], "little")
+    return good[:start] + edit(good[start:end]) + good[end:]
 
 
 def reconstruct_exit_code(tmp_path, path) -> int:
@@ -68,38 +78,70 @@ def reconstruct_exit_code(tmp_path, path) -> int:
                  "reconstruct", str(path)])
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda good: good[:3],                                   # short prefix
-    lambda good: b"XXXX" + good[4:],                         # wrong magic
-    lambda good: good[:4] + struct.pack("<H", 9) + good[6:],  # wrong version
-    lambda good: with_header(b"{not json"),                  # header not JSON
-    lambda good: with_header(json.dumps({"detector": {}}).encode()),
-    lambda good: with_header(json.dumps(
-        {"n_frames": 2, "detector": {"n_pixels_x": 32, "n_pixels_y": 32,
-                                     "frame_duration": 45e-9}}).encode()),
-    lambda good: good + b"\0" * 5,                           # partial record
-    lambda good: with_detector(pixel_pitch=None),
-    lambda good: with_detector(bogus=1),
-    lambda good: with_detector(pde=5),
-    lambda good: with_detector(n_pixels_x=65537, n_pixels_y=1),  # uint16 ix
-    lambda good: with_header(json.dumps({"n_frames": 2}).encode()),
-    lambda good: with_header(json.dumps({"n_frames": 2,
-                                         "detector": None}).encode()),
-    lambda good: with_header(json.dumps(
-        {"n_frames": -5, "detector": DetectorConfig().to_dict()}).encode()),
+GOOD_HEADER = {"n_frames": 2, "detector": DetectorConfig().to_dict()}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda good: good[:3], "3 bytes, too short"),
+    (lambda good: b"XXXX" + good[4:], "not an OCME file"),
+    (lambda good: good[:4] + struct.pack("<H", 9) + good[6:],
+     "unsupported OCME version 9"),
+    (lambda good: with_header_bytes(good, lambda h: b"X" + h[1:]),
+     "header is not JSON"),
+    (lambda good: framed({"detector": DetectorConfig().to_dict()}),
+     "n_frames = None"),
+    (lambda good: framed({"n_frames": 2, "detector": {
+        "n_pixels_x": 32, "n_pixels_y": 32, "frame_duration": 45e-9}}),
+     "bad detector"),
+    (lambda good: framed(GOOD_HEADER, np.zeros(17, np.uint8)),
+     "multiple of element size"),                   # part of a record
+    (lambda good: with_detector(pixel_pitch=None), "bad detector"),
+    (lambda good: with_detector(bogus=1), "bad detector"),
+    (lambda good: with_detector(pde=5), "bad detector"),
+    (lambda good: with_detector(n_pixels_x=65537, n_pixels_y=1),  # uint16 ix
+     "bad detector"),
+    (lambda good: framed({"n_frames": 2}), "bad detector"),
+    (lambda good: framed({"n_frames": 2, "detector": None}), "bad detector"),
+    (lambda good: framed({**GOOD_HEADER, "n_frames": -5}), "n_frames = -5"),
     # frame + offset would wrap a uint64: frame 2**64 - 1 meets frame 0
-    lambda good: with_records(2 ** 64, frame=[0, 2 ** 64 - 1]),
-    lambda good: with_records(2 ** 70, frame=[0, 1]),
+    (lambda good: with_records(2 ** 64, frame=[0, 2 ** 64 - 1]),
+     f"n_frames = {2 ** 64}"),
+    (lambda good: with_records(2 ** 70, frame=[0, 1]), f"n_frames = {2 ** 70}"),
+    (lambda good: with_header_bytes(
+        good, lambda h: b"[" + b" " * (len(h) - 2) + b"]"),
+     "header is not an object"),
+    (lambda good: good[:-4] + len(good).to_bytes(4, "little"),
+     "header runs past the start"),
+    # the last record cut out: the header's length no longer holds
+    (lambda good: good[:6 + 28] + good[6 + 42:], "payload of 28 bytes"),
+    (lambda good: good[:-14], "header runs past the start"),
+    (lambda good: good[:10] + bytes([good[10] ^ 1]) + good[11:], "SHA-256"),
+    (lambda good: good + b"\0" * 5, "header is not JSON"),
+    (lambda good: framed({**GOOD_HEADER, "meta": [1, 2]}),
+     r"meta \[1, 2\] not a dict"),
+    (lambda good: framed({**GOOD_HEADER, "source_hash": 7}),
+     "source_hash 7 is not a str"),
 ], ids=["short", "magic", "version", "not_json", "no_n_frames", "no_time_bin",
         "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor",
         "no_detector", "null_detector", "negative_n_frames", "n_frames_2**64",
-        "n_frames_2**70"])
-def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt):
+        "n_frames_2**70", "not_object", "header_length", "cut_record",
+        "cut_tail", "flipped_record", "appended", "meta_list",
+        "source_hash_int"])
+def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt, message):
+    """Each file breaks one check and is refused with that check's message;
+    the framing (length, digest) holds wherever another check is meant."""
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))
-    with pytest.raises(CorruptEventFile):
+    with pytest.raises(CorruptEventFile, match=message):
         read_events(path)
     assert reconstruct_exit_code(tmp_path, path) == 3
+
+
+def test_stream_refuses_meta_and_source_hash_of_other_types():
+    for change, message in (({"meta": [1, 2]}, r"meta \[1, 2\] not a dict"),
+                            ({"source_hash": 7}, "source_hash 7 is not")):
+        with pytest.raises(EventOutOfRange, match=message):
+            EventStream(**{**vars(stream()), **change})
 
 
 @pytest.mark.parametrize("bad, first", [

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ocmsim import DetectorConfig, EventStream, read_events, write_events
+from ocmsim import (DetectorConfig, EventStream, FieldGrid, read_events,
+                    write_events)
 from ocmsim.cli import main
+from ocmsim.events_io import write_framed
+from ocmsim.grid import OCMG_MAGIC
 
 from conftest import ROOT, load_module
 
@@ -21,19 +24,21 @@ SMALL = {"small": (["--set", "acquisition.wall_time_s=0.002",
 
 def prints_of(root: Path) -> dict:
     fingerprint_tool.run_flows(root, SMALL, CONFIG, main)
-    return fingerprint_tool.fingerprint(root, read_events)
+    return fingerprint_tool.fingerprint(root, read_events, FieldGrid.load)
 
 
 def test_reruns_print_equal_and_one_changed_byte_shows(tmp_path):
     first = prints_of(tmp_path / "a")
     assert first == prints_of(tmp_path / "b")
     assert {"small/simulate/events.ocme", "small/simulate/events.ocme records",
-            "small/reconstruct/centroid_image.ocmg"} <= set(first)
+            "small/reconstruct/centroid_image.ocmg",
+            "small/reconstruct/centroid_image.ocmg values"} <= set(first)
     report = tmp_path / "a" / "small" / "reconstruct" / "reconstruct_report.txt"
     data = bytearray(report.read_bytes())
     data[-2] ^= 1
     report.write_bytes(bytes(data))
-    changed = fingerprint_tool.fingerprint(tmp_path / "a", read_events)
+    changed = fingerprint_tool.fingerprint(tmp_path / "a", read_events,
+                                           FieldGrid.load)
     assert [k for k in first if first[k] != changed[k]] == \
         ["small/reconstruct/reconstruct_report.txt"]
 
@@ -50,9 +55,30 @@ def test_order_within_a_frame_changes_only_the_exact_hash(tmp_path):
             t_bin=np.array([7, 2, 0], np.uint16)[order],
             n_frames=2, detector=DetectorConfig()))
         prints.append(fingerprint_tool.fingerprint(tmp_path / name,
-                                                   read_events))
+                                                   read_events, None))
     assert prints[0]["e.ocme"] != prints[1]["e.ocme"]
     assert prints[0]["e.ocme records"] == prints[1]["e.ocme records"]
+
+
+def test_image_values_show_a_format_only_change_as_equal(tmp_path):
+    """One image under two headers (the second holds one more key): the
+    file hashes differ, the values entries agree; a changed sample changes
+    the values entry."""
+    grid = FieldGrid(np.arange(6.0).reshape(2, 3), 1e-6, 2e-6, (0.5, -1.0))
+    header = {"shape": [2, 3], "dx": 1e-6, "dy": 2e-6, "origin": [0.5, -1.0],
+              "complex": False}
+    for name, extra, values in (("a", {}, grid.values),
+                                ("b", {"note": 1}, grid.values),
+                                ("c", {}, grid.values + 1)):
+        (tmp_path / name).mkdir()
+        write_framed(tmp_path / name / "g.ocmg", OCMG_MAGIC,
+                     {**header, **extra}, values, "grid file")
+    a, b, c = (fingerprint_tool.fingerprint(tmp_path / name, None,
+                                            FieldGrid.load) for name in "abc")
+    assert a["g.ocmg"] != b["g.ocmg"]
+    assert a["g.ocmg values"] == b["g.ocmg values"] == \
+        fingerprint_tool.grid_hash(grid)
+    assert c["g.ocmg values"] != a["g.ocmg values"]
 
 
 def test_library_streams_print_equal_on_rerun():

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import struct
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -11,6 +14,8 @@ from ocmsim import (Aperture, FieldGrid, GridSpec, ImagingSystem,
                     PupilProfile, fourier_transform_2d)
 from ocmsim.cli import main
 from ocmsim.errors import CorruptGridFile
+from ocmsim.events_io import write_framed
+from ocmsim.grid import OCMG_MAGIC
 
 from oracles import inverse_fourier_transform_2d
 
@@ -69,13 +74,20 @@ def test_binary_container_round_trip(tmp_path):
 
 
 def test_binary_container_header(tmp_path):
-    g = FieldGrid(np.ones((4, 4)), 1e-6, 1e-6)
+    """Version-2 framing: magic and version, the samples, the JSON header,
+    the header's length as the last 4 bytes."""
+    g = FieldGrid(np.arange(16.0).reshape(4, 4), 1e-6, 2e-6, (-3e-6, 0.5))
     path = tmp_path / "grid.ocmg"
     g.save(path)
     raw = path.read_bytes()
-    assert raw[:4] == b"OCMG"
-    # real payload: 4 bytes magic + 2 version + 8+8 shape... header then 16 f64
-    assert len(raw) == 4 + 2 + 4 + 4 + 8 * 4 + 1 + 16 * 8
+    assert raw[:6] == b"OCMG\2\0"
+    payload, end = raw[6:6 + 16 * 8], len(raw) - 4
+    assert payload == g.values.astype("<f8").tobytes()
+    assert json.loads(raw[6 + 16 * 8:end]) == {
+        "shape": [4, 4], "dx": 1e-6, "dy": 2e-6, "origin": [-3e-6, 0.5],
+        "complex": False, "payload_bytes": 128,
+        "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    assert int.from_bytes(raw[end:], "little") == end - 6 - 16 * 8
 
 
 def test_csv_round_trip(tmp_path):
@@ -143,21 +155,40 @@ def grid_bytes(tmp_path) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda good: good[:20],                                  # short header
-    lambda good: b"XXXX" + good[4:],                         # wrong magic
-    lambda good: good[:4] + struct.pack("<H", 9) + good[6:],  # wrong version
-    lambda good: good[:-8],                                  # short payload
-    lambda good: good + b"\0" * 8,                           # trailing bytes
-    lambda good: good[:46] + b"\7" + good[47:] * 2,          # kind 7
-    lambda good: good[:14] + struct.pack("<d", np.inf) + good[22:],  # dx
-    lambda good: good[:30] + struct.pack("<d", np.nan) + good[38:],  # origin
+def framed(**change) -> bytes:
+    """The OCMG file the one writer frames for 3 x 4 real samples under
+    the geometry header with keys changed, unchecked."""
+    header = {"shape": [3, 4], "dx": 1e-6, "dy": 2e-6, "origin": [0.0, 0.0],
+              "complex": False, **change}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.ocmg"
+        write_framed(path, OCMG_MAGIC, header, np.arange(12.0), "grid file")
+        return path.read_bytes()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda good: good[:9], "9 bytes, too short"),
+    (lambda good: b"XXXX" + good[4:], "not an OCMG file"),
+    (lambda good: good[:4] + struct.pack("<H", 9) + good[6:],
+     "unsupported OCMG version 9"),
+    (lambda good: good[:6] + good[14:], "payload of 88 bytes"),
+    (lambda good: good + b"\0" * 8, "header is not JSON"),
+    (lambda good: framed(complex=7), "complex = 7 is not a bool"),
+    (lambda good: framed(dx=np.inf), "dx = inf must be finite"),
+    (lambda good: framed(origin=[np.nan, 0.0]), "not two finite reals"),
+    (lambda good: framed(origin="12"), "origin = '12'"),
+    (lambda good: framed(origin=[1.0, 2.0, 3.0]), "not two finite reals"),
+    (lambda good: framed(shape=[3, 5]), "cannot reshape"),
+    (lambda good: framed(shape=[12]), "2-D"),
+    (lambda good: good[:20] + bytes([good[20] ^ 1]) + good[21:], "SHA-256"),
 ], ids=["short", "magic", "version", "short_payload", "trailing", "kind_7",
-        "infinite_dx", "nan_origin"])
-def test_malformed_grid_file_is_a_typed_error(tmp_path, corrupt):
+        "infinite_dx", "nan_origin", "string_origin", "three_origin",
+        "wrong_shape", "one_axis", "flipped_sample"])
+def test_malformed_grid_file_is_a_typed_error(tmp_path, corrupt, message):
+    """Each file breaks one check and is refused with that check's message."""
     path = tmp_path / "bad.ocmg"
     path.write_bytes(corrupt(grid_bytes(tmp_path)))
-    with pytest.raises(CorruptGridFile):
+    with pytest.raises(CorruptGridFile, match=message):
         FieldGrid.load(path)
     assert main(["--config", str(CONFIG), "--out", str(tmp_path / "o"),
                  "analyze", str(path)]) == 3

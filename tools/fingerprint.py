@@ -8,7 +8,9 @@ of CHECKOUT (by default the checkout holding this file), each flow in its
 own folder of one temporary directory, and prints sorted JSON: {output path:
 SHA-256}.  Each event file also gets an entry ``<path> records``, the
 SHA-256 of its records sorted by (frame, ix, iy, t_bin), which stays equal
-when only the order of events within a frame changes.  The ``run_acquisition``
+when only the order of events within a frame changes, and each image file
+an entry ``<path> values``, the ``grid_hash`` of the image it holds; both
+stay equal when only the file format changes.  The ``run_acquisition``
 streams of the benchmark's two library workloads, at seeds 1-3 and a fifth
 of their wall time, get the entries ``library/<workload>/seed_<n>`` (the
 stream's arrays, frame count and ``pairs_generated``) and ``... records``,
@@ -112,15 +114,18 @@ def records_hash(stream) -> str:
     return digest.hexdigest()
 
 
-def fingerprint(root: Path, read_events) -> dict:
+def fingerprint(root: Path, read_events, load_grid) -> dict:
     """{path under ``root``: SHA-256} for every file, plus for each event
-    file the hash of its records sorted by (frame, ix, iy, t_bin)."""
+    file the hash of its records sorted by (frame, ix, iy, t_bin) and for
+    each image file the ``grid_hash`` of ``load_grid(path)``."""
     out = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         name = path.relative_to(root).as_posix()
         out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         if path.suffix == ".ocme":
             out[f"{name} records"] = records_hash(read_events(path))
+        elif path.suffix == ".ocmg":
+            out[f"{name} values"] = grid_hash(load_grid(path))
     return out
 
 
@@ -181,11 +186,12 @@ def main() -> int:
     from ocmsim.config import load_config
     from ocmsim.detector import run_acquisition
     from ocmsim.events_io import read_events
+    from ocmsim.grid import FieldGrid
 
     config = checkout / "configs" / "default.yaml"
     with tempfile.TemporaryDirectory() as tmp:
         run_flows(Path(tmp), FLOWS, config, cli_main)
-        prints = fingerprint(Path(tmp), read_events)
+        prints = fingerprint(Path(tmp), read_events, FieldGrid.load)
     prints.update(library_prints(LIBRARY, LIBRARY_SEEDS, config, load_config,
                                  run_acquisition))
     print(json.dumps(prints, indent=1, sort_keys=True))

@@ -7,6 +7,10 @@ estimated by pairing events across different frames (offset k), which cannot
 contain true correlations, and subtracted.  Detector crosstalk is suppressed
 by requiring a minimum Chebyshev pixel separation within a pair.  Both use
 one enumeration, ``_pairs``, whose offset 0 pairs events of the same frame.
+It yields its pairs in pieces of a bounded count of candidate pairs, and
+tests the time window before it gathers pixels: extraction joins the pieces
+in order, and the accidental estimate adds each piece's histogram into one
+image, so its memory does not grow with the candidates of dense frames.
 Every stream, pair set and image carries the ``DetectorConfig`` it was
 recorded with (an event file's header always holds one), and every function
 takes the geometry from its input; a ``cfg`` passed alongside may only
@@ -24,6 +28,9 @@ from .errors import GridMismatch, TooFewFrames
 from .events_io import DetectorConfig, EventStream
 from .grid import FieldGrid
 
+#: candidate pairs per piece of the pair enumeration (``_pairs``)
+_PIECE = 2 ** 18
+
 
 @dataclass
 class CoincidenceSet:
@@ -34,8 +41,6 @@ class CoincidenceSet:
     iy1: np.ndarray
     ix2: np.ndarray
     iy2: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
     min_xi: int
     detector: DetectorConfig
     n_cut: int = 0                    # pairs rejected by the min_xi cut
@@ -108,16 +113,23 @@ def _run_bounds(a: np.ndarray) -> np.ndarray:
 
 
 def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
-    """(i, j, n_cut): admissible pairs of events in frames f, f + offset.
+    """Yield (i, j, n_cut) per piece: admissible pairs of events in frames f,
+    f + offset.
 
     Event i meets every event j > i of frame f_i + offset, so offset 0 gives
-    each same-frame pair once, in (i, j) order.  Admissible pairs lie within
-    ``window`` in time and more than ``min_xi`` pixels apart (Chebyshev);
-    ``n_cut`` counts the in-window pairs that the separation cut rejects.
-    The work follows the frame runs (an ``EventStream`` keeps frame ids
-    sorted, below n_frames <= 2**63): offset 0 visits only runs of two or
-    more events, and an offset k > 0 searches the run frames for the
-    partner run only of the runs whose next run lies within k frames.
+    each same-frame pair once; the pieces, joined in the order they come,
+    give the pairs in (i, j) order.  Admissible pairs lie within ``window``
+    in time and more than ``min_xi`` pixels apart (Chebyshev); ``n_cut``
+    counts the in-window pairs that the separation cut rejects.  The work
+    follows the frame runs (an ``EventStream`` keeps frame ids sorted, below
+    n_frames <= 2**63): offset 0 visits only runs of two or more events,
+    and an offset k > 0 searches the run frames for the partner run only of
+    the runs whose next run lies within k frames.  The visited runs are cut
+    into pieces of at most ``_PIECE`` candidate pairs, a run (with its
+    partner) of more forming a piece alone; first-hit detection holds that
+    at (n_pixels_x * n_pixels_y)**2.  Each piece tests the time window
+    first and gathers the pixels only of its in-window candidates, so
+    memory follows the piece, not the stream.
     """
     frames = events.frame
     # frame runs: run r holds events bounds[r] to bounds[r + 1] - 1
@@ -135,25 +147,34 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
         del run_frames, target, found
     else:
         runs = partner = np.flatnonzero(np.diff(bounds) > 1)
-    # the events of the visited runs, each with its partners' span [lo, hi)
     sizes = ends[runs] - starts[runs]
-    ev = np.arange(sizes.sum()) + np.repeat(starts[runs] - (np.cumsum(sizes)
-                                                            - sizes), sizes)
-    lo = np.repeat(starts[partner], sizes) if offset else ev + 1
-    reps = np.repeat(ends[partner], sizes) - lo
-    # i repeats once per partner; j runs from lo[i] through each segment
-    i = np.repeat(ev, reps)
-    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
-    del bounds, starts, ends, ev, lo, reps  # free them before per-pair peaks
-
-    in_window = np.abs(events.t_bin[i].astype(np.int64) - events.t_bin[j]) \
-        <= _window_bins(window, events.detector)
-    near = np.maximum(np.abs(events.ix[i].astype(np.int64) - events.ix[j]),
-                      np.abs(events.iy[i].astype(np.int64) - events.iy[j])) \
-        <= min_xi
-    n_cut = int(np.count_nonzero(in_window & near))
-    ok = in_window & ~near
-    return i[ok], j[ok], n_cut
+    # candidate pairs up to and including each visited run
+    reach = np.cumsum(sizes * (ends[partner] - starts[partner]) if offset
+                      else sizes * (sizes - 1) // 2)
+    window_bins = _window_bins(window, events.detector)
+    t, x, y = events.t_bin, events.ix, events.iy
+    first = 0
+    while first < runs.size:
+        done = reach[first - 1] if first else 0
+        last = max(int(np.searchsorted(reach, done + _PIECE, "right")),
+                   first + 1)
+        r, p, n = runs[first:last], partner[first:last], sizes[first:last]
+        first = last
+        # the events of the piece's runs, each with its partners' span [lo, hi)
+        ev = np.arange(n.sum()) + np.repeat(starts[r] - (np.cumsum(n) - n), n)
+        lo = np.repeat(starts[p], n) if offset else ev + 1
+        reps = np.repeat(ends[p], n) - lo
+        # i repeats once per partner; j runs from lo[i] through each segment
+        i = np.repeat(ev, reps)
+        j = np.arange(i.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
+        # index arrays, which gather faster than boolean masks select
+        inside = np.flatnonzero(np.abs(t[i].astype(np.int32) - t[j])
+                                <= window_bins)
+        i, j = i[inside], j[inside]
+        apart = np.flatnonzero(np.maximum(np.abs(x[i].astype(np.int32) - x[j]),
+                                          np.abs(y[i].astype(np.int32) - y[j]))
+                               > min_xi)
+        yield i[apart], j[apart], i.size - apart.size
 
 
 def extract_coincidences(events: EventStream, window: float = 1e-9,
@@ -169,7 +190,12 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
     """
     if order != 2:
         raise ValueError("coincidence extraction is specified for pairs")
-    i, j, n_cut = _pairs(events, window, min_xi, 0)
+    i, j, n_cut = [np.empty(0, np.intp)], [np.empty(0, np.intp)], 0
+    for a, b, cut in _pairs(events, window, min_xi, 0):
+        i.append(a)
+        j.append(b)
+        n_cut += cut
+    i, j = np.concatenate(i), np.concatenate(j)
     frames = events.frame
     counts = np.diff(_run_bounds(frames[i]))    # the pairs come by frame
     if one_pair_per_frame:
@@ -177,11 +203,9 @@ def extract_coincidences(events: EventStream, window: float = 1e-9,
         i, j = i[single], j[single]
 
     return CoincidenceSet(
-        frame=frames[i].astype(np.uint64),
+        frame=frames[i],
         ix1=events.ix[i].astype(np.int64), iy1=events.iy[i].astype(np.int64),
         ix2=events.ix[j].astype(np.int64), iy2=events.iy[j].astype(np.int64),
-        t1=events.t_bin[i].astype(np.int64),
-        t2=events.t_bin[j].astype(np.int64),
         min_xi=min_xi, detector=events.detector, n_cut=n_cut,
         n_multi_pair_frames=int((counts > 1).sum()))
 
@@ -206,12 +230,14 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
         raise ValueError(f"accidental offset must be >= 1, got {offset}")
     if events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
-    i, j, _ = _pairs(events, window, min_xi, offset)
-    image = _histogram(events.ix[i].astype(np.int64) + events.ix[j],
-                       events.iy[i].astype(np.int64) + events.iy[j],
-                       events.detector.centroid_shape).astype(float)
+    shape = events.detector.centroid_shape
+    ix, iy = events.ix, events.iy
+    counts = np.zeros(shape, np.int64)
+    for i, j, _ in _pairs(events, window, min_xi, offset):
+        counts += _histogram(ix[i].astype(np.int64) + ix[j],
+                             iy[i].astype(np.int64) + iy[j], shape)
     norm = events.n_frames / (2.0 * (events.n_frames - offset))
-    return CentroidImage(image * norm, events.detector)
+    return CentroidImage(counts.astype(float) * norm, events.detector)
 
 
 def coverage_table(cfg: DetectorConfig, min_xi: int,

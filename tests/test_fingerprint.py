@@ -83,25 +83,28 @@ def test_image_values_show_a_format_only_change_as_equal(tmp_path):
 
 def test_library_streams_print_equal_on_rerun():
     """Both library workloads at 0.01 s and two seeds: equal prints on a
-    rerun, an exact and a records entry per stream, one entry per sampler
-    density, and seeds that differ."""
-    from ocmsim import run_acquisition
+    rerun, an exact, a records, a pairs and an accidentals entry per
+    stream, one entry per sampler density, and seeds that differ."""
+    from ocmsim import (estimate_accidentals, extract_coincidences,
+                        run_acquisition)
     from ocmsim.config import load_config
 
     small = {name: (overrides, 0.01) for name, (overrides, _)
              in fingerprint_tool.LIBRARY.items()}
-    prints = [fingerprint_tool.library_prints(small, (1, 2), CONFIG,
-                                              load_config, run_acquisition)
-              for _ in range(2)]
+    prints = [fingerprint_tool.library_prints(
+        small, (1, 2), CONFIG, load_config, run_acquisition,
+        extract_coincidences, estimate_accidentals) for _ in range(2)]
     assert prints[0] == prints[1]
     assert sorted(prints[0]) == sorted(
         [f"library/{name}/seed_{seed}{suffix}" for name in small
-         for seed in (1, 2) for suffix in ("", " records")]
+         for seed in (1, 2)
+         for suffix in ("", " records", " pairs", " accidentals")]
         + [f"library/{name}/{density}" for name in small
            for density in ("centroid_density", "deviation_density")])
     for name in small:
-        assert prints[0][f"library/{name}/seed_1"] != \
-            prints[0][f"library/{name}/seed_2"]
+        for suffix in ("", " pairs", " accidentals"):
+            assert prints[0][f"library/{name}/seed_1{suffix}"] != \
+                prints[0][f"library/{name}/seed_2{suffix}"]
 
 
 def test_diff_counts_equal_entries_and_names_the_rest(tmp_path):

@@ -11,8 +11,9 @@ from scipy import stats
 from ocmsim import (DetectorConfig, EventStream, OcmPairSource,
                     PhaseMatchingParams, XiMode, apply_detector_model,
                     centroid_image, coverage_table, estimate_accidentals,
-                    extract_coincidences, sample_event_positions,
-                    singles_image)
+                    extract_coincidences, run_acquisition,
+                    sample_event_positions, singles_image)
+from ocmsim import reconstruction
 from ocmsim.config import RunConfig, load_config
 from ocmsim.errors import (EventOutOfRange, GridMismatch, TooFewFrames,
                            UnsortedInput)
@@ -57,7 +58,6 @@ def test_pair_arithmetic():
     assert len(pairs) == 1
     assert (pairs.cx[0], pairs.cy[0]) == (14, 14)
     assert abs(pairs.dx[0]) == 4 and abs(pairs.iy1[0] - pairs.iy2[0]) == 4
-    assert abs(pairs.t1[0] - pairs.t2[0]) == 3
 
 
 def test_window_rejects_late_partner():
@@ -116,7 +116,7 @@ def test_window_beyond_a_frame_admits_what_a_frame_window_does():
     wide, one = (extract_coincidences(ev, w, min_xi=1) for w in (window, frame))
     assert len(one) == len(coincidence_pairs_loop(
         ev.frame, ev.ix, ev.iy, ev.t_bin, cfg.n_time_bins, 1, False)[0]) > 0
-    for name in ("frame", "ix1", "iy1", "ix2", "iy2", "t1", "t2"):
+    for name in ("frame", "ix1", "iy1", "ix2", "iy2"):
         assert np.array_equal(getattr(wide, name), getattr(one, name)), name
     assert (wide.n_cut, wide.n_multi_pair_frames) == \
         (one.n_cut, one.n_multi_pair_frames)
@@ -276,8 +276,7 @@ def test_extraction_matches_per_frame_loop(ev, k, min_xi, one_pair_per_frame):
     i = np.array([p[0] for p in ref], dtype=np.int64)
     j = np.array([p[1] for p in ref], dtype=np.int64)
     expected = {"frame": ev.frame[i], "ix1": ev.ix[i], "iy1": ev.iy[i],
-                "ix2": ev.ix[j], "iy2": ev.iy[j], "t1": ev.t_bin[i],
-                "t2": ev.t_bin[j]}
+                "ix2": ev.ix[j], "iy2": ev.iy[j]}
     for name, values in expected.items():
         assert np.array_equal(getattr(pairs, name), values), name
     assert (pairs.n_cut, pairs.n_multi_pair_frames) == (n_cut, n_multi)
@@ -336,15 +335,48 @@ def test_accidentals_match_cross_frame_loop(ev, k, min_xi, offset):
     assert np.array_equal(acc.values, ref * norm)
 
 
+def pieces_joined(ev, window, min_xi, offset) -> tuple[list, int]:
+    """``_pairs``' pieces joined: the (i, j) pairs as a list, and n_cut."""
+    pairs, n_cut = [], 0
+    for i, j, cut in _pairs(ev, window, min_xi, offset):
+        pairs += zip(i.tolist(), j.tolist())
+        n_cut += cut
+    return pairs, n_cut
+
+
+def check_pairs_against_loop(ev, window, min_xi, offset) -> list:
+    """At pieces of one and three candidates, which split most streams into
+    many pieces and leave runs larger than a piece, and at the default
+    piece size: ``_pairs`` gives the double loop's pairs in its order and
+    its n_cut, and at offsets >= 1 ``estimate_accidentals`` is their
+    histogram scaled by F / (2 (F - offset)).  Returns the loop's pairs."""
+    k = _window_bins(window, ev.detector)
+    ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin, k,
+                                     min_xi, offset)
+    hist = np.zeros(ev.detector.centroid_shape, np.int64)
+    for i, j in ref:
+        hist[int(ev.ix[i]) + int(ev.ix[j]), int(ev.iy[i]) + int(ev.iy[j])] += 1
+    for piece in (1, 3, reconstruction._PIECE):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruction, "_PIECE", piece)
+            assert pieces_joined(ev, window, min_xi, offset) == \
+                (ref, ref_cut), piece
+            if offset and ev.n_frames > offset:
+                norm = ev.n_frames / (2.0 * (ev.n_frames - offset))
+                assert np.array_equal(
+                    estimate_accidentals(ev, window, offset, min_xi).values,
+                    hist.astype(float) * norm), piece
+    return ref
+
+
 @given(small_streams(), st.integers(0, 5), st.integers(0, 6),
        st.integers(-1, 3))
 def test_pair_enumeration_equals_double_loop(ev, offset, k, min_xi):
     """Same (i, j) in the same order and the same n_cut, at offsets where
-    frame + offset lands inside, on the last frame or past it."""
-    i, j, n_cut = _pairs(ev, k * DetectorConfig().time_bin, min_xi, offset)
-    ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin, k,
-                                     min_xi, offset)
-    assert list(zip(i.tolist(), j.tolist())) == ref and n_cut == ref_cut
+    frame + offset lands inside, on the last frame or past it, whatever
+    the piece size."""
+    check_pairs_against_loop(ev, k * DetectorConfig().time_bin, min_xi,
+                             offset)
 
 
 @pytest.mark.parametrize("offset", [1, 2, 3, 4, 5])
@@ -355,12 +387,27 @@ def test_pairs_reaching_the_last_frame_and_past_it(offset):
     rows = [(0, 0, 0, 5), (0, 4, 4, 5), (1, 2, 0, 5), (1, 0, 4, 5),
             (3, 4, 0, 5), (5, 0, 2, 5), (5, 4, 2, 5)]
     ev = make_stream(rows, 6, DetectorConfig(n_pixels_x=5, n_pixels_y=5))
-    i, j, n_cut = _pairs(ev, 1e-9, 1, offset)
-    ref, ref_cut = pair_indices_loop(ev.frame, ev.ix, ev.iy, ev.t_bin,
-                                     _window_bins(1e-9, ev.detector), 1,
-                                     offset)
-    assert list(zip(i.tolist(), j.tolist())) == ref and n_cut == ref_cut
+    ref = check_pairs_against_loop(ev, 1e-9, 1, offset)
     assert len(ref) == {1: 4, 2: 4, 3: 2, 4: 4, 5: 4}[offset]
+
+
+def test_dense_frame_memory_follows_the_pieces_not_the_candidates():
+    """The real sensor at 1 MHz darks per pixel holds about 46 events per
+    frame; over 2,000 frames that is about 2e6 same-frame and 4e6
+    cross-frame candidate pairs, of which the window keeps a few percent."""
+    cfg = load_config(overrides=["detector.pde=auto",
+                                 "detector.dark_count_rate_hz=1e6"])
+    detector = cfg.detector()
+    ev = run_acquisition(cfg.source(), detector, 2000 / detector.frame_rate, 1)
+    assert ev.n_frames == 2000 and len(ev) > 80_000
+    for reconstruct in (extract_coincidences, estimate_accidentals):
+        tracemalloc.start()
+        try:
+            reconstruct(ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, reconstruct.__name__
 
 
 def _pixel_pairs(pairs) -> list:
@@ -437,7 +484,6 @@ def _uniform_pair_set(rng, n_pairs, cfg, min_xi=1):
         frame=np.arange(n, dtype=np.uint64),
         ix1=ix[:, 0].astype(np.int64), iy1=iy[:, 0].astype(np.int64),
         ix2=ix[:, 1].astype(np.int64), iy2=iy[:, 1].astype(np.int64),
-        t1=np.zeros(n, dtype=np.int64), t2=np.zeros(n, dtype=np.int64),
         min_xi=min_xi, detector=cfg)
 
 

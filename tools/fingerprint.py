@@ -13,10 +13,16 @@ an entry ``<path> values``, the ``grid_hash`` of the image it holds; both
 stay equal when only the file format changes.  The ``run_acquisition``
 streams of the benchmark's two library workloads, at seeds 1-3 and a fifth
 of their wall time, get the entries ``library/<workload>/seed_<n>`` (the
-stream's arrays, frame count and ``pairs_generated``) and ``... records``,
-and the sampler's two densities get ``library/<workload>/centroid_density``
-and ``.../deviation_density`` (samples and geometry).  Two checkouts write
-bit-identical outputs exactly when their JSON is equal, and
+stream's arrays, frame count and ``pairs_generated``), ``... records``,
+``... pairs`` (the ``extract_coincidences`` pair set: its arrays, ``n_cut``
+and ``n_multi_pair_frames``) and ``... accidentals`` (the offset-1
+``estimate_accidentals`` image), at the config's window and ``min_xi``, and
+the sampler's two densities get ``library/<workload>/centroid_density`` and
+``.../deviation_density`` (samples and geometry).  So reconstruction is
+covered on sparse frames (the real sensor), on frames of about one pair
+(the ideal detector) and, in the ``dense_darks`` flow at 1 MHz of darks per
+pixel, on frames of about 46 events.  Two checkouts write bit-identical
+outputs exactly when their JSON is equal, and
 
     python tools/fingerprint.py --diff BASE.json CHANGE.json
 
@@ -61,6 +67,10 @@ CLI_PIPELINE = ["--set", "acquisition.wall_time_s="
 #: the real sensor (pde 0.008, 1 kHz darks) for 2 s on two threads
 REAL_SENSOR = ["--set", "detector={pde: auto, dark_count_rate_hz: 1e3}",
                "--set", "acquisition.wall_time_s=2.0", "--threads", "2"]
+#: the real sensor at 1 MHz darks per pixel (about 46 events per frame) for
+#: 2,000 frames
+DENSE_DARKS = ["--set", "detector={pde: auto, dark_count_rate_hz: 1e6}",
+               "--set", "acquisition.wall_time_s=2.5e-3"]
 #: the benchmark's library workloads: overrides, then a fifth of their
 #: wall time
 LIBRARY = {name: (w["overrides"], w["wall_time_s"] / 5)
@@ -82,6 +92,7 @@ FLOWS = {
         for mode in ("sum", "average", "weighted")),
         ("analyze", ["analyze", "@reconstruct_weighted/centroid_image.ocmg"])]),
     "real_sensor": (REAL_SENSOR, [SIMULATE, RECONSTRUCT]),
+    "dense_darks": (DENSE_DARKS, [SIMULATE, RECONSTRUCT]),
     "psf_gaussian": (FAST + ["--set", "system.pupil_profile=gaussian",
                              "--set", "system.pupil_sigma_m=0.5e-3"],
                      [("psf", ["psf"])]),
@@ -138,28 +149,45 @@ def grid_hash(grid) -> str:
 
 
 def library_prints(library: dict, seeds, config: Path, load_config,
-                   run_acquisition) -> dict:
+                   run_acquisition, extract_coincidences,
+                   estimate_accidentals) -> dict:
     """{``library/<workload>/seed_<n>``: SHA-256} of each ``run_acquisition``
     stream (arrays in order, frame count, ``pairs_generated``), plus the
-    hash of its sorted records, and of the workload's centroid and
-    deviation densities."""
+    hashes of its sorted records, of its pair set (arrays, ``n_cut``,
+    ``n_multi_pair_frames``) and of its offset-1 accidental image, and of
+    the workload's centroid and deviation densities."""
     out = {}
     for name, (overrides, wall_time) in library.items():
         cfg = load_config(config, overrides)
         source, detector = cfg.source(), cfg.detector()
+        window, min_xi = (cfg["reconstruction.window_s"],
+                          cfg["reconstruction.min_xi_pixels"])
         for density in ("centroid_density", "deviation_density"):
             out[f"library/{name}/{density}"] = grid_hash(
                 getattr(source, density)(detector))
         for seed in seeds:
             s = run_acquisition(source, detector, wall_time, seed)
-            digest = hashlib.sha256()
-            for a in (s.frame, s.ix, s.iy, s.t_bin):
-                digest.update(a.tobytes())
-            digest.update(f"{s.n_frames}:{s.meta['pairs_generated']}".encode())
             key = f"library/{name}/seed_{seed}"
-            out[key] = digest.hexdigest()
+            out[key] = arrays_hash((s.frame, s.ix, s.iy, s.t_bin),
+                                   s.n_frames, s.meta["pairs_generated"])
             out[f"{key} records"] = records_hash(s)
+            p = extract_coincidences(s, window, 2, min_xi)
+            out[f"{key} pairs"] = arrays_hash(
+                (p.frame, p.ix1, p.iy1, p.ix2, p.iy2), p.n_cut,
+                p.n_multi_pair_frames)
+            out[f"{key} accidentals"] = arrays_hash(
+                (estimate_accidentals(s, window, 1, min_xi).values,))
     return out
+
+
+def arrays_hash(arrays, *numbers) -> str:
+    """SHA-256 of the arrays' bytes in turn, then of the numbers joined by
+    colons."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    digest.update(":".join(map(str, numbers)).encode())
+    return digest.hexdigest()
 
 
 def diff_report(base: dict, change: dict) -> str:
@@ -187,13 +215,16 @@ def main() -> int:
     from ocmsim.detector import run_acquisition
     from ocmsim.events_io import read_events
     from ocmsim.grid import FieldGrid
+    from ocmsim.reconstruction import (estimate_accidentals,
+                                       extract_coincidences)
 
     config = checkout / "configs" / "default.yaml"
     with tempfile.TemporaryDirectory() as tmp:
         run_flows(Path(tmp), FLOWS, config, cli_main)
         prints = fingerprint(Path(tmp), read_events, FieldGrid.load)
     prints.update(library_prints(LIBRARY, LIBRARY_SEEDS, config, load_config,
-                                 run_acquisition))
+                                 run_acquisition, extract_coincidences,
+                                 estimate_accidentals))
     print(json.dumps(prints, indent=1, sort_keys=True))
     return 0
 

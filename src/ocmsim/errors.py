@@ -82,6 +82,10 @@ class CorruptGridFile(OcmsimError):
     """Grid file is truncated, malformed or carries trailing bytes."""
 
 
+class CorruptManifest(OcmsimError):
+    """Manifest or report file that is not one JSON object."""
+
+
 class TooFewFrames(OcmsimError):
     """Not enough frames for cross-frame accidental estimation."""
 

@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import (CorruptEventFile, EventOutOfRange, UnsortedInput,
-                     finite_real, require_finite_positive, sink)
+from .errors import (CorruptEventFile, CorruptManifest, EventOutOfRange,
+                     UnsortedInput, finite_real, require_finite_positive, sink)
 
 OCME_MAGIC = b"OCME"
 FRAMED_VERSION = 2
@@ -306,5 +306,13 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
+    """The record of a manifest or report; a file that is not one JSON
+    object raises ``CorruptManifest`` naming the path."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            record = json.load(fh)
+        except ValueError as exc:           # not JSON, or not UTF-8
+            raise CorruptManifest(f"{path}: not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise CorruptManifest(f"{path}: not a JSON object")
+    return record

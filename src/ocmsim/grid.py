@@ -23,6 +23,16 @@ from .events_io import read_framed, write_framed
 OCMG_MAGIC = b"OCMG"
 
 
+def _cell(axis: np.ndarray, p: np.ndarray):
+    """Cell index, weight and out-of-span mask of coordinates ``p`` on an
+    ascending ``axis``, as SciPy's ``find_indices`` gives them."""
+    if not np.all(axis[1:] > axis[:-1]):    # a spacing below the origin's ulp
+        raise ValueError("grid axis is not strictly ascending")
+    i = np.clip(np.searchsorted(axis, p, "right") - 1, 0, axis.size - 2)
+    weight = (p - axis[i]) / (axis[i + 1] - axis[i])
+    return i, weight, (p < axis[0]) | (p > axis[-1])
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a grid without values: shape, spacing, origin."""
@@ -127,13 +137,38 @@ class FieldGrid:
         return FieldGrid(self.values / peak, self.dx, self.dy, self.origin)
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation at (..., 2) physical positions."""
-        from scipy.interpolate import RegularGridInterpolator
+        """Bilinear interpolation at (..., 2) physical positions.
 
-        f = RegularGridInterpolator(
-            (self.x_axis(), self.y_axis()), self.values,
-            bounds_error=False, fill_value=0.0)
-        return f(points)
+        Bit for bit SciPy's ``RegularGridInterpolator((x_axis, y_axis),
+        values, bounds_error=False, fill_value=0.0)`` on a writeable float64
+        or complex128 grid: along each axis the cell is
+        ``searchsorted(axis, p, "right") - 1`` clipped to ``[0, n - 2]`` and
+        the weight ``(p - g[i]) / (g[i + 1] - g[i])``, the four corners are
+        summed in SciPy's order, a point outside either axis's span gives 0
+        and a point with a NaN coordinate gives NaN.  The result has the
+        points' batch shape; a single ``(2,)`` point gives shape ``(1,)``.
+        Read-only grids, and float32 or complex64 grids, which SciPy
+        evaluates on a slower path whose last bits differ, get the fast
+        path's arithmetic in float64 or complex128.
+        """
+        xi = np.asarray(points, dtype=float)
+        if xi.ndim == 1:
+            xi = xi.reshape(-1, 2)
+        if xi.shape[-1] != 2:
+            raise ValueError(f"points of shape {xi.shape} are not (..., 2)")
+        values = self.values
+        # far or infinite points overflow or meet inf * 0 before the fill;
+        # SciPy's sum starts at 0.0, so four -0.0 corners give +0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            i, wx, out_x = _cell(self.x_axis(), xi[..., 0])
+            j, wy, out_y = _cell(self.y_axis(), xi[..., 1])
+            out = (0.0 + values[i, j] * (1 - wx) * (1 - wy)
+                   + values[i, j + 1] * (1 - wx) * wy
+                   + values[i + 1, j] * wx * (1 - wy)
+                   + values[i + 1, j + 1] * wx * wy)
+        out[out_x | out_y] = 0.0
+        out[np.isnan(xi).any(axis=-1)] = np.nan
+        return out
 
     # -- file formats ---------------------------------------------------------
     def save(self, path) -> None:

@@ -23,9 +23,10 @@ library's weight, evaluated on every pixel pair instead of once per pixel
 offset), the biphoton amplitude (the library's wavevector mismatch at two
 free photon positions, where the pair source evaluates it at +-xi) and the
 nested configuration tree (the library's schema and per-key type check).
-Two SciPy routines are bit-exact references for NumPy ports in ``optics``:
-``scipy.special.j1`` for ``somb`` and the ``scipy.fft`` padded product for
-``_linear_convolution``.
+Three SciPy routines are bit-exact references for NumPy ports:
+``scipy.special.j1`` for ``optics.somb``, the ``scipy.fft`` padded product
+for ``optics._linear_convolution`` and ``RegularGridInterpolator`` for
+``FieldGrid.interpolate``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ def linear_convolution_scipy(f: np.ndarray, g: np.ndarray,
     spectrum = (sp_fft.rfftn(f, fshape, axes=(0, 1))
                 * sp_fft.rfftn(g, fshape, axes=(0, 1)))
     return sp_fft.irfftn(spectrum, fshape, axes=(0, 1))[:shape[0], :shape[1]]
+
+
+def interpolate_scipy(grid, points) -> np.ndarray:
+    """``grid.interpolate(points)`` by SciPy's linear
+    ``RegularGridInterpolator`` on the grid's axes, 0 outside them.  SciPy's
+    fast path, which the port reproduces, needs a writeable float64 or
+    complex128 grid."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    assert grid.values.flags.writeable
+    assert grid.values.dtype in (np.float64, np.complex128)
+    return RegularGridInterpolator(
+        (grid.x_axis(), grid.y_axis()), grid.values, bounds_error=False,
+        fill_value=0.0)(points)
 
 
 def j1_first_root_bisect(lo: float = 3.0, hi: float = 4.5,

@@ -577,6 +577,15 @@ def test_simulate_and_the_pair_sampler_load_no_scipy(tmp_path):
     assert (tmp_path / "sim" / "events.ocme").exists()
 
 
+def test_the_pipeline_its_target_and_a_mask_sampler_load_no_scipy():
+    # an acquisition, its pairs, accidentals and weighted image, criterion
+    # 5's interpolated target and a mask aperture's sampler in one fresh
+    # interpreter: importing scipy.interpolate there would add ~50 MB
+    proc = run_python(str(ROOT / "tools" / "pipeline_memory.py"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["scipy"] == []
+
+
 def test_help_lists_every_config_key():
     proc = run_python("-m", "ocmsim.cli", "--help")
     assert proc.returncode == 0

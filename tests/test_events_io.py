@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
-from ocmsim.errors import CorruptEventFile, EventOutOfRange, UnsortedInput
-from ocmsim.events_io import _RECORD, OCME_MAGIC, write_framed
+from ocmsim.errors import (CorruptEventFile, CorruptManifest, EventOutOfRange,
+                           OcmsimError, UnsortedInput)
+from ocmsim.events_io import (_RECORD, OCME_MAGIC, read_manifest,
+                              write_framed, write_manifest)
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
@@ -383,3 +385,30 @@ def test_sensor_record_is_refused_alike_in_memory_and_from_a_file(record):
                                        empty, n_frames=1, detector=cfg))
         back = read_events(path).detector
     assert back == cfg and back.to_dict() == cfg.to_dict()
+
+
+def test_manifest_round_trip(tmp_path):
+    record = {"command": "simulate", "n_frames": 3, "band": [1, 2]}
+    write_manifest(tmp_path / "m.txt", record)
+    assert read_manifest(tmp_path / "m.txt") == record
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"command": "simulate"', "not JSON"),
+    ("", "not JSON"),
+    (b"\xff\xfe{}", "not JSON"),
+    ('["simulate"]', "not a JSON object"),
+    ("3", "not a JSON object"),
+    ("null", "not a JSON object"),
+], ids=["cut", "empty", "not_utf8", "list", "number", "null"])
+def test_a_report_that_is_not_a_json_object_is_a_typed_error(
+        tmp_path, text, message):
+    path = tmp_path / "report.txt"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(CorruptManifest, match=message) as info:
+        read_manifest(path)
+    assert isinstance(info.value, OcmsimError)
+    assert str(info.value).startswith(f"{path}: ")

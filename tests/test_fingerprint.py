@@ -12,6 +12,7 @@ from ocmsim.events_io import write_framed
 from ocmsim.grid import OCMG_MAGIC
 
 from conftest import ROOT, load_module
+from oracles import interpolate_scipy
 
 CONFIG = ROOT / "configs" / "default.yaml"
 fingerprint_tool = load_module("fingerprint", ROOT / "tools" / "fingerprint.py")
@@ -105,6 +106,22 @@ def test_library_streams_print_equal_on_rerun():
         for suffix in ("", " pairs", " accidentals"):
             assert prints[0][f"library/{name}/seed_1{suffix}"] != \
                 prints[0][f"library/{name}/seed_2{suffix}"]
+
+
+def test_interpolation_prints_are_scipys_bits(monkeypatch):
+    """The target and mask-density entries of the interpolated workload are
+    the same with SciPy's interpolator in place of ``FieldGrid.interpolate``."""
+    import ocmsim
+    from ocmsim.config import load_config
+
+    name = fingerprint_tool.INTERPOLATED
+    args = (name, fingerprint_tool.LIBRARY[name][0], CONFIG, load_config,
+            ocmsim)
+    prints = fingerprint_tool.interpolation_prints(*args)
+    assert sorted(prints) == [f"library/{name}/mask_centroid_density",
+                              f"library/{name}/target"]
+    monkeypatch.setattr(FieldGrid, "interpolate", interpolate_scipy)
+    assert fingerprint_tool.interpolation_prints(*args) == prints
 
 
 def test_diff_counts_equal_entries_and_names_the_rest(tmp_path):

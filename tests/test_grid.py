@@ -17,7 +17,7 @@ from ocmsim.errors import CorruptGridFile
 from ocmsim.events_io import write_framed
 from ocmsim.grid import OCMG_MAGIC
 
-from oracles import inverse_fourier_transform_2d
+from oracles import interpolate_scipy, inverse_fourier_transform_2d
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
 
@@ -110,6 +110,87 @@ def test_interpolation_matches_samples():
     np.testing.assert_allclose(g.interpolate(pts),
                                [g.values[5 + k, 10 + k] for k in range(4)],
                                atol=1e-12)
+
+
+#: batch shapes of the interpolation points; () is a single (2,) point
+BATCHES = [(), (0,), (1,), (3, 0), (2, 3), (64,), (4, 16)]
+
+
+@st.composite
+def interpolation_cases(draw):
+    """A float64 or complex128 grid of random origin and spacing, and points
+    on its grid lines, on its last line, inside, outside, at +-inf and NaN.
+    The origins and spacings keep both axes strictly ascending, as SciPy
+    requires."""
+    nx, ny = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    value = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+    values = np.array(draw(st.lists(value, min_size=nx * ny,
+                                    max_size=nx * ny))).reshape(nx, ny)
+    if draw(st.booleans()):
+        values = values + 1j * np.array(draw(st.lists(
+            value, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    grid = FieldGrid(values, draw(st.floats(1e-7, 1e3)),
+                     draw(st.floats(1e-7, 1e3)),
+                     (draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))))
+
+    def coordinate(axis):
+        span = axis[-1] - axis[0]
+        return st.one_of(st.sampled_from(axis), st.just(axis[-1]),
+                         st.floats(axis[0], axis[-1]),
+                         st.floats(axis[0] - span, axis[-1] + span),
+                         st.sampled_from([np.inf, -np.inf, np.nan]))
+
+    batch = draw(st.sampled_from(BATCHES))
+    n = int(np.prod(batch))
+    points = draw(st.lists(st.tuples(coordinate(grid.x_axis()),
+                                     coordinate(grid.y_axis())),
+                           min_size=n, max_size=n))
+    return grid, np.array(points, float).reshape(*batch, 2)
+
+
+@given(interpolation_cases())
+def test_interpolation_equals_scipy(case):
+    """The NumPy port gives SciPy's values bit for bit (signed zeros
+    included), NaN where SciPy gives NaN, in SciPy's shape and dtype."""
+    grid, points = case
+    got, expected = grid.interpolate(points), interpolate_scipy(grid, points)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got, expected, equal_nan=True)
+    number = ~np.isnan(expected)
+    assert got[number].tobytes() == expected[number].tobytes()
+
+
+def test_interpolating_a_read_only_or_narrow_grid_gives_the_float64_bits():
+    """SciPy evaluates read-only and float32 grids on a slower path whose
+    last bits differ; the port gives such grids the writeable float64
+    grid's bits."""
+    rng = np.random.default_rng(4)
+    grid = FieldGrid(rng.normal(size=(9, 7)), 1e-6, 2e-6, (-3e-6, 1e-6))
+    points = rng.uniform(-5e-6, 1.6e-5, (200, 2))
+    expected = grid.interpolate(points)
+    read_only = grid.values.copy()
+    read_only.flags.writeable = False
+    narrow = grid.values.astype(np.float32)
+    assert np.array_equal(FieldGrid(read_only, grid.dx, grid.dy, grid.origin)
+                          .interpolate(points), expected)
+    assert np.array_equal(
+        FieldGrid(narrow, grid.dx, grid.dy, grid.origin).interpolate(points),
+        FieldGrid(narrow.astype(float), grid.dx, grid.dy,
+                  grid.origin).interpolate(points))
+
+
+def test_interpolation_refuses_what_scipy_refuses():
+    """Points that are not pairs, and an axis whose spacing vanishes beside
+    its origin, are ValueErrors, as in SciPy."""
+    flat = FieldGrid(np.ones((3, 3)), 1e-10, 1e-10, (1e8, 0.0))
+    assert flat.x_axis()[0] == flat.x_axis()[-1]
+    for grid, points in ((FieldGrid(np.zeros((3, 3)), 1.0, 1.0),
+                          np.zeros((4, 3))),
+                         (flat, np.array([1e8, 1e-10]))):
+        with pytest.raises(ValueError):
+            grid.interpolate(points)
+        with pytest.raises(ValueError):
+            interpolate_scipy(grid, points)
 
 
 # every analytic Aperture kind, and both pupils at orders 1 to 3; ``mask``

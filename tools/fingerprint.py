@@ -18,11 +18,15 @@ stream's arrays, frame count and ``pairs_generated``), ``... records``,
 and ``n_multi_pair_frames``) and ``... accidentals`` (the offset-1
 ``estimate_accidentals`` image), at the config's window and ``min_xi``, and
 the sampler's two densities get ``library/<workload>/centroid_density`` and
-``.../deviation_density`` (samples and geometry).  So reconstruction is
-covered on sparse frames (the real sensor), on frames of about one pair
-(the ideal detector) and, in the ``dense_darks`` flow at 1 MHz of darks per
-pixel, on frames of about 46 events.  Two checkouts write bit-identical
-outputs exactly when their JSON is equal, and
+``.../deviation_density`` (samples and geometry).  The two products of
+``FieldGrid.interpolate`` at the ``ideal_triple_slit`` settings get
+``library/ideal_triple_slit/target`` (criterion 5's analytic target at the
+centroid bin centres) and ``.../mask_centroid_density`` (the centroid
+density of the pair source with a mask grid for its aperture).  So
+reconstruction is covered on sparse frames (the real sensor), on frames of
+about one pair (the ideal detector) and, in the ``dense_darks`` flow at
+1 MHz of darks per pixel, on frames of about 46 events.  Two checkouts
+write bit-identical outputs exactly when their JSON is equal, and
 
     python tools/fingerprint.py --diff BASE.json CHANGE.json
 
@@ -42,6 +46,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +81,9 @@ DENSE_DARKS = ["--set", "detector={pde: auto, dark_count_rate_hz: 1e6}",
 LIBRARY = {name: (w["overrides"], w["wall_time_s"] / 5)
            for name, w in WORKLOADS.items() if w["kind"] == "library"}
 LIBRARY_SEEDS = (1, 2, 3)
+#: the library workload whose interpolated target and mask-aperture density
+#: get entries
+INTERPOLATED = "ideal_triple_slit"
 SIMULATE = ("simulate", ["simulate"])
 RECONSTRUCT = ("reconstruct", ["reconstruct", "@simulate/events.ocme"])
 
@@ -180,6 +188,34 @@ def library_prints(library: dict, seeds, config: Path, load_config,
     return out
 
 
+def interpolation_prints(name: str, overrides, config: Path, load_config,
+                         ocmsim) -> dict:
+    """The two ``FieldGrid.interpolate`` products of the workload ``name``:
+    ``library/<name>/target``, the hash of criterion 5's analytic target
+    (its ``ocm_image`` at the centroid bin centres, the benchmark's
+    ``image_l1`` reference), and ``library/<name>/mask_centroid_density``,
+    the ``grid_hash`` of the centroid density of its source with a mask
+    grid for the aperture."""
+    GridSpec = ocmsim.GridSpec
+    cfg = load_config(config, overrides)
+    detector, pitch = cfg.detector(), cfg["aperture.pitch_m"]
+    analytic = ocmsim.ocm_image(cfg.aperture(), cfg.system(),
+                                cfg["ocm.n_photons"],
+                                GridSpec.centered(640, pitch / 48))
+    bx, by = detector.bin_center(np.arange(2 * detector.n_pixels_x - 1),
+                                 np.arange(2 * detector.n_pixels_y - 1))
+    target = analytic.interpolate(
+        np.stack(np.meshgrid(bx, by, indexing="ij"), axis=-1))
+    mask = ocmsim.FieldGrid.sample(
+        GridSpec.centered(64, pitch / 16, 48, pitch / 12),
+        lambda x, y: np.cos(np.pi * x / pitch) ** 2
+        * np.exp(-(x * x + y * y) / (2 * pitch) ** 2))
+    source = replace(cfg.source(), aperture=ocmsim.Aperture.from_mask(mask))
+    return {f"library/{name}/target": arrays_hash((target,)),
+            f"library/{name}/mask_centroid_density":
+                grid_hash(source.centroid_density(detector))}
+
+
 def arrays_hash(arrays, *numbers) -> str:
     """SHA-256 of the arrays' bytes in turn, then of the numbers joined by
     colons."""
@@ -210,6 +246,7 @@ def main() -> int:
         return 0
     checkout = Path(args[0] if args else Path(__file__).parents[1]).resolve()
     sys.path.insert(0, str(checkout / "src"))
+    import ocmsim
     from ocmsim.cli import main as cli_main
     from ocmsim.config import load_config
     from ocmsim.detector import run_acquisition
@@ -225,6 +262,8 @@ def main() -> int:
     prints.update(library_prints(LIBRARY, LIBRARY_SEEDS, config, load_config,
                                  run_acquisition, extract_coincidences,
                                  estimate_accidentals))
+    prints.update(interpolation_prints(
+        INTERPOLATED, LIBRARY[INTERPOLATED][0], config, load_config, ocmsim))
     print(json.dumps(prints, indent=1, sort_keys=True))
     return 0
 

@@ -1,0 +1,64 @@
+"""Peak memory of the library pipeline in a fresh interpreter, and the SciPy
+modules it loads.
+
+    PYTHONPATH=CHECKOUT/src python tools/pipeline_memory.py
+
+runs, in one process and with the ``ocmsim`` that ``PYTHONPATH`` names, the
+path from a configuration to a scored image: ``run_acquisition`` of the
+schema's default pair source for 0.01 s, ``extract_coincidences``,
+``estimate_accidentals`` and the weighted ``centroid_image``; criterion 5's
+analytic target (the ``ocm_image`` interpolated at the centroid bin
+centres); and the sampler of the same source with a mask grid for its
+aperture.  It prints one JSON line: ``peak_rss_mb``, this process's
+``ru_maxrss``, and ``scipy``, the SciPy modules loaded by then.  It calls
+only functions of long standing, so it runs against older checkouts too.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import resource
+import sys
+
+import numpy as np
+
+
+def run_pipeline() -> None:
+    from ocmsim import (Aperture, FieldGrid, GridSpec, XiMode, centroid_image,
+                        estimate_accidentals, extract_coincidences, ocm_image,
+                        run_acquisition)
+    from ocmsim.config import load_config
+
+    cfg = load_config(None, ["acquisition.wall_time_s=0.01",
+                             "reconstruction.mode=weighted"])
+    source, detector = cfg.source(), cfg.detector()
+    window, min_xi = (cfg["reconstruction.window_s"],
+                      cfg["reconstruction.min_xi_pixels"])
+    stream = run_acquisition(source, detector, cfg["acquisition.wall_time_s"],
+                             cfg["acquisition.seed"])
+    image = centroid_image(extract_coincidences(stream, window, 2, min_xi),
+                           estimate_accidentals(stream, window, 1, min_xi),
+                           XiMode.AVERAGE,
+                           deviation_weight=cfg.deviation_weight())
+    pitch = cfg["aperture.pitch_m"]
+    analytic = ocm_image(cfg.aperture(), cfg.system(), cfg["ocm.n_photons"],
+                         GridSpec.centered(640, pitch / 48))
+    bx, by = image.bin_centers()
+    analytic.interpolate(np.stack(np.meshgrid(bx, by, indexing="ij"), -1))
+    mask = FieldGrid.sample(GridSpec.centered(64, pitch / 16),
+                            lambda x, y: np.exp(-(x * x + y * y) / pitch ** 2))
+    dataclasses.replace(source, aperture=Aperture.from_mask(mask)) \
+        .sampler(detector)
+
+
+def main() -> int:
+    run_pipeline()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"peak_rss_mb": round(peak, 1), "scipy": sorted(
+        m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -97,19 +97,33 @@ class _DensitySampler:
         if not 0.0 < self._cdf[-1] < np.inf or weights.min() < 0:
             raise UnnormalizableDensity("negative, non-finite or zero density")
         self._cdf /= self._cdf[-1]
-        self._grid = grid
+        self._spec = grid.spec
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        g = self._grid
-        # sorted uniforms walk the CDF in cache order; idx keeps draw order
+        """``count`` (x, y) positions, each a uniform's CDF cell with a
+        uniform jitter.  Sorted int64 keys, a uniform's leading bits above
+        its draw index, walk the CDF in cache order; each cell goes back to
+        its draw, so the cells do not depend on the search order."""
+        g = self._spec
         u = rng.random(count)
-        order = np.argsort(u)
+        bits = int(count).bit_length()
+        order = (u * float(1 << (63 - bits))).astype(np.int64)
+        order <<= bits
+        order |= np.arange(count)
+        order.sort()
+        order &= (1 << bits) - 1
         idx = np.empty(count, dtype=np.intp)
-        idx[order] = np.searchsorted(self._cdf, u[order], side="right")
-        ix, iy = idx // g.ny, idx % g.ny
-        x = g.origin[0] + ix * g.dx + (rng.random(count) - 0.5) * g.dx
-        y = g.origin[1] + iy * g.dy + (rng.random(count) - 0.5) * g.dy
-        return np.stack([x, y], axis=-1)
+        idx[order] = np.searchsorted(self._cdf, u.take(order), side="right")
+        out = np.empty((count, 2))
+        for col, cell, origin, d in zip(out.T, np.divmod(idx, g.ny),
+                                        g.origin, (g.dx, g.dy)):
+            rng.random(out=u)
+            u -= 0.5
+            u *= d
+            np.multiply(cell, d, out=col)
+            col += origin
+            col += u
+        return out
 
 
 def _sampling_spec(detector: DetectorConfig, system: ImagingSystem,
@@ -192,7 +206,10 @@ class OcmPairSource(_Source):
         def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             X = centroid.sample(rng, count)
             xi = deviation.sample(rng, count)
-            return np.stack([X + xi, X - xi], axis=1)
+            out = np.empty((count, 2, 2))
+            np.add(X, xi, out=out[:, 0])
+            np.subtract(X, xi, out=out[:, 1])
+            return out
 
         return draw
 
@@ -329,10 +346,10 @@ def _pack(fields, widths) -> np.ndarray:
     sum to at most 64; a stable argsort of the key then equals
     ``np.lexsort`` with the fields in reverse order.
     """
-    key = np.zeros(len(fields[0]), dtype=np.uint64)
-    for field, width in zip(fields, widths):
+    key = fields[0].astype(np.uint64)
+    for field, width in zip(fields[1:], widths[1:]):
         key <<= np.uint64(width)
-        key |= field.astype(np.uint64)
+        np.bitwise_or(key, field, out=key, dtype=np.uint64, casting="unsafe")
     return key
 
 
@@ -343,15 +360,18 @@ def _unpack(key: np.ndarray, widths, dtypes) -> list[np.ndarray]:
         shift -= width
         field = key >> np.uint64(shift)
         field &= np.uint64((1 << width) - 1)
-        fields.append(field.astype(dtype))
+        fields.append(field.astype(dtype, copy=False))
     return fields
 
 
 def _arrival_bins(rng: np.random.Generator, count: int,
                   cfg: DetectorConfig) -> np.ndarray:
     """Uniform arrival time bins; rounding never reaches ``n_time_bins``."""
-    t = np.floor(rng.random(count) * cfg.frame_duration / cfg.time_bin)
-    return np.minimum(t, cfg.n_time_bins - 1).astype(np.uint16)
+    t = rng.random(count)
+    t *= cfg.frame_duration
+    t /= cfg.time_bin
+    return np.minimum(np.floor(t, out=t), cfg.n_time_bins - 1,
+                      out=t).astype(np.uint16)
 
 
 _NEIGHBOURS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
@@ -399,9 +419,11 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
     photon = np.flatnonzero(survive)
     ix, iy, inside = cfg.pixel_index(positions.reshape(-1, 2).take(photon, 0))
-    tup = photon[inside] // n_ph
-    keys = [_pack((frame_ids[tup], ix[inside], iy[inside], tuple_tbin[tup]),
-                  widths)]
+    keep = np.flatnonzero(inside)
+    tup = photon.take(keep)
+    tup //= n_ph
+    keys = [_pack((frame_ids.take(tup), ix.take(keep), iy.take(keep),
+                   tuple_tbin.take(tup)), widths)]
 
     # dark counts: Poisson per (pixel, frame), sampled sparsely
     total_mean = (cfg.dark_count_rate * cfg.frame_duration
@@ -427,8 +449,9 @@ def _first_hit(key, widths) -> list[np.ndarray]:
     are equal events and no stable sort is needed."""
     key.sort()
     pixel = key >> np.uint64(widths[-1])
-    key = key[np.r_[True, pixel[1:] != pixel[:-1]][:key.size]]
-    return _unpack(key, widths, (np.uint64, *3 * (np.uint16,)))
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(pixel[1:], pixel[:-1], out=first[1:])
+    return _unpack(key[first], widths, (np.uint64, *3 * (np.uint16,)))
 
 
 def apply_detector_model(positions, cfg: DetectorConfig, rng_seed: int,

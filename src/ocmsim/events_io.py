@@ -114,13 +114,15 @@ class DetectorConfig:
 
         Returns (ix, iy, inside-mask); indices are meaningless outside.
         """
-        ex, ey = self.active_extent
-        fx = (positions[..., 0] + ex / 2.0) / self.pixel_pitch
-        fy = (positions[..., 1] + ey / 2.0) / self.pixel_pitch
-        ix = np.floor(fx).astype(np.int64)
-        iy = np.floor(fy).astype(np.int64)
-        inside = ((ix >= 0) & (ix < self.n_pixels_x)
-                  & (iy >= 0) & (iy < self.n_pixels_y))
+        index = []
+        for k, extent in enumerate(self.active_extent):
+            f = np.asarray(positions[..., k] + extent / 2.0)
+            f /= self.pixel_pitch
+            index.append(np.floor(f, out=f).astype(np.int64))
+        ix, iy = index
+        # a negative index, as uint64, lies above every pixel count
+        inside = ix.view(np.uint64) < self.n_pixels_x
+        inside &= iy.view(np.uint64) < self.n_pixels_y
         return ix, iy, inside
 
     @property

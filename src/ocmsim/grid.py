@@ -23,11 +23,15 @@ from .events_io import read_framed, write_framed
 OCMG_MAGIC = b"OCMG"
 
 
+def _require_ascending(axis: np.ndarray) -> None:
+    if not np.all(axis[1:] > axis[:-1]):    # a spacing below the origin's ulp
+        raise ValueError("grid axis is not strictly ascending")
+
+
 def _cell(axis: np.ndarray, p: np.ndarray):
     """Cell index, weight and out-of-span mask of coordinates ``p`` on an
     ascending ``axis``, as SciPy's ``find_indices`` gives them."""
-    if not np.all(axis[1:] > axis[:-1]):    # a spacing below the origin's ulp
-        raise ValueError("grid axis is not strictly ascending")
+    _require_ascending(axis)
     i = np.clip(np.searchsorted(axis, p, "right") - 1, 0, axis.size - 2)
     weight = (p - axis[i]) / (axis[i + 1] - axis[i])
     return i, weight, (p < axis[0]) | (p > axis[-1])
@@ -77,6 +81,8 @@ class FieldGrid:
         if len(self.origin) != 2 or not all(map(finite_real, self.origin)):
             raise ValueError(f"origin = {self.origin!r} is not two finite reals")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
+        _require_ascending(self.x_axis())
+        _require_ascending(self.y_axis())
 
     # -- geometry -----------------------------------------------------------
     @property

@@ -387,17 +387,21 @@ def _linear_convolution(f: np.ndarray, g: np.ndarray, lengths: tuple,
     t = np.zeros((n0, n1 // 2 + 1), complex)
     # mode "clip" takes straight into t ("raise" buffers); no row is clipped
     np.fft.rfft(g, n1, axis=1).take(g_rows, 0, t[:len(g_rows)], "clip")
+    del g
     np.fft.fft(t, axis=0, out=t)
-    planes = []
-    for plane in (f.real, f.imag) if np.iscomplexobj(f) else (f,):
+    planes = [f.real, f.imag] if np.iscomplexobj(f) else [f]
+    for k, plane in enumerate(planes):
         s = np.zeros_like(t)
         np.fft.rfft(plane, n1, axis=1, out=s[:len(f)])
         np.fft.fft(s, axis=0, out=s)
         s *= t
+        if k == len(planes) - 1:
+            del t
         s = np.fft.ifft(s, axis=0, norm="forward", out=s)[:shape[0]][rows]
         out = np.fft.irfft(s, n1, axis=1, norm="forward")
+        del s
         out *= 1.0 / (n0 * n1)
-        planes.append(out[:, :shape[1]])
+        planes[k] = out[:, :shape[1]]
     return planes[0] if len(planes) == 1 else planes[0] + 1j * planes[1]
 
 
@@ -416,12 +420,16 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     circularly at its own 5-smooth lengths L >= n + B - 1: output p sits at
     index p + B - 1, and its wrapped copy at p + B - 1 + L lies past the
     linear sum's last index n + 2B - 3, so the kept window never wraps.
+    Buffers go after their last use, so the build peaks at the PSF quadrant
+    and the kernel's L x (L'/2 + 1) spectrum, plus the box's spectrum or,
+    as they are gathered, the mirrored kernel and its row spectra.
     """
     a = aperture.rasterize(spec).values
     nonzero = [np.flatnonzero(np.any(a != 0, axis=k)) for k in (1, 0)]
     # the box of nonzero samples; an empty aperture keeps its first sample
     (i0, i1), (j0, j1) = ((n[0], n[-1]) if n.size else (0, 0) for n in nonzero)
-    box = a[i0:i1 + 1, j0:j1 + 1]
+    box = a[i0:i1 + 1, j0:j1 + 1].copy()
+    del a
     # the kernel holds every whole-sample offset (k, l) from a box sample to
     # an output sample, k from -i1 to nx - 1 - i0; h depends on the radius
     # alone, so its value there is the sample (|k|, |l|) of h on the offsets
@@ -434,12 +442,12 @@ def image(aperture: Aperture, system: ImagingSystem, spec: GridSpec,
     if not coherent:
         box = np.abs(box) ** 2
         h = np.abs(h) ** 2
-    h = h.take(ky, axis=1)     # kernel row k is quadrant row kx[k]
     # output sample p sits at index p + B - 1, B = i1 - i0 + 1, of the
     # circular convolution at the kernel's lengths (see above)
     rows = slice(i1 - i0, i1 - i0 + spec.nx)
     lengths = (_fast_len(kx.size), _fast_len(ky.size))
-    conv = _linear_convolution(box, h, lengths, rows, kx)
+    # kernel row k is quadrant row kx[k]; the convolution frees the kernel
+    conv = _linear_convolution(box, h.take(ky, axis=1), lengths, rows, kx)
     conv = conv[:, j1 - j0:j1 - j0 + spec.ny] * spec.dx
     conv *= spec.dy
     conv = np.abs(conv) if np.iscomplexobj(conv) else conv

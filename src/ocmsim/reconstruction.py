@@ -168,13 +168,14 @@ def _pairs(events: EventStream, window: float, min_xi: int, offset: int):
         i = np.repeat(ev, reps)
         j = np.arange(i.size) + np.repeat(lo - (np.cumsum(reps) - reps), reps)
         # index arrays, which gather faster than boolean masks select
-        inside = np.flatnonzero(np.abs(t[i].astype(np.int32) - t[j])
-                                <= window_bins)
-        i, j = i[inside], j[inside]
-        apart = np.flatnonzero(np.maximum(np.abs(x[i].astype(np.int32) - x[j]),
-                                          np.abs(y[i].astype(np.int32) - y[j]))
-                               > min_xi)
-        yield i[apart], j[apart], i.size - apart.size
+        d = np.subtract(t[i], t[j], dtype=np.int32)
+        inside = np.flatnonzero(np.abs(d, out=d) <= window_bins)
+        i, j = i.take(inside), j.take(inside)
+        d = np.subtract(x[i], x[j], dtype=np.int32)
+        dy = np.subtract(y[i], y[j], dtype=np.int32)
+        np.maximum(np.abs(d, out=d), np.abs(dy, out=dy), out=d)
+        apart = np.flatnonzero(d > min_xi)
+        yield i.take(apart), j.take(apart), i.size - apart.size
 
 
 def extract_coincidences(events: EventStream, window: float = 1e-9,

@@ -491,6 +491,18 @@ def density_samples_plain(grid, rng, count: int) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
+def pixel_index_plain(cfg, positions):
+    """``cfg.pixel_index``: ``np.floor`` of each coordinate's offset from the
+    sensor's low edge in pitches, and four comparisons for the mask."""
+    ex, ey = cfg.active_extent
+    ix = np.floor((positions[..., 0] + ex / 2.0) / cfg.pixel_pitch)
+    iy = np.floor((positions[..., 1] + ey / 2.0) / cfg.pixel_pitch)
+    ix, iy = ix.astype(np.int64), iy.astype(np.int64)
+    inside = ((ix >= 0) & (ix < cfg.n_pixels_x)
+              & (iy >= 0) & (iy < cfg.n_pixels_y))
+    return ix, iy, inside
+
+
 def per_frame_counts(rng, mean: float, n_frames: int) -> np.ndarray:
     """Tuples per frame as one Poisson draw per frame: the emission step
     that block-total placement replaced, kept as its reference."""
@@ -659,7 +671,7 @@ def detect_by_fields(positions, cfg, rng, frame_ids, n_frames: int,
     tuple_tbin = _arrival_bins(rng, n_tuples, cfg)
     u = rng.random((n_tuples, n_ph))
     survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
-    ix, iy, inside = cfg.pixel_index(positions)
+    ix, iy, inside = pixel_index_plain(cfg, positions)
     keep = survive & inside
     frame = np.repeat(np.asarray(frame_ids, np.uint64), n_ph).reshape(
         n_tuples, n_ph)[keep]

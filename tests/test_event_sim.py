@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,6 +177,43 @@ def test_density_sampler_equals_a_plain_cdf_search(nx, ny, data, count, seed):
     got = _DensitySampler(grid).sample(np.random.default_rng(seed), count)
     want = density_samples_plain(grid, np.random.default_rng(seed), count)
     assert np.array_equal(got, want)
+
+
+#: draw counts at the bit boundaries of the sampler's order key, which holds
+#: a draw index in ``count.bit_length()`` bits: 0, 1, 2**k - 1, 2**k and
+#: 2**k + 1 up to k = 17, and about one ``ideal_triple_slit`` block
+KEY_BOUNDARY_COUNTS = sorted({0, 1, 66_000} | {2 ** k + d for k in range(1, 18)
+                                                for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("count", KEY_BOUNDARY_COUNTS)
+def test_density_sampler_equals_a_plain_cdf_search_at_key_bit_boundaries(count):
+    """Every draw index keeps its own search result, whatever the width of
+    the index in the order key; zero cells make CDF ties."""
+    rng = np.random.default_rng(count)
+    values = rng.random((32, 24)) * (rng.random((32, 24)) < 0.7)
+    grid = FieldGrid(values, 1e-5, 2e-5, (-3e-5, 1e-5))
+    got = _DensitySampler(grid).sample(np.random.default_rng(count + 1), count)
+    want = density_samples_plain(grid, np.random.default_rng(count + 1), count)
+    assert got.shape == (count, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_centroid_density_build_frees_its_buffers():
+    """The traced peak of a centroid density build at the real-sensor
+    settings stays below 12 MB: the rasterised grid, the mirrored kernel
+    and each spectrum are freed after their last use (18 MB when kept)."""
+    cfg = load_config(CONFIG, ["detector.pde=auto",
+                               "detector.dark_count_rate_hz=1000.0"])
+    source, detector = cfg.source(), cfg.detector()
+    source.centroid_density(detector)       # any first-call caches
+    tracemalloc.start()
+    try:
+        source.centroid_density(detector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_zero_density_rejected():

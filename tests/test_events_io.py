@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import pixel_index_plain
+
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
 from ocmsim.cli import main
 from ocmsim.errors import (CorruptEventFile, CorruptManifest, EventOutOfRange,
@@ -385,6 +387,43 @@ def test_sensor_record_is_refused_alike_in_memory_and_from_a_file(record):
                                        empty, n_frames=1, detector=cfg))
         back = read_events(path).detector
     assert back == cfg and back.to_dict() == cfg.to_dict()
+
+
+@st.composite
+def sensor_positions(draw):
+    """A non-square sensor and positions whose coordinates lie on its
+    edges, one ulp to either side of them, just or far outside it, on a
+    pixel boundary or anywhere near it."""
+    nx = draw(st.integers(1, 300))
+    ny = draw(st.integers(1, 300).filter(lambda n: n != nx))
+    cfg = DetectorConfig(n_pixels_x=nx, n_pixels_y=ny,
+                         pixel_pitch=draw(st.floats(1e-6, 1e-4)))
+    coordinates = []
+    for n, extent in zip((nx, ny), cfg.active_extent):
+        edges = [-extent / 2.0, extent / 2.0]
+        on = edges + [np.nextafter(e, side) for e in edges
+                      for side in (-np.inf, np.inf)]
+        near = [e + side * cfg.pixel_pitch * 1e-9 for e in edges
+                for side in (-1, 1)]
+        far = [-1e3, -10.0 * extent, 10.0 * extent, 1e3]
+        pixel = draw(st.integers(0, n)) * cfg.pixel_pitch - extent / 2.0
+        coordinates.append(st.sampled_from(on + near + far + [pixel])
+                           | st.floats(-extent, extent))
+    pairs = draw(st.lists(st.tuples(*coordinates), min_size=1, max_size=40))
+    return cfg, np.array(pairs, dtype=float)
+
+
+@given(sensor_positions())
+def test_pixel_index_equals_a_floor_and_four_comparisons(case):
+    """Indices and mask as ``np.floor`` and four comparisons give them, for
+    a batch of positions and for a single one."""
+    cfg, positions = case
+    for batch in (positions, positions[0]):
+        got, want = cfg.pixel_index(batch), pixel_index_plain(cfg, batch)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+            assert np.asarray(g).dtype == np.asarray(w).dtype
 
 
 def test_manifest_round_trip(tmp_path):

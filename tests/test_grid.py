@@ -37,6 +37,10 @@ def test_rejects_degenerate_grids():
         FieldGrid(np.zeros((8, 8)), -1e-6, 1e-6)
     with pytest.raises(ValueError):
         FieldGrid(np.zeros(8), 1e-6, 1e-6)
+    # a spacing below the origin's ulp gives equal axis values
+    for dx, dy, origin in ((1e-10, 1.0, (1e8, 0.0)), (1.0, 1e-10, (0.0, -1e8))):
+        with pytest.raises(ValueError, match="not strictly ascending"):
+            FieldGrid(np.ones((3, 3)), dx, dy, origin)
 
 
 def test_fourier_round_trip_random():
@@ -181,8 +185,10 @@ def test_interpolating_a_read_only_or_narrow_grid_gives_the_float64_bits():
 
 def test_interpolation_refuses_what_scipy_refuses():
     """Points that are not pairs, and an axis whose spacing vanishes beside
-    its origin, are ValueErrors, as in SciPy."""
-    flat = FieldGrid(np.ones((3, 3)), 1e-10, 1e-10, (1e8, 0.0))
+    its origin, are ValueErrors, as in SciPy.  ``FieldGrid`` refuses such
+    an axis when it is built, so this one is set on a built grid."""
+    flat = FieldGrid(np.ones((3, 3)), 1.0, 1.0)
+    flat.dx, flat.dy, flat.origin = 1e-10, 1e-10, (1e8, 0.0)
     assert flat.x_axis()[0] == flat.x_axis()[-1]
     for grid, points in ((FieldGrid(np.zeros((3, 3)), 1.0, 1.0),
                           np.zeros((4, 3))),
@@ -261,15 +267,19 @@ def framed(**change) -> bytes:
     (lambda good: framed(origin=[1.0, 2.0, 3.0]), "not two finite reals"),
     (lambda good: framed(shape=[3, 5]), "cannot reshape"),
     (lambda good: framed(shape=[12]), "2-D"),
+    (lambda good: framed(dx=1e-10, origin=[1e8, 0.0]),
+     "grid axis is not strictly ascending"),
     (lambda good: good[:20] + bytes([good[20] ^ 1]) + good[21:], "SHA-256"),
 ], ids=["short", "magic", "version", "short_payload", "trailing", "kind_7",
         "infinite_dx", "nan_origin", "string_origin", "three_origin",
-        "wrong_shape", "one_axis", "flipped_sample"])
+        "wrong_shape", "one_axis", "flat_axis", "flipped_sample"])
 def test_malformed_grid_file_is_a_typed_error(tmp_path, corrupt, message):
-    """Each file breaks one check and is refused with that check's message."""
+    """Each file breaks one check and is refused with that check's message,
+    which names the file."""
     path = tmp_path / "bad.ocmg"
     path.write_bytes(corrupt(grid_bytes(tmp_path)))
-    with pytest.raises(CorruptGridFile, match=message):
+    with pytest.raises(CorruptGridFile, match=message) as refused:
         FieldGrid.load(path)
+    assert str(refused.value).startswith(f"{path}: ")
     assert main(["--config", str(CONFIG), "--out", str(tmp_path / "o"),
                  "analyze", str(path)]) == 3

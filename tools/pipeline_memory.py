@@ -10,8 +10,11 @@ schema's default pair source for 0.01 s, ``extract_coincidences``,
 analytic target (the ``ocm_image`` interpolated at the centroid bin
 centres); and the sampler of the same source with a mask grid for its
 aperture.  It prints one JSON line: ``peak_rss_mb``, this process's
-``ru_maxrss``, and ``scipy``, the SciPy modules loaded by then.  It calls
-only functions of long standing, so it runs against older checkouts too.
+``ru_maxrss``, and ``scipy``, the SciPy modules loaded by then, and then
+``density_peak_mb``, the tracemalloc peak of one more build of the pair
+source's centroid density at the benchmark's real-sensor settings.  It
+calls only functions of long standing, so it runs against older checkouts
+too.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import dataclasses
 import json
 import resource
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -52,11 +56,29 @@ def run_pipeline() -> None:
         .sampler(detector)
 
 
+def density_peak_mb() -> float:
+    """Traced peak, in MB, of ``OcmPairSource.centroid_density`` at the
+    real-sensor settings (pde 0.008, 1 kHz darks)."""
+    from ocmsim.config import load_config
+
+    cfg = load_config(None, ["detector.pde=auto",
+                             "detector.dark_count_rate_hz=1000.0"])
+    source, detector = cfg.source(), cfg.detector()
+    tracemalloc.start()
+    try:
+        source.centroid_density(detector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2 ** 20
+
+
 def main() -> int:
     run_pipeline()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"peak_rss_mb": round(peak, 1), "scipy": sorted(
-        m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print(json.dumps({"peak_rss_mb": round(peak, 1), "scipy": scipy,
+                      "density_peak_mb": round(density_peak_mb(), 1)}))
     return 0
 
 

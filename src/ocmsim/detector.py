@@ -418,12 +418,15 @@ def _detect(positions: np.ndarray, cfg: DetectorConfig,
     u = rng.random((n_tuples, n_ph))
     survive = _detected_masks(u, cfg.pde) if thinned else u < cfg.pde
     photon = np.flatnonzero(survive)
+    del u, survive          # each intermediate is dropped after its last use
     ix, iy, inside = cfg.pixel_index(positions.reshape(-1, 2).take(photon, 0))
     keep = np.flatnonzero(inside)
     tup = photon.take(keep)
     tup //= n_ph
-    keys = [_pack((frame_ids.take(tup), ix.take(keep), iy.take(keep),
-                   tuple_tbin.take(tup)), widths)]
+    ix, iy = ix.take(keep), iy.take(keep)
+    del inside, photon, keep
+    keys = [_pack((frame_ids.take(tup), ix, iy, tuple_tbin.take(tup)), widths)]
+    del tuple_tbin, tup, ix, iy
 
     # dark counts: Poisson per (pixel, frame), sampled sparsely
     total_mean = (cfg.dark_count_rate * cfg.frame_duration
@@ -575,8 +578,11 @@ def run_acquisition(source, cfg: DetectorConfig, wall_time: float,
     else:
         results = [run_block(b) for b in range(n_blocks)]
     parts, generated = zip(*results)
+    del draw                                # the samplers are done
+    # field by field, each field's block parts dropped once they are joined
+    fields = [np.concatenate([p.pop(0) for p in parts]) for _ in range(4)]
     return EventStream(
-        *map(np.concatenate, zip(*parts)), n_frames=n_frames, detector=cfg,
+        *fields, n_frames=n_frames, detector=cfg,
         source_hash=stable_hash(source.describe()),
         meta={"seed": int(seed), "wall_time": wall_time,
               "pairs_generated": sum(generated)})

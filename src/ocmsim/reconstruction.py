@@ -20,16 +20,17 @@ confirm it.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, TooFewFrames
+from .errors import GridMismatch, TooFewFrames, finite_real
 from .events_io import DetectorConfig, EventStream
 from .grid import FieldGrid
 
 #: candidate pairs per piece of the pair enumeration (``_pairs``)
-_PIECE = 2 ** 18
+_PIECE = 2 ** 16
 
 
 @dataclass
@@ -103,7 +104,11 @@ def _geometry(detector: DetectorConfig, *claimed) -> DetectorConfig:
 
 def _window_bins(window: float, cfg: DetectorConfig) -> int:
     """Whole time bins inside the window, k * time_bin keeping k bins, at
-    most a frame's: that admits every same-frame pair, however long."""
+    most a frame's: that admits every same-frame pair, however long.  A
+    window that is not a finite number >= 0 raises ValueError."""
+    if not (finite_real(window) and window >= 0):
+        raise ValueError(f"coincidence window {window!r} is not a finite "
+                         "number >= 0")
     return int(np.floor(min(window / cfg.time_bin, cfg.n_time_bins) + 1e-9))
 
 
@@ -224,11 +229,15 @@ def estimate_accidentals(events: EventStream, window: float = 1e-9,
     same window and separation cut; the resulting histogram is scaled by
     F / (2 (F - offset)) so its expectation matches the accidental part of
     the true-coincidence histogram (cross-frame pairing sees each unordered
-    pixel pair from both sides, hence the factor 2).  ``offset`` must be at
-    least 1: offset 0 would pair the events of one frame, true pairs too.
+    pixel pair from both sides, hence the factor 2).  ``offset`` must be an
+    integer of at least 1: offset 0 would pair the events of one frame, true
+    pairs too, and a fraction would pair frames a whole number apart but
+    scale by the fraction.
     """
-    if offset < 1:
-        raise ValueError(f"accidental offset must be >= 1, got {offset}")
+    if not (isinstance(offset, numbers.Integral) and finite_real(offset)
+            and offset >= 1):
+        raise ValueError("accidental offset must be >= 1, a whole number of "
+                         f"frames, got {offset!r}")
     if events.n_frames <= offset:
         raise TooFewFrames("need at least offset+1 frames")
     shape = events.detector.centroid_shape

@@ -216,6 +216,32 @@ def test_centroid_density_build_frees_its_buffers():
     assert peak < 12 * 2 ** 20
 
 
+def test_detection_block_frees_its_intermediates():
+    """One 65,536-frame block at one pair per frame on an ideal detector
+    (about 65,800 tuples) peaks below 9 MB beyond its inputs: each mask,
+    index and per-tuple array is dropped after its last use (about 6.5 MB;
+    12 MB when all were kept to the end)."""
+    cfg = load_config(CONFIG, ["detector.pde=1.0",
+                               "detector.dark_count_rate_hz=0.0",
+                               "detector.crosstalk_prob=0.0",
+                               "acquisition.pair_rate_hz=22222222.222222224"])
+    source, detector = cfg.source(), cfg.detector()
+    rng = np.random.default_rng(5)
+    n_frames = _MIN_BLOCK_FRAMES
+    frame_ids = _tuple_frames(rng, source.pair_rate * detector.frame_duration,
+                              n_frames)
+    positions = source.sampler(detector)(rng, frame_ids.size)
+    tracemalloc.start()
+    try:
+        events = _detect(positions, detector, rng, frame_ids, n_frames,
+                         thinned=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events[0]) > 100_000
+    assert peak < 9 * 2 ** 20
+
+
 def test_zero_density_rejected():
     with pytest.raises(UnnormalizableDensity):
         _DensitySampler(FieldGrid(np.zeros((8, 8)), 1e-5, 1e-5))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -232,12 +233,25 @@ def test_accidentals_need_frames():
         estimate_accidentals(ev, offset=1)
 
 
-@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("offset", [0, -1, 1.5, 1.0, np.float64(2.0), True,
+                                    "1"])
 def test_accidentals_need_a_positive_offset(offset):
-    # offset 0 would pair each frame with itself: half the true-pair counts
+    # offset 0 would pair each frame with itself: half the true-pair counts;
+    # offset 1.5 paired frames one apart and scaled by F / (2 (F - 1.5))
     ev = pair_stream(4, 2, 9, 7, 10)
-    with pytest.raises(ValueError, match="offset must be >= 1"):
+    with pytest.raises(ValueError, match="offset must be >= 1") as error:
         estimate_accidentals(ev, offset=offset)
+    assert str(error.value).endswith(f"got {offset!r}")
+
+
+@pytest.mark.parametrize("window", [-1e-9, -1e-300, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("reconstruct", [extract_coincidences,
+                                         estimate_accidentals])
+def test_a_window_negative_or_not_finite_is_refused(reconstruct, window):
+    # a negative window kept no pair and a NaN one failed in int()
+    ev = pair_stream(4, 2, 9, 7, 4)
+    with pytest.raises(ValueError, match=re.escape(f"window {window!r} ")):
+        reconstruct(ev, window)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +422,33 @@ def test_dense_frame_memory_follows_the_pieces_not_the_candidates():
         finally:
             tracemalloc.stop()
         assert peak < 32e6, reconstruct.__name__
+
+
+@pytest.fixture(scope="module")
+def ideal_stream():
+    """A 0.25 s acquisition at one pair per frame on an ideal detector
+    (pde 1, no darks, no crosstalk): 200,000 frames, about 317,000 events."""
+    cfg = load_config(overrides=["detector.pde=1.0",
+                                 "detector.dark_count_rate_hz=0.0",
+                                 "detector.crosstalk_prob=0.0",
+                                 "acquisition.pair_rate_hz=22222222.222222224"])
+    return run_acquisition(cfg.source(), cfg.detector(), 0.25, 1)
+
+
+@pytest.mark.parametrize("reconstruct, bound_mb", [
+    (extract_coincidences, 12), (estimate_accidentals, 9)])
+def test_ideal_stream_memory_follows_the_pieces(ideal_stream, reconstruct,
+                                                bound_mb):
+    """Pieces of 2**16 candidates: extraction peaks at about 9 MB of traced
+    allocations, the accidental estimate at about 5.5 MB; pieces of 2**18
+    took 15.4 and 12.2 MB."""
+    tracemalloc.start()
+    try:
+        reconstruct(ideal_stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
 
 
 def _pixel_pairs(pairs) -> list:

@@ -11,10 +11,12 @@ analytic target (the ``ocm_image`` interpolated at the centroid bin
 centres); and the sampler of the same source with a mask grid for its
 aperture.  It prints one JSON line: ``peak_rss_mb``, this process's
 ``ru_maxrss``, and ``scipy``, the SciPy modules loaded by then, and then
-``density_peak_mb``, the tracemalloc peak of one more build of the pair
-source's centroid density at the benchmark's real-sensor settings.  It
-calls only functions of long standing, so it runs against older checkouts
-too.
+three tracemalloc peaks measured after them: ``density_peak_mb``, of one
+more build of the pair source's centroid density at the benchmark's
+real-sensor settings, and ``acquisition_peak_mb`` and ``pairs_peak_mb``, of
+``run_acquisition`` and of ``extract_coincidences`` on its stream at the
+benchmark's ``ideal_triple_slit`` settings.  It calls only functions of
+long standing, so it runs against older checkouts too.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def run_pipeline() -> None:
         .sampler(detector)
 
 
+def traced_peak_mb(call, *args) -> float:
+    """Traced peak, in MB, of one call: what it allocates beyond its
+    inputs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def density_peak_mb() -> float:
     """Traced peak, in MB, of ``OcmPairSource.centroid_density`` at the
     real-sensor settings (pde 0.008, 1 kHz darks)."""
@@ -63,22 +76,38 @@ def density_peak_mb() -> float:
 
     cfg = load_config(None, ["detector.pde=auto",
                              "detector.dark_count_rate_hz=1000.0"])
-    source, detector = cfg.source(), cfg.detector()
-    tracemalloc.start()
-    try:
-        source.centroid_density(detector)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / 2 ** 20
+    return traced_peak_mb(cfg.source().centroid_density, cfg.detector())
+
+
+def ideal_peaks_mb() -> tuple[float, float]:
+    """Traced peaks, in MB, of a 0.25 s ``run_acquisition`` (its sampler
+    build included) and of ``extract_coincidences`` on that stream, at the
+    ``ideal_triple_slit`` settings: pde 1, no darks or crosstalk, one pair
+    per frame."""
+    from ocmsim import extract_coincidences, run_acquisition
+    from ocmsim.config import load_config
+
+    cfg = load_config(None, ["detector.pde=1.0",
+                             "detector.dark_count_rate_hz=0.0",
+                             "detector.crosstalk_prob=0.0",
+                             "acquisition.pair_rate_hz=22222222.222222224"])
+    run = (cfg.source(), cfg.detector(), 0.25, cfg["acquisition.seed"])
+    acquisition = traced_peak_mb(run_acquisition, *run)
+    pairs = traced_peak_mb(extract_coincidences, run_acquisition(*run),
+                           cfg["reconstruction.window_s"], 2,
+                           cfg["reconstruction.min_xi_pixels"])
+    return acquisition, pairs
 
 
 def main() -> int:
     run_pipeline()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    acquisition, pairs = ideal_peaks_mb()
     print(json.dumps({"peak_rss_mb": round(peak, 1), "scipy": scipy,
-                      "density_peak_mb": round(density_peak_mb(), 1)}))
+                      "density_peak_mb": round(density_peak_mb(), 1),
+                      "acquisition_peak_mb": round(acquisition, 1),
+                      "pairs_peak_mb": round(pairs, 1)}))
     return 0
 
 

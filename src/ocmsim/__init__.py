@@ -10,42 +10,49 @@ reconstruction on the half-pixel centroid grid; and quantitative resolution
 analysis.
 """
 
-from .analysis import (FitModel, Profile1D, ScalingFit, WidthReport,
-                       cross_section, scaling_fit, slit_contrast, width_metrics)
-from .detector import (DEFAULT_PDE, ClassicalSource, FarFieldPairSource,
-                       OcmPairSource, apply_detector_model, run_acquisition,
-                       sample_event_positions)
-from .events_io import (DetectorConfig, EventStream, read_events,
-                        read_manifest, write_events)
-from .grid import FieldGrid, GridSpec
-from .ocm import (analytic_centroid_psf_circular, centroid_psf,
-                  classical_centroid_psf, far_field_pattern, ocm_image)
-from .optics import (Aperture, ImagingSystem, J1_FIRST_ZERO,
-                     PupilProfile, coherent_image, fourier_transform_2d,
-                     image, incoherent_image, single_lens_psf, somb)
-from .phasematch import (PhaseMatchingParams, SellmeierModel,
-                         deviation_envelope, deviation_envelope_fwhm,
-                         solve_poling_period, wavevector_mismatch)
-from .reconstruction import (CentroidImage, CoincidenceSet, XiMode,
-                             centroid_image, coverage_table,
-                             estimate_accidentals, extract_coincidences,
-                             singles_image)
+import importlib
+
+# module -> its public names; a module loads when one of its names is read
+_PUBLIC = {
+    "analysis": ("FitModel", "Profile1D", "ScalingFit", "WidthReport",
+                 "cross_section", "scaling_fit", "slit_contrast",
+                 "width_metrics"),
+    "detector": ("DEFAULT_PDE", "ClassicalSource", "FarFieldPairSource",
+                 "OcmPairSource", "apply_detector_model", "run_acquisition",
+                 "sample_event_positions"),
+    "events_io": ("DetectorConfig", "EventStream", "read_events",
+                  "read_manifest", "write_events"),
+    "grid": ("FieldGrid", "GridSpec"),
+    "ocm": ("analytic_centroid_psf_circular", "centroid_psf",
+            "classical_centroid_psf", "far_field_pattern", "ocm_image"),
+    "optics": ("Aperture", "ImagingSystem", "J1_FIRST_ZERO", "PupilProfile",
+               "coherent_image", "fourier_transform_2d", "image",
+               "incoherent_image", "single_lens_psf", "somb"),
+    "phasematch": ("PhaseMatchingParams", "SellmeierModel",
+                   "deviation_envelope", "deviation_envelope_fwhm",
+                   "solve_poling_period", "wavevector_mismatch"),
+    "reconstruction": ("CentroidImage", "CoincidenceSet", "XiMode",
+                       "centroid_image", "coverage_table",
+                       "estimate_accidentals", "extract_coincidences",
+                       "singles_image"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = {*_PUBLIC, "cli", "config", "errors"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Aperture", "CentroidImage", "ClassicalSource", "CoincidenceSet",
-    "DEFAULT_PDE", "DetectorConfig", "EventStream", "FarFieldPairSource",
-    "FieldGrid", "FitModel", "GridSpec", "ImagingSystem", "J1_FIRST_ZERO",
-    "OcmPairSource", "PhaseMatchingParams", "Profile1D", "PupilProfile",
-    "ScalingFit", "SellmeierModel", "WidthReport", "XiMode",
-    "analytic_centroid_psf_circular", "apply_detector_model",
-    "centroid_image", "centroid_psf", "classical_centroid_psf",
-    "coherent_image", "coverage_table", "cross_section", "deviation_envelope",
-    "deviation_envelope_fwhm", "estimate_accidentals", "extract_coincidences",
-    "far_field_pattern", "fourier_transform_2d", "image", "incoherent_image",
-    "ocm_image", "read_events", "read_manifest", "run_acquisition",
-    "sample_event_positions", "scaling_fit", "single_lens_psf",
-    "singles_image", "slit_contrast", "solve_poling_period", "somb",
-    "wavevector_mismatch", "width_metrics", "write_events",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name or a submodule, imported on first use (PEP 562)."""
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__),
+                       name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import (AmbiguousPeak, DegenerateInput, EmptyBand, NoPeak,
                      PeaksNotFound, sink)
 from .grid import FieldGrid
-from .optics import J1_FIRST_ZERO, somb
 
 #: FWHM of a unit-variance Gaussian
 GAUSSIAN_FWHM_FACTOR = 2.354820045030949
@@ -121,6 +120,11 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
             raise AmbiguousPeak("multi-modal profile needs a fit model")
         return WidthReport(_fwhm_by_crossings(x, y), None, 0.0)
 
+    # SciPy and the optics layer load only for a model fit
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    from .optics import J1_FIRST_ZERO, somb
+
     amp0 = float(peak)
     x0_0 = float(x[peak_idx])
     width0 = max(_safe_initial_width(x, y), profile.step)
@@ -133,8 +137,6 @@ def width_metrics(profile: Profile1D, model: FitModel = FitModel.NONE
         def f(xv, amp, x0, sigma):
             return amp * np.exp(-(xv - x0) ** 2 / (2.0 * sigma ** 2))
         p0 = (amp0, x0_0, width0)
-
-    from scipy.optimize import OptimizeWarning, curve_fit
 
     try:
         with warnings.catch_warnings():     # the covariance goes unused

@@ -13,24 +13,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (FitModel, cross_section, export_profile_csv,
-                       scaling_fit, slit_contrast, width_metrics)
 from .config import RunConfig, load_config, schema_help
-from .detector import child_seed, run_acquisition
 from .errors import ConfigError, OcmsimError
+# every command uses these two; each other layer loads in the commands it runs
 from .events_io import (EventStream, read_events, stable_hash, write_events,
                         write_manifest)
 from .grid import FieldGrid, GridSpec
-from .ocm import classical_centroid_psf
-from .optics import PupilProfile, single_lens_psf
-from .reconstruction import (XiMode, centroid_image, estimate_accidentals,
-                             extract_coincidences, singles_image)
 
 _SCALING_N = (1, 2, 4, 8)
 
 
 def _intensity_psf_width(system, order):
     """Projected FWHM of the order-N centroid PSF intensity (self-sized grid)."""
+    from .analysis import cross_section, width_metrics
+    from .optics import PupilProfile, single_lens_psf
     if system.pupil_profile is PupilProfile.HARD_CIRCULAR:
         scale = system.first_zero_radius / order
     else:
@@ -43,6 +39,10 @@ def _intensity_psf_width(system, order):
 
 def cmd_psf(cfg: RunConfig, out_dir: Path) -> dict:
     """PSF grids, profiles and width reports for the four imaging modes."""
+    from .analysis import (FitModel, cross_section, export_profile_csv,
+                           scaling_fit, width_metrics)
+    from .ocm import classical_centroid_psf
+    from .optics import PupilProfile, single_lens_psf
     system = cfg.system()
     n = cfg["ocm.n_photons"]
     spec = cfg.object_grid()
@@ -98,6 +98,7 @@ def cmd_psf(cfg: RunConfig, out_dir: Path) -> dict:
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> None:
     """Run an acquisition of the configured source; write events + manifest."""
+    from .detector import run_acquisition
     source, detector = cfg.source(), cfg.detector()
     stream = run_acquisition(source, detector, cfg["acquisition.wall_time_s"],
                              cfg["acquisition.seed"], n_threads=n_threads)
@@ -116,6 +117,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> None:
 
 def _reconstruct(cfg: RunConfig, events: EventStream):
     """Pairs, accidental estimate (None when disabled) and centroid image."""
+    from .reconstruction import (XiMode, centroid_image, estimate_accidentals,
+                                 extract_coincidences)
     window = cfg["reconstruction.window_s"]
     min_xi = cfg["reconstruction.min_xi_pixels"]
     pairs = extract_coincidences(
@@ -160,6 +163,7 @@ def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str,
     """x profile of ``grid`` over ``band``, written to ``<stem>_profile.csv``,
     and its slit-contrast report entries: none unless ``analysis.n_slits``
     >= 2, the error's name if scoring fails."""
+    from .analysis import cross_section, export_profile_csv, slit_contrast
     prof = cross_section(grid, "x", band)
     export_profile_csv(prof, out_dir / f"{stem}_profile.csv")
     n_slits = cfg["analysis.n_slits"]
@@ -176,6 +180,7 @@ def _profile(cfg: RunConfig, grid: FieldGrid, out_dir: Path, stem: str,
 
 def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
     """Profiles, widths and slit contrast for stored images."""
+    from .analysis import FitModel, width_metrics
     stems = [Path(path).stem for path in image_paths]
     for stem in stems:      # a stem names an image's outputs
         if stems.count(stem) > 1:
@@ -200,6 +205,8 @@ def cmd_analyze(cfg: RunConfig, image_paths, out_dir: Path) -> dict:
 def cmd_compare(cfg: RunConfig, out_dir: Path, n_threads: int = 1) -> dict:
     """Image the configured object with all four illumination modes; only
     the images, profiles and report are written, not the event streams."""
+    from .detector import child_seed, run_acquisition
+    from .reconstruction import singles_image
     seed = cfg["acquisition.seed"]
     wall_time = cfg["acquisition.wall_time_s"]
     wavelength = cfg["system.wavelength_m"]

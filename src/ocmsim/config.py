@@ -13,17 +13,18 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import yaml
 
-from .detector import DEFAULT_PDE, ClassicalSource, OcmPairSource
 from .errors import ConfigError, finite_real
-from .events_io import DetectorConfig
-from .grid import GridSpec
-from .optics import Aperture, ImagingSystem, PupilProfile
-from .phasematch import PhaseMatchingParams, SellmeierModel, deviation_density
+
+if TYPE_CHECKING:   # each builder imports the layer it builds from
+    from .events_io import DetectorConfig
+    from .grid import GridSpec
+    from .optics import Aperture, ImagingSystem
+    from .phasematch import PhaseMatchingParams
 
 # (path, type, default, help) — the one table of keys, units and defaults.
 # type tags: see _check_type
@@ -164,6 +165,7 @@ class RunConfig:
 
     # -- object builders ------------------------------------------------------
     def system(self) -> ImagingSystem:
+        from .optics import ImagingSystem, PupilProfile
         with _config_errors("system"):
             return ImagingSystem(
                 pupil_radius=self["system.pupil_radius_m"],
@@ -174,6 +176,7 @@ class RunConfig:
                 pupil_sigma=self["system.pupil_sigma_m"])
 
     def aperture(self) -> Aperture:
+        from .optics import Aperture
         kind = self["aperture.kind"]
         center = self["aperture.center_m"]
         with _config_errors("aperture"):
@@ -192,6 +195,7 @@ class RunConfig:
             return Aperture.uniform()
 
     def phase_matching(self) -> PhaseMatchingParams:
+        from .phasematch import PhaseMatchingParams, SellmeierModel
         poling = self["phase_matching.poling_period_m"]
         temperature = self["phase_matching.sellmeier.temperature_C"]
         wavelength = self["system.wavelength_m"]
@@ -206,8 +210,10 @@ class RunConfig:
                     temperature_c=temperature))
 
     def detector(self) -> DetectorConfig:
+        from .events_io import DetectorConfig
         pde = self["detector.pde"]
         if pde == "auto":
+            from .detector import DEFAULT_PDE
             wavelength = self["system.wavelength_m"]
             for lam, pde in DEFAULT_PDE.items():
                 if abs(wavelength - lam) < 0.05 * lam:
@@ -229,6 +235,7 @@ class RunConfig:
                 crosstalk_prob=self["detector.crosstalk_prob"])
 
     def source(self):
+        from .detector import ClassicalSource, OcmPairSource
         kind = self["acquisition.source"]
         rate = self["acquisition.pair_rate_hz"]
         with _config_errors("acquisition.source"):
@@ -244,6 +251,7 @@ class RunConfig:
     def object_grid(self) -> GridSpec:
         """Object-plane grid: covers the object and >= 8 PSF zeros, refined
         to sample the order-N PSF and the PSF at the wavelength / N."""
+        from .grid import GridSpec
         system = self.system()
         r0 = system.first_zero_radius
         half = max(3.0 * self.aperture().typical_extent(), 8.0 * r0)
@@ -262,6 +270,7 @@ class RunConfig:
         ``weighted`` mode; None for ``sum`` and ``average``."""
         if self["reconstruction.mode"] != "weighted":
             return None
+        from .phasematch import deviation_density
         params = self.phase_matching()
         return lambda xi_x, xi_y: deviation_density(
             np.stack([np.asarray(xi_x), np.asarray(xi_y)], axis=-1), params)
@@ -270,9 +279,11 @@ class RunConfig:
 _KINDS = {path: kind for path, kind, _, _ in SCHEMA}
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """YAML 1.1 safe loading that also reads ``1e-3``, ``2E+9`` or
-    ``1.0e3`` (no dot, or no exponent sign) as a float, not a string."""
+    ``1.0e3`` (no dot, or no exponent sign) as a float, not a string.
+    libyaml parses where PyYAML was built with it; the resolvers are
+    Python on either base, so both read the same values."""
 
 
 _Loader.add_implicit_resolver(
@@ -300,14 +311,16 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     each ``KEY=VALUE`` override in turn, each value checked once at the end."""
     values = {key: default for key, _, default, _ in SCHEMA}
     if path is not None:
-        try:
-            with open(path) as fh:
+        try:    # bytes: the YAML reader decodes UTF-8 or a BOM's UTF-16
+            with open(path, "rb") as fh:
                 user = yaml.load(fh, Loader=_Loader)
-        except yaml.MarkedYAMLError as exc:
-            mark = exc.problem_mark
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
             where = (f"{path}:{mark.line + 1}:{mark.column + 1}"
                      if mark else str(path))
-            raise ConfigError(f"{where}: YAML syntax error: {exc.problem}") \
+            problem = getattr(exc, "problem", None) or " ".join(
+                str(exc).split())     # an undecodable byte: its position
+            raise ConfigError(f"{where}: YAML syntax error: {problem}") \
                 from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -70,7 +70,8 @@ class SellmeierModel:
         source = (resources.files("ocmsim.data").joinpath("ppktp_z.yaml")
                   if path is None else Path(path))
         try:
-            raw = yaml.safe_load(source.read_text())
+            raw = yaml.load(source.read_bytes(), Loader=getattr(
+                yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ValueError(f"{source}: not YAML: {exc}") from None
         raw = raw if isinstance(raw, dict) else {}

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ocmsim
+from ocmsim import config
 from ocmsim import (DetectorConfig, EventStream, FieldGrid, coverage_table,
                     estimate_accidentals, extract_coincidences, read_events,
                     read_manifest, singles_image, write_events)
@@ -91,6 +92,25 @@ def test_yaml_syntax_error_is_line_addressed(tmp_path):
     bad.write_text("system:\n  pupil_radius_m: [unclosed\n")
     with pytest.raises(ConfigError, match=r"bad\.yaml:"):
         load_config(bad)
+
+
+def test_config_not_in_utf8_is_a_configuration_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes("# radius in \u00b5m\nsystem:\n  pupil_radius_m: 1.5e-3\n"
+                    .encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{bad}: YAML syntax error: unacceptable character #x00b5")):
+        load_config(bad)
+    assert run_cli(["--config", bad, "--out", tmp_path / "o", "psf"]) == 2
+    assert f"configuration error: {bad}: " in capsys.readouterr().err
+
+
+def test_config_in_utf16_with_a_byte_order_mark_loads(tmp_path):
+    # YAML streams may be UTF-16 when a byte order mark says so
+    utf16 = tmp_path / "utf16.yaml"
+    utf16.write_text("# \u00b5m\n" + CONFIG.read_text(), encoding="utf-16")
+    assert utf16.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    assert load_config(utf16).values == load_config(CONFIG).values
 
 
 def test_wrong_type_rejected(tmp_path):
@@ -189,11 +209,37 @@ def tag_values(kind: str):
 
 
 KINDS = {key: kind for key, kind, _, _ in SCHEMA}
-
-
-@given(drawn=st.sets(st.sampled_from(sorted(KINDS))).flatmap(
+# a random subset of keys, each at a value its type tag accepts
+DRAWN = st.sets(st.sampled_from(sorted(KINDS))).flatmap(
     lambda keys: st.fixed_dictionaries(
-        {key: tag_values(KINDS[key]) for key in sorted(keys)})))
+        {key: tag_values(KINDS[key]) for key in sorted(keys)}))
+
+
+def drawn_sources(path: Path, drawn: dict) -> tuple[list[str], list[str]]:
+    """``drawn`` written as a YAML file at ``path``, and returned as one
+    ``--set`` per key and as one section mapping ``--set`` per section."""
+    nested: dict = {}
+    for key, value in drawn.items():
+        *sections, leaf = key.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+    path.write_text(yaml.safe_dump(nested))
+    return ([f"{key}={json.dumps(value)}" for key, value in drawn.items()],
+            [f"{section}={json.dumps(mapping)}"
+             for section, mapping in nested.items()])
+
+
+def load_outcome(path, overrides):
+    """The loaded values, or the configuration error's message."""
+    try:
+        return load_config(path, overrides).values
+    except ConfigError as exc:
+        return str(exc)
+
+
+@given(drawn=DRAWN)
 @example(drawn={"acquisition.wall_time_s": 1e-7})
 @example(drawn={"analysis.band": [0, -1]})
 @example(drawn={"analysis.band": [-2, 3], "detector.frame_rate_hz": 0.5})
@@ -203,28 +249,11 @@ def test_file_leaf_sets_and_section_sets_load_alike(tmp_path_factory, drawn):
     per key and as one section mapping per section, loads one outcome: the
     defaults with every drawn key at its checked value, or, exactly when
     those values break a load-level rule, that rule's error."""
-    nested: dict = {}
-    for key, value in drawn.items():
-        *sections, leaf = key.split(".")
-        node = nested
-        for section in sections:
-            node = node.setdefault(section, {})
-        node[leaf] = value
     path = tmp_path_factory.getbasetemp() / "drawn.yaml"
-    path.write_text(yaml.safe_dump(nested))
-    leaf_sets = [f"{key}={json.dumps(value)}" for key, value in drawn.items()]
-    section_sets = [f"{section}={json.dumps(mapping)}"
-                    for section, mapping in nested.items()]
-
-    def outcome(path, overrides):
-        try:
-            return load_config(path, overrides).values
-        except ConfigError as exc:
-            return str(exc)
-
-    loaded = outcome(path, [])
-    assert outcome(None, leaf_sets) == loaded
-    assert outcome(None, section_sets) == loaded
+    leaf_sets, section_sets = drawn_sources(path, drawn)
+    loaded = load_outcome(path, [])
+    assert load_outcome(None, leaf_sets) == loaded
+    assert load_outcome(None, section_sets) == loaded
     values = {**load_config().values,
               **{key: _check_type(key, KINDS[key], value)
                  for key, value in drawn.items()}}
@@ -269,6 +298,66 @@ def test_exponent_without_dot_is_a_number_in_file_and_set(tmp_path):
     set_args = [arg for item in sets for arg in ("--set", item)]
     assert run_cli(["--config", custom, *set_args, "--set", "grid.nx=256",
                     "--out", tmp_path / "o", "simulate"]) == 0
+
+
+# the configuration loader rebuilt on PyYAML's pure-Python parser, which
+# reads where PyYAML was built without libyaml
+PYTHON_LOADER = type("PythonLoader", (yaml.SafeLoader,), {
+    "yaml_implicit_resolvers": config._Loader.yaml_implicit_resolvers})
+
+
+def with_python_loader(call, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "_Loader", PYTHON_LOADER)
+        return call(*args)
+
+
+@pytest.mark.parametrize("path", [
+    CONFIG, resources.files("ocmsim.data").joinpath("ppktp_z.yaml")],
+    ids=["default", "ppktp_z"])
+def test_libyaml_and_python_loaders_read_the_shipped_files_alike(path):
+    raw = path.read_bytes()
+    assert (yaml.load(raw, Loader=config._Loader)
+            == yaml.load(raw, Loader=PYTHON_LOADER))
+    # the data file's loader, without the exponent resolver
+    assert (yaml.load(raw, Loader=getattr(yaml, "CSafeLoader",
+                                          yaml.SafeLoader))
+            == yaml.safe_load(raw))
+
+
+def test_libyaml_and_python_loaders_read_exponents_alike():
+    text = "[1e-3, 2E+9, 1.0e3, -4e+06, 5.5E-1]"
+    expected = [1e-3, 2e9, 1e3, -4e6, 0.55]
+    for loader in (config._Loader, PYTHON_LOADER):
+        values = yaml.load(text, Loader=loader)
+        assert values == expected
+        assert all(type(value) is float for value in values)
+
+
+@given(drawn=DRAWN)
+@example(drawn={"aperture.center_m": [1e-3, 2e9]})
+def test_libyaml_and_python_loaders_load_drawn_configs_alike(
+        tmp_path_factory, drawn):
+    """The drawn file, leaf ``--set``s and section ``--set``s load one
+    outcome on either loader."""
+    path = tmp_path_factory.getbasetemp() / "drawn_loaders.yaml"
+    for overrides in ([], *drawn_sources(path, drawn)):
+        source = path if overrides == [] else None
+        assert load_outcome(source, overrides) == \
+            with_python_loader(load_outcome, source, overrides)
+
+
+@pytest.mark.parametrize("text", ["a: b: c\n", "system:\n  pupil_radius_m: "
+                                  "[unclosed\n"], ids=["mapping", "flow"])
+def test_libyaml_and_python_loaders_address_syntax_errors_alike(tmp_path,
+                                                               text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    where = [message.split(": YAML syntax error: ")[0]
+             for message in (load_outcome(bad, []),
+                             with_python_loader(load_outcome, bad, []))]
+    assert where[0] == where[1]
+    assert re.fullmatch(rf"{re.escape(str(bad))}:\d+:\d+", where[0])
 
 
 @pytest.mark.parametrize("setting, outcome", [
@@ -586,6 +675,36 @@ def test_the_pipeline_its_target_and_a_mask_sampler_load_no_scipy():
     assert json.loads(proc.stdout)["scipy"] == []
 
 
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The ``ocmsim`` modules each step of the CLI pipeline loads, each
+    step in a fresh interpreter."""
+    proc = run_python(str(ROOT / "tools" / "cli_modules.py"))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("simulate", {"analysis", "reconstruction"}),
+    ("reconstruct", {"analysis", "detector", "ocm", "optics"}),
+    ("analyze", {"detector", "ocm", "optics", "phasematch", "reconstruction"}),
+])
+def test_each_command_loads_only_the_layers_it_runs(cli_modules, command,
+                                                    unused):
+    # every module compiles from source in a fresh process, so a layer the
+    # command does not run is start-up time spent for nothing
+    loaded = {name.removeprefix("ocmsim.") for name in cli_modules[command]}
+    assert {"cli", "config"} <= loaded
+    assert sorted(loaded & unused) == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = run_python("-c", "import sys, ocmsim; print(sorted(name for name "
+                      "in sys.modules if name.startswith('ocmsim.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_help_lists_every_config_key():
     proc = run_python("-m", "ocmsim.cli", "--help")
     assert proc.returncode == 0
@@ -751,12 +870,14 @@ def test_compare_writes_only_what_it_reports(tmp_path):
 def test_compare_runs_every_acquisition_on_the_given_threads(tmp_path,
                                                             monkeypatch):
     threads = []
+    acquire = ocmsim.detector.run_acquisition
 
     def recording(*args, n_threads=1):
         threads.append(n_threads)
-        return ocmsim.run_acquisition(*args, n_threads=n_threads)
+        return acquire(*args, n_threads=n_threads)
 
-    monkeypatch.setattr("ocmsim.cli.run_acquisition", recording)
+    # the command imports its layers when it runs, so the patch goes there
+    monkeypatch.setattr("ocmsim.detector.run_acquisition", recording)
     assert run_cli(["--config", CONFIG, *FAST, "--threads", "2",
                     "--out", tmp_path, "compare"]) == 0
     assert threads == [2, 2, 2, 2]

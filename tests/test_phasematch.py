@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -69,6 +70,13 @@ def test_lengths_must_be_finite_and_positive(reference_params, name, value):
 
 SELLMEIER = ("sellmeier: {A: 2.12725, B: 1.18431, C: 0.0514852, D: 0.6603,"
              " E: 100.00507, F: 9.68956e-3}\n")
+
+
+def test_data_file_not_in_utf8_is_named(tmp_path):
+    data = tmp_path / "index.yaml"
+    data.write_bytes(("# \u00b5m\n" + SELLMEIER).encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(data))}: not YAML"):
+        SellmeierModel.from_file(data)
 
 
 @pytest.mark.parametrize("thermal, named", [

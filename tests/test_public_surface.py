@@ -37,17 +37,35 @@ def test_consumer_imports_resolve(path):
     assert missing == []
 
 
+def public_table() -> dict[str, tuple[str, ...]]:
+    """``ocmsim``'s table of modules and the public names each defines."""
+    tree = ast.parse(Path(ocmsim.__file__).read_text())
+    table, = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets] == ["_PUBLIC"]]
+    return ast.literal_eval(table)
+
+
 def test_all_lists_exactly_the_public_names():
-    bound = set()
-    for node in ast.parse(Path(ocmsim.__file__).read_text()).body:
-        if isinstance(node, ast.ImportFrom):
-            bound.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    public = {name for name in bound if not name.startswith("_")
+    names = [name for names in public_table().values() for name in names]
+    public = {name for name in names if not name.startswith("_")
               and not isinstance(getattr(ocmsim, name), types.ModuleType)}
-    assert len(ocmsim.__all__) == len(set(ocmsim.__all__))
+    assert len(ocmsim.__all__) == len(set(ocmsim.__all__)) == len(names)
     assert set(ocmsim.__all__) == public
+
+
+def test_names_and_submodules_resolve_on_first_use():
+    for module, names in public_table().items():
+        for name in names:
+            assert ocmsim.__getattr__(name) is getattr(
+                importlib.import_module(f"ocmsim.{module}"), name)
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            assert ocmsim.__getattr__(path.stem) is \
+                importlib.import_module(f"ocmsim.{path.stem}")
+    assert set(ocmsim.__all__) <= set(dir(ocmsim))
+    with pytest.raises(AttributeError, match="'ocmsim' has no attribute "
+                                             "'no_such_name'"):
+        ocmsim.no_such_name
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -141,4 +159,6 @@ def test_only_the_pipeline_ends_import_the_monte_carlo_model():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.ImportFrom) and (node.level, node.module)
                  in {(0, "ocmsim.detector"), (1, "detector")}}
+    # the package entry point imports each module of its table on first use
+    importers |= {"__init__"} if "detector" in public_table() else set()
     assert importers == {"cli", "config", "__init__"}

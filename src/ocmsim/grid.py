@@ -194,9 +194,14 @@ class FieldGrid:
         if type(kind) is not bool:
             raise CorruptGridFile(f"{path}: complex = {kind!r} is not a bool")
         samples = np.frombuffer(payload, "<c16" if kind else "<f8")
+        shape = header.get("shape")
         try:
-            return cls(samples.reshape(header.get("shape")).copy(),
-                       header.get("dx"), header.get("dy"), header.get("origin"))
+            values = samples.reshape(shape)
+            if list(values.shape) != shape:  # reshape infers a -1 axis
+                raise ValueError(f"shape = {shape!r} is not the grid's "
+                                 f"{list(values.shape)}")
+            return cls(values.copy(), header.get("dx"), header.get("dy"),
+                       header.get("origin"))
         except (TypeError, ValueError) as exc:
             raise CorruptGridFile(f"{path}: {exc}") from None
 

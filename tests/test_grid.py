@@ -267,12 +267,14 @@ def framed(**change) -> bytes:
     (lambda good: framed(origin=[1.0, 2.0, 3.0]), "not two finite reals"),
     (lambda good: framed(shape=[3, 5]), "cannot reshape"),
     (lambda good: framed(shape=[12]), "2-D"),
+    (lambda good: framed(shape=[-1, 4]), r"shape = \[-1, 4\] is not"),
     (lambda good: framed(dx=1e-10, origin=[1e8, 0.0]),
      "grid axis is not strictly ascending"),
     (lambda good: good[:20] + bytes([good[20] ^ 1]) + good[21:], "SHA-256"),
 ], ids=["short", "magic", "version", "short_payload", "trailing", "kind_7",
         "infinite_dx", "nan_origin", "string_origin", "three_origin",
-        "wrong_shape", "one_axis", "flat_axis", "flipped_sample"])
+        "wrong_shape", "one_axis", "inferred_axis", "flat_axis",
+        "flipped_sample"])
 def test_malformed_grid_file_is_a_typed_error(tmp_path, corrupt, message):
     """Each file breaks one check and is refused with that check's message,
     which names the file."""

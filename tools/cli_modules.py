@@ -1,14 +1,15 @@
 """The ``ocmsim`` modules each step of the CLI pipeline loads.
 
-    PYTHONPATH=CHECKOUT/src python tools/cli_modules.py
+    PYTHONPATH=src python tools/cli_modules.py
 
 runs ``simulate`` (a 0.01 s acquisition of the schema defaults),
 ``reconstruct`` of its events and ``analyze`` of its image, each in a fresh
 interpreter through ``ocmsim.cli.main``, in a temporary directory and with
-the ``ocmsim`` that ``PYTHONPATH`` names.  It prints one JSON line with
-sorted keys: for each command, the sorted ``ocmsim.*`` modules loaded once
-it returned.  It calls only the CLI, so it runs against older checkouts
-too.  Unlike start-up timings, the sets repeat exactly from run to run.
+the ``ocmsim`` your interpreter imports (``base_report.run`` picks a
+checkout).  It prints one JSON line with sorted keys: for each command, the
+sorted ``ocmsim.*`` modules loaded once it returned.  It calls only the CLI,
+so it runs against older checkouts too.  Unlike start-up timings, the sets
+repeat exactly from run to run.
 """
 
 from __future__ import annotations

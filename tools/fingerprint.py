@@ -1,21 +1,22 @@
 """Output fingerprints: SHA-256 of every file a fixed set of CLI flows writes
 and of a fixed set of library event streams.
 
-    python tools/fingerprint.py [CHECKOUT] > fingerprint.json
+    PYTHONPATH=src python tools/fingerprint.py > fingerprint.json
 
-runs the flows below with the ``ocmsim`` package and ``configs/default.yaml``
-of CHECKOUT (by default the checkout holding this file), each flow in its
-own folder of one temporary directory, and prints sorted JSON: {output path:
-SHA-256}.  Each event file also gets an entry ``<path> records``, the
-SHA-256 of its records sorted by (frame, ix, iy, t_bin), which stays equal
-when only the order of events within a frame changes, and each image file
-an entry ``<path> values``, the ``grid_hash`` of the image it holds; both
-stay equal when only the file format changes.  The ``run_acquisition``
-streams of the benchmark's two library workloads, at seeds 1-3 and a fifth
-of their wall time, get the entries ``library/<workload>/seed_<n>`` (the
-stream's arrays, frame count and ``pairs_generated``), ``... records``,
-``... pairs`` (the ``extract_coincidences`` pair set: its arrays, ``n_cut``
-and ``n_multi_pair_frames``) and ``... accidentals`` (the offset-1
+runs the flows below with the ``ocmsim`` your interpreter imports
+(``base_report.run`` picks a checkout) and its checkout's
+``configs/default.yaml``, each flow in its own folder of one temporary
+directory, and prints sorted JSON: {output path: SHA-256}.  Each event file
+also gets an entry ``<path> records``, the SHA-256 of its records sorted by
+(frame, ix, iy, t_bin), which stays equal when only the order of events
+within a frame changes, and each image file an entry ``<path> values``, the
+``grid_hash`` of the image it holds; both stay equal when only the file
+format changes.  The ``run_acquisition`` streams of the benchmark's two
+library workloads, at seeds 1-3 and a fifth of their wall time, get the
+entries ``library/<workload>/seed_<n>`` (the stream's arrays, frame count
+and ``pairs_generated``), ``... records``, ``... pairs`` (the
+``extract_coincidences`` pair set: its arrays, ``n_cut`` and
+``n_multi_pair_frames``) and ``... accidentals`` (the offset-1
 ``estimate_accidentals`` image), at the config's window and ``min_xi``, and
 the sampler's two densities get ``library/<workload>/centroid_density`` and
 ``.../deviation_density`` (samples and geometry).  The two products of
@@ -25,15 +26,11 @@ centroid bin centres) and ``.../mask_centroid_density`` (the centroid
 density of the pair source with a mask grid for its aperture).  So
 reconstruction is covered on sparse frames (the real sensor), on frames of
 about one pair (the ideal detector) and, in the ``dense_darks`` flow at
-1 MHz of darks per pixel, on frames of about 46 events.  Two checkouts
-write bit-identical outputs exactly when their JSON is equal, and
-
-    python tools/fingerprint.py --diff BASE.json CHANGE.json
-
-prints how many entries of two such files are equal and names each entry
-that differs or is in one file only.  The workloads' settings are read from
-``perfbench/spec.py`` next to this tool, so both sides of a comparison run
-the same workloads whatever checkout they import.
+1 MHz of darks per pixel, on frames of about 46 events.  Two checkouts write
+bit-identical outputs exactly when their JSON is equal;
+``tools/base_report.py`` compares them.  The workloads' settings are read
+from ``perfbench/spec.py`` next to this tool, so both sides of a comparison
+run the same workloads whatever checkout they import.
 
 The hashes hold for one host: NumPy may pick other SIMD kernels on another
 CPU, so they are compared between checkouts, never stored as golden values.
@@ -42,8 +39,8 @@ CPU, so they are compared between checkouts, never stored as golden values.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
+import runpy
 import sys
 import tempfile
 from dataclasses import replace
@@ -51,24 +48,25 @@ from pathlib import Path
 
 import numpy as np
 
+import ocmsim
+from ocmsim import (Aperture, FieldGrid, GridSpec, estimate_accidentals,
+                    extract_coincidences, ocm_image, read_events,
+                    run_acquisition)
+from ocmsim.cli import main as cli_main
+from ocmsim.config import load_config
 
-def load_workloads() -> dict:
-    """``WORKLOADS`` of the benchmark's ``perfbench/spec.py``: plain data
-    that imports nothing from ``ocmsim``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = load_workloads()
+#: the ``configs/default.yaml`` of the imported package's checkout
+CONFIG = Path(ocmsim.__file__).resolve().parents[2] / "configs/default.yaml"
+#: the benchmark's workloads, plain data that imports no ``ocmsim``
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                               / "perfbench" / "spec.py"))["WORKLOADS"]
 #: the acceptance suite's fast overrides (criterion 9)
 FAST = ["--set", "acquisition.wall_time_s=0.02",
         "--set", "acquisition.pair_rate_hz=4.0e+6", "--set", "grid.nx=256"]
 #: the benchmark's cli_pipeline workload at one seed
 CLI_PIPELINE = ["--set", "acquisition.wall_time_s="
-                f"{WORKLOADS['cli_pipeline']['wall_time_s']}", "--seed", "41"]
+                f"{WORKLOADS['cli_pipeline']['wall_time_s']}",
+                "--set", "acquisition.seed=41"]
 #: the real sensor (pde 0.008, 1 kHz darks) for 2 s on two threads
 REAL_SENSOR = ["--set", "detector={pde: auto, dark_count_rate_hz: 1e3}",
                "--set", "acquisition.wall_time_s=2.0", "--threads", "2"]
@@ -109,16 +107,16 @@ FLOWS = {
 }
 
 
-def run_flows(root: Path, flows: dict, config: Path, main) -> None:
-    """Run each flow's stages with the CLI entry point ``main`` into
-    ``root/<flow>/<stage>``; a stage that does not exit 0 raises."""
+def run_flows(root: Path, flows: dict) -> None:
+    """Run each flow's stages through the CLI into ``root/<flow>/<stage>``;
+    a stage that does not exit 0 raises."""
     for name, (options, stages) in flows.items():
         for stage, args in stages:
             args = [str(root / name / a[1:]) if a.startswith("@") else a
                     for a in args]
-            argv = ["--config", str(config), *options,
+            argv = ["--config", str(CONFIG), *options,
                     "--out", str(root / name / stage), *args]
-            code = main(argv)
+            code = cli_main(argv)
             if code != 0:
                 raise RuntimeError(f"{name}/{stage} exited {code}: {argv}")
 
@@ -133,10 +131,10 @@ def records_hash(stream) -> str:
     return digest.hexdigest()
 
 
-def fingerprint(root: Path, read_events, load_grid) -> dict:
+def fingerprint(root: Path) -> dict:
     """{path under ``root``: SHA-256} for every file, plus for each event
     file the hash of its records sorted by (frame, ix, iy, t_bin) and for
-    each image file the ``grid_hash`` of ``load_grid(path)``."""
+    each image file the ``grid_hash`` of the image it holds."""
     out = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         name = path.relative_to(root).as_posix()
@@ -144,7 +142,7 @@ def fingerprint(root: Path, read_events, load_grid) -> dict:
         if path.suffix == ".ocme":
             out[f"{name} records"] = records_hash(read_events(path))
         elif path.suffix == ".ocmg":
-            out[f"{name} values"] = grid_hash(load_grid(path))
+            out[f"{name} values"] = grid_hash(FieldGrid.load(path))
     return out
 
 
@@ -156,9 +154,7 @@ def grid_hash(grid) -> str:
     return digest.hexdigest()
 
 
-def library_prints(library: dict, seeds, config: Path, load_config,
-                   run_acquisition, extract_coincidences,
-                   estimate_accidentals) -> dict:
+def library_prints(library: dict, seeds) -> dict:
     """{``library/<workload>/seed_<n>``: SHA-256} of each ``run_acquisition``
     stream (arrays in order, frame count, ``pairs_generated``), plus the
     hashes of its sorted records, of its pair set (arrays, ``n_cut``,
@@ -166,7 +162,7 @@ def library_prints(library: dict, seeds, config: Path, load_config,
     the workload's centroid and deviation densities."""
     out = {}
     for name, (overrides, wall_time) in library.items():
-        cfg = load_config(config, overrides)
+        cfg = load_config(CONFIG, overrides)
         source, detector = cfg.source(), cfg.detector()
         window, min_xi = (cfg["reconstruction.window_s"],
                           cfg["reconstruction.min_xi_pixels"])
@@ -179,7 +175,7 @@ def library_prints(library: dict, seeds, config: Path, load_config,
             out[key] = arrays_hash((s.frame, s.ix, s.iy, s.t_bin),
                                    s.n_frames, s.meta["pairs_generated"])
             out[f"{key} records"] = records_hash(s)
-            p = extract_coincidences(s, window, 2, min_xi)
+            p = extract_coincidences(s, window=window, min_xi=min_xi)
             out[f"{key} pairs"] = arrays_hash(
                 (p.frame, p.ix1, p.iy1, p.ix2, p.iy2), p.n_cut,
                 p.n_multi_pair_frames)
@@ -188,29 +184,26 @@ def library_prints(library: dict, seeds, config: Path, load_config,
     return out
 
 
-def interpolation_prints(name: str, overrides, config: Path, load_config,
-                         ocmsim) -> dict:
+def interpolation_prints(name: str, overrides) -> dict:
     """The two ``FieldGrid.interpolate`` products of the workload ``name``:
     ``library/<name>/target``, the hash of criterion 5's analytic target
     (its ``ocm_image`` at the centroid bin centres, the benchmark's
     ``image_l1`` reference), and ``library/<name>/mask_centroid_density``,
     the ``grid_hash`` of the centroid density of its source with a mask
     grid for the aperture."""
-    GridSpec = ocmsim.GridSpec
-    cfg = load_config(config, overrides)
+    cfg = load_config(CONFIG, overrides)
     detector, pitch = cfg.detector(), cfg["aperture.pitch_m"]
-    analytic = ocmsim.ocm_image(cfg.aperture(), cfg.system(),
-                                cfg["ocm.n_photons"],
-                                GridSpec.centered(640, pitch / 48))
+    analytic = ocm_image(cfg.aperture(), cfg.system(), cfg["ocm.n_photons"],
+                         GridSpec.centered(640, pitch / 48))
     bx, by = detector.bin_center(np.arange(2 * detector.n_pixels_x - 1),
                                  np.arange(2 * detector.n_pixels_y - 1))
     target = analytic.interpolate(
         np.stack(np.meshgrid(bx, by, indexing="ij"), axis=-1))
-    mask = ocmsim.FieldGrid.sample(
+    mask = FieldGrid.sample(
         GridSpec.centered(64, pitch / 16, 48, pitch / 12),
         lambda x, y: np.cos(np.pi * x / pitch) ** 2
         * np.exp(-(x * x + y * y) / (2 * pitch) ** 2))
-    source = replace(cfg.source(), aperture=ocmsim.Aperture.from_mask(mask))
+    source = replace(cfg.source(), aperture=Aperture.from_mask(mask))
     return {f"library/{name}/target": arrays_hash((target,)),
             f"library/{name}/mask_centroid_density":
                 grid_hash(source.centroid_density(detector))}
@@ -226,44 +219,14 @@ def arrays_hash(arrays, *numbers) -> str:
     return digest.hexdigest()
 
 
-def diff_report(base: dict, change: dict) -> str:
-    """How many entries of two fingerprints are equal, then one ``- differs:``
-    line per key whose hashes differ or that only one of them holds."""
-    keys = sorted(base.keys() | change.keys())
-    differ = [k for k in keys if base.get(k) != change.get(k)]
-    return (f"Fingerprint against the base commit: {len(keys) - len(differ)} "
-            f"of {len(keys)} entries equal\n\n"
-            + "".join(f"- differs: `{k}`\n" for k in differ))
-
-
 def main() -> int:
-    args = sys.argv[1:]
-    if args[:1] == ["--diff"]:
-        if len(args) != 3:
-            sys.exit("usage: fingerprint.py --diff BASE.json CHANGE.json")
-        base, change = (json.loads(Path(a).read_text()) for a in args[1:])
-        print(diff_report(base, change), end="")
-        return 0
-    checkout = Path(args[0] if args else Path(__file__).parents[1]).resolve()
-    sys.path.insert(0, str(checkout / "src"))
-    import ocmsim
-    from ocmsim.cli import main as cli_main
-    from ocmsim.config import load_config
-    from ocmsim.detector import run_acquisition
-    from ocmsim.events_io import read_events
-    from ocmsim.grid import FieldGrid
-    from ocmsim.reconstruction import (estimate_accidentals,
-                                       extract_coincidences)
-
-    config = checkout / "configs" / "default.yaml"
+    if sys.argv[1:]:
+        sys.exit("usage: PYTHONPATH=CHECKOUT/src python tools/fingerprint.py")
     with tempfile.TemporaryDirectory() as tmp:
-        run_flows(Path(tmp), FLOWS, config, cli_main)
-        prints = fingerprint(Path(tmp), read_events, FieldGrid.load)
-    prints.update(library_prints(LIBRARY, LIBRARY_SEEDS, config, load_config,
-                                 run_acquisition, extract_coincidences,
-                                 estimate_accidentals))
-    prints.update(interpolation_prints(
-        INTERPOLATED, LIBRARY[INTERPOLATED][0], config, load_config, ocmsim))
+        run_flows(Path(tmp), FLOWS)
+        prints = fingerprint(Path(tmp))
+    prints.update(library_prints(LIBRARY, LIBRARY_SEEDS))
+    prints.update(interpolation_prints(INTERPOLATED, LIBRARY[INTERPOLATED][0]))
     print(json.dumps(prints, indent=1, sort_keys=True))
     return 0
 

@@ -37,7 +37,7 @@ _PUBLIC = {
                        "singles_image"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
-_SUBMODULES = {*_PUBLIC, "cli", "config", "errors"}
+_SUBMODULES = {*_PUBLIC, "cli", "config", "errors", "launcher"}
 
 __version__ = "0.1.0"
 

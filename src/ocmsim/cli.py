@@ -7,6 +7,10 @@ error, 3 runtime error (a failed allocation included).
 
 from __future__ import annotations
 
+import os
+if __name__ == "__main__":  # before NumPy loads; see launcher.py
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import sys
 from pathlib import Path

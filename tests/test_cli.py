@@ -45,12 +45,12 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def run_python(*args):
-    """Fresh interpreter that imports this checkout's ocmsim."""
+def run_python(*args, env=os.environ):
+    """Fresh interpreter that imports this checkout's ocmsim, in ``env``."""
     src = str(Path(ocmsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env={**env, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +693,8 @@ def test_each_command_loads_only_the_layers_it_runs(cli_modules, command,
                                                     unused):
     # every module compiles from source in a fresh process, so a layer the
     # command does not run is start-up time spent for nothing
-    loaded = {name.removeprefix("ocmsim.") for name in cli_modules[command]}
+    loaded = {name.removeprefix("ocmsim.")
+              for name in cli_modules[command]["modules"]}
     assert {"cli", "config"} <= loaded
     assert sorted(loaded & unused) == []
 
@@ -703,6 +704,92 @@ def test_importing_the_package_loads_no_submodule():
                       "in sys.modules if name.startswith('ocmsim.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: runs the CLI on ``sys.argv[1:]`` as ``python -m ocmsim.cli`` does
+MODULE_ENTRY = ('import runpy; runpy.run_module("ocmsim.cli", '
+                'run_name="__main__", alter_sys=True)')
+
+# runs one entry of the CLI, then prints at exit the OPENBLAS_NUM_THREADS its
+# process saw and the threads it ended with (None off Linux)
+ENTRY_PROBE = """\
+import atexit, json, os, sys
+
+@atexit.register
+def report():
+    threads = None
+    if sys.platform == "linux":
+        with open("/proc/self/status") as status:
+            threads, = [int(line.split()[1]) for line in status
+                        if line.startswith("Threads:")]
+    print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+
+"""
+
+
+def script_entry() -> str:
+    """What the script pip writes for the ``[project.scripts]`` target runs."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, function = pyproject["project"]["scripts"]["ocmsim"].split(":")
+    return f"from {module} import {function}; sys.exit({function}())"
+
+
+def blas_env(setting=None) -> dict:
+    """This environment, OPENBLAS_NUM_THREADS set to ``setting`` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return env if setting is None else {**env, "OPENBLAS_NUM_THREADS": setting}
+
+
+def run_entry(entry: str, args: list[str], setting=None) -> list:
+    """[OPENBLAS_NUM_THREADS, threads] at the exit of one fresh CLI process
+    started through ``entry``, in ``blas_env(setting)``."""
+    entry_code = MODULE_ENTRY if entry == "module" else script_entry()
+    proc = run_python("-c", ENTRY_PROBE + entry_code, *args,
+                      env=blas_env(setting))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def pipeline_args(tmp_path_factory):
+    """Each pipeline command's arguments, its input made in this process."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    steps = {
+        "simulate": [*FAST, "--out", tmp / "sim", "simulate"],
+        "reconstruct": ["--out", tmp / "rec", "reconstruct",
+                        tmp / "sim" / "events.ocme"],
+        "analyze": ["--out", tmp / "an", "analyze",
+                    tmp / "rec" / "centroid_image.ocmg"],
+    }
+    for args in steps.values():
+        assert run_cli(args) == 0
+    return {name: [str(a) for a in args] for name, args in steps.items()}
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "analyze"])
+def test_each_cli_process_defaults_to_one_blas_thread(pipeline_args, command,
+                                                      entry):
+    # no ocmsim code calls BLAS, so a larger pool only costs start-up time
+    setting, threads = run_entry(entry, pipeline_args[command])
+    assert setting == "1"
+    if threads is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the thread count needs Linux and two cores")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_a_blas_thread_setting_in_the_environment_wins(pipeline_args, entry):
+    assert run_entry(entry, pipeline_args["analyze"], "2")[0] == "2"
+
+
+def test_importing_the_cli_leaves_the_blas_threads_alone():
+    proc = run_python("-c", "import os, ocmsim.cli, ocmsim.launcher; "
+                      "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                      env=blas_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"
 
 
 def test_help_lists_every_config_key():

@@ -162,3 +162,43 @@ def test_only_the_pipeline_ends_import_the_monte_carlo_model():
     # the package entry point imports each module of its table on first use
     importers |= {"__init__"} if "detector" in public_table() else set()
     assert importers == {"cli", "config", "__init__"}
+
+
+#: NumPy functions and methods that hand their work to BLAS
+BLAS_CALLS = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner"}
+
+
+def blas_uses(tree: ast.AST) -> list[str]:
+    """Each ``@``, BLAS call, ``linalg`` attribute or ``linalg`` import."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            uses.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in BLAS_CALLS | {"linalg"}:
+            uses.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in BLAS_CALLS:
+            uses.append(f"{node.lineno}: {node.func.id}()")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "",
+                     *(alias.name for alias in node.names)]
+            if any("linalg" in name.split(".") or name in BLAS_CALLS
+                   for name in names):
+                uses.append(f"{node.lineno}: import {', '.join(names)}")
+    return uses
+
+
+def test_no_module_calls_blas():
+    """The CLI runs its process on one BLAS thread (``cli.py``,
+    ``launcher.py``) because no ``ocmsim`` code calls BLAS.  ``np.outer``
+    stays allowed: it is a ufunc outer (a broadcast multiply), and
+    ``optics.py`` takes it of booleans."""
+    uses = {path.name: found for path in sorted(SRC.glob("*.py"))
+            if (found := blas_uses(ast.parse(path.read_text())))}
+    assert uses == {}
+    planted = ast.parse("import numpy as np\nfrom scipy import linalg\n"
+                        "a @ b; a.dot(b); np.linalg.norm(a); einsum(a)")
+    assert sorted(blas_uses(planted)) == ["2: import scipy, linalg", "3: .dot",
+                                          "3: .linalg", "3: @", "3: einsum()"]

@@ -1,14 +1,17 @@
-"""The ``ocmsim`` modules each step of the CLI pipeline loads.
+"""The ``ocmsim`` modules each step of the CLI pipeline loads, and the
+threads its process ends with.
 
     PYTHONPATH=src python tools/cli_modules.py
 
 runs ``simulate`` (a 0.01 s acquisition of the schema defaults),
 ``reconstruct`` of its events and ``analyze`` of its image, each in a fresh
-interpreter through ``ocmsim.cli.main``, in a temporary directory and with
-the ``ocmsim`` your interpreter imports (``base_report.run`` picks a
-checkout).  It prints one JSON line with sorted keys: for each command, the
-sorted ``ocmsim.*`` modules loaded once it returned.  It calls only the CLI,
-so it runs against older checkouts too.  Unlike start-up timings, the sets
+interpreter as ``python -m ocmsim.cli`` runs it, in a temporary directory
+and with the ``ocmsim`` your interpreter imports (``base_report.run`` picks
+a checkout).  It prints one JSON line with sorted keys: for each command,
+``modules``, the sorted ``ocmsim.*`` modules loaded once it returned, and
+``threads``, the ``Threads:`` of its ``/proc/self/status`` then (``null``
+off Linux), which counts the BLAS pool NumPy started.  It calls only the
+CLI, so it runs against older checkouts too.  Unlike start-up timings, both
 repeat exactly from run to run.
 """
 
@@ -20,19 +23,28 @@ import sys
 import tempfile
 from pathlib import Path
 
-# prints, after one CLI run, the ocmsim modules that run loaded
+# runs the CLI on its arguments as ``python -m`` does, then prints the
+# ocmsim modules that run loaded and the threads of its process; the CLI ran
+# as ``__main__``, so it counts as ``ocmsim.cli``
 _PROBE = """\
-import json, sys
-from ocmsim.cli import main
-code = main(sys.argv[1:])
-if code:
-    sys.exit(code)
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("ocmsim."))))
+import json, runpy, sys
+try:
+    runpy.run_module("ocmsim.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+threads = None
+if sys.platform == "linux":
+    with open("/proc/self/status") as status:
+        threads, = [int(line.split()[1]) for line in status
+                    if line.startswith("Threads:")]
+modules = {m for m in sys.modules if m.startswith("ocmsim.")} | {"ocmsim.cli"}
+print(json.dumps({"modules": sorted(modules), "threads": threads}))
 """
 
 
-def loaded_modules(args: list[str]) -> list[str]:
-    """The ``ocmsim.*`` modules of one fresh ``ocmsim`` run of ``args``."""
+def probe(args: list[str]) -> dict:
+    """``modules`` and ``threads`` of one fresh ``ocmsim`` run of ``args``."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, *args],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -49,8 +61,8 @@ def main() -> int:
             "analyze": ["--out", str(out / "an"), "analyze",
                         str(out / "rec" / "centroid_image.ocmg")],
         }
-        modules = {name: loaded_modules(args) for name, args in steps.items()}
-    print(json.dumps(modules, sort_keys=True))
+        runs = {name: probe(args) for name, args in steps.items()}
+    print(json.dumps(runs, sort_keys=True))
     return 0
 
 

@@ -4,15 +4,16 @@
 their uint16 fields) and ``EventStream`` checks each event against it; the
 Monte Carlo model that makes streams is ``detector``.  Event (OCME) and
 image (OCMG, ``grid``) files share one framing, ``write_framed`` and
-``read_framed``: magic, version u16, payload, a JSON header that records the
-payload's length and SHA-256, and the header's u32 length as the last 4
-bytes.  The header comes last, so a writer can record counts it knows only
-at the end without seeking back.  OCME holds little-endian records
-``{frame_id u64, ix u16, iy u16, t_bin u16}`` sorted by frame_id, the one
-order reconstruction needs (``ocmsim`` writes each frame in pixel order, one
-event per pixel; files in (frame_id, t_bin) order read alike).  The header's ``detector``
-object holds exactly the fields of ``DetectorConfig`` (its ``to_dict``):
-every stream has a sensor.  Only ``read_events`` parses it, with
+``read_framed``: magic, version u16, payload, a JSON header, its u32 length,
+and the seal, the SHA-256 of all bytes before it, as the last 32 bytes; so
+an edited header is refused too.  The header comes last, so a writer can
+hash as it appends and record counts it knows only at the end, without
+seeking back.  OCME holds little-endian records ``{frame_id u64, ix u16,
+iy u16, t_bin u16}`` sorted by frame_id, the one order reconstruction needs
+(``ocmsim`` writes each frame in pixel order, one event per pixel; files in
+(frame_id, t_bin) order read alike).  The header's ``detector`` object
+holds exactly the fields of ``DetectorConfig`` (its ``to_dict``): every
+stream has a sensor.  Only ``read_events`` parses it, with
 ``DetectorConfig.from_dict``; the stream then carries the parsed object.
 ``EventStream`` checks the rest of the contract when a stream is made, in
 memory or from a file, and freezes it, so ``read_events`` reads it back.
@@ -37,12 +38,13 @@ from .errors import (CorruptEventFile, CorruptManifest, EventOutOfRange,
                      UnsortedInput, finite_real, require_finite_positive, sink)
 
 OCME_MAGIC = b"OCME"
-FRAMED_VERSION = 2
+FRAMED_VERSION = 3
 
 _RECORD = np.dtype([("frame", "<u8"), ("ix", "<u2"), ("iy", "<u2"),
                     ("t_bin", "<u2")])
 _PREFIX = struct.Struct("<4sH")         # magic, version
-_TAIL = struct.Struct("<I")             # header length, the last 4 bytes
+_TAIL = struct.Struct("<I")             # header length, before the seal
+_SEAL = 32                              # SHA-256 of all bytes before it
 
 
 @dataclass(frozen=True)
@@ -225,25 +227,26 @@ def stable_hash(obj) -> str:
 def write_framed(path, magic: bytes, header: dict, payload: np.ndarray,
                  what: str) -> None:
     """Write ``magic``, the version, ``payload``'s bytes (a C-contiguous
-    array, uncopied), ``header`` with their length and SHA-256 added, and
-    the header's length."""
-    raw = payload.reshape(-1).view(np.uint8)
-    header = {**header, "payload_bytes": raw.size,
-              "payload_sha256": hashlib.sha256(raw).hexdigest()}
+    array, uncopied), ``header``, its length, and the seal: the SHA-256 of
+    every byte before it."""
     blob = canonical_json(header).encode()
+    seal = hashlib.sha256()
     with sink(path, "wb", what) as fh:
-        fh.write(_PREFIX.pack(magic, FRAMED_VERSION))
-        raw.tofile(fh)
-        fh.write(blob + _TAIL.pack(len(blob)))
+        for part in (_PREFIX.pack(magic, FRAMED_VERSION),
+                     payload.reshape(-1).view(np.uint8),
+                     blob + _TAIL.pack(len(blob))):
+            seal.update(part)
+            fh.write(part)
+        fh.write(seal.digest())
 
 
 def read_framed(path, magic: bytes, error: type) -> tuple[dict, memoryview]:
     """The header and payload of a ``write_framed`` file; ``error`` for a
-    file too short, of another magic or version, whose header is not a
-    JSON object, or whose payload's length or SHA-256 differs from it."""
+    file too short, of another magic or version, whose seal is not the
+    SHA-256 of its other bytes, or whose header is not a JSON object."""
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
-    kind, end = magic.decode(), len(data) - _TAIL.size
+    kind, end = magic.decode(), len(data) - _SEAL - _TAIL.size
     if end < _PREFIX.size:
         raise error(f"{path}: {len(data)} bytes, too short for an {kind} file")
     found, version = _PREFIX.unpack_from(data)
@@ -251,6 +254,8 @@ def read_framed(path, magic: bytes, error: type) -> tuple[dict, memoryview]:
         raise error(f"{path}: not an {kind} file")
     if version != FRAMED_VERSION:
         raise error(f"{path}: unsupported {kind} version {version}")
+    if hashlib.sha256(data[:-_SEAL]).digest() != data[-_SEAL:]:
+        raise error(f"{path}: seal is not the SHA-256 of the other bytes")
     start = end - _TAIL.unpack_from(data, end)[0]
     if start < _PREFIX.size:
         raise error(f"{path}: header runs past the start of the file")
@@ -260,12 +265,7 @@ def read_framed(path, magic: bytes, error: type) -> tuple[dict, memoryview]:
         raise error(f"{path}: header is not JSON: {exc}") from None
     if not isinstance(header, dict):
         raise error(f"{path}: header is not an object")
-    payload = data[_PREFIX.size:start]
-    if (header.get("payload_bytes"), header.get("payload_sha256")) != (
-            len(payload), hashlib.sha256(payload).hexdigest()):
-        raise error(f"{path}: payload of {len(payload)} bytes differs from "
-                    "the header's length or SHA-256")
-    return header, payload
+    return header, data[_PREFIX.size:start]
 
 
 def write_events(path, stream: EventStream) -> None:

@@ -4,9 +4,9 @@ A :class:`FieldGrid` carries complex or real sample values together with the
 physical geometry: sample (i, j) sits at ``origin + (i*dx, j*dy)`` (meters).
 Axis 0 is x, axis 1 is y throughout the package.
 
-An image (OCMG) file is framed like an event file (``events_io``): samples
-row-major as little-endian float64 or complex128, under a JSON header of
-``shape``, ``dx``, ``dy``, ``origin`` and ``complex``.  A lossless CSV
+An image (OCMG) file is framed and sealed like an event file (``events_io``):
+samples row-major as little-endian float64 or complex128, then a JSON header
+of only ``shape``, ``dx``, ``dy``, ``origin`` and ``complex``.  A lossless CSV
 export with ``#`` header comment lines is provided for external plotting.
 """
 

@@ -219,7 +219,7 @@ def deviation_envelope_fwhm(params: PhaseMatchingParams) -> float:
     xi = np.stack([r, np.zeros_like(r)], axis=-1)
     env = deviation_density(xi, params)
     below = np.where(env < 0.5)[0]
-    if below.size == 0:
+    if below.size == 0 or below[0] == 0:
         raise ValueError("envelope does not fall below half maximum in range")
     j = below[0]
     frac = (0.5 - env[j - 1]) / (env[j] - env[j - 1])

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,6 +18,12 @@ settings.register_profile("tier1", derandomize=True, deadline=None,
 settings.load_profile("tier1")
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def sealed(body: bytes) -> bytes:
+    """``body`` followed by its SHA-256: a hand-made framed file passes the
+    seal, so ``read_framed`` goes on to the checks after it."""
+    return body + hashlib.sha256(body).digest()
 
 
 def load_module(name: str, path: Path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import sealed
 from oracles import pixel_index_plain
 
 from ocmsim import DetectorConfig, EventStream, read_events, write_events
@@ -70,11 +71,12 @@ def with_records(n_frames, **fields) -> bytes:
 
 
 def with_header_bytes(good: bytes, edit) -> bytes:
-    """``good`` with its header bytes (the last 4 bytes hold their count)
-    replaced by ``edit(header)`` of the same length."""
-    end = len(good) - 4
-    start = end - int.from_bytes(good[end:], "little")
-    return good[:start] + edit(good[start:end]) + good[end:]
+    """``good`` with its header bytes (the 4 bytes before the 32-byte seal
+    hold their count) replaced by ``edit(header)`` of the same length, and
+    sealed again."""
+    end = len(good) - 36
+    start = end - int.from_bytes(good[end:-32], "little")
+    return sealed(good[:start] + edit(good[start:end]) + good[end:-32])
 
 
 def reconstruct_exit_code(tmp_path, path) -> int:
@@ -114,13 +116,19 @@ GOOD_HEADER = {"n_frames": 2, "detector": DetectorConfig().to_dict()}
     (lambda good: with_header_bytes(
         good, lambda h: b"[" + b" " * (len(h) - 2) + b"]"),
      "header is not an object"),
-    (lambda good: good[:-4] + len(good).to_bytes(4, "little"),
+    (lambda good: sealed(good[:-36] + len(good).to_bytes(4, "little")),
      "header runs past the start"),
-    # the last record cut out: the header's length no longer holds
-    (lambda good: good[:6 + 28] + good[6 + 42:], "payload of 28 bytes"),
-    (lambda good: good[:-14], "header runs past the start"),
+    # half of the last record cut out, sealed again: the header's length
+    # holds, but the payload is no longer whole records
+    (lambda good: sealed(good[:6 + 35] + good[6 + 42:-32]),
+     "multiple of element size"),
+    (lambda good: sealed(good[:-32 - 14]), "header runs past the start"),
     (lambda good: good[:10] + bytes([good[10] ^ 1]) + good[11:], "SHA-256"),
-    (lambda good: good + b"\0" * 5, "header is not JSON"),
+    (lambda good: sealed(good[:-32] + b"\0" * 5), "header is not JSON"),
+    # unsealed: a cut, an appended byte and an edited header value
+    (lambda good: good[:-14], "SHA-256"),
+    (lambda good: good + b"\0", "SHA-256"),
+    (lambda good: good.replace(b'"n_frames":2', b'"n_frames":3'), "SHA-256"),
     (lambda good: framed({**GOOD_HEADER, "meta": [1, 2]}),
      r"meta \[1, 2\] not a dict"),
     (lambda good: framed({**GOOD_HEADER, "source_hash": 7}),
@@ -129,11 +137,11 @@ GOOD_HEADER = {"n_frames": 2, "detector": DetectorConfig().to_dict()}
         "partial", "no_pixel_pitch", "unknown_key", "pde_5", "wide_sensor",
         "no_detector", "null_detector", "negative_n_frames", "n_frames_2**64",
         "n_frames_2**70", "not_object", "header_length", "cut_record",
-        "cut_tail", "flipped_record", "appended", "meta_list",
-        "source_hash_int"])
+        "cut_tail", "flipped_record", "appended", "unsealed_cut",
+        "unsealed_append", "edited_n_frames", "meta_list", "source_hash_int"])
 def test_malformed_event_file_is_a_typed_error(tmp_path, corrupt, message):
     """Each file breaks one check and is refused with that check's message;
-    the framing (length, digest) holds wherever another check is meant."""
+    a hand-made file is sealed wherever a check after the seal is meant."""
     path = tmp_path / "bad.ocme"
     path.write_bytes(corrupt(file_bytes(tmp_path)))
     with pytest.raises(CorruptEventFile, match=message):

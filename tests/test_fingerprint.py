@@ -134,6 +134,15 @@ def test_run_imports_the_checkouts_ocmsim_whatever_the_callers_path(
     assert Path(imported.strip()) == ROOT / "src" / "ocmsim" / "__init__.py"
 
 
+def test_run_fixes_mallocs_mmap_threshold(monkeypatch):
+    """Each child serves blocks from 128 KiB up by ``mmap``, whatever the
+    caller's environment, so a peak RSS does not follow the path's length."""
+    monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+    seen = base_report.run(ROOT, "-c", "import os; "
+                           "print(os.environ['MALLOC_MMAP_THRESHOLD_'])")
+    assert seen.strip() == "131072"
+
+
 def test_a_checkout_reported_against_itself_is_equal_throughout(capsys):
     """Every fingerprint entry, the line counts, the ``SCHEMA`` size and
     each ``cli_modules.py`` module set are equal on both sides, and each of

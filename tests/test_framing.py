@@ -1,8 +1,11 @@
 """The one framing of event (OCME) and image (OCMG) files: every strict
-prefix and every inverted byte of a written file is refused, and so is a
-version-1 file."""
+prefix, every inverted byte and every edited header digit of a written file
+is refused (the last 32 bytes seal all the others with their SHA-256), and
+so are version-1 and version-2 files, by name."""
 
+import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,9 @@ from ocmsim.errors import CorruptEventFile, CorruptGridFile
 from conftest import ROOT
 
 CONFIG = ROOT / "configs" / "default.yaml"
-#: files the version-1 writers wrote: three events in two frames on the
-#: default sensor, and a 2 x 3 real image
-VERSION_1 = ROOT / "tests" / "data"
+#: files the version-1 and version-2 writers wrote: three events in two
+#: frames on the default sensor, and a 2 x 3 real image
+OLD_FILES = ROOT / "tests" / "data"
 SENSOR = DetectorConfig(n_pixels_x=3, n_pixels_y=2, time_bin=1e-9,
                         frame_duration=4e-9)
 
@@ -35,14 +38,42 @@ def damaged(good: bytes):
         yield good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:]
 
 
-def assert_every_damage_refused(save, load, error) -> None:
+DIGITS, HEX = "0123456789", "0123456789abcdef"
+#: per header key of a file, the characters of its value that a digit edit
+#: changes: the frame count, a meta integer, each float of the sensor and
+#: the source hash of an event file; the geometry of an image file
+EVENT_DIGITS = {"n_frames": DIGITS, "seed": DIGITS, "source_hash": HEX,
+                **{name: DIGITS for name, value in SENSOR.to_dict().items()
+                   if isinstance(value, float)}}
+IMAGE_DIGITS = {"dx": DIGITS, "dy": DIGITS, "origin": DIGITS}
+
+
+def digit_edits(good: bytes, alphabets: dict):
+    """``good`` with one character of a header value changed to another of
+    its alphabet, for each key of ``alphabets`` and each such character of
+    the key's value.  The file keeps its length and its header stays a valid
+    JSON object, unless the edit makes a leading zero."""
+    for key, alphabet in alphabets.items():
+        # the last match is the header's: only the payload comes before it
+        at = good.rindex(f'"{key}":'.encode()) + len(key) + 3
+        rest = good[at:].decode("latin-1")
+        stop = json.JSONDecoder().raw_decode(rest)[1]
+        digits = [i for i in range(stop) if rest[i] in alphabet]
+        assert digits, f"{key} has no character to edit"
+        for i in digits:
+            for c in alphabet.replace(rest[i], ""):
+                yield good[:at + i] + c.encode() + good[at + i + 1:]
+
+
+def assert_every_damage_refused(save, load, error, damage=damaged,
+                                match=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f"
         save(path)
         good = path.read_bytes()
-        for bad in damaged(good):
+        for bad in damage(good):
             path.write_bytes(bad)
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 load(path)
 
 
@@ -82,6 +113,29 @@ def test_every_prefix_and_inverted_byte_of_an_image_file_is_refused(
     assert_every_damage_refused(grid.save, FieldGrid.load, CorruptGridFile)
 
 
+@settings(max_examples=20)
+@given(streams(), st.text(HEX, min_size=1, max_size=8))
+def test_every_edited_header_digit_of_an_event_file_is_refused(events, hash_):
+    """An edited frame count, seed, sensor value or source hash is a valid
+    header too, so only the seal can refuse it."""
+    events = replace(events, source_hash=hash_)
+    assert_every_damage_refused(
+        lambda path: write_events(path, events), read_events,
+        CorruptEventFile, lambda good: digit_edits(good, EVENT_DIGITS),
+        "SHA-256")
+
+
+@settings(max_examples=20)
+@given(st.floats(1e-7, 1e-5), st.floats(1e-7, 1e-5), st.floats(-1e-4, 1e-4),
+       st.floats(-1e-4, 1e-4))
+def test_every_edited_header_digit_of_an_image_file_is_refused(dx, dy, ox,
+                                                               oy):
+    grid = FieldGrid(np.arange(6.0).reshape(2, 3), dx, dy, (ox, oy))
+    assert_every_damage_refused(
+        grid.save, FieldGrid.load, CorruptGridFile,
+        lambda good: digit_edits(good, IMAGE_DIGITS), "SHA-256")
+
+
 def test_a_cut_file_exits_3(tmp_path):
     """``reconstruct`` on an event file without its last 14 bytes, and
     ``analyze`` on an image with one sample byte inverted."""
@@ -100,11 +154,14 @@ def test_a_cut_file_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("name, load, error", [
-    ("version1.ocme", read_events, CorruptEventFile),
-    ("version1.ocmg", FieldGrid.load, CorruptGridFile),
+    ("ocme", read_events, CorruptEventFile),
+    ("ocmg", FieldGrid.load, CorruptGridFile),
 ], ids=["event_file", "image_file"])
 def test_version_1_file_is_refused_by_name(name, load, error):
-    kind = name[-4:].upper()
-    assert (VERSION_1 / name).read_bytes()[:6] == kind.encode() + b"\1\0"
-    with pytest.raises(error, match=f"unsupported {kind} version 1"):
-        load(VERSION_1 / name)
+    kind = name.upper()
+    for version in (1, 2):
+        path = OLD_FILES / f"version{version}.{name}"
+        assert path.read_bytes()[:6] == kind.encode() + bytes([version, 0])
+        with pytest.raises(error, match=f"unsupported {kind} version "
+                                        f"{version}"):
+            load(path)

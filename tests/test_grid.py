@@ -17,6 +17,7 @@ from ocmsim.errors import CorruptGridFile
 from ocmsim.events_io import write_framed
 from ocmsim.grid import OCMG_MAGIC
 
+from conftest import sealed
 from oracles import interpolate_scipy, inverse_fourier_transform_2d
 
 CONFIG = Path(__file__).parent.parent / "configs" / "default.yaml"
@@ -78,20 +79,21 @@ def test_binary_container_round_trip(tmp_path):
 
 
 def test_binary_container_header(tmp_path):
-    """Version-2 framing: magic and version, the samples, the JSON header,
-    the header's length as the last 4 bytes."""
+    """Version-3 framing: magic and version, the samples, the JSON header,
+    the header's u32 length, and as the last 32 bytes the seal, the SHA-256
+    of every byte before it."""
     g = FieldGrid(np.arange(16.0).reshape(4, 4), 1e-6, 2e-6, (-3e-6, 0.5))
     path = tmp_path / "grid.ocmg"
     g.save(path)
     raw = path.read_bytes()
-    assert raw[:6] == b"OCMG\2\0"
-    payload, end = raw[6:6 + 16 * 8], len(raw) - 4
-    assert payload == g.values.astype("<f8").tobytes()
+    assert raw[:6] == b"OCMG\3\0"
+    assert raw[6:6 + 16 * 8] == g.values.astype("<f8").tobytes()
+    end = len(raw) - 32 - 4
     assert json.loads(raw[6 + 16 * 8:end]) == {
         "shape": [4, 4], "dx": 1e-6, "dy": 2e-6, "origin": [-3e-6, 0.5],
-        "complex": False, "payload_bytes": 128,
-        "payload_sha256": hashlib.sha256(payload).hexdigest()}
-    assert int.from_bytes(raw[end:], "little") == end - 6 - 16 * 8
+        "complex": False}
+    assert int.from_bytes(raw[end:-32], "little") == end - 6 - 16 * 8
+    assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
 
 
 def test_csv_round_trip(tmp_path):
@@ -258,8 +260,9 @@ def framed(**change) -> bytes:
     (lambda good: b"XXXX" + good[4:], "not an OCMG file"),
     (lambda good: good[:4] + struct.pack("<H", 9) + good[6:],
      "unsupported OCMG version 9"),
-    (lambda good: good[:6] + good[14:], "payload of 88 bytes"),
-    (lambda good: good + b"\0" * 8, "header is not JSON"),
+    # the first sample cut out, sealed again: 11 samples for 3 x 4
+    (lambda good: sealed(good[:6] + good[14:-32]), "array of size 11"),
+    (lambda good: sealed(good[:-32] + b"\0" * 8), "header is not JSON"),
     (lambda good: framed(complex=7), "complex = 7 is not a bool"),
     (lambda good: framed(dx=np.inf), "dx = inf must be finite"),
     (lambda good: framed(origin=[np.nan, 0.0]), "not two finite reals"),

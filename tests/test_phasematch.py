@@ -273,6 +273,17 @@ def test_envelope_fwhm_reference_value(reference_params):
     assert abs(fwhm - 1.1e-3) < 0.15 * 1.1e-3
 
 
+def test_envelope_fwhm_refuses_a_density_below_half_on_axis(reference_params):
+    """Slightly off the collinear poling period the on-axis density is
+    0.279: there is no half-maximum crossing, so no width (not a negative
+    one read from the cut's far end)."""
+    detuned = replace(reference_params,
+                      poling_period=1.0004 * reference_params.poling_period)
+    assert deviation_envelope(np.zeros((1, 2)), detuned)[0] ** 2 < 0.5
+    with pytest.raises(ValueError, match="half maximum"):
+        deviation_envelope_fwhm(detuned)
+
+
 def test_envelope_even(reference_params):
     xi = np.array([[0.3e-3, -0.2e-3], [-0.3e-3, 0.2e-3]])
     env = deviation_envelope(xi, reference_params)

@@ -24,8 +24,15 @@ _SCHEMA = ("from ocmsim.config import SCHEMA as s; print(len(s), 'keys and', "
 
 def run(checkout, *argv) -> str:
     """Stdout of one fresh interpreter run of ``argv`` whose ``PYTHONPATH``
-    is the absolute ``checkout/src`` and nothing else."""
-    env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
+    is the absolute ``checkout/src`` and nothing else.
+
+    glibc's malloc serves a block by ``mmap`` above a threshold that it
+    moves as large blocks are freed, and one code's ``pipeline_memory.py``
+    ``peak_rss_mb`` read about 2 MB apart from two checkout paths.  The
+    child fixes the threshold at 128 KiB (``MALLOC_MMAP_THRESHOLD_``), so
+    both sides read within 0.1 MB and the line compares code, not paths."""
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src"),
+           "MALLOC_MMAP_THRESHOLD_": "131072"}
     return subprocess.run([sys.executable, *map(str, argv)], env=env,
                           stdout=subprocess.PIPE, text=True, check=True).stdout
 
